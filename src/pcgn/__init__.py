@@ -22,10 +22,10 @@ from .data import (
     parse_dataset,
     split_by_blog,
 )
-from .decoding import DecodeConfig, DecodeInput, Hypothesis, beam_search, greedy_decode
-from .metrics import EvalPair, bleu2, meteor_lite, perplexity
+from .decoding import DecodeConfig, DecodeInput, Hypothesis, beam_search
+from .metrics import EvalPair, bleu2, meteor_lite
 from .model import ModelConfig, ModelParams, PRESETS, Variant, build_model
-from .training import OptimizerConfig, fit, sequence_loss, sgd_update, train_epoch
+from .training import OptimizerConfig, dataset_perplexity, fit, sequence_loss, sgd_update, train_epoch
 
 __version__ = "0.1.0"
 
@@ -37,9 +37,9 @@ __all__ = [
     "DataError", "EncodedExample", "FeatureSchema", "RawRecord", "Vocab",
     "augment_common_words", "build_vocab", "encode_records", "featurize_user",
     "filter_records", "fit_schema", "parse_dataset", "split_by_blog",
-    "DecodeConfig", "DecodeInput", "Hypothesis", "beam_search", "greedy_decode",
-    "EvalPair", "bleu2", "meteor_lite", "perplexity",
+    "DecodeConfig", "DecodeInput", "Hypothesis", "beam_search",
+    "EvalPair", "bleu2", "meteor_lite",
     "ModelConfig", "ModelParams", "PRESETS", "Variant", "build_model",
-    "OptimizerConfig", "fit", "sequence_loss", "sgd_update", "train_epoch",
+    "OptimizerConfig", "dataset_perplexity", "fit", "sequence_loss", "sgd_update", "train_epoch",
     "__version__",
 ]

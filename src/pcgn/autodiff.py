@@ -17,9 +17,9 @@ NaN or infinity appears, instead of letting it propagate.  They run where
 values are made: on :class:`Tensor` construction and on the output of every
 primitive that computes new numbers (arithmetic, activations, softmaxes,
 reductions, ``lstm_cell``).  Structural primitives -- ``vslice``,
-``concat``, ``stack_rows``, ``transpose``, ``pick`` and
-``embedding_lookup`` -- only copy or view elements of operands that were
-themselves checked when they were made, so they do not check again.
+``concat``, ``stack_rows``, ``pick`` and ``embedding_lookup`` -- only copy
+or view elements of operands that were themselves checked when they were
+made, so they do not check again.
 """
 
 from __future__ import annotations
@@ -38,20 +38,17 @@ __all__ = [
     "set_precision",
     "precision",
     "set_finite_checks",
-    "finite_checks_enabled",
     "tensor",
     "zeros",
     "ones",
     "matmul",
     "matvec",
     "vecmat",
-    "transpose",
     "add",
     "scale",
     "hadamard",
     "sigmoid",
     "tanh",
-    "map_activation",
     "lstm_cell",
     "softmax",
     "log_softmax",
@@ -96,15 +93,11 @@ def set_finite_checks(enabled: bool) -> None:
 
     When enabled, :class:`Tensor` construction and every primitive that
     computes new values check their result.  Structural primitives (slices,
-    concatenations, stacks, transposes, picks, embedding rows) copy values
-    that were checked when they were made and are not checked again.
+    concatenations, stacks, picks, embedding rows) copy values that were
+    checked when they were made and are not checked again.
     """
     global _check_finite
     _check_finite = bool(enabled)
-
-
-def finite_checks_enabled() -> bool:
-    return _check_finite
 
 
 def _all_finite(arr: np.ndarray) -> bool:
@@ -137,17 +130,8 @@ class Tensor:
         return self.array.shape
 
     @property
-    def ndim(self) -> int:
-        return self.array.ndim
-
-    @property
     def size(self) -> int:
         return self.array.size
-
-    @property
-    def data(self) -> np.ndarray:
-        """Row-major flat view of the elements."""
-        return self.array.reshape(-1)
 
     def item(self) -> float:
         if self.array.size != 1:
@@ -218,10 +202,6 @@ class Tape:
         """(op, input ids, output id) triples, in application order."""
         return [(name, ins, out) for name, ins, out, _ in self._entries]
 
-    @property
-    def leaves(self) -> tuple[int, ...]:
-        return tuple(self._leaf_shapes)
-
     def __len__(self) -> int:
         return len(self._entries)
 
@@ -248,9 +228,6 @@ class GradientSet:
 
     def __len__(self) -> int:
         return len(self._grads)
-
-    def items(self):
-        return self._grads.items()
 
 
 def _tape_of(*operands: Tensor) -> "Tape | None":
@@ -336,21 +313,6 @@ def vecmat(x: Tensor, w: Tensor) -> Tensor:
     return tape._record("vecmat", (nx, nw), out, backward)
 
 
-def transpose(a: Tensor) -> Tensor:
-    av = a.array
-    if av.ndim != 2:
-        raise ShapeError(f"transpose expects a matrix, got shape {av.shape}")
-    tape = _tape_of(a)
-    out = np.ascontiguousarray(av.T)
-    if tape is None:
-        return _wrap(out, check=False)
-
-    def backward(g):
-        return (np.ascontiguousarray(g.T),)
-
-    return tape._record("transpose", (a.node,), out, backward, check=False)
-
-
 def add(a: Tensor, b: Tensor) -> Tensor:
     av, bv = a.array, b.array
     if av.shape != bv.shape:
@@ -424,14 +386,6 @@ def tanh(x: Tensor) -> Tensor:
         return (g * (1.0 - out * out),)
 
     return tape._record("tanh", (x.node,), out, backward)
-
-
-def map_activation(kind: str, x: Tensor) -> Tensor:
-    if kind == "sigmoid":
-        return sigmoid(x)
-    if kind == "tanh":
-        return tanh(x)
-    raise ValueError(f"unknown activation kind {kind!r}; expected 'sigmoid' or 'tanh'")
 
 
 def lstm_cell(w_x: Tensor, w_h: Tensor, b: Tensor, x: Tensor, h_prev: Tensor, c_prev: Tensor) -> Tensor:

@@ -9,7 +9,10 @@ from __future__ import annotations
 
 import base64
 import json
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -98,6 +101,25 @@ def _decode_array(obj: dict, name: str) -> np.ndarray:
     return np.ascontiguousarray(arr.reshape(shape).astype(dtype))
 
 
+@contextmanager
+def atomic_write(path):
+    """Open a text file whose contents replace ``path`` only once complete.
+
+    Writes go to a sibling ``<name>.tmp`` that ``os.replace`` moves over the
+    target after the block finishes, so an interrupted write leaves the
+    previous file intact.  On any failure the temp file is removed.
+    """
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def save_checkpoint(path, checkpoint: Checkpoint) -> None:
     """Write a checkpoint; deterministic bytes for identical inputs."""
     params = checkpoint.params
@@ -112,7 +134,7 @@ def save_checkpoint(path, checkpoint: Checkpoint) -> None:
         "extra": checkpoint.extra,
         "params": {name: _encode_array(t.array) for name, t in params.named_parameters()},
     }
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         json.dump(doc, fh, sort_keys=True, separators=(",", ":"))
         fh.write("\n")
 

@@ -26,6 +26,7 @@ from .autodiff import NonFiniteError
 from .checkpoint import (
     Checkpoint,
     CheckpointError,
+    atomic_write,
     load_checkpoint,
     save_checkpoint,
 )
@@ -46,10 +47,10 @@ from .data import (
     split_by_blog,
 )
 from .decoding import DecodeConfig, DecodeInput, beam_search
-from .metrics import CorpusScores, EvalPair, bleu2, evaluation_report, meteor_lite, perplexity
+from .metrics import CorpusScores, EvalPair, bleu2, meteor_lite
 from .model import ModelConfig, build_model, variant_from_name
 from .synthetic import synthetic_records
-from .training import OptimizerConfig, fit
+from .training import OptimizerConfig, dataset_perplexity, fit
 
 __all__ = ["RunConfig", "main", "entrypoint", "UsageError"]
 
@@ -174,7 +175,12 @@ def _sha256(path) -> str:
 
 
 def _write_json(path, obj) -> None:
-    Path(path).write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    with atomic_write(path) as fh:
+        fh.write(json.dumps(obj, sort_keys=True, indent=2) + "\n")
+
+
+def _decode_config(cfg: RunConfig) -> DecodeConfig:
+    return DecodeConfig(beam_size=cfg.beam_size, max_len=cfg.max_len, length_norm=cfg.length_norm)
 
 
 def _format_table(headers: list[str], rows: list[list[str]]) -> str:
@@ -251,7 +257,7 @@ def cmd_prepare(cfg: RunConfig) -> int:
 
     out = _out_dir(cfg, "runs/prep")
     for name, split in (("train", train), ("dev", dev), ("test", test)):
-        with open(out / f"{name}.jsonl", "w", encoding="utf-8") as fh:
+        with atomic_write(out / f"{name}.jsonl") as fh:
             for r in split:
                 fh.write(_record_to_json(r) + "\n")
     _write_json(out / "vocab.json", vocab.to_dict())
@@ -412,7 +418,7 @@ def cmd_train(cfg: RunConfig) -> int:
     save_checkpoint(out / "checkpoint_final.json", ckpt)
     if encoded["dev"]:
         save_checkpoint(out / "checkpoint_best.json", best_ckpt)
-    train_ppl = perplexity(ckpt.params, encoded["train"])
+    train_ppl = dataset_perplexity(ckpt.params, encoded["train"])
     print(f"final train ppl={train_ppl:.4f}; artifacts in {out}")
     return 0
 
@@ -469,7 +475,7 @@ def cmd_generate(cfg: RunConfig, args: argparse.Namespace) -> int:
     if not profiles:
         raise UsageError("generate needs at least one --user or --user-json")
 
-    decode_cfg = DecodeConfig(beam_size=cfg.beam_size, max_len=cfg.max_len, length_norm=cfg.length_norm)
+    decode_cfg = _decode_config(cfg)
     top = max(1, cfg.top)
     outputs = []
     for profile in profiles:
@@ -522,7 +528,7 @@ def _score_split(params, encoded_split, decode_cfg: DecodeConfig):
         best = hyps[0]
         pairs.append(EvalPair(hypothesis=best.content_tokens, reference=ex.y[1:-1]))
     scores = CorpusScores(
-        ppl=perplexity(params, encoded_split),
+        ppl=dataset_perplexity(params, encoded_split),
         bleu2=bleu2(pairs),
         meteor=meteor_lite(pairs),
         pairs=len(pairs),
@@ -542,10 +548,10 @@ def cmd_eval(cfg: RunConfig, args: argparse.Namespace) -> int:
         raise DataError(f"split {cfg.split!r} is empty")
     encoded = encode_records(records, ckpt.vocab, ckpt.schema)
 
-    decode_cfg = DecodeConfig(beam_size=cfg.beam_size, max_len=cfg.max_len, length_norm=cfg.length_norm)
+    decode_cfg = _decode_config(cfg)
     scores, pairs = _score_split(ckpt.params, encoded, decode_cfg)
 
-    report = evaluation_report(scores)
+    report = dataclasses.asdict(scores)
     report.update({
         "split": cfg.split,
         "checkpoint_sha256": _sha256(args.checkpoint),
@@ -557,7 +563,7 @@ def cmd_eval(cfg: RunConfig, args: argparse.Namespace) -> int:
     if args.json:
         _write_json(args.json, report)
     if args.dump_pairs:
-        with open(args.dump_pairs, "w", encoding="utf-8") as fh:
+        with atomic_write(args.dump_pairs) as fh:
             for i, pair in enumerate(pairs):
                 hyp = " ".join(ckpt.vocab.decode(pair.hypothesis, keep_specials=True))
                 ref = " ".join(ckpt.vocab.decode(pair.reference, keep_specials=True))
@@ -583,7 +589,7 @@ def cmd_ablate(cfg: RunConfig) -> int:
         row_names.append("Seq2Seq+Emb")
     row_names += ["+Mem", "+CoAtt", "+External"]
 
-    decode_cfg = DecodeConfig(beam_size=cfg.beam_size, max_len=cfg.max_len, length_norm=cfg.length_norm)
+    decode_cfg = _decode_config(cfg)
     rows: list[dict] = []
 
     def write_report(final: bool):

@@ -1,23 +1,22 @@
-"""Greedy and beam-search decoding.
+"""Beam-search decoding.
 
-Both decoders walk a step function ``(state, y_prev) -> (log_probs, state)``
+Beam search walks a step function ``(state, y_prev) -> (log_probs, state)``
 so the search logic is independent of the network; :class:`DecodeSession`
 adapts a model to that interface and applies the unk mask.  Scores are
 sums of token log-probabilities, including the eos step.  Ties are broken
-toward the lexicographically smaller token-id sequence, which also makes a
-size-1 beam reproduce greedy exactly.
+toward the lexicographically smaller token-id sequence, which makes a
+width-1 beam exactly greedy decoding: at each step it takes the most
+probable token, the lowest id among equals.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
-from . import autodiff as ad
 from . import model as M
-from .autodiff import Tensor
 from .training import example_forward
 
 __all__ = [
@@ -25,9 +24,7 @@ __all__ = [
     "DecodeInput",
     "Hypothesis",
     "DecodeSession",
-    "greedy_decode",
     "beam_search",
-    "greedy_steps",
     "beam_search_steps",
     "rescore",
 ]
@@ -123,23 +120,6 @@ def _log_softmax_np(logits: np.ndarray) -> np.ndarray:
         return shifted - np.log(np.sum(np.exp(shifted)))
 
 
-def greedy_steps(step_fn: StepFn, initial_state, bos_id: int, eos_id: int, max_len: int) -> Hypothesis:
-    """Argmax walk; numpy argmax takes the lowest index on ties."""
-    state = initial_state
-    tokens: list[int] = []
-    log_prob = 0.0
-    prev = bos_id
-    for _ in range(max_len):
-        lp, state = step_fn(state, prev)
-        tok = int(np.argmax(lp))
-        tokens.append(tok)
-        log_prob += float(lp[tok])
-        if tok == eos_id:
-            return Hypothesis(tuple(tokens), log_prob, True)
-        prev = tok
-    return Hypothesis(tuple(tokens), log_prob, False)
-
-
 def beam_search_steps(
     step_fn: StepFn,
     initial_state,
@@ -213,13 +193,6 @@ def beam_search_steps(
     return ranked
 
 
-def greedy_decode(params: M.ModelParams, example, max_len: int = 20) -> Hypothesis:
-    """Greedy decoding for one encoded input (the comment field is unused)."""
-    session = DecodeSession(params, example)
-    cfg = params.config
-    return greedy_steps(session.step, session.initial_state(), cfg.bos_id, cfg.eos_id, max_len)
-
-
 def beam_search(params: M.ModelParams, example, config: DecodeConfig = DecodeConfig(), prune: bool = True) -> list[Hypothesis]:
     """Beam-search decoding for one encoded input."""
     session = DecodeSession(params, example)
@@ -233,8 +206,8 @@ def beam_search(params: M.ModelParams, example, config: DecodeConfig = DecodeCon
 def rescore(params: M.ModelParams, example, hypothesis: Hypothesis) -> float:
     """Teacher-force the hypothesis tokens and sum their log-probabilities.
 
-    Matches Hypothesis.log_prob to float tolerance for any hypothesis the
-    decoders emit on the same inputs.
+    Matches Hypothesis.log_prob to float tolerance for any hypothesis beam
+    search emits on the same inputs, at any width.
     """
     session = DecodeSession(params, example)
     state = session.initial_state()

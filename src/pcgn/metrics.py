@@ -1,4 +1,4 @@
-"""Corpus metrics: perplexity, corpus BLEU-2, and a lightweight METEOR.
+"""Corpus metrics: corpus BLEU-2 and a lightweight METEOR.
 
 All metrics operate on token-id or token-string sequences; they never look
 at surface text.  BLEU is corpus-level (n-gram counts pooled before the
@@ -13,17 +13,11 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
-from . import training
-from .data import EncodedExample
-from .model import ModelParams
-
 __all__ = [
     "EvalPair",
-    "perplexity",
     "bleu2",
     "meteor_lite",
     "CorpusScores",
-    "evaluation_report",
 ]
 
 
@@ -39,11 +33,6 @@ class EvalPair:
             raise ValueError("reference must be non-empty")
         object.__setattr__(self, "hypothesis", tuple(self.hypothesis))
         object.__setattr__(self, "reference", tuple(self.reference))
-
-
-def perplexity(params: ModelParams, dataset: Sequence[EncodedExample]) -> float:
-    """exp(total teacher-forced NLL / total target tokens)."""
-    return training.dataset_perplexity(params, dataset)
 
 
 def _ngrams(tokens: tuple, n: int) -> Counter:
@@ -157,12 +146,3 @@ class CorpusScores:
     meteor: float
     pairs: int
 
-
-def evaluation_report(scores: CorpusScores) -> dict:
-    """JSON-ready evaluation summary."""
-    return {
-        "ppl": scores.ppl,
-        "bleu2": scores.bleu2,
-        "meteor": scores.meteor,
-        "pairs": scores.pairs,
-    }

@@ -58,32 +58,30 @@ def example_forward(params: M.ModelParams, example: EncodedExample):
     return blog_states, desc_states, v_u, state
 
 
-def sequence_loss(params: M.ModelParams, example: EncodedExample) -> Tensor:
-    """Negative log-likelihood of the gold comment, summed over positions.
+def _gold_log_probs(params: M.ModelParams, example: EncodedExample) -> list[Tensor]:
+    """Teacher-forced walk: one log-probability term per gold target.
 
-    Teacher forcing: step t consumes gold token y_{t-1} and is scored on
-    y_t.  The bos anchor is input-only; the eos terminator is a scored
-    target.  Natural log.
+    Step t consumes gold token y_{t-1} and is scored on y_t.  The bos
+    anchor is input-only; the eos terminator is a scored target.
     """
     blog_states, desc_states, v_u, state = example_forward(params, example)
-    step_terms = []
+    terms = []
     for t in range(1, len(example.y)):
         result = M.decoder_step(params, state, example.y[t - 1], blog_states, desc_states, v_u)
         state = result.state
-        step_terms.append(ad.pick(ad.log_softmax(result.logits), example.y[t]))
-    total = reduce(ad.add, step_terms)
-    return ad.scale(total, -1.0)
+        terms.append(ad.pick(ad.log_softmax(result.logits), example.y[t]))
+    return terms
+
+
+def sequence_loss(params: M.ModelParams, example: EncodedExample) -> Tensor:
+    """Negative log-likelihood of the gold comment, summed over positions
+    (natural log)."""
+    return ad.scale(reduce(ad.add, _gold_log_probs(params, example)), -1.0)
 
 
 def token_log_probs(params: M.ModelParams, example: EncodedExample) -> np.ndarray:
     """Per-target-position gold log-probabilities (tape-free forward)."""
-    blog_states, desc_states, v_u, state = example_forward(params, example)
-    out = np.empty(len(example.y) - 1, dtype=np.float64)
-    for t in range(1, len(example.y)):
-        result = M.decoder_step(params, state, example.y[t - 1], blog_states, desc_states, v_u)
-        state = result.state
-        out[t - 1] = ad.log_softmax(result.logits).array[example.y[t]]
-    return out
+    return np.array([term.item() for term in _gold_log_probs(params, example)], dtype=np.float64)
 
 
 def sgd_update(

@@ -153,3 +153,25 @@ def enumerate_finished(step_fn, initial_state, bos_id, eos_id, vocab_size, max_l
 
     walk(initial_state, bos_id, (), 0.0, 0)
     return results
+
+
+def argmax_walk(step_fn, initial_state, bos_id, eos_id, max_len):
+    """Greedy decoding: the most probable token at each step, the lowest id
+    on ties (numpy argmax).
+
+    Returns (tokens, summed log-probability, finished).  The reference a
+    width-1 beam search must reproduce.
+    """
+    state = initial_state
+    tokens = []
+    total = 0.0
+    prev = bos_id
+    for _ in range(max_len):
+        lp, state = step_fn(state, prev)
+        tok = int(np.argmax(lp))
+        tokens.append(tok)
+        total += float(lp[tok])
+        if tok == eos_id:
+            return tuple(tokens), total, True
+        prev = tok
+    return tuple(tokens), total, False

@@ -26,10 +26,10 @@ from pcgn import training as T
 from pcgn import decoding as dec
 from pcgn.checkpoint import load_checkpoint, save_checkpoint
 from pcgn.data import build_vocab, encode_records, fit_schema, parse_dataset
-from pcgn.decoding import DecodeConfig, DecodeInput, beam_search, greedy_decode
-from pcgn.metrics import EvalPair, bleu2, meteor_lite, perplexity
+from pcgn.decoding import DecodeConfig, DecodeInput, beam_search
+from pcgn.metrics import EvalPair, bleu2, meteor_lite
 from pcgn.synthetic import USER_TOKEN_INDEX, synthetic_records
-from pcgn.training import OptimizerConfig, fit, sequence_loss, token_log_probs
+from pcgn.training import OptimizerConfig, dataset_perplexity, fit, sequence_loss, token_log_probs
 
 
 def verdict(label: str, ok: bool, detail: str) -> None:
@@ -214,7 +214,7 @@ def test_criterion_2_overfit_tiny_corpus():
     start = time.perf_counter()
     final, _, history = fit(params, train, None, opt, epochs=500, stop_below_ppl=1.3)
     elapsed = time.perf_counter() - start
-    ppl = perplexity(final, train)
+    ppl = dataset_perplexity(final, train)
     ok = ppl < 1.3 and len(history) <= 500 and elapsed < 300.0
     verdict(
         "criterion 2 (overfit capacity)", ok,
@@ -271,12 +271,10 @@ def test_criterion_4_baseline_user_invariance():
         plain = DecodeInput(x=x, f=np.zeros(5), d=(4, 5), user_id="nobody")
         loud = DecodeInput(x=x, f=rng.normal(0.0, 3.0, size=5), d=(6, 7, 8, 9), user_id="somebody")
 
-        g_a, g_b = greedy_decode(params, plain, max_len=6), greedy_decode(params, loud, max_len=6)
-        assert g_a.tokens == g_b.tokens and g_a.log_prob == g_b.log_prob
-
-        beam_cfg = DecodeConfig(beam_size=4, max_len=6)
-        for h_a, h_b in zip(beam_search(params, plain, beam_cfg), beam_search(params, loud, beam_cfg)):
-            assert h_a.tokens == h_b.tokens and h_a.log_prob == h_b.log_prob
+        for width in (1, 4):
+            beam_cfg = DecodeConfig(beam_size=width, max_len=6)
+            for h_a, h_b in zip(beam_search(params, plain, beam_cfg), beam_search(params, loud, beam_cfg)):
+                assert h_a.tokens == h_b.tokens and h_a.log_prob == h_b.log_prob
 
         y = (2, 4, 5, 3)
         loss_a = sequence_loss(params, ToyExample(x=x, y=y, f=plain.f, d=plain.d))
@@ -285,7 +283,7 @@ def test_criterion_4_baseline_user_invariance():
         checked += 1
     verdict(
         "criterion 4 (baseline user invariance)", checked == 5,
-        f"greedy, beam, and loss outputs bit-identical across profiles for {checked}/5 seeds",
+        f"width-1 (greedy) and width-4 beam and loss outputs bit-identical across profiles for {checked}/5 seeds",
     )
 
 
@@ -334,15 +332,17 @@ def test_criterion_5_beam_matches_enumeration():
             worst_gap = max(worst_gap, abs(hyp.log_prob - score))
         assert worst_gap < 1e-9
 
-        greedy = greedy_decode(params, example, max_len=3)
+        tokens, log_prob, finished = oracle.argmax_walk(
+            session.step, session.initial_state(), config.bos_id, config.eos_id, max_len=3,
+        )
         (only,) = beam_search(params, example, DecodeConfig(beam_size=1, max_len=3))
-        assert only.tokens == greedy.tokens
-        assert abs(only.log_prob - greedy.log_prob) < 1e-12
+        assert (only.tokens, only.finished) == (tokens, finished)
+        assert abs(only.log_prob - log_prob) < 1e-12
         models += 1
     verdict(
         "criterion 5 (beam exactness)", models == 50,
         f"{models}/50 random models match exhaustive enumeration "
-        f"(worst score gap {worst_gap:.2e}); width-1 beam equals greedy",
+        f"(worst score gap {worst_gap:.2e}); width-1 beam equals the argmax walk",
     )
 
 
@@ -413,7 +413,7 @@ def test_criterion_7_metric_unit_values():
         ToyExample(x=(8, 9), y=(2, 10, 3), f=np.zeros(5), d=(5,)),
         ToyExample(x=(6,), y=(2, 11, 4, 5, 3), f=np.zeros(5), d=(6,)),
     ]
-    checks.append(("uniform-model ppl == V", perplexity(uniform, examples), 12.0))
+    checks.append(("uniform-model ppl == V", dataset_perplexity(uniform, examples), 12.0))
 
     worst = max(abs(got - want) for _, got, want in checks)
     ok = worst <= 1e-9

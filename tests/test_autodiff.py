@@ -85,10 +85,6 @@ class TestForwardValues:
         out = ad.stack_rows([ad.tensor([1.0, 2.0]), ad.tensor([3.0, 4.0])])
         assert np.array_equal(out.array, [[1.0, 2.0], [3.0, 4.0]])
 
-    def test_transpose(self):
-        out = ad.transpose(ad.tensor([[1.0, 2.0], [3.0, 4.0]]))
-        assert np.array_equal(out.array, [[1.0, 3.0], [2.0, 4.0]])
-
     def test_embedding_lookup_copies_row(self):
         table = ad.tensor(np.arange(12.0).reshape(4, 3))
         out = ad.embedding_lookup(table, 2)
@@ -105,13 +101,6 @@ class TestForwardValues:
         assert np.array_equal(ad.hadamard(a, b).array, [10.0, -3.0])
         assert np.array_equal(ad.add(a, b).array, [7.0, 2.0])
         assert np.array_equal(ad.scale(a, -2.0).array, [-4.0, -6.0])
-
-    def test_map_activation_dispatch(self):
-        x = ad.tensor([0.3])
-        assert ad.map_activation("sigmoid", x).array[0] == ad.sigmoid(x).array[0]
-        assert ad.map_activation("tanh", x).array[0] == ad.tanh(x).array[0]
-        with pytest.raises(ValueError, match="activation"):
-            ad.map_activation("relu", x)
 
     def test_zeros_ones_helpers(self):
         assert np.array_equal(ad.zeros((2, 2)).array, np.zeros((2, 2)))
@@ -198,10 +187,6 @@ def _fd_cases(name, rng):
             (lambda t: ad.sum_all(ad.vecmat(t, ad.tensor(w))), x),
             (lambda t: ad.sum_all(ad.vecmat(ad.tensor(x), t)), w),
         ]
-    if name == "transpose":
-        m, n = dims(2)
-        r = ad.tensor(rng.normal(size=(n, m)))
-        return [(lambda t: ad.sum_all(ad.hadamard(ad.transpose(t), r)), rng.normal(size=(m, n)))]
     if name == "add":
         (n,) = dims()
         other = ad.tensor(rng.normal(size=n))
@@ -277,7 +262,7 @@ def _fd_cases(name, rng):
 
 
 PRIMITIVES = [
-    "matmul", "matvec", "vecmat", "transpose", "add", "scale", "hadamard",
+    "matmul", "matvec", "vecmat", "add", "scale", "hadamard",
     "sigmoid", "tanh", "softmax", "log_softmax", "concat", "stack_rows",
     "vslice", "embedding_lookup", "pick", "dot", "sum_all",
 ]

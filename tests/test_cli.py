@@ -22,7 +22,8 @@ from pcgn.autodiff import NonFiniteError
 from pcgn.checkpoint import load_checkpoint, save_checkpoint
 from pcgn.data import encode_records, parse_dataset
 from pcgn.decoding import DecodeConfig, beam_search
-from pcgn.metrics import EvalPair, bleu2, meteor_lite, perplexity
+from pcgn.metrics import EvalPair, bleu2, meteor_lite
+from pcgn.training import dataset_perplexity
 
 SAMPLE_DATA = Path(__file__).resolve().parents[1] / "data" / "sample_dataset.jsonl"
 
@@ -407,7 +408,7 @@ class TestEval:
 
         ckpt = load_checkpoint(pcgn_dir / "checkpoint_final.json")
         encoded = encode_records(parse_dataset(prep_dir / "train.jsonl"), ckpt.vocab, ckpt.schema)
-        assert report["ppl"] == perplexity(ckpt.params, encoded)
+        assert report["ppl"] == dataset_perplexity(ckpt.params, encoded)
         decode_cfg = DecodeConfig(beam_size=10, max_len=20, length_norm=0.0)
         pairs = [
             EvalPair(hypothesis=beam_search(ckpt.params, ex, decode_cfg)[0].content_tokens,
@@ -522,6 +523,20 @@ class TestAblate:
         copy = tmp_path / "copy.json"
         save_checkpoint(copy, load_checkpoint(src))
         assert copy.read_bytes() == src.read_bytes()
+
+
+class TestArtifactWrites:
+    def test_failed_json_write_keeps_previous_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "report.json"
+        cli._write_json(path, {"ppl": 1.5})
+        before = path.read_bytes()
+        # a lone surrogate cannot be encoded, so the text write itself fails
+        monkeypatch.setattr(cli.json, "dumps", lambda obj, **kwargs: '{"ppl": "\ud800"}')
+        with pytest.raises(UnicodeEncodeError):
+            cli._write_json(path, {"ppl": 2.5})
+        assert path.read_bytes() == before
+        assert json.loads(path.read_text(encoding="utf-8")) == {"ppl": 1.5}
+        assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
 
 
 class TestDispatch:

@@ -1,4 +1,8 @@
-"""Greedy and beam-search tests, including exhaustive-search oracles."""
+"""Beam-search tests, including exhaustive-search and argmax-walk oracles.
+
+Greedy decoding is the width-1 beam; its tests compare that beam with the
+independent argmax walk in tests/oracle.py.
+"""
 
 from __future__ import annotations
 
@@ -36,6 +40,18 @@ def scripted_step(state, prev):
     return lp(0.05, 0.05, 0.9), "running"
 
 
+def width_one(params, example, max_len):
+    """The single hypothesis of a width-1 beam: greedy decoding."""
+    (only,) = dec.beam_search(params, example, dec.DecodeConfig(beam_size=1, max_len=max_len))
+    return only
+
+
+def oracle_greedy(params, example, max_len):
+    session = dec.DecodeSession(params, example)
+    cfg = params.config
+    return oracle.argmax_walk(session.step, session.initial_state(), cfg.bos_id, cfg.eos_id, max_len)
+
+
 class TestConfigAndHypothesis:
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -60,7 +76,8 @@ class TestConfigAndHypothesis:
 
 class TestScriptedToy:
     def test_greedy_takes_the_myopic_path(self):
-        hyp = dec.greedy_steps(scripted_step, "start", bos_id=99, eos_id=2, max_len=5)
+        cfg = dec.DecodeConfig(beam_size=1, max_len=5)
+        (hyp,) = dec.beam_search_steps(scripted_step, "start", 99, 2, 3, cfg)
         assert hyp.finished
         assert hyp.tokens == (0, 2)
         assert abs(hyp.log_prob - np.log(0.30)) < 1e-12
@@ -76,9 +93,9 @@ class TestScriptedToy:
     def test_beam_one_reproduces_greedy(self):
         cfg = dec.DecodeConfig(beam_size=1, max_len=5)
         (only,) = dec.beam_search_steps(scripted_step, "start", 99, 2, 3, cfg)
-        greedy = dec.greedy_steps(scripted_step, "start", 99, 2, 5)
-        assert only.tokens == greedy.tokens
-        assert abs(only.log_prob - greedy.log_prob) < 1e-12
+        tokens, log_prob, finished = oracle.argmax_walk(scripted_step, "start", 99, 2, 5)
+        assert (only.tokens, only.finished) == (tokens, finished)
+        assert abs(only.log_prob - log_prob) < 1e-12
 
     def test_step_shape_is_validated(self):
         def bad_step(state, prev):
@@ -137,10 +154,10 @@ class TestAgainstExhaustiveSearch:
     def test_beam_one_equals_greedy_on_real_models(self):
         for seed in range(10):
             params, example = three_token_model(seed + 200)
-            greedy = dec.greedy_decode(params, example, max_len=4)
-            (only,) = dec.beam_search(params, example, dec.DecodeConfig(beam_size=1, max_len=4))
-            assert only.tokens == greedy.tokens
-            assert abs(only.log_prob - greedy.log_prob) < 1e-12
+            tokens, log_prob, finished = oracle_greedy(params, example, max_len=4)
+            only = width_one(params, example, max_len=4)
+            assert (only.tokens, only.finished) == (tokens, finished)
+            assert abs(only.log_prob - log_prob) < 1e-12
 
 
 class TestBeamBehavior:
@@ -199,7 +216,7 @@ class TestBeamBehavior:
             example = tiny_example(cfg, seed + 341)
             for h in dec.beam_search(params, example, dec.DecodeConfig(beam_size=3, max_len=4)):
                 assert abs(dec.rescore(params, example, h) - h.log_prob) < 1e-9
-            greedy = dec.greedy_decode(params, example, max_len=4)
+            greedy = width_one(params, example, max_len=4)
             assert abs(dec.rescore(params, example, greedy) - greedy.log_prob) < 1e-9
 
 
@@ -218,11 +235,11 @@ class TestTermination:
         )
 
     def test_max_len_truncation_when_eos_never_wins(self):
-        # all-zero parameters give uniform logits; argmax ties resolve to
-        # token 0, so an eos at the top of the id range is never reached
+        # all-zero parameters give uniform logits; ties resolve to token 0,
+        # so an eos at the top of the id range is never reached
         params = self.zero_params(eos_id=11, unk_id=None)
         example = self.decode_input(params.config, 400)
-        hyp = dec.greedy_decode(params, example, max_len=7)
+        hyp = width_one(params, example, max_len=7)
         assert not hyp.finished
         assert hyp.tokens == (0,) * 7
         results = dec.beam_search(params, example, dec.DecodeConfig(beam_size=2, max_len=7))
@@ -232,7 +249,7 @@ class TestTermination:
     def test_immediate_eos_yields_empty_content(self):
         params = self.zero_params(eos_id=0, unk_id=None, bos_id=2)
         example = self.decode_input(params.config, 401)
-        hyp = dec.greedy_decode(params, example, max_len=7)
+        hyp = width_one(params, example, max_len=7)
         assert hyp.finished
         assert hyp.tokens == (0,)
         assert hyp.content_tokens == ()
@@ -246,7 +263,7 @@ class TestTermination:
         params = params.with_tensors({"out_proj": ad.tensor(boosted)})
         example = tiny_example(cfg, 411)
 
-        hyp = dec.greedy_decode(params, example, max_len=6)
+        hyp = width_one(params, example, max_len=6)
         assert cfg.unk_id not in hyp.tokens
         for h in dec.beam_search(params, example, dec.DecodeConfig(beam_size=3, max_len=6)):
             assert cfg.unk_id not in h.tokens
@@ -254,5 +271,5 @@ class TestTermination:
         # identical weights with the mask off do emit unk
         unmasked_cfg = M.ModelConfig(**{**cfg.to_dict(), "variant": cfg.variant, "unk_id": None})
         unmasked = M.ModelParams(unmasked_cfg, {n: t for n, t in params.named_parameters()})
-        hyp = dec.greedy_decode(unmasked, example, max_len=6)
+        hyp = width_one(unmasked, example, max_len=6)
         assert cfg.unk_id in hyp.tokens

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 from pcgn import autodiff as ad
 from pcgn import metrics as X
+from pcgn import training as T
 
 from conftest import random_params, tiny_config, tiny_example
 
@@ -114,24 +116,22 @@ class TestPerplexity:
             {"out_proj": ad.zeros((vocab_size, cfg.decoder_hidden))}
         )
         dataset = [tiny_example(cfg, seed, y_len=3) for seed in range(3)]
-        got = X.perplexity(params, dataset)
+        got = T.dataset_perplexity(params, dataset)
         assert abs(got - vocab_size) < 1e-9
 
     def test_matches_token_level_recomputation(self):
-        from pcgn import training as T
-
         cfg = tiny_config("PCGN")
         params = random_params(cfg, 2)
         dataset = [tiny_example(cfg, 10 + i) for i in range(3)]
         total = -sum(T.token_log_probs(params, ex).sum() for ex in dataset)
         tokens = sum(ex.target_len for ex in dataset)
-        assert abs(X.perplexity(params, dataset) - math.exp(total / tokens)) < 1e-9
+        assert abs(T.dataset_perplexity(params, dataset) - math.exp(total / tokens)) < 1e-9
 
 
 class TestReport:
     def test_report_keys_and_values(self):
         scores = X.CorpusScores(ppl=12.5, bleu2=0.25, meteor=0.5, pairs=7)
-        report = X.evaluation_report(scores)
+        report = dataclasses.asdict(scores)
         assert report == {"ppl": 12.5, "bleu2": 0.25, "meteor": 0.5, "pairs": 7}
 
 

@@ -354,6 +354,23 @@ class TestCheckpoint:
         with pytest.raises(C.CheckpointShapeError, match="attn_blog"):
             C.load_checkpoint(path)
 
+    @pytest.mark.parametrize("failure", [OSError("disk full"), KeyboardInterrupt()])
+    def test_interrupted_save_keeps_previous_checkpoint(self, tmp_path, monkeypatch, failure):
+        path = tmp_path / "model.json"
+        C.save_checkpoint(path, make_checkpoint())
+        before = path.read_bytes()
+
+        def dump_partway(doc, fh, **kwargs):
+            fh.write('{"format": "pcgn.checkpoint", "params": {')
+            raise failure
+
+        monkeypatch.setattr(C.json, "dump", dump_partway)
+        with pytest.raises(type(failure)):
+            C.save_checkpoint(path, make_checkpoint(seed=51))
+        assert path.read_bytes() == before
+        assert C.load_checkpoint(path).step == 7
+        assert [p.name for p in tmp_path.iterdir()] == ["model.json"]
+
     def test_single_precision_roundtrip(self, tmp_path):
         ad.set_precision("single")
         path = tmp_path / "model.json"
