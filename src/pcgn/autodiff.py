@@ -9,17 +9,18 @@ reverse.  Tensors without a tape attachment are plain values; the same
 primitives then run without recording, which keeps decoding and evaluation
 allocation-light.
 
-Precision is a process-wide switch: float64 by default (required by the
-gradient checks), float32 available for faster training runs.
+Every value is float64; there is no precision or checking switch.
 
-Finite checks (on by default) raise :class:`NonFiniteError` the moment a
-NaN or infinity appears, instead of letting it propagate.  They run where
-values are made: on :class:`Tensor` construction and on the output of every
-primitive that computes new numbers (arithmetic, activations, softmaxes,
-reductions, ``lstm_cell``).  Structural primitives -- ``vslice``,
-``concat``, ``stack_rows``, ``pick`` and ``embedding_lookup`` -- only copy
-or view elements of operands that were themselves checked when they were
-made, so they do not check again.
+One finite-check rule: values are checked for NaN and infinity where they
+enter the engine and where they leave it, not inside.  They enter through
+:class:`Tensor` construction, which raises :class:`NonFiniteError` on a
+NaN or infinity.  They leave through the batch loss in
+``training.train_epoch``, each gradient in ``training.sgd_update``, the
+logits in ``decoding.DecodeSession.step`` and each example's loss in
+``training.dataset_perplexity``; each of those raises a
+:class:`NonFiniteError` that names the batch, parameter, decode step or
+example.  Primitives do not check their outputs, so a NaN made inside a
+computation travels to the nearest exit and is reported there.
 """
 
 from __future__ import annotations
@@ -35,9 +36,7 @@ __all__ = [
     "GradientSet",
     "ShapeError",
     "NonFiniteError",
-    "set_precision",
-    "precision",
-    "set_finite_checks",
+    "all_finite",
     "tensor",
     "zeros",
     "ones",
@@ -63,44 +62,17 @@ __all__ = [
     "finite_difference_check",
 ]
 
-_PRECISIONS = {"double": np.float64, "single": np.float32}
-_dtype = np.float64
-_check_finite = True
-
 
 class ShapeError(ValueError):
     """Operand shapes do not satisfy a primitive's contract."""
 
 
 class NonFiniteError(ArithmeticError):
-    """A NaN or infinity appeared while finite checks are enabled."""
+    """A NaN or infinity entered or left the engine."""
 
 
-def set_precision(name: str) -> None:
-    """Select the process-wide element type: "double" or "single"."""
-    global _dtype
-    if name not in _PRECISIONS:
-        raise ValueError(f"unknown precision {name!r}; expected one of {sorted(_PRECISIONS)}")
-    _dtype = _PRECISIONS[name]
-
-
-def precision() -> str:
-    return "double" if _dtype is np.float64 else "single"
-
-
-def set_finite_checks(enabled: bool) -> None:
-    """Toggle NaN/Inf detection on tensor construction and op outputs.
-
-    When enabled, :class:`Tensor` construction and every primitive that
-    computes new values check their result.  Structural primitives (slices,
-    concatenations, stacks, picks, embedding rows) copy values that were
-    checked when they were made and are not checked again.
-    """
-    global _check_finite
-    _check_finite = bool(enabled)
-
-
-def _all_finite(arr: np.ndarray) -> bool:
+def all_finite(arr: np.ndarray) -> bool:
+    """True when no element is NaN or infinite, also when squares overflow."""
     # The sum of squares is finite exactly when every element is, unless
     # large finite elements overflow it; only then test elementwise.  One
     # reduction is cheaper than isfinite + all on the small arrays here.
@@ -118,8 +90,8 @@ class Tensor:
     __slots__ = ("array", "tape", "node")
 
     def __init__(self, values, tape: "Tape | None" = None, node: int | None = None):
-        arr = np.ascontiguousarray(values, dtype=_dtype)
-        if _check_finite and not _all_finite(arr):
+        arr = np.ascontiguousarray(values, dtype=np.float64)
+        if not all_finite(arr):
             raise NonFiniteError(f"non-finite values in tensor of shape {arr.shape}")
         self.array = arr
         self.tape = tape
@@ -143,11 +115,9 @@ class Tensor:
         return f"Tensor(shape={self.shape}{tag})"
 
 
-def _wrap(arr: np.ndarray, tape: "Tape | None" = None, node: int | None = None, check: bool = True) -> Tensor:
-    # Fast path for op outputs: dtype/contiguity already correct.  ``check``
-    # is False only for values copied from already-checked tensors.
-    if check and _check_finite and not _all_finite(arr):
-        raise NonFiniteError(f"non-finite values in tensor of shape {arr.shape}")
+def _wrap(arr: np.ndarray, tape: "Tape | None" = None, node: int | None = None) -> Tensor:
+    # Fast path for op outputs: dtype/contiguity already correct, and values
+    # made inside the engine are checked where they leave it, not here.
     t = Tensor.__new__(Tensor)
     t.array = arr
     t.tape = tape
@@ -160,11 +130,11 @@ def tensor(values) -> Tensor:
 
 
 def zeros(shape) -> Tensor:
-    return _wrap(np.zeros(shape, dtype=_dtype))
+    return _wrap(np.zeros(shape, dtype=np.float64))
 
 
 def ones(shape) -> Tensor:
-    return _wrap(np.ones(shape, dtype=_dtype))
+    return _wrap(np.ones(shape, dtype=np.float64))
 
 
 class Tape:
@@ -189,13 +159,13 @@ class Tape:
         nid = self._count
         self._count += 1
         self._leaf_shapes[nid] = value.array.shape
-        return _wrap(value.array, self, nid, check=False)
+        return _wrap(value.array, self, nid)
 
-    def _record(self, name: str, in_nodes: tuple, out: np.ndarray, backward: Callable, check: bool = True) -> Tensor:
+    def _record(self, name: str, in_nodes: tuple, out: np.ndarray, backward: Callable) -> Tensor:
         nid = self._count
         self._count += 1
         self._entries.append((name, in_nodes, nid, backward))
-        return _wrap(out, self, nid, check)
+        return _wrap(out, self, nid)
 
     @property
     def entries(self) -> list[tuple[str, tuple[int | None, ...], int]]:
@@ -499,7 +469,7 @@ def concat(parts: Sequence[Tensor]) -> Tensor:
     arrays = [p.array for p in parts]
     out = np.concatenate(arrays)
     if tape is None:
-        return _wrap(out, check=False)
+        return _wrap(out)
     nodes = tuple(p.node for p in parts)
     sizes = [a.size for a in arrays]
 
@@ -511,7 +481,7 @@ def concat(parts: Sequence[Tensor]) -> Tensor:
             off += size
         return tuple(grads)
 
-    return tape._record("concat", nodes, out, backward, check=False)
+    return tape._record("concat", nodes, out, backward)
 
 
 def stack_rows(parts: Sequence[Tensor]) -> Tensor:
@@ -524,13 +494,13 @@ def stack_rows(parts: Sequence[Tensor]) -> Tensor:
     tape = _tape_of(*parts)
     out = np.stack([p.array for p in parts])
     if tape is None:
-        return _wrap(out, check=False)
+        return _wrap(out)
     nodes = tuple(p.node for p in parts)
 
     def backward(g):
         return tuple(g[i] if n is not None else None for i, n in enumerate(nodes))
 
-    return tape._record("stack_rows", nodes, out, backward, check=False)
+    return tape._record("stack_rows", nodes, out, backward)
 
 
 def vslice(x: Tensor, start: int, stop: int) -> Tensor:
@@ -542,7 +512,7 @@ def vslice(x: Tensor, start: int, stop: int) -> Tensor:
     tape = _tape_of(x)
     out = v[start:stop]
     if tape is None:
-        return _wrap(out, check=False)
+        return _wrap(out)
     n = v.shape[0]
 
     def backward(g):
@@ -550,7 +520,7 @@ def vslice(x: Tensor, start: int, stop: int) -> Tensor:
         full[start:stop] = g
         return (full,)
 
-    return tape._record("vslice", (x.node,), out, backward, check=False)
+    return tape._record("vslice", (x.node,), out, backward)
 
 
 def embedding_lookup(table: Tensor, index: int) -> Tensor:
@@ -563,14 +533,14 @@ def embedding_lookup(table: Tensor, index: int) -> Tensor:
     tape = _tape_of(table)
     out = tv[index].copy()
     if tape is None:
-        return _wrap(out, check=False)
+        return _wrap(out)
 
     def backward(g):
         full = np.zeros_like(tv)
         full[index] = g
         return (full,)
 
-    return tape._record("embedding_lookup", (table.node,), out, backward, check=False)
+    return tape._record("embedding_lookup", (table.node,), out, backward)
 
 
 def pick(x: Tensor, index: int) -> Tensor:
@@ -583,7 +553,7 @@ def pick(x: Tensor, index: int) -> Tensor:
     tape = _tape_of(x)
     out = np.asarray(v[index])
     if tape is None:
-        return _wrap(out, check=False)
+        return _wrap(out)
     n = v.shape[0]
 
     def backward(g):
@@ -591,7 +561,7 @@ def pick(x: Tensor, index: int) -> Tensor:
         full[index] = g
         return (full,)
 
-    return tape._record("pick", (x.node,), out, backward, check=False)
+    return tape._record("pick", (x.node,), out, backward)
 
 
 def dot(a: Tensor, b: Tensor) -> Tensor:
@@ -655,7 +625,7 @@ def finite_difference_check(f: Callable[[Tensor], Tensor], theta: Tensor, eps: f
     ``f`` must map a tensor to a scalar tensor using only primitives from
     this module.  It runs once under a tape for the analytic gradient and
     2n more times tape-free.  Relative error per coordinate is
-    |a - n| / max(|a|, |n|, 1e-8).  Meaningful in double precision only.
+    |a - n| / max(|a|, |n|, 1e-8).
     """
     tape = Tape()
     watched = tape.watch(theta)

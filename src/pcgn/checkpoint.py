@@ -1,8 +1,10 @@
 """Checkpoint serialization: one JSON file, parameters as base64 blobs.
 
-Array bytes are little-endian IEEE-754 ("<f8" or "<f4") regardless of host
-byte order, row-major element order.  Saving the same model twice yields
-byte-identical files; load(save(p)) reproduces every parameter bitwise.
+Array bytes are little-endian IEEE-754 regardless of host byte order,
+row-major element order.  Files are written as float64 ("<f8"); float32
+("<f4") blobs from older files still load, widened to float64.  Saving the
+same model twice yields byte-identical files; load(save(p)) reproduces
+every parameter bitwise.
 """
 
 from __future__ import annotations
@@ -69,13 +71,10 @@ class Checkpoint:
 
 
 def _encode_array(arr: np.ndarray) -> dict:
-    dtype = str(arr.dtype)
-    if dtype not in _DTYPE_CODES:
-        raise ValueError(f"unsupported parameter dtype {dtype}")
-    blob = arr.astype(_DTYPE_CODES[dtype], copy=False).tobytes(order="C")
+    blob = arr.astype("<f8", copy=False).tobytes(order="C")
     return {
         "shape": list(arr.shape),
-        "dtype": dtype,
+        "dtype": "float64",
         "data": base64.b64encode(blob).decode("ascii"),
     }
 
@@ -98,7 +97,7 @@ def _decode_array(obj: dict, name: str) -> np.ndarray:
         raise CheckpointCorruptError(
             f"parameter {name!r}: payload holds {arr.size} elements, shape {shape} needs {expected}"
         )
-    return np.ascontiguousarray(arr.reshape(shape).astype(dtype))
+    return np.ascontiguousarray(arr.reshape(shape).astype(np.float64))
 
 
 @contextmanager

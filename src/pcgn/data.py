@@ -373,9 +373,10 @@ class EncodedExample:
         return len(self.y) - 1
 
 
-def encode_record(record: RawRecord, vocab: Vocab, schema: FeatureSchema, comword_k: int = 0) -> EncodedExample:
-    d_tokens = augment_common_words(record, comword_k)
-    d_ids = vocab.encode(d_tokens) or [UNK_ID]
+def encode_record(record: RawRecord, vocab: Vocab, schema: FeatureSchema) -> EncodedExample:
+    """Ids for one record; common words reach the description only through
+    :func:`apply_common_words` beforehand."""
+    d_ids = vocab.encode(record.description_tokens) or [UNK_ID]
     return EncodedExample(
         x=tuple(vocab.encode(record.blog_tokens)),
         y=(BOS_ID,) + tuple(vocab.encode(record.comment_tokens)) + (EOS_ID,),
@@ -385,5 +386,5 @@ def encode_record(record: RawRecord, vocab: Vocab, schema: FeatureSchema, comwor
     )
 
 
-def encode_records(records: Sequence[RawRecord], vocab: Vocab, schema: FeatureSchema, comword_k: int = 0) -> list[EncodedExample]:
-    return [encode_record(r, vocab, schema, comword_k) for r in records]
+def encode_records(records: Sequence[RawRecord], vocab: Vocab, schema: FeatureSchema) -> list[EncodedExample]:
+    return [encode_record(r, vocab, schema) for r in records]

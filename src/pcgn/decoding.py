@@ -17,6 +17,7 @@ from typing import Callable
 import numpy as np
 
 from . import model as M
+from .autodiff import NonFiniteError, all_finite
 from .training import example_forward
 
 __all__ = [
@@ -90,7 +91,8 @@ class DecodeSession:
     """Precomputed encoder/user work for decoding one (blog, user) pair.
 
     Step log-probabilities are plain numpy arrays with the unk id (when the
-    config has one) masked to -inf so it can never be emitted.
+    config has one) masked to -inf so it can never be emitted.  A NaN/Inf
+    logit raises NonFiniteError naming the decode step (0 for the first).
     """
 
     def __init__(self, params: M.ModelParams, example):
@@ -106,6 +108,8 @@ class DecodeSession:
             self.params, state, y_prev, self._blog_states, self._desc_states, self._v_u
         )
         logits = result.logits.array
+        if not all_finite(logits):
+            raise NonFiniteError(f"non-finite logits at decode step {state.step}")
         unk = self.config.unk_id
         if unk is not None:
             logits = logits.copy()

@@ -96,15 +96,26 @@ def sgd_update(
     global norm exceeds the threshold, so directions are preserved.
     Raises NonFiniteError naming the parameter on a NaN/Inf gradient.
     """
+    names = [name for name, _ in params.named_parameters()]
     sq_sum = 0.0
-    for name, _ in params.named_parameters():
-        g = grads[name].array
-        total = float(np.sum(g * g))
-        if not math.isfinite(total):
-            raise NonFiniteError(f"non-finite gradient for parameter {name!r}")
-        sq_sum += total
+    with np.errstate(over="ignore"):
+        for name in names:
+            g = grads[name].array
+            total = float(np.sum(g * g))
+            if not math.isfinite(total) and not ad.all_finite(g):
+                raise NonFiniteError(f"non-finite gradient for parameter {name!r}")
+            sq_sum += total
     norm = math.sqrt(sq_sum)
-    factor = 1.0 if clip_norm is None or norm <= clip_norm else clip_norm / norm
+    if clip_norm is None or norm <= clip_norm:
+        factor = 1.0
+    elif math.isfinite(norm):
+        factor = clip_norm / norm
+    else:
+        # Finite gradients whose squares overflow: measure the norm in units
+        # of the largest magnitude instead.
+        big = max(float(np.abs(grads[name].array).max(initial=0.0)) for name in names)
+        root = math.sqrt(sum(float(np.sum(np.square(grads[name].array / big))) for name in names))
+        factor = clip_norm / big / root
     step = lr * factor
     new_tensors = {
         name: Tensor(t.array - step * grads[name].array)
@@ -170,13 +181,19 @@ def train_epoch(
 
 
 def dataset_perplexity(params: M.ModelParams, dataset: Sequence[EncodedExample]) -> float:
-    """exp(total NLL / total target tokens) over a dataset (tape-free)."""
+    """exp(total NLL / total target tokens) over a dataset (tape-free).
+
+    Raises NonFiniteError naming the first example whose loss is NaN/Inf.
+    """
     if len(dataset) == 0:
         raise ValueError("cannot evaluate perplexity on an empty dataset")
     total = 0.0
     tokens = 0
-    for ex in dataset:
-        total += sequence_loss(params, ex).item()
+    for i, ex in enumerate(dataset):
+        loss = sequence_loss(params, ex).item()
+        if not math.isfinite(loss):
+            raise NonFiniteError(f"non-finite loss for example {i}")
+        total += loss
         tokens += ex.target_len
     return math.exp(total / tokens)
 

@@ -15,6 +15,7 @@ import math
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from pcgn import cli
@@ -24,6 +25,8 @@ from pcgn.data import encode_records, parse_dataset
 from pcgn.decoding import DecodeConfig, beam_search
 from pcgn.metrics import EvalPair, bleu2, meteor_lite
 from pcgn.training import dataset_perplexity
+
+from conftest import nan_cell_params
 
 SAMPLE_DATA = Path(__file__).resolve().parents[1] / "data" / "sample_dataset.jsonl"
 
@@ -445,6 +448,16 @@ class TestEval:
         report = json.loads(report_path.read_text(encoding="utf-8"))
         assert report["pairs"] == 9
         assert report["split"] == "test"
+
+    def test_nan_inside_model_exits_3(self, pcgn_dir, prep_dir, tmp_path, capsys):
+        ckpt = load_checkpoint(pcgn_dir / "checkpoint_final.json")
+        ckpt.params = nan_cell_params(ckpt.params)
+        path = tmp_path / "nan_model.json"
+        save_checkpoint(path, ckpt)
+        with np.errstate(all="ignore"):
+            rc = cli.main(["eval", "--checkpoint", str(path), "--data-dir", str(prep_dir)])
+        assert rc == 3
+        assert "non-finite logits at decode step 0" in capsys.readouterr().err
 
     def test_unknown_split_exits_1(self, pcgn_dir, prep_dir, capsys):
         rc = cli.main([

@@ -371,8 +371,9 @@ class TestEncode:
 
     def test_comword_augmentation_feeds_description(self):
         r = rec(blog="a b", comment="d e", user="u1", description="f", common_words=("g",))
-        plain = D.encode_record(r, self.vocab, self.schema, comword_k=0)
-        augmented = D.encode_record(r, self.vocab, self.schema, comword_k=1)
+        plain = D.encode_record(r, self.vocab, self.schema)
+        (augmented_record,) = D.apply_common_words([r], 1)
+        augmented = D.encode_record(augmented_record, self.vocab, self.schema)
         assert len(augmented.d) == len(plain.d) + 1
 
     def test_feature_vector_width(self):

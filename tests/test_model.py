@@ -11,7 +11,7 @@ from pcgn import autodiff as ad
 from pcgn import model as M
 from pcgn import training as T
 
-from conftest import random_params, tiny_config, tiny_example
+from conftest import assert_caught_at_boundaries, nan_cell_params, random_params, tiny_config, tiny_example
 import oracle
 
 
@@ -275,11 +275,16 @@ class TestFusedLSTMCell:
         assert ad.finite_difference_check(f, inputs[which]) < 1e-6
 
     def test_nan_inside_cell_rejected(self):
-        # W_x x overflows to +inf and W_h h_prev to -inf; their sum is NaN
+        # W_x x overflows to +inf and W_h h_prev to -inf; their sum is NaN.
+        # The cell passes it on; the model reports it where it leaves the engine.
         w_x = ad.tensor(np.full((8, 1), 1e308))
         w_h = ad.tensor(np.full((8, 2), -1e308))
-        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ad.NonFiniteError):
-            ad.lstm_cell(w_x, w_h, ad.zeros(8), ad.tensor([10.0]), ad.tensor([10.0, 10.0]), ad.zeros(2))
+        with np.errstate(over="ignore", invalid="ignore"):
+            packed = ad.lstm_cell(w_x, w_h, ad.zeros(8), ad.tensor([10.0]), ad.tensor([10.0, 10.0]), ad.zeros(2))
+        assert np.isnan(packed.array).all()
+        cfg = tiny_config("PCGN")
+        params = nan_cell_params(random_params(cfg, 44))
+        assert_caught_at_boundaries(params, [tiny_example(cfg, seed=i) for i in range(2)])
 
     def test_shape_mismatch_rejected(self):
         cell = zero_cell(3, 4)
