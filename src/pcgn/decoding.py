@@ -7,6 +7,12 @@ sums of token log-probabilities, including the eos step.  Ties are broken
 toward the lexicographically smaller token-id sequence, which makes a
 width-1 beam exactly greedy decoding: at each step it takes the most
 probable token, the lowest id among equals.
+
+Each step picks its candidates with one exact top-k over the (live
+hypotheses x V) score array: everything scoring at least the
+beam_size-th best score survives, ties included, and only those
+survivors are sorted by that tie-break.  That gives the same beam as
+sorting every candidate.
 """
 
 from __future__ import annotations
@@ -141,6 +147,16 @@ def beam_search_steps(
     padding with the best unfinished prefixes when fewer than beam_size
     finish.
 
+    Each step scores every (live hypothesis, token) pair at once as a
+    (live, V) array: the parent's log_prob plus the step log-prob,
+    divided by len(tokens)**length_norm when that exponent is nonzero,
+    which all live prefixes share.  Tokens with step log-prob -inf are
+    never candidates.  An exact top-k keeps every candidate scoring at
+    least the beam_size-th best score, so all ties at that boundary
+    survive; only those survivors become token tuples, and they are
+    sorted by (score descending, tokens ascending).  The result is the
+    same as fully sorting all V x live candidates.
+
     Early stop ("pruning") fires only with length_norm == 0, where scores
     can only fall with length: once beam_size hypotheses are pooled and
     the best live prefix already scores strictly below the pool's worst
@@ -151,26 +167,30 @@ def beam_search_steps(
     can_prune = prune and config.length_norm == 0.0
 
     for _ in range(config.max_len):
-        candidates: list[tuple[float, tuple[int, ...], float, object]] = []
+        rows, states = [], []
         for hyp, state in beam:
             prev = hyp.tokens[-1] if hyp.tokens else bos_id
             lp, new_state = step_fn(state, prev)
             if lp.shape != (vocab_size,):
                 raise ValueError(f"step function returned {lp.shape}, expected ({vocab_size},)")
-            for tok in range(vocab_size):
-                tlp = float(lp[tok])
-                if tlp == -np.inf:
-                    continue
-                total = hyp.log_prob + tlp
-                candidates.append((total, hyp.tokens + (tok,), total, new_state))
-        if not candidates:
-            break
+            rows.append(lp)
+            states.append(new_state)
+        step_lp = np.stack(rows)
+        totals = (step_lp + np.array([h.log_prob for h, _ in beam])[:, None]).ravel()
         norm = config.length_norm
-        if norm != 0.0:
-            candidates = [
-                (raw / max(len(toks), 1) ** norm, toks, raw, st)
-                for (_, toks, raw, st) in candidates
-            ]
+        scores = totals if norm == 0.0 else totals / (len(beam[0][0].tokens) + 1) ** norm
+        allowed = np.flatnonzero(step_lp.ravel() != -np.inf)
+        if allowed.size == 0:
+            break
+        allowed_scores = scores[allowed]
+        cut = allowed.size - min(config.beam_size, allowed.size)
+        threshold = np.partition(allowed_scores, cut)[cut]
+        candidates: list[tuple[float, tuple[int, ...], float, object]] = []
+        for flat in allowed[allowed_scores >= threshold].tolist():
+            row, tok = divmod(flat, vocab_size)
+            candidates.append(
+                (float(scores[flat]), beam[row][0].tokens + (tok,), float(totals[flat]), states[row])
+            )
         candidates.sort(key=lambda c: (-c[0], c[1]))
         next_beam: list[tuple[Hypothesis, object]] = []
         for scored, toks, raw, st in candidates[: config.beam_size]:

@@ -175,3 +175,66 @@ def argmax_walk(step_fn, initial_state, bos_id, eos_id, max_len):
             return tuple(tokens), total, True
         prev = tok
     return tuple(tokens), total, False
+
+
+def beam_reference(step_fn, initial_state, bos_id, eos_id, vocab_size, config, prune):
+    """Beam search by a Python loop over every token and one full sort.
+
+    The selection ``decoding.beam_search_steps`` must reproduce exactly:
+    each step builds a candidate for every (live prefix, token) pair whose
+    step log-prob is not -inf, sorts all of them by (score descending,
+    tokens ascending) and keeps the first beam_size.  ``config`` supplies
+    beam_size, max_len and length_norm.  Returns (tokens, log_prob,
+    finished) triples in rank order.
+    """
+    norm = config.length_norm
+
+    def score(tokens, log_prob):
+        return log_prob if norm == 0.0 else log_prob / max(len(tokens), 1) ** norm
+
+    beam = [((), 0.0, initial_state)]
+    pool = []
+    can_prune = prune and norm == 0.0
+
+    for _ in range(config.max_len):
+        candidates = []
+        for tokens, log_prob, state in beam:
+            prev = tokens[-1] if tokens else bos_id
+            lp, new_state = step_fn(state, prev)
+            for tok in range(vocab_size):
+                tlp = float(lp[tok])
+                if tlp == -np.inf:
+                    continue
+                total = log_prob + tlp
+                candidates.append((total, tokens + (tok,), total, new_state))
+        if not candidates:
+            break
+        if norm != 0.0:
+            candidates = [
+                (raw / max(len(toks), 1) ** norm, toks, raw, st)
+                for (_, toks, raw, st) in candidates
+            ]
+        candidates.sort(key=lambda c: (-c[0], c[1]))
+        next_beam = []
+        for _, toks, raw, st in candidates[: config.beam_size]:
+            if toks[-1] == eos_id:
+                pool.append((toks, raw))
+            else:
+                next_beam.append((toks, raw, st))
+        beam = next_beam
+        if not beam:
+            break
+        if can_prune and len(pool) >= config.beam_size:
+            worst_pooled = sorted(raw for _, raw in pool)[-config.beam_size]
+            best_live = max(raw for _, raw, _ in beam)
+            if best_live < worst_pooled:
+                break
+
+    def rank_key(item):
+        return (-score(item[0], item[1]), item[0])
+
+    ranked = [(toks, raw, True) for toks, raw in sorted(pool, key=rank_key)[: config.beam_size]]
+    if len(ranked) < config.beam_size and beam:
+        leftovers = sorted(((toks, raw) for toks, raw, _ in beam), key=rank_key)
+        ranked.extend((toks, raw, False) for toks, raw in leftovers[: config.beam_size - len(ranked)])
+    return ranked

@@ -12,7 +12,10 @@ import argparse
 import hashlib
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +31,8 @@ from pcgn.training import dataset_perplexity
 
 from conftest import nan_cell_params
 
-SAMPLE_DATA = Path(__file__).resolve().parents[1] / "data" / "sample_dataset.jsonl"
+REPO = Path(__file__).resolve().parents[1]
+SAMPLE_DATA = REPO / "data" / "sample_dataset.jsonl"
 
 PREPARE_ARGS = [
     "prepare", "--synthetic", "24", "--synthetic-users", "3", "--seed", "0",
@@ -560,3 +564,16 @@ class TestDispatch:
     def test_unknown_flag_exits_1(self, capsys):
         assert cli.main(["prepare", "--synthetic", "24", "--bogus"]) == 1
         assert "usage error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("module", ["pcgn", "pcgn.cli"])
+    def test_python_dash_m_runs_the_cli(self, module):
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            p for p in (str(REPO / "src"), os.environ.get("PYTHONPATH")) if p
+        )}
+        done = subprocess.run(
+            [sys.executable, "-m", module, "--help"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.startswith("usage: pcgn ")
+        assert "{prepare,train,generate,eval,ablate}" in done.stdout

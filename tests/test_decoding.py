@@ -1,10 +1,14 @@
-"""Beam-search tests, including exhaustive-search and argmax-walk oracles.
+"""Beam-search tests, including exhaustive-search, argmax-walk and
+full-sort oracles.
 
 Greedy decoding is the width-1 beam; its tests compare that beam with the
-independent argmax walk in tests/oracle.py.
+independent argmax walk in tests/oracle.py.  The top-k candidate selection
+is compared with the per-token loop and full sort of oracle.beam_reference.
 """
 
 from __future__ import annotations
+
+import zlib
 
 import numpy as np
 import pytest
@@ -158,6 +162,62 @@ class TestAgainstExhaustiveSearch:
             only = width_one(params, example, max_len=4)
             assert (only.tokens, only.finished) == (tokens, finished)
             assert abs(only.log_prob - log_prob) < 1e-12
+
+
+LOG_PROB_LEVELS = (-0.5, -1.0, -2.0)
+
+
+def tie_heavy_step(seed, vocab_size, inf_share):
+    """Scripted step whose log-probs take one of three dyadic values.
+
+    Sums of these values are exact, so equal scores recur across parents
+    and at the beam_size-th boundary.  Each entry is -inf with probability
+    inf_share.  The row is a pure function of (seed, path so far), and the
+    state is that path.
+    """
+
+    def step(state, prev):
+        path = state + (prev,)
+        rng = np.random.default_rng((seed, *path))
+        lp = rng.choice(LOG_PROB_LEVELS, size=vocab_size)
+        lp[rng.random(vocab_size) < inf_share] = -np.inf
+        return lp, path
+
+    return step
+
+
+def assert_matches_reference(step_fn, initial_state, bos_id, eos_id, vocab_size, config, prune):
+    got = dec.beam_search_steps(step_fn, initial_state, bos_id, eos_id, vocab_size, config, prune=prune)
+    want = oracle.beam_reference(step_fn, initial_state, bos_id, eos_id, vocab_size, config, prune)
+    assert [(h.tokens, h.log_prob, h.finished) for h in got] == want
+
+
+class TestTopKSelection:
+    def test_tie_heavy_steps_match_full_sort(self):
+        for case in range(300):
+            seed = zlib.crc32(f"tie-heavy/{case}".encode())
+            rng = np.random.default_rng(seed)
+            vocab_size = int(rng.integers(2, 8))
+            config = dec.DecodeConfig(
+                beam_size=int(rng.integers(1, vocab_size * vocab_size + 3)),
+                max_len=int(rng.integers(1, 6)),
+                length_norm=float(rng.choice([0.0, 0.5, 1.0])),
+            )
+            step = tie_heavy_step(seed, vocab_size, float(rng.choice([0.0, 0.25, 0.6])))
+            eos_id = int(rng.integers(0, vocab_size))
+            for prune in (True, False):
+                assert_matches_reference(step, (), vocab_size, eos_id, vocab_size, config, prune)
+
+    @pytest.mark.parametrize("width", [1, 4, 10])
+    def test_real_models_match_full_sort(self, width):
+        for seed in range(10):
+            params, example = three_token_model(seed + 200)
+            session = dec.DecodeSession(params, example)
+            cfg = params.config
+            assert_matches_reference(
+                session.step, session.initial_state(), cfg.bos_id, cfg.eos_id, cfg.vocab_size,
+                dec.DecodeConfig(beam_size=width, max_len=4), prune=True,
+            )
 
 
 class TestBeamBehavior:

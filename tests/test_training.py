@@ -5,6 +5,7 @@ from __future__ import annotations
 import base64
 import json
 import math
+import zlib
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ class TestSequenceLoss:
     @pytest.mark.parametrize("layers", [1, 2])
     def test_matches_independent_reference(self, variant, layers):
         cfg = tiny_config(variant, blog_layers=layers)
-        params = random_params(cfg, seed=hash((variant, layers)) & 0xFFFF)
+        params = random_params(cfg, seed=zlib.crc32(f"{variant}/{layers}".encode()))
         for ex_seed in range(3):
             ex = tiny_example(cfg, seed=ex_seed, x_len=3, y_len=3, d_len=2)
             got = T.sequence_loss(params, ex).item()
