@@ -2,9 +2,12 @@
 co-attention, and an external personality output head, plus the seq2seq
 baselines it ablates against.  Training runs on the package's own
 reverse-mode autodiff engine; numpy supplies array storage and kernels.
+
+The command-line interface lives in :mod:`pcgn.cli` and is not imported
+here, so ``python -m pcgn.cli`` loads it only once, as ``__main__``.
 """
 
-from . import autodiff, checkpoint, cli, data, decoding, metrics, model, synthetic, training
+from . import autodiff, checkpoint, data, decoding, metrics, model, synthetic, training
 from .autodiff import GradientSet, NonFiniteError, ShapeError, Tape, Tensor
 from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from .data import (
@@ -30,7 +33,7 @@ from .training import OptimizerConfig, dataset_perplexity, fit, sequence_loss, s
 __version__ = "0.1.0"
 
 __all__ = [
-    "autodiff", "checkpoint", "cli", "data", "decoding", "metrics", "model",
+    "autodiff", "checkpoint", "data", "decoding", "metrics", "model",
     "synthetic", "training",
     "GradientSet", "NonFiniteError", "ShapeError", "Tape", "Tensor",
     "Checkpoint", "load_checkpoint", "save_checkpoint",

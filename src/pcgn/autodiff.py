@@ -11,6 +11,15 @@ allocation-light.
 
 Every value is float64; there is no precision or checking switch.
 
+The primitives the decoder uses take an optional leading row axis: a 1-D
+operand is a single row, and a 2-D operand is a block of independent rows
+that share the weights (``matvec``, ``vecmat``, ``lstm_cell``,
+``softmax``, ``log_softmax``, ``concat``, ``vslice``, ``pick``).
+``embedding_lookup`` of an id vector returns one row per id.  Beam search
+steps every live hypothesis as one such block, so each layer is one numpy
+call per step, and every row's values are bit-identical to stepping that
+row alone.
+
 One finite-check rule: values are checked for NaN and infinity where they
 enter the engine and where they leave it, not inside.  They enter through
 :class:`Tensor` construction, which raises :class:`NonFiniteError` on a
@@ -240,44 +249,66 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return tape._record("matmul", (na, nb), out, backward)
 
 
+# Row blocks are multiplied as one matrix-vector product per row, in a
+# single numpy call, not as one matrix product: a BLAS GEMM's summation
+# order depends on the block's size, so a row's result would change with
+# the rows stacked beside it.  This way every row gets exactly the bits of
+# the one-row product, whatever the block.
+def _mv(w: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """W x for a vector x, or W x_r for each row x_r of a block."""
+    return w @ x if x.ndim == 1 else np.matmul(w, x[:, :, None])[:, :, 0]
+
+
+def _vm(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """x W for a vector x, or x_r W for each row x_r of a block."""
+    return x @ w if x.ndim == 1 else np.matmul(x[:, None, :], w)[:, 0, :]
+
+
+def _weight_grad(g: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Gradient of W in ``x @ W.T`` with output gradient g, summed over rows."""
+    return np.outer(g, x) if g.ndim == 1 else g.T @ x
+
+
 def matvec(w: Tensor, x: Tensor) -> Tensor:
+    """W x for a vector x, or W x_r for each row x_r of a matrix x."""
     wv, xv = w.array, x.array
-    if wv.ndim != 2 or xv.ndim != 1:
-        raise ShapeError(f"matvec expects a matrix and a vector, got shapes {wv.shape} and {xv.shape}")
-    if wv.shape[1] != xv.shape[0]:
+    if wv.ndim != 2 or xv.ndim not in (1, 2):
+        raise ShapeError(f"matvec expects a matrix and a vector or row block, got shapes {wv.shape} and {xv.shape}")
+    if wv.shape[1] != xv.shape[-1]:
         raise ShapeError(f"matvec extents differ: {wv.shape} x {xv.shape}")
     tape = _tape_of(w, x)
-    out = wv @ xv
+    out = _mv(wv, xv)
     if tape is None:
         return _wrap(out)
     nw, nx = w.node, x.node
 
     def backward(g):
         return (
-            np.outer(g, xv) if nw is not None else None,
-            wv.T @ g if nx is not None else None,
+            _weight_grad(g, xv) if nw is not None else None,
+            g @ wv if nx is not None else None,
         )
 
     return tape._record("matvec", (nw, nx), out, backward)
 
 
 def vecmat(x: Tensor, w: Tensor) -> Tensor:
-    """Row vector times matrix, x @ W, without materializing W's transpose."""
+    """Row vector (or each row of a block) times matrix, x @ W, without
+    materializing W's transpose."""
     xv, wv = x.array, w.array
-    if xv.ndim != 1 or wv.ndim != 2:
-        raise ShapeError(f"vecmat expects a vector and a matrix, got shapes {xv.shape} and {wv.shape}")
-    if xv.shape[0] != wv.shape[0]:
+    if xv.ndim not in (1, 2) or wv.ndim != 2:
+        raise ShapeError(f"vecmat expects a vector or row block and a matrix, got shapes {xv.shape} and {wv.shape}")
+    if xv.shape[-1] != wv.shape[0]:
         raise ShapeError(f"vecmat extents differ: {xv.shape} x {wv.shape}")
     tape = _tape_of(x, w)
-    out = xv @ wv
+    out = _vm(xv, wv)
     if tape is None:
         return _wrap(out)
     nx, nw = x.node, w.node
 
     def backward(g):
         return (
-            wv @ g if nx is not None else None,
-            np.outer(xv, g) if nw is not None else None,
+            g @ wv.T if nx is not None else None,
+            _weight_grad(xv, g) if nw is not None else None,
         )
 
     return tape._record("vecmat", (nx, nw), out, backward)
@@ -359,7 +390,7 @@ def tanh(x: Tensor) -> Tensor:
 
 
 def lstm_cell(w_x: Tensor, w_h: Tensor, b: Tensor, x: Tensor, h_prev: Tensor, c_prev: Tensor) -> Tensor:
-    """One fused LSTM cell application; returns the packed vector [h; c].
+    """One fused LSTM cell application; returns the packed [h; c].
 
     Weight rows are four hidden-size slabs: input, forget, candidate and
     output gates.  With pre = W_x x + W_h h_prev + b,
@@ -367,54 +398,56 @@ def lstm_cell(w_x: Tensor, w_h: Tensor, b: Tensor, x: Tensor, h_prev: Tensor, c_
         c = sigmoid(pre_f) * c_prev + sigmoid(pre_i) * tanh(pre_g)
         h = sigmoid(pre_o) * tanh(c)
 
-    The whole cell is one tape entry whose backward is closed-form for all
-    six inputs.
+    x, h_prev and c_prev are vectors, or row blocks with one row per
+    independent cell state; the packed output has the same rows.  The whole
+    cell is one tape entry whose backward is closed-form for all six inputs.
     """
     wxv, whv, bv = w_x.array, w_h.array, b.array
     xv, hv, cv = x.array, h_prev.array, c_prev.array
-    if wxv.ndim != 2 or whv.ndim != 2 or bv.ndim != 1 or xv.ndim != 1 or hv.ndim != 1 or cv.ndim != 1:
+    if wxv.ndim != 2 or whv.ndim != 2 or bv.ndim != 1 or xv.ndim not in (1, 2):
         raise ShapeError(
-            f"lstm_cell expects matrices w_x, w_h and vectors b, x, h_prev, c_prev, got shapes "
-            f"{wxv.shape}, {whv.shape}, {bv.shape}, {xv.shape}, {hv.shape}, {cv.shape}"
+            f"lstm_cell expects matrices w_x, w_h, a vector b, and a vector or row block x, "
+            f"got shapes {wxv.shape}, {whv.shape}, {bv.shape}, {xv.shape}"
         )
     hidden = whv.shape[1]
     gates = 4 * hidden
     if whv.shape[0] != gates or wxv.shape[0] != gates or bv.shape[0] != gates:
         raise ShapeError(f"lstm_cell gate rows differ: w_x {wxv.shape}, w_h {whv.shape}, b {bv.shape}")
-    if wxv.shape[1] != xv.shape[0]:
+    if wxv.shape[1] != xv.shape[-1]:
         raise ShapeError(f"lstm_cell input extents differ: {wxv.shape} x {xv.shape}")
-    if hv.shape[0] != hidden or cv.shape[0] != hidden:
-        raise ShapeError(f"lstm_cell state shapes {hv.shape} and {cv.shape} do not match hidden size {hidden}")
+    state_shape = xv.shape[:-1] + (hidden,)
+    if hv.shape != state_shape or cv.shape != state_shape:
+        raise ShapeError(f"lstm_cell states must have shape {state_shape}, got {hv.shape} and {cv.shape}")
     tape = _tape_of(w_x, w_h, b, x, h_prev, c_prev)
-    pre = wxv @ xv + whv @ hv + bv
+    pre = _mv(wxv, xv) + _mv(whv, hv) + bv
     sig = _sigmoid(pre)
-    gate_i = sig[:hidden]
-    gate_f = sig[hidden : 2 * hidden]
-    cand = np.tanh(pre[2 * hidden : 3 * hidden])
-    gate_o = sig[3 * hidden :]
+    gate_i = sig[..., :hidden]
+    gate_f = sig[..., hidden : 2 * hidden]
+    cand = np.tanh(pre[..., 2 * hidden : 3 * hidden])
+    gate_o = sig[..., 3 * hidden :]
     c = gate_f * cv + gate_i * cand
     tanh_c = np.tanh(c)
-    out = np.concatenate((gate_o * tanh_c, c))
+    out = np.concatenate((gate_o * tanh_c, c), axis=-1)
     if tape is None:
         return _wrap(out)
     nodes = (w_x.node, w_h.node, b.node, x.node, h_prev.node, c_prev.node)
 
     def backward(g):
-        g_h, g_c = g[:hidden], g[hidden:]
+        g_h, g_c = g[..., :hidden], g[..., hidden:]
         d_c = g_c + g_h * gate_o * (1.0 - tanh_c * tanh_c)
         d_pre = np.concatenate((
             d_c * cand * gate_i * (1.0 - gate_i),
             d_c * cv * gate_f * (1.0 - gate_f),
             d_c * gate_i * (1.0 - cand * cand),
             g_h * tanh_c * gate_o * (1.0 - gate_o),
-        ))
+        ), axis=-1)
         n_wx, n_wh, n_b, n_x, n_h, n_c = nodes
         return (
-            np.outer(d_pre, xv) if n_wx is not None else None,
-            np.outer(d_pre, hv) if n_wh is not None else None,
-            d_pre if n_b is not None else None,
-            wxv.T @ d_pre if n_x is not None else None,
-            whv.T @ d_pre if n_h is not None else None,
+            _weight_grad(d_pre, xv) if n_wx is not None else None,
+            _weight_grad(d_pre, hv) if n_wh is not None else None,
+            (d_pre if d_pre.ndim == 1 else d_pre.sum(axis=0)) if n_b is not None else None,
+            d_pre @ wxv if n_x is not None else None,
+            d_pre @ whv if n_h is not None else None,
             d_c * gate_f if n_c is not None else None,
         )
 
@@ -422,62 +455,65 @@ def lstm_cell(w_x: Tensor, w_h: Tensor, b: Tensor, x: Tensor, h_prev: Tensor, c_
 
 
 def softmax(x: Tensor) -> Tensor:
+    """Softmax of a vector, or of each row of a matrix."""
     v = x.array
-    if v.ndim != 1:
-        raise ShapeError(f"softmax expects a vector, got shape {v.shape}")
-    if v.size == 0:
+    if v.ndim not in (1, 2):
+        raise ShapeError(f"softmax expects a vector or row block, got shape {v.shape}")
+    if v.shape[-1] == 0:
         raise ValueError("softmax of an empty vector is undefined")
-    e = np.exp(v - v.max())
-    out = e / e.sum()
+    e = np.exp(v - v.max(axis=-1, keepdims=True))
+    out = e / e.sum(axis=-1, keepdims=True)
     tape = _tape_of(x)
     if tape is None:
         return _wrap(out)
 
     def backward(g):
-        return (out * (g - np.dot(g, out)),)
+        return (out * (g - np.sum(g * out, axis=-1, keepdims=True)),)
 
     return tape._record("softmax", (x.node,), out, backward)
 
 
 def log_softmax(x: Tensor) -> Tensor:
+    """Log-softmax of a vector, or of each row of a matrix."""
     v = x.array
-    if v.ndim != 1:
-        raise ShapeError(f"log_softmax expects a vector, got shape {v.shape}")
-    if v.size == 0:
+    if v.ndim not in (1, 2):
+        raise ShapeError(f"log_softmax expects a vector or row block, got shape {v.shape}")
+    if v.shape[-1] == 0:
         raise ValueError("log_softmax of an empty vector is undefined")
-    m = v.max()
-    shifted = v - m
-    lse = np.log(np.sum(np.exp(shifted)))
-    out = shifted - lse
+    shifted = v - v.max(axis=-1, keepdims=True)
+    out = shifted - np.log(np.sum(np.exp(shifted), axis=-1, keepdims=True))
     tape = _tape_of(x)
     if tape is None:
         return _wrap(out)
 
     def backward(g):
-        return (g - np.exp(out) * g.sum(),)
+        return (g - np.exp(out) * g.sum(axis=-1, keepdims=True),)
 
     return tape._record("log_softmax", (x.node,), out, backward)
 
 
 def concat(parts: Sequence[Tensor]) -> Tensor:
+    """Join vectors, or row blocks with equal rows, along the last axis."""
     if len(parts) == 0:
         raise ValueError("concat needs at least one part")
-    for p in parts:
-        if p.array.ndim != 1:
-            raise ShapeError(f"concat expects vectors, got shape {p.array.shape}")
-    tape = _tape_of(*parts)
     arrays = [p.array for p in parts]
-    out = np.concatenate(arrays)
+    try:
+        out = np.concatenate(arrays, axis=-1)
+    except ValueError as err:  # the parts' ranks or row counts differ
+        raise ShapeError(f"concat expects vectors or row blocks with equal rows: {err}") from None
+    if out.ndim > 2:
+        raise ShapeError(f"concat expects vectors or row blocks, got shape {out.shape}")
+    tape = _tape_of(*parts)
     if tape is None:
         return _wrap(out)
     nodes = tuple(p.node for p in parts)
-    sizes = [a.size for a in arrays]
+    sizes = [a.shape[-1] for a in arrays]
 
     def backward(g):
         grads = []
         off = 0
         for n, size in zip(nodes, sizes):
-            grads.append(g[off : off + size] if n is not None else None)
+            grads.append(g[..., off : off + size] if n is not None else None)
             off += size
         return tuple(grads)
 
@@ -504,61 +540,79 @@ def stack_rows(parts: Sequence[Tensor]) -> Tensor:
 
 
 def vslice(x: Tensor, start: int, stop: int) -> Tensor:
+    """Elements [start:stop] of a vector, or of each row of a matrix."""
     v = x.array
-    if v.ndim != 1:
-        raise ShapeError(f"vslice expects a vector, got shape {v.shape}")
-    if not (0 <= start <= stop <= v.shape[0]):
-        raise IndexError(f"slice [{start}:{stop}] out of range for length {v.shape[0]}")
+    if v.ndim not in (1, 2):
+        raise ShapeError(f"vslice expects a vector or row block, got shape {v.shape}")
+    if not (0 <= start <= stop <= v.shape[-1]):
+        raise IndexError(f"slice [{start}:{stop}] out of range for length {v.shape[-1]}")
     tape = _tape_of(x)
-    out = v[start:stop]
+    out = v[..., start:stop]
     if tape is None:
         return _wrap(out)
-    n = v.shape[0]
 
     def backward(g):
-        full = np.zeros(n, dtype=v.dtype)
-        full[start:stop] = g
+        full = np.zeros(v.shape, dtype=v.dtype)
+        full[..., start:stop] = g
         return (full,)
 
     return tape._record("vslice", (x.node,), out, backward)
 
 
-def embedding_lookup(table: Tensor, index: int) -> Tensor:
+def _indices(index, extent: int, what: str):
+    """An int, or a vector of ints as an index array; range-checked."""
+    if isinstance(index, (int, np.integer)):
+        in_range = 0 <= index < extent
+    else:
+        index = np.asarray(index)
+        if index.ndim != 1 or index.dtype.kind not in "iu":
+            raise ShapeError(f"{what} index must be an int or a vector of ints, got {index.dtype} of shape {index.shape}")
+        in_range = index.size == 0 or (index.min() >= 0 and index.max() < extent)
+    if not in_range:
+        raise IndexError(f"{what} {index} out of range for extent {extent}")
+    return index
+
+
+def embedding_lookup(table: Tensor, index) -> Tensor:
+    """Row ``index`` of a matrix (a copy), or one row per id of an id vector."""
     tv = table.array
     if tv.ndim != 2:
         raise ShapeError(f"embedding_lookup expects a matrix table, got shape {tv.shape}")
-    index = int(index)
-    if not (0 <= index < tv.shape[0]):
-        raise IndexError(f"row {index} out of range for table with {tv.shape[0]} rows")
+    idx = _indices(index, tv.shape[0], "row")
     tape = _tape_of(table)
-    out = tv[index].copy()
+    out = tv[idx] if isinstance(idx, np.ndarray) else tv[idx].copy()  # an int index gives a view
     if tape is None:
         return _wrap(out)
 
     def backward(g):
         full = np.zeros_like(tv)
-        full[index] = g
+        np.add.at(full, idx, g)
         return (full,)
 
     return tape._record("embedding_lookup", (table.node,), out, backward)
 
 
-def pick(x: Tensor, index: int) -> Tensor:
+def pick(x: Tensor, index) -> Tensor:
+    """Element ``index`` of a vector, or element ``index[r]`` of each row r
+    of a matrix."""
     v = x.array
-    if v.ndim != 1:
-        raise ShapeError(f"pick expects a vector, got shape {v.shape}")
-    index = int(index)
-    if not (0 <= index < v.shape[0]):
-        raise IndexError(f"element {index} out of range for length {v.shape[0]}")
+    if v.ndim not in (1, 2):
+        raise ShapeError(f"pick expects a vector or row block, got shape {v.shape}")
+    idx = _indices(index, v.shape[-1], "element")
+    if v.ndim == 1 and not isinstance(idx, np.ndarray):
+        at = idx
+    elif v.ndim == 2 and isinstance(idx, np.ndarray) and idx.shape[0] == v.shape[0]:
+        at = (np.arange(v.shape[0]), idx)
+    else:
+        raise ShapeError(f"pick needs an int for a vector or one index per row for a matrix, got shape {v.shape}")
     tape = _tape_of(x)
-    out = np.asarray(v[index])
+    out = np.asarray(v[at])
     if tape is None:
         return _wrap(out)
-    n = v.shape[0]
 
     def backward(g):
-        full = np.zeros(n, dtype=v.dtype)
-        full[index] = g
+        full = np.zeros(v.shape, dtype=v.dtype)
+        full[at] = g
         return (full,)
 
     return tape._record("pick", (x.node,), out, backward)

@@ -1,12 +1,17 @@
 """Beam-search decoding.
 
-Beam search walks a step function ``(state, y_prev) -> (log_probs, state)``
-so the search logic is independent of the network; :class:`DecodeSession`
-adapts a model to that interface and applies the unk mask.  Scores are
-sums of token log-probabilities, including the eos step.  Ties are broken
-toward the lexicographically smaller token-id sequence, which makes a
-width-1 beam exactly greedy decoding: at each step it takes the most
-probable token, the lowest id among equals.
+Beam search walks a step function ``(states, parents, prev_ids) ->
+((len(parents), V) log_probs, states)`` so the search logic is independent
+of the network.  Each call advances the whole live beam at once: row r of
+the result extends the hypothesis whose state is row ``parents[r]`` of
+``states`` with token ``prev_ids[r]``, and the returned states hold one row
+per child, in that order.  :class:`DecodeSession` adapts a model to that
+interface: one batched ``decoder_step`` per beam step, with the unk mask
+applied to the whole block.  Scores are sums of token log-probabilities,
+including the eos step.  Ties are broken toward the lexicographically
+smaller token-id sequence, which makes a width-1 beam exactly greedy
+decoding: at each step it takes the most probable token, the lowest id
+among equals.
 
 Each step picks its candidates with one exact top-k over the (live
 hypotheses x V) score array: everything scoring at least the
@@ -18,10 +23,11 @@ sorting every candidate.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
+from . import autodiff as ad
 from . import model as M
 from .autodiff import NonFiniteError, all_finite
 from .training import example_forward
@@ -36,7 +42,8 @@ __all__ = [
     "rescore",
 ]
 
-StepFn = Callable[[object, int], tuple[np.ndarray, object]]
+# (states, parents, prev_ids) -> ((len(parents), V) log-probs, child states)
+StepFn = Callable[[object, Sequence[int], Sequence[int]], tuple[np.ndarray, object]]
 
 
 @dataclass(frozen=True)
@@ -93,25 +100,47 @@ class Hypothesis:
         return self.log_prob / max(len(self.tokens), 1) ** length_norm
 
 
+def _map_state(state: M.DecoderState, fn) -> M.DecoderState:
+    """The state with ``fn`` applied to each of its tensors."""
+    return M.DecoderState(
+        layers=tuple((fn(h), fn(c)) for h, c in state.layers),
+        memory=None if state.memory is None else fn(state.memory),
+        step=state.step,
+    )
+
+
 class DecodeSession:
     """Precomputed encoder/user work for decoding one (blog, user) pair.
 
-    Step log-probabilities are plain numpy arrays with the unk id (when the
-    config has one) masked to -inf so it can never be emitted.  A NaN/Inf
-    logit raises NonFiniteError naming the decode step (0 for the first).
+    States are row blocks, one row per hypothesis; the initial state is a
+    single row.  Step log-probabilities are plain (rows, V) numpy arrays
+    with the unk id (when the config has one) masked to -inf so it can
+    never be emitted.  A NaN/Inf logit raises NonFiniteError naming the
+    decode step (0 for the first).
     """
 
     def __init__(self, params: M.ModelParams, example):
         self.params = params
         self.config = params.config
-        self._blog_states, self._desc_states, self._v_u, self._initial = example_forward(params, example)
+        blog_states, desc_states, v_u, initial = example_forward(params, example)
+        self._blog_states, self._desc_states = blog_states, desc_states
+
+        def one_row(t):
+            return ad.stack_rows([t])
+
+        # Each step gathers its rows from these by parent index.
+        self._v_u = None if v_u is None else one_row(v_u)
+        self._initial = _map_state(initial, one_row)
 
     def initial_state(self) -> M.DecoderState:
         return self._initial
 
-    def step(self, state: M.DecoderState, y_prev: int) -> tuple[np.ndarray, M.DecoderState]:
+    def step(self, state: M.DecoderState, parents: Sequence[int], prev_ids: Sequence[int]) -> tuple[np.ndarray, M.DecoderState]:
+        parents = np.asarray(parents, dtype=np.intp)
+        rows = _map_state(state, lambda t: ad.embedding_lookup(t, parents))
+        v_u = None if self._v_u is None else ad.embedding_lookup(self._v_u, np.zeros_like(parents))
         result = M.decoder_step(
-            self.params, state, y_prev, self._blog_states, self._desc_states, self._v_u
+            self.params, rows, np.asarray(prev_ids, dtype=np.intp), self._blog_states, self._desc_states, v_u
         )
         logits = result.logits.array
         if not all_finite(logits):
@@ -119,15 +148,9 @@ class DecodeSession:
         unk = self.config.unk_id
         if unk is not None:
             logits = logits.copy()
-            logits[unk] = -np.inf
-        return _log_softmax_np(logits), result.state
-
-
-def _log_softmax_np(logits: np.ndarray) -> np.ndarray:
-    m = np.max(logits[np.isfinite(logits)])
-    shifted = logits - m
-    with np.errstate(divide="ignore"):  # exp(-inf) = 0 for masked entries
-        return shifted - np.log(np.sum(np.exp(shifted)))
+            logits[:, unk] = -np.inf
+        shifted = logits - logits.max(axis=1, keepdims=True)
+        return shifted - np.log(np.sum(np.exp(shifted), axis=1, keepdims=True)), result.state
 
 
 def beam_search_steps(
@@ -139,7 +162,7 @@ def beam_search_steps(
     config: DecodeConfig,
     prune: bool = True,
 ) -> list[Hypothesis]:
-    """Beam search over a step function.
+    """Beam search over a batched step function (see :data:`StepFn`).
 
     Keeps the beam_size best unfinished prefixes per step; finished
     hypotheses move to a pool.  Returns up to beam_size hypotheses sorted
@@ -147,14 +170,17 @@ def beam_search_steps(
     padding with the best unfinished prefixes when fewer than beam_size
     finish.
 
-    Each step scores every (live hypothesis, token) pair at once as a
-    (live, V) array: the parent's log_prob plus the step log-prob,
-    divided by len(tokens)**length_norm when that exponent is nonzero,
-    which all live prefixes share.  Tokens with step log-prob -inf are
-    never candidates.  An exact top-k keeps every candidate scoring at
-    least the beam_size-th best score, so all ties at that boundary
-    survive; only those survivors become token tuples, and they are
-    sorted by (score descending, tokens ascending).  The result is the
+    Each step is one ``step_fn`` call for the whole live beam: the first
+    passes ``initial_state`` with ``parents=[0]``, and each later call
+    passes the states the previous call returned with every survivor's
+    row in them.  The call scores every (live hypothesis, token) pair at
+    once as a (live, V) array: the parent's log_prob plus the step
+    log-prob, divided by len(tokens)**length_norm when that exponent is
+    nonzero, which all live prefixes share.  Tokens with step log-prob
+    -inf are never candidates.  An exact top-k keeps every candidate
+    scoring at least the beam_size-th best score, so all ties at that
+    boundary survive; only those survivors become token tuples, and they
+    are sorted by (score descending, tokens ascending).  The result is the
     same as fully sorting all V x live candidates.
 
     Early stop ("pruning") fires only with length_norm == 0, where scores
@@ -162,48 +188,42 @@ def beam_search_steps(
     the best live prefix already scores strictly below the pool's worst
     member, no extension can enter the result.
     """
-    beam: list[tuple[Hypothesis, object]] = [(Hypothesis((), 0.0, False), initial_state)]
+    beam: list[Hypothesis] = [Hypothesis((), 0.0, False)]
+    states, parents = initial_state, [0]
     pool: list[Hypothesis] = []
     can_prune = prune and config.length_norm == 0.0
 
     for _ in range(config.max_len):
-        rows, states = [], []
-        for hyp, state in beam:
-            prev = hyp.tokens[-1] if hyp.tokens else bos_id
-            lp, new_state = step_fn(state, prev)
-            if lp.shape != (vocab_size,):
-                raise ValueError(f"step function returned {lp.shape}, expected ({vocab_size},)")
-            rows.append(lp)
-            states.append(new_state)
-        step_lp = np.stack(rows)
-        totals = (step_lp + np.array([h.log_prob for h, _ in beam])[:, None]).ravel()
+        prev_ids = [h.tokens[-1] if h.tokens else bos_id for h in beam]
+        step_lp, states = step_fn(states, parents, prev_ids)
+        if step_lp.shape != (len(beam), vocab_size):
+            raise ValueError(f"step function returned {step_lp.shape}, expected ({len(beam)}, {vocab_size})")
+        totals = (step_lp + np.array([h.log_prob for h in beam])[:, None]).ravel()
         norm = config.length_norm
-        scores = totals if norm == 0.0 else totals / (len(beam[0][0].tokens) + 1) ** norm
+        scores = totals if norm == 0.0 else totals / (len(beam[0].tokens) + 1) ** norm
         allowed = np.flatnonzero(step_lp.ravel() != -np.inf)
         if allowed.size == 0:
             break
         allowed_scores = scores[allowed]
         cut = allowed.size - min(config.beam_size, allowed.size)
         threshold = np.partition(allowed_scores, cut)[cut]
-        candidates: list[tuple[float, tuple[int, ...], float, object]] = []
+        candidates: list[tuple[float, tuple[int, ...], float, int]] = []
         for flat in allowed[allowed_scores >= threshold].tolist():
             row, tok = divmod(flat, vocab_size)
-            candidates.append(
-                (float(scores[flat]), beam[row][0].tokens + (tok,), float(totals[flat]), states[row])
-            )
+            candidates.append((float(scores[flat]), beam[row].tokens + (tok,), float(totals[flat]), row))
         candidates.sort(key=lambda c: (-c[0], c[1]))
-        next_beam: list[tuple[Hypothesis, object]] = []
-        for scored, toks, raw, st in candidates[: config.beam_size]:
+        beam, parents = [], []
+        for scored, toks, raw, row in candidates[: config.beam_size]:
             if toks[-1] == eos_id:
                 pool.append(Hypothesis(toks, raw, True))
             else:
-                next_beam.append((Hypothesis(toks, raw, False), st))
-        beam = next_beam
+                beam.append(Hypothesis(toks, raw, False))
+                parents.append(row)
         if not beam:
             break
         if can_prune and len(pool) >= config.beam_size:
             worst_pooled = sorted(h.log_prob for h in pool)[-config.beam_size]
-            best_live = max(h.log_prob for h, _ in beam)
+            best_live = max(h.log_prob for h in beam)
             if best_live < worst_pooled:
                 break
 
@@ -212,7 +232,7 @@ def beam_search_steps(
 
     ranked = sorted(pool, key=rank_key)[: config.beam_size]
     if len(ranked) < config.beam_size and beam:
-        leftovers = sorted((h for h, _ in beam), key=rank_key)
+        leftovers = sorted(beam, key=rank_key)
         ranked.extend(leftovers[: config.beam_size - len(ranked)])
     return ranked
 
@@ -238,7 +258,7 @@ def rescore(params: M.ModelParams, example, hypothesis: Hypothesis) -> float:
     prev = params.config.bos_id
     total = 0.0
     for tok in hypothesis.tokens:
-        lp, state = session.step(state, prev)
-        total += float(lp[tok])
+        lp, state = session.step(state, [0], [prev])
+        total += float(lp[0, tok])
         prev = tok
     return total

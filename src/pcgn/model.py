@@ -88,16 +88,18 @@ class Variant:
         }
 
 
+_PCGN = Variant(use_gated_memory=True, use_coattention=True, use_external=True)
+
 PRESETS: dict[str, Variant] = {
     "Seq2Seq": Variant(),
     "Seq2Seq+Emb": Variant(use_user_embedding=True),
     "+Mem": Variant(use_gated_memory=True),
     "+CoAtt": Variant(use_gated_memory=True, use_coattention=True),
-    "+External": Variant(use_gated_memory=True, use_coattention=True, use_external=True),
-    "PCGN": Variant(use_gated_memory=True, use_coattention=True, use_external=True),
+    "+External": _PCGN,
+    "PCGN": _PCGN,
     # Same network as PCGN; the difference is data-side (descriptions are
     # augmented with the author's frequent comment words during prepare).
-    "PCGN+ComWord": Variant(use_gated_memory=True, use_coattention=True, use_external=True),
+    "PCGN+ComWord": _PCGN,
 }
 
 
@@ -443,20 +445,20 @@ def user_embed(w: Tensor, b: Tensor, features: Tensor) -> Tensor:
     return ad.tanh(ad.add(ad.matvec(w, features), b))
 
 
-def attention_context(s_prev: Tensor, states: Sequence[Tensor], w_a: Tensor) -> AttentionResult:
+def attention_context(s_prev: Tensor, states: Tensor, w_a: Tensor) -> AttentionResult:
     """Bilinear attention: score_j = s' W h_j, weights = softmax, context = sum.
 
-    Implemented as q = s' W once per step, then one matrix-vector product
-    over the stacked states for the scores and one vector-matrix product
-    for the context.
+    ``states`` is the encoder's (T, 2H) matrix.  ``s_prev`` is one decoder
+    state or a (B, H) block of them; q = s' W is formed once, then one
+    product against the states gives every row's scores and one more gives
+    the contexts.
     """
-    if len(states) == 0:
+    if states.shape[0] == 0:
         raise ValueError("attention needs at least one encoder state")
-    hmat = ad.stack_rows(states)
     q = ad.vecmat(s_prev, w_a)
-    scores = ad.matvec(hmat, q)
+    scores = ad.matvec(states, q)
     weights = ad.softmax(scores)
-    context = ad.vecmat(weights, hmat)
+    context = ad.vecmat(weights, states)
     return AttentionResult(context=context, weights=weights)
 
 
@@ -495,14 +497,16 @@ def embed_sequence(params: ModelParams, ids: Sequence[int]) -> list[Tensor]:
     return [ad.embedding_lookup(params.embedding, i) for i in ids]
 
 
-def encode_blog(params: ModelParams, x_ids: Sequence[int]) -> list[Tensor]:
-    return bilstm_encode(params.blog_fwd, params.blog_bwd, embed_sequence(params, x_ids))
+def encode_blog(params: ModelParams, x_ids: Sequence[int]) -> Tensor:
+    """The blog encoder's states as one (T, 2H) matrix, row t = [h_fwd; h_bwd]."""
+    return ad.stack_rows(bilstm_encode(params.blog_fwd, params.blog_bwd, embed_sequence(params, x_ids)))
 
 
-def encode_description(params: ModelParams, d_ids: Sequence[int]) -> list[Tensor]:
+def encode_description(params: ModelParams, d_ids: Sequence[int]) -> Tensor:
+    """The description encoder's states as one (T, 2H) matrix."""
     if params.desc_fwd is None:
         raise ValueError("this variant has no description encoder")
-    return bilstm_encode(params.desc_fwd, params.desc_bwd, embed_sequence(params, d_ids))
+    return ad.stack_rows(bilstm_encode(params.desc_fwd, params.desc_bwd, embed_sequence(params, d_ids)))
 
 
 def user_vector(params: ModelParams, features: Tensor | np.ndarray) -> Tensor:
@@ -517,17 +521,21 @@ def user_vector(params: ModelParams, features: Tensor | np.ndarray) -> Tensor:
     return user_embed(params.user_proj.w, params.user_proj.b, features)
 
 
-def init_decoder_state(params: ModelParams, blog_states: Sequence[Tensor], v_u: Tensor | None) -> DecoderState:
-    """Initial per-layer (h, c) from the encoder's final states; M_0 = v_u."""
+def init_decoder_state(params: ModelParams, blog_states: Tensor, v_u: Tensor | None) -> DecoderState:
+    """Initial per-layer (h, c) from the encoder's final states; M_0 = v_u.
+
+    The state is one row: a vector per layer, like every tensor of the
+    teacher-forced walk.
+    """
     cfg = params.config
     if cfg.variant.use_gated_memory and v_u is None:
         raise ValueError("gated memory needs a user vector for M_0")
     hidden = cfg.blog_hidden
-    # Top layer states are [fwd; bwd]: forward summary sits at the last
-    # position, backward summary at the first.
+    # Rows of the (T, 2H) states are [fwd; bwd]: the forward summary sits
+    # at the last position, the backward summary at the first.
     summary = ad.concat([
-        ad.vslice(blog_states[-1], 0, hidden),
-        ad.vslice(blog_states[0], hidden, 2 * hidden),
+        ad.vslice(ad.embedding_lookup(blog_states, blog_states.shape[0] - 1), 0, hidden),
+        ad.vslice(ad.embedding_lookup(blog_states, 0), hidden, 2 * hidden),
     ])
     layers = []
     for init in params.state_init:
@@ -541,13 +549,17 @@ def init_decoder_state(params: ModelParams, blog_states: Sequence[Tensor], v_u: 
 def decoder_step(
     params: ModelParams,
     state: DecoderState,
-    y_prev: int,
-    blog_states: Sequence[Tensor],
-    desc_states: Sequence[Tensor] | None,
+    y_prev: int | np.ndarray,
+    blog_states: Tensor,
+    desc_states: Tensor | None,
     v_u: Tensor | None,
 ) -> StepResult:
-    """One teacher-forcing/decoding step: previous token id -> next logits.
+    """One teacher-forcing/decoding step: previous token ids -> next logits.
 
+    Runs one row (vector state tensors, an int ``y_prev``) or a block of B
+    independent rows ((B, .) state tensors, B ids in ``y_prev``, and a
+    (B, U) ``v_u``); every row attends over the same (T, 2H) encoder
+    states, and each layer is one primitive call for the whole block.
     All step-t gates and attention read the previous top state; the
     memory read M_t^o joins the LSTM input, and the new top state feeds
     the output head.

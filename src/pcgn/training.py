@@ -48,7 +48,9 @@ class OptimizerConfig:
 def example_forward(params: M.ModelParams, example: EncodedExample):
     """Shared encode/init work for one example.
 
-    Returns (blog_states, desc_states, v_u, initial decoder state).
+    Returns (blog_states, desc_states, v_u, initial decoder state); each
+    encoder's states come stacked once into a (T, 2H) matrix that every
+    decoder step attends over.
     """
     v = params.config.variant
     blog_states = M.encode_blog(params, example.x)

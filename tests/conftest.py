@@ -80,6 +80,35 @@ def tiny_example(config, seed=0, x_len=3, y_len=3, d_len=2):
     )
 
 
+def row_step(step):
+    """A batched step function ``(states, parents, prev_ids)`` as a one-row
+    one ``(state, prev) -> (log_probs, state)``.
+
+    The oracles walk hypotheses one at a time; each call steps row 0 of a
+    one-row state, such as ``DecodeSession.initial_state()``.
+    """
+
+    def one_row(state, prev):
+        lp, new_state = step(state, [0], [prev])
+        return lp[0], new_state
+
+    return one_row
+
+
+def batched_step(one_row):
+    """A one-row step function ``(state, prev) -> (log_probs, state)`` as a
+    batched one whose states are lists of one-row states.
+
+    Start it from ``[initial_state]``; child r steps ``states[parents[r]]``.
+    """
+
+    def step(states, parents, prev_ids):
+        outs = [one_row(states[p], prev) for p, prev in zip(parents, prev_ids)]
+        return np.stack([lp for lp, _ in outs]), [st for _, st in outs]
+
+    return step
+
+
 def nan_cell_params(params):
     """Parameters whose first forward blog LSTM cell makes a NaN.
 

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 import oracle
-from conftest import ToyExample, random_params
+from conftest import ToyExample, random_params, row_step
 from pcgn import autodiff as ad
 from pcgn import cli
 from pcgn import model as M
@@ -104,7 +104,7 @@ def _lstm_fd(rng) -> float:
 
 
 def _attention_fd(rng) -> float:
-    states = [ad.tensor(rng.normal(0.0, 0.7, size=4)) for _ in range(3)]
+    states = ad.stack_rows([ad.tensor(rng.normal(0.0, 0.7, size=4)) for _ in range(3)])
     s_prev = ad.tensor(rng.normal(0.0, 0.7, size=3))
     w_a = ad.tensor(rng.normal(0.0, 0.7, size=(3, 4)))
     return max(
@@ -320,7 +320,7 @@ def test_criterion_5_beam_matches_enumeration():
         config = params.config
         expected = sorted(
             oracle.enumerate_finished(
-                session.step, session.initial_state(), config.bos_id, config.eos_id,
+                row_step(session.step), session.initial_state(), config.bos_id, config.eos_id,
                 config.vocab_size, max_len=3,
             ),
             key=lambda item: (-item[1], item[0]),
@@ -333,7 +333,7 @@ def test_criterion_5_beam_matches_enumeration():
         assert worst_gap < 1e-9
 
         tokens, log_prob, finished = oracle.argmax_walk(
-            session.step, session.initial_state(), config.bos_id, config.eos_id, max_len=3,
+            row_step(session.step), session.initial_state(), config.bos_id, config.eos_id, max_len=3,
         )
         (only,) = beam_search(params, example, DecodeConfig(beam_size=1, max_len=3))
         assert (only.tokens, only.finished) == (tokens, finished)

@@ -178,18 +178,24 @@ def _fd_cases(name, rng):
             (lambda t: ad.sum_all(ad.matmul(ad.tensor(a), t)), b),
         ]
     if name == "matvec":
-        m, k = dims(2)
-        w, x = rng.normal(size=(m, k)), rng.normal(size=k)
+        m, k, rows = dims(3)
+        w, x, xs = rng.normal(size=(m, k)), rng.normal(size=k), rng.normal(size=(rows, k))
+        mix = ad.tensor(rng.normal(size=(rows, m)))
         return [
             (lambda t: ad.sum_all(ad.matvec(t, ad.tensor(x))), w),
             (lambda t: ad.sum_all(ad.matvec(ad.tensor(w), t)), x),
+            (lambda t: ad.sum_all(ad.hadamard(ad.matvec(t, ad.tensor(xs)), mix)), w),
+            (lambda t: ad.sum_all(ad.hadamard(ad.matvec(ad.tensor(w), t), mix)), xs),
         ]
     if name == "vecmat":
-        k, n = dims(2)
-        x, w = rng.normal(size=k), rng.normal(size=(k, n))
+        k, n, rows = dims(3)
+        x, w, xs = rng.normal(size=k), rng.normal(size=(k, n)), rng.normal(size=(rows, k))
+        mix = ad.tensor(rng.normal(size=(rows, n)))
         return [
             (lambda t: ad.sum_all(ad.vecmat(t, ad.tensor(w))), x),
             (lambda t: ad.sum_all(ad.vecmat(ad.tensor(x), t)), w),
+            (lambda t: ad.sum_all(ad.hadamard(ad.vecmat(t, ad.tensor(w)), mix)), xs),
+            (lambda t: ad.sum_all(ad.hadamard(ad.vecmat(ad.tensor(xs), t), mix)), w),
         ]
     if name == "add":
         (n,) = dims()
@@ -216,21 +222,25 @@ def _fd_cases(name, rng):
         (n,) = dims()
         weights = ad.tensor(rng.normal(size=n))
         return [(lambda t: ad.dot(ad.tanh(t), weights), rng.normal(size=n))]
-    if name == "softmax":
-        (n,) = dims()
+    if name in ("softmax", "log_softmax"):
+        op = getattr(ad, name)
+        n, rows = dims(2)
         weights = ad.tensor(rng.normal(size=n))
-        return [(lambda t: ad.dot(ad.softmax(t), weights), rng.normal(size=n))]
-    if name == "log_softmax":
-        (n,) = dims()
-        weights = ad.tensor(rng.normal(size=n))
-        return [(lambda t: ad.dot(ad.log_softmax(t), weights), rng.normal(size=n))]
+        mix = ad.tensor(rng.normal(size=(rows, n)))
+        return [
+            (lambda t: ad.dot(op(t), weights), rng.normal(size=n)),
+            (lambda t: ad.sum_all(ad.hadamard(op(t), mix)), rng.normal(size=(rows, n))),
+        ]
     if name == "concat":
-        a, b = dims(2)
+        a, b, rows = dims(3)
         left = ad.tensor(rng.normal(size=a))
         mid = rng.normal(size=b)
         weights = ad.tensor(rng.normal(size=a + b + a))
+        left_rows = ad.tensor(rng.normal(size=(rows, a)))
+        mix = ad.tensor(rng.normal(size=(rows, a + b + a)))
         return [
             (lambda t: ad.dot(ad.concat([left, t, left]), weights), mid),
+            (lambda t: ad.sum_all(ad.hadamard(ad.concat([left_rows, t, left_rows]), mix)), rng.normal(size=(rows, b))),
         ]
     if name == "stack_rows":
         (n,) = dims()
@@ -242,16 +252,31 @@ def _fd_cases(name, rng):
         start = int(rng.integers(0, n - 1))
         stop = int(rng.integers(start + 1, n + 1))
         weights = ad.tensor(rng.normal(size=stop - start))
-        return [(lambda t: ad.dot(ad.vslice(t, start, stop), weights), rng.normal(size=n))]
+        (rows,) = dims()
+        mix = ad.tensor(rng.normal(size=(rows, stop - start)))
+        return [
+            (lambda t: ad.dot(ad.vslice(t, start, stop), weights), rng.normal(size=n)),
+            (lambda t: ad.sum_all(ad.hadamard(ad.vslice(t, start, stop), mix)), rng.normal(size=(rows, n))),
+        ]
     if name == "embedding_lookup":
         rows, cols = dims(2)
         idx = int(rng.integers(0, rows))
+        ids = rng.integers(0, rows, 5)   # repeats accumulate
         weights = ad.tensor(rng.normal(size=cols))
-        return [(lambda t: ad.dot(ad.embedding_lookup(t, idx), weights), rng.normal(size=(rows, cols)))]
+        mix = ad.tensor(rng.normal(size=(5, cols)))
+        return [
+            (lambda t: ad.dot(ad.embedding_lookup(t, idx), weights), rng.normal(size=(rows, cols))),
+            (lambda t: ad.sum_all(ad.hadamard(ad.embedding_lookup(t, ids), mix)), rng.normal(size=(rows, cols))),
+        ]
     if name == "pick":
-        (n,) = dims()
+        n, rows = dims(2)
         idx = int(rng.integers(0, n))
-        return [(lambda t: ad.scale(ad.pick(t, idx), 2.5), rng.normal(size=n))]
+        per_row = rng.integers(0, n, rows)
+        weights = ad.tensor(rng.normal(size=rows))
+        return [
+            (lambda t: ad.scale(ad.pick(t, idx), 2.5), rng.normal(size=n)),
+            (lambda t: ad.dot(ad.pick(t, per_row), weights), rng.normal(size=(rows, n))),
+        ]
     if name == "dot":
         (n,) = dims()
         other = ad.tensor(rng.normal(size=n))
@@ -377,17 +402,24 @@ class TestErrors:
         with pytest.raises(ad.ShapeError):
             ad.add(ad.tensor([1.0]), ad.tensor([1.0, 2.0]))
 
-    def test_softmax_rejects_empty_and_matrix(self):
-        with pytest.raises(ValueError):
-            ad.softmax(ad.tensor(np.zeros(0)))
-        with pytest.raises(ad.ShapeError):
-            ad.softmax(ad.tensor(np.zeros((2, 2))))
+    def test_softmax_rejects_empty_rows_and_3d(self):
+        for op in (ad.softmax, ad.log_softmax):
+            with pytest.raises(ValueError):
+                op(ad.tensor(np.zeros(0)))
+            with pytest.raises(ValueError):
+                op(ad.tensor(np.zeros((2, 0))))
+            with pytest.raises(ad.ShapeError):
+                op(ad.tensor(np.zeros((2, 2, 2))))
 
-    def test_concat_rejects_empty_list_and_matrices(self):
+    def test_concat_rejects_empty_list_and_mismatched_rows(self):
         with pytest.raises(ValueError):
             ad.concat([])
         with pytest.raises(ad.ShapeError):
-            ad.concat([ad.tensor(np.zeros((2, 2)))])
+            ad.concat([ad.tensor(np.zeros((2, 2, 2)))])
+        with pytest.raises(ad.ShapeError):
+            ad.concat([ad.tensor(np.zeros((2, 2))), ad.tensor(np.zeros((3, 2)))])
+        with pytest.raises(ad.ShapeError):
+            ad.concat([ad.tensor(np.zeros((1, 2))), ad.tensor(np.zeros(2))])
 
     def test_index_errors(self):
         v = ad.tensor([1.0, 2.0])
@@ -398,6 +430,14 @@ class TestErrors:
             ad.pick(v, 2)
         with pytest.raises(IndexError):
             ad.embedding_lookup(table, 2)
+        with pytest.raises(IndexError):
+            ad.embedding_lookup(table, [0, 2])
+        with pytest.raises(IndexError):
+            ad.pick(ad.tensor(np.zeros((2, 2))), [0, -1])
+        with pytest.raises(ad.ShapeError):
+            ad.pick(ad.tensor(np.zeros((2, 2))), [0])
+        with pytest.raises(ad.ShapeError):
+            ad.embedding_lookup(table, [0.0])
 
     def test_item_requires_single_element(self):
         with pytest.raises(ad.ShapeError):

@@ -575,5 +575,6 @@ class TestDispatch:
             capture_output=True, text=True, env=env, timeout=120,
         )
         assert done.returncode == 0, done.stderr
+        assert "RuntimeWarning" not in done.stderr
         assert done.stdout.startswith("usage: pcgn ")
         assert "{prepare,train,generate,eval,ablate}" in done.stdout

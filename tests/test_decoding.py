@@ -17,7 +17,7 @@ from pcgn import autodiff as ad
 from pcgn import decoding as dec
 from pcgn import model as M
 
-from conftest import ToyExample, random_params, tiny_config, tiny_example
+from conftest import ToyExample, batched_step, random_params, row_step, tiny_config, tiny_example
 import oracle
 
 
@@ -53,7 +53,7 @@ def width_one(params, example, max_len):
 def oracle_greedy(params, example, max_len):
     session = dec.DecodeSession(params, example)
     cfg = params.config
-    return oracle.argmax_walk(session.step, session.initial_state(), cfg.bos_id, cfg.eos_id, max_len)
+    return oracle.argmax_walk(row_step(session.step), session.initial_state(), cfg.bos_id, cfg.eos_id, max_len)
 
 
 class TestConfigAndHypothesis:
@@ -81,14 +81,14 @@ class TestConfigAndHypothesis:
 class TestScriptedToy:
     def test_greedy_takes_the_myopic_path(self):
         cfg = dec.DecodeConfig(beam_size=1, max_len=5)
-        (hyp,) = dec.beam_search_steps(scripted_step, "start", 99, 2, 3, cfg)
+        (hyp,) = dec.beam_search_steps(batched_step(scripted_step), ["start"], 99, 2, 3, cfg)
         assert hyp.finished
         assert hyp.tokens == (0, 2)
         assert abs(hyp.log_prob - np.log(0.30)) < 1e-12
 
     def test_beam_two_finds_the_better_sequence(self):
         cfg = dec.DecodeConfig(beam_size=2, max_len=5)
-        results = dec.beam_search_steps(scripted_step, "start", 99, 2, 3, cfg)
+        results = dec.beam_search_steps(batched_step(scripted_step), ["start"], 99, 2, 3, cfg)
         assert [h.tokens for h in results] == [(1, 2), (0, 2)]
         assert abs(results[0].log_prob - np.log(0.36)) < 1e-12
         assert abs(results[1].log_prob - np.log(0.30)) < 1e-12
@@ -96,14 +96,14 @@ class TestScriptedToy:
 
     def test_beam_one_reproduces_greedy(self):
         cfg = dec.DecodeConfig(beam_size=1, max_len=5)
-        (only,) = dec.beam_search_steps(scripted_step, "start", 99, 2, 3, cfg)
+        (only,) = dec.beam_search_steps(batched_step(scripted_step), ["start"], 99, 2, 3, cfg)
         tokens, log_prob, finished = oracle.argmax_walk(scripted_step, "start", 99, 2, 5)
         assert (only.tokens, only.finished) == (tokens, finished)
         assert abs(only.log_prob - log_prob) < 1e-12
 
     def test_step_shape_is_validated(self):
-        def bad_step(state, prev):
-            return np.zeros(4), state
+        def bad_step(states, parents, prev_ids):
+            return np.zeros((len(parents), 4)), states
 
         with pytest.raises(ValueError, match="expected"):
             dec.beam_search_steps(bad_step, None, 0, 2, 3, dec.DecodeConfig(beam_size=2, max_len=2))
@@ -132,7 +132,7 @@ class TestAgainstExhaustiveSearch:
         session = dec.DecodeSession(params, example)
         cfg = params.config
         finished = oracle.enumerate_finished(
-            session.step, session.initial_state(), cfg.bos_id, cfg.eos_id,
+            row_step(session.step), session.initial_state(), cfg.bos_id, cfg.eos_id,
             cfg.vocab_size, max_len,
         )
         return sorted(finished, key=lambda item: (-item[1], item[0]))
@@ -186,9 +186,11 @@ def tie_heavy_step(seed, vocab_size, inf_share):
     return step
 
 
-def assert_matches_reference(step_fn, initial_state, bos_id, eos_id, vocab_size, config, prune):
+def assert_matches_reference(step_fn, initial_state, one_row, one_row_initial, bos_id, eos_id, vocab_size, config, prune):
+    """The batched search over ``step_fn`` equals the full-sort reference
+    walking the same model one row at a time through ``one_row``."""
     got = dec.beam_search_steps(step_fn, initial_state, bos_id, eos_id, vocab_size, config, prune=prune)
-    want = oracle.beam_reference(step_fn, initial_state, bos_id, eos_id, vocab_size, config, prune)
+    want = oracle.beam_reference(one_row, one_row_initial, bos_id, eos_id, vocab_size, config, prune)
     assert [(h.tokens, h.log_prob, h.finished) for h in got] == want
 
 
@@ -206,7 +208,9 @@ class TestTopKSelection:
             step = tie_heavy_step(seed, vocab_size, float(rng.choice([0.0, 0.25, 0.6])))
             eos_id = int(rng.integers(0, vocab_size))
             for prune in (True, False):
-                assert_matches_reference(step, (), vocab_size, eos_id, vocab_size, config, prune)
+                assert_matches_reference(
+                    batched_step(step), [()], step, (), vocab_size, eos_id, vocab_size, config, prune,
+                )
 
     @pytest.mark.parametrize("width", [1, 4, 10])
     def test_real_models_match_full_sort(self, width):
@@ -215,9 +219,31 @@ class TestTopKSelection:
             session = dec.DecodeSession(params, example)
             cfg = params.config
             assert_matches_reference(
-                session.step, session.initial_state(), cfg.bos_id, cfg.eos_id, cfg.vocab_size,
+                session.step, session.initial_state(), row_step(session.step), session.initial_state(),
+                cfg.bos_id, cfg.eos_id, cfg.vocab_size,
                 dec.DecodeConfig(beam_size=width, max_len=4), prune=True,
             )
+
+
+class TestBatchedSession:
+    @pytest.mark.parametrize("variant", ["Seq2Seq", "PCGN"])
+    def test_gathering_by_parents_equals_stepping_each_parent_alone(self, variant):
+        cfg = tiny_config(variant, vocab_size=10, blog_layers=2)
+        params = random_params(cfg, 360)
+        session = dec.DecodeSession(params, tiny_example(cfg, 361))
+        _, states = session.step(session.initial_state(), [0, 0, 0], [cfg.bos_id, 4, 5])
+        parents, prev_ids = [2, 0, 2, 1], [6, 7, 8, 4]
+        lp, children = session.step(states, parents, prev_ids)
+        assert lp.shape == (len(parents), cfg.vocab_size)
+        assert children.step == states.step + 1
+        for r, (parent, prev) in enumerate(zip(parents, prev_ids)):
+            lp_alone, child = session.step(states, [parent], [prev])
+            np.testing.assert_allclose(lp[r], lp_alone[0], rtol=0, atol=1e-12)
+            for (h, c), (h1, c1) in zip(children.layers, child.layers):
+                np.testing.assert_allclose(h.array[r], h1.array[0], rtol=0, atol=1e-12)
+                np.testing.assert_allclose(c.array[r], c1.array[0], rtol=0, atol=1e-12)
+            if cfg.variant.use_gated_memory:
+                np.testing.assert_allclose(children.memory.array[r], child.memory.array[0], rtol=0, atol=1e-12)
 
 
 class TestBeamBehavior:

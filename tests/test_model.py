@@ -274,6 +274,24 @@ class TestFusedLSTMCell:
 
         assert ad.finite_difference_check(f, inputs[which]) < 1e-6
 
+    def test_row_block_gradients_match_finite_differences(self):
+        rng = np.random.default_rng(44)
+        cell = random_cell(rng, 3, 4)
+        inputs = {
+            "w_x": cell.w_x, "w_h": cell.w_h, "b": cell.b,
+            "x": ad.tensor(rng.normal(size=(2, 3))),
+            "h_prev": ad.tensor(rng.normal(size=(2, 4))),
+            "c_prev": ad.tensor(rng.normal(size=(2, 4))),
+        }
+        mix = ad.tensor(rng.normal(size=(2, 8)))
+        for which in inputs:
+            def f(theta):
+                args = dict(inputs, **{which: theta})
+                packed = ad.lstm_cell(args["w_x"], args["w_h"], args["b"], args["x"], args["h_prev"], args["c_prev"])
+                return ad.sum_all(ad.hadamard(packed, mix))
+
+            assert ad.finite_difference_check(f, inputs[which]) < 1e-6, which
+
     def test_nan_inside_cell_rejected(self):
         # W_x x overflows to +inf and W_h h_prev to -inf; their sum is NaN.
         # The cell passes it on; the model reports it where it leaves the engine.
@@ -292,6 +310,10 @@ class TestFusedLSTMCell:
             ad.lstm_cell(cell.w_x, cell.w_h, cell.b, ad.zeros(2), ad.zeros(4), ad.zeros(4))
         with pytest.raises(ad.ShapeError):
             ad.lstm_cell(cell.w_x, cell.w_h, cell.b, ad.zeros(3), ad.zeros(4), ad.zeros(3))
+        with pytest.raises(ad.ShapeError):
+            ad.lstm_cell(cell.w_x, cell.w_h, cell.b, ad.zeros((2, 3)), ad.zeros((3, 4)), ad.zeros((3, 4)))
+        with pytest.raises(ad.ShapeError):
+            ad.lstm_cell(cell.w_x, cell.w_h, cell.b, ad.zeros((2, 3)), ad.zeros(4), ad.zeros(4))
 
 
 class TestBiLSTM:
@@ -329,8 +351,9 @@ class TestBiLSTM:
         states = M.encode_blog(params, ids)
         arrs = {n: t.array for n, t in params.named_parameters()}
         ref = oracle.bilstm_run(arrs, "blog_enc", 2, cfg.blog_hidden, [arrs["embedding"][i] for i in ids])
-        for s, r in zip(states, ref):
-            assert np.allclose(s.array, r, atol=1e-12)
+        assert states.shape == (3, 2 * cfg.blog_hidden)
+        for s, r in zip(states.array, ref):
+            assert np.allclose(s, r, atol=1e-12)
 
 
 class TestAttention:
@@ -338,7 +361,7 @@ class TestAttention:
         rng = np.random.default_rng(4)
         res = M.attention_context(
             ad.tensor(rng.normal(size=3)),
-            [ad.tensor(rng.normal(size=5))],
+            ad.stack_rows([ad.tensor(rng.normal(size=5))]),
             ad.tensor(rng.normal(size=(3, 5))),
         )
         assert res.weights.array[0] == 1.0
@@ -348,7 +371,7 @@ class TestAttention:
         state = ad.tensor(rng.normal(size=5))
         res = M.attention_context(
             ad.tensor(rng.normal(size=3)),
-            [state, state],
+            ad.stack_rows([state, state]),
             ad.tensor(rng.normal(size=(3, 5))),
         )
         assert np.allclose(res.weights.array, [0.5, 0.5], atol=1e-15)
@@ -356,7 +379,7 @@ class TestAttention:
 
     def test_identity_hand_value(self):
         s = ad.tensor([1.0, 0.0])
-        states = [ad.tensor([1.0, 0.0]), ad.tensor([0.0, 1.0])]
+        states = ad.stack_rows([ad.tensor([1.0, 0.0]), ad.tensor([0.0, 1.0])])
         res = M.attention_context(s, states, ad.tensor(np.eye(2)))
         e = np.e
         expected = np.array([e / (e + 1.0), 1.0 / (e + 1.0)])
@@ -365,11 +388,11 @@ class TestAttention:
 
     def test_empty_states_rejected(self):
         with pytest.raises(ValueError, match="at least one"):
-            M.attention_context(ad.tensor([1.0]), [], ad.tensor(np.eye(1)))
+            M.attention_context(ad.tensor([1.0]), ad.zeros((0, 1)), ad.tensor(np.eye(1)))
 
     def test_gradient_through_attention(self):
         rng = np.random.default_rng(6)
-        states = [ad.tensor(rng.normal(size=4)) for _ in range(3)]
+        states = ad.stack_rows([ad.tensor(rng.normal(size=4)) for _ in range(3)])
         s_prev = ad.tensor(rng.normal(size=2))
         weights = ad.tensor(rng.normal(size=4))
 
@@ -384,7 +407,7 @@ class TestAttention:
         rng = np.random.default_rng(seed)
         states = [ad.tensor(rng.normal(size=3)) for _ in range(n_states)]
         res = M.attention_context(
-            ad.tensor(rng.normal(size=2)), states, ad.tensor(rng.normal(size=(2, 3))))
+            ad.tensor(rng.normal(size=2)), ad.stack_rows(states), ad.tensor(rng.normal(size=(2, 3))))
         w = res.weights.array
         assert abs(w.sum() - 1.0) < 1e-12 and (w > 0).all()
         stacked = np.stack([s.array for s in states])
@@ -488,7 +511,7 @@ class TestDecoderInit:
         tensors["init.l0.h.w"] = ad.tensor([[1.0, 0.0]])
         tensors["init.l0.c.w"] = ad.tensor([[0.0, 1.0]])
         params = M.ModelParams(cfg, tensors)
-        blog_states = [ad.tensor([0.7, -0.3]), ad.tensor([0.2, 0.9])]
+        blog_states = ad.tensor([[0.7, -0.3], [0.2, 0.9]])
         state = M.init_decoder_state(params, blog_states, None)
         (h0, c0), = state.layers
         assert np.allclose(h0.array, np.tanh([0.2]), atol=1e-15)   # fwd half, last position
@@ -561,6 +584,49 @@ class TestDecoderStep:
         out = M.decoder_step(params, state, ex.y[0], blog, desc, v_u)
         assert len(out.state.layers) == 2
         assert out.logits.shape == (params.config.vocab_size,)
+
+
+class TestBatchedDecoderStep:
+    """A (B, .) block of decoder rows steps exactly like B one-row steps."""
+
+    @pytest.mark.parametrize("blog_layers", [1, 2])
+    @pytest.mark.parametrize("variant", sorted(M.PRESETS))
+    def test_rows_match_separate_one_row_steps(self, variant, blog_layers):
+        cfg = tiny_config(variant, blog_layers=blog_layers)
+        params = random_params(cfg, 50)
+        blog, desc, v_u, state = T.example_forward(params, tiny_example(cfg, 51))
+        rng = np.random.default_rng(52)
+        rows = 4
+
+        def block(t):
+            return None if t is None else rng.normal(size=(rows,) + t.shape)
+
+        layers = [(block(h), block(c)) for h, c in state.layers]
+        memory, users = block(state.memory), block(v_u)
+        ids = rng.integers(0, cfg.vocab_size, rows)
+
+        def step(pick, y_prev):
+            def wrap(a):
+                return None if a is None else ad.tensor(pick(a))
+
+            rows_state = M.DecoderState(
+                layers=tuple((wrap(h), wrap(c)) for h, c in layers), memory=wrap(memory), step=2,
+            )
+            return M.decoder_step(params, rows_state, y_prev, blog, desc, wrap(users))
+
+        batched = step(lambda a: a, ids)
+        assert batched.logits.shape == (rows, cfg.vocab_size)
+        assert batched.blog_attention.shape == (rows, len(blog.array))
+        for r in range(rows):
+            alone = step(lambda a: a[r], int(ids[r]))
+            pairs = [(batched.logits, alone.logits), (batched.blog_attention, alone.blog_attention)]
+            pairs += [(b, a) for bl, al in zip(batched.state.layers, alone.state.layers) for b, a in zip(bl, al)]
+            if cfg.variant.use_coattention:
+                pairs.append((batched.desc_attention, alone.desc_attention))
+            if cfg.variant.use_gated_memory:
+                pairs.append((batched.state.memory, alone.state.memory))
+            for b, a in pairs:
+                assert np.abs(b.array[r] - a.array).max() <= 1e-12
 
 
 def copy_tensor(t):
