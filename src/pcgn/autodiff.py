@@ -15,10 +15,25 @@ The primitives the decoder uses take an optional leading row axis: a 1-D
 operand is a single row, and a 2-D operand is a block of independent rows
 that share the weights (``matvec``, ``vecmat``, ``lstm_cell``,
 ``softmax``, ``log_softmax``, ``concat``, ``vslice``, ``pick``).
-``embedding_lookup`` of an id vector returns one row per id.  Beam search
-steps every live hypothesis as one such block, so each layer is one numpy
-call per step, and every row's values are bit-identical to stepping that
-row alone.
+``embedding_lookup`` of an id vector returns one row per id, ``add``
+adds a vector to every row of a block, and ``stack_rows`` stacks row
+blocks as well as vectors.  Beam search steps every live hypothesis as
+one such block, so each layer is one numpy call per step, and every row's
+values are bit-identical to stepping that row alone.
+
+A row read, ``embedding_lookup``, hands :func:`backprop` only its rows'
+gradient, which the sweep adds in place into the source's gradient
+array.  So reading a sequence's rows one step at a time costs time
+linear in its length, and a token lookup allocates no table-sized array:
+each source gets one gradient array per sweep.
+
+``softmax`` takes an optional mask: a constant boolean array of its
+input's shape, False where an entry is left out.  Left-out entries get
+weight exactly 0 and no gradient, and every row must keep at least one
+entry.  It lets rows that attend over one joined set of encoder states
+each keep only their own example's: ``training.gold_log_probs`` scores a
+block of examples that way.  Beam decoding passes no mask, since all its
+rows share one example.
 
 One finite-check rule: values are checked for NaN and infinity where they
 enter the engine and where they leave it, not inside.  They enter through
@@ -48,7 +63,6 @@ __all__ = [
     "all_finite",
     "tensor",
     "zeros",
-    "ones",
     "matmul",
     "matvec",
     "vecmat",
@@ -140,10 +154,6 @@ def tensor(values) -> Tensor:
 
 def zeros(shape) -> Tensor:
     return _wrap(np.zeros(shape, dtype=np.float64))
-
-
-def ones(shape) -> Tensor:
-    return _wrap(np.ones(shape, dtype=np.float64))
 
 
 class Tape:
@@ -315,9 +325,11 @@ def vecmat(x: Tensor, w: Tensor) -> Tensor:
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
+    """a + b for equal shapes, or a vector b added to every row of a block a."""
     av, bv = a.array, b.array
-    if av.shape != bv.shape:
-        raise ShapeError(f"add expects equal shapes, got {av.shape} and {bv.shape}")
+    per_row = av.shape != bv.shape
+    if per_row and not (av.ndim == 2 and bv.ndim == 1 and av.shape[1] == bv.shape[0]):
+        raise ShapeError(f"add expects equal shapes or a row block and a row, got {av.shape} and {bv.shape}")
     tape = _tape_of(a, b)
     out = av + bv
     if tape is None:
@@ -325,7 +337,8 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     na, nb = a.node, b.node
 
     def backward(g):
-        return (g if na is not None else None, g if nb is not None else None)
+        g_b = g.sum(axis=0) if per_row else g
+        return (g if na is not None else None, g_b if nb is not None else None)
 
     return tape._record("add", (na, nb), out, backward)
 
@@ -454,14 +467,27 @@ def lstm_cell(w_x: Tensor, w_h: Tensor, b: Tensor, x: Tensor, h_prev: Tensor, c_
     return tape._record("lstm_cell", nodes, out, backward)
 
 
-def softmax(x: Tensor) -> Tensor:
-    """Softmax of a vector, or of each row of a matrix."""
+def softmax(x: Tensor, mask: np.ndarray | None = None) -> Tensor:
+    """Softmax of a vector, or of each row of a matrix.
+
+    ``mask``, a constant boolean array of x's shape, keeps the entries
+    where it is True; the others get weight exactly 0 and no gradient.
+    Every row must keep at least one entry.
+    """
     v = x.array
     if v.ndim not in (1, 2):
         raise ShapeError(f"softmax expects a vector or row block, got shape {v.shape}")
     if v.shape[-1] == 0:
         raise ValueError("softmax of an empty vector is undefined")
-    e = np.exp(v - v.max(axis=-1, keepdims=True))
+    if mask is None:
+        e = np.exp(v - v.max(axis=-1, keepdims=True))
+    else:
+        if mask.shape != v.shape:
+            raise ShapeError(f"softmax mask has shape {mask.shape}, expected {v.shape}")
+        if not mask.any(axis=-1).all():
+            raise ValueError("softmax mask leaves a row with no entries")
+        kept = np.where(mask, v, -np.inf)
+        e = np.exp(kept - kept.max(axis=-1, keepdims=True))
     out = e / e.sum(axis=-1, keepdims=True)
     tape = _tape_of(x)
     if tape is None:
@@ -521,20 +547,27 @@ def concat(parts: Sequence[Tensor]) -> Tensor:
 
 
 def stack_rows(parts: Sequence[Tensor]) -> Tensor:
+    """Vectors as the rows of a matrix, or row blocks one under another."""
     if len(parts) == 0:
         raise ValueError("stack_rows needs at least one row")
-    width = parts[0].array.shape[0] if parts[0].array.ndim == 1 else None
+    first = parts[0].array
     for p in parts:
-        if p.array.ndim != 1 or p.array.shape[0] != width:
-            raise ShapeError("stack_rows expects equal-length vectors")
+        if p.array.ndim not in (1, 2) or p.array.ndim != first.ndim or p.array.shape[-1] != first.shape[-1]:
+            raise ShapeError("stack_rows expects equal-length vectors or row blocks of equal width")
     tape = _tape_of(*parts)
-    out = np.stack([p.array for p in parts])
+    arrays = [p.array for p in parts]
+    out = np.array(arrays) if first.ndim == 1 else np.concatenate(arrays)
     if tape is None:
         return _wrap(out)
     nodes = tuple(p.node for p in parts)
+    # Each part's first row in the output; a vector part is one row.
+    starts = np.cumsum([0] + [len(a) if a.ndim == 2 else 1 for a in arrays[:-1]]).tolist()
 
     def backward(g):
-        return tuple(g[i] if n is not None else None for i, n in enumerate(nodes))
+        return tuple(
+            None if n is None else g[s] if a.ndim == 1 else g[s : s + len(a)]
+            for n, a, s in zip(nodes, arrays, starts)
+        )
 
     return tape._record("stack_rows", nodes, out, backward)
 
@@ -567,7 +600,9 @@ def _indices(index, extent: int, what: str):
         index = np.asarray(index)
         if index.ndim != 1 or index.dtype.kind not in "iu":
             raise ShapeError(f"{what} index must be an int or a vector of ints, got {index.dtype} of shape {index.shape}")
-        in_range = index.size == 0 or (index.min() >= 0 and index.max() < extent)
+        # Only negatives need a check here: numpy's own indexing rejects
+        # indices past the extent with an IndexError.
+        in_range = index.size == 0 or index.min() >= 0
     if not in_range:
         raise IndexError(f"{what} {index} out of range for extent {extent}")
     return index
@@ -580,14 +615,13 @@ def embedding_lookup(table: Tensor, index) -> Tensor:
         raise ShapeError(f"embedding_lookup expects a matrix table, got shape {tv.shape}")
     idx = _indices(index, tv.shape[0], "row")
     tape = _tape_of(table)
-    out = tv[idx] if isinstance(idx, np.ndarray) else tv[idx].copy()  # an int index gives a view
+    many = isinstance(idx, np.ndarray)
+    out = tv.take(idx, axis=0) if many else tv[idx].copy()  # an int index gives a view
     if tape is None:
         return _wrap(out)
 
     def backward(g):
-        full = np.zeros_like(tv)
-        np.add.at(full, idx, g)
-        return (full,)
+        return (_RowGrad(idx, g, tv.shape),)
 
     return tape._record("embedding_lookup", (table.node,), out, backward)
 
@@ -647,6 +681,28 @@ def sum_all(x: Tensor) -> Tensor:
     return tape._record("sum_all", (x.node,), out, backward)
 
 
+class _RowGrad:
+    """The gradient of a row read: ``rows`` added at rows ``index`` of a
+    zero array of ``shape``.
+
+    :func:`backprop` adds it into the source's gradient in place, so a
+    read costs its own rows, not the whole source: stepping through a
+    sequence row by row stays linear in its length, and a token lookup
+    does not allocate the embedding table.
+    """
+
+    __slots__ = ("index", "rows", "shape")
+
+    def __init__(self, index, rows: np.ndarray, shape: tuple[int, ...]):
+        self.index, self.rows, self.shape = index, rows, shape
+
+    def add_to(self, acc: np.ndarray) -> None:
+        if isinstance(self.index, np.ndarray):
+            np.add.at(acc, self.index, self.rows)  # repeated ids accumulate
+        else:
+            acc[self.index] += self.rows
+
+
 def backprop(tape: Tape, output: Tensor) -> GradientSet:
     """Reverse sweep from a scalar output to every watched leaf."""
     if output.tape is not tape or output.node is None:
@@ -654,6 +710,10 @@ def backprop(tape: Tape, output: Tensor) -> GradientSet:
     if output.array.size != 1:
         raise ValueError(f"backprop requires a scalar output, got shape {output.shape}")
     acc: dict[int, np.ndarray] = {output.node: np.ones_like(output.array)}
+    # Nodes whose gradient array the sweep allocated itself.  Only those
+    # take row gradients in place: a backward may hand on the very array
+    # it received, so any other array can be shared.
+    owned: set[int] = set()
     for _name, in_nodes, out_node, backward in reversed(tape._entries):
         g = acc.get(out_node)
         if g is None:
@@ -662,7 +722,16 @@ def backprop(tape: Tape, output: Tensor) -> GradientSet:
             if nid is None or ig is None:
                 continue
             prev = acc.get(nid)
-            acc[nid] = ig if prev is None else prev + ig
+            if type(ig) is _RowGrad:
+                if nid not in owned:
+                    prev = acc[nid] = np.zeros(ig.shape) if prev is None else prev.copy()
+                    owned.add(nid)
+                ig.add_to(prev)
+            elif prev is None:
+                acc[nid] = ig
+            else:
+                acc[nid] = prev + ig
+                owned.add(nid)
     leaf_grads: dict[int, Tensor] = {}
     for nid, shape in tape._leaf_shapes.items():
         g = acc.get(nid)

@@ -122,7 +122,7 @@ class DecodeSession:
     def __init__(self, params: M.ModelParams, example):
         self.params = params
         self.config = params.config
-        blog_states, desc_states, v_u, initial = example_forward(params, example)
+        blog_states, desc_states, v_u, initial = example_forward(params, [example])
         self._blog_states, self._desc_states = blog_states, desc_states
 
         def one_row(t):

@@ -44,7 +44,6 @@ __all__ = [
     "user_embed",
     "attention_context",
     "gated_memory_step",
-    "embed_sequence",
     "encode_blog",
     "encode_description",
     "user_vector",
@@ -414,30 +413,91 @@ def lstm_step(cell: LSTMCell, x: Tensor, h_prev: Tensor, c_prev: Tensor) -> tupl
     return ad.vslice(packed, 0, hidden), ad.vslice(packed, hidden, 2 * hidden)
 
 
-def bilstm_encode(fwd_cells: Sequence[LSTMCell], bwd_cells: Sequence[LSTMCell], inputs: Sequence[Tensor]) -> list[Tensor]:
-    """Stacked bidirectional encoding; per position [h_fwd; h_bwd].
+def bilstm_encode(
+    fwd_cells: Sequence[LSTMCell],
+    bwd_cells: Sequence[LSTMCell],
+    inputs: Tensor,
+    lengths: Sequence[int] | None = None,
+) -> Tensor:
+    """Stacked bidirectional encoding of one sequence or a block of them.
 
-    Zero initial states.  Layer l+1 consumes layer l's concatenated
-    outputs.  The sequence must be non-empty.
+    ``inputs`` holds the input vectors as rows.  Without ``lengths`` they
+    are one sequence, which steps on vectors, the engine's one-row form.
+    With ``lengths`` they are a block of sequences, one after another,
+    that steps as one (B, .) row block.  Row i of the result is
+    [h_fwd; h_bwd] at input row i.  Both directions start from zero
+    states: at step t the forward direction reads every sequence's
+    position t and the backward direction its position len - 1 - t.  A
+    sequence that has ended keeps stepping on its edge input, and those
+    states are never read, so no state needs a mask.  Layer l+1 consumes
+    layer l's outputs.  Every sequence must be non-empty.
     """
-    if len(inputs) == 0:
-        raise ValueError("cannot encode an empty sequence")
     if len(fwd_cells) != len(bwd_cells) or len(fwd_cells) == 0:
         raise ValueError("encoder needs matching non-empty forward/backward stacks")
-    seq = list(inputs)
+    reads, fwd_steps, bwd_steps, fwd_rows, bwd_rows = _encoder_plan(inputs.shape[0], lengths)
+    state_shape = () if lengths is None else (len(lengths),)
+    seq = inputs
     for fwd, bwd in zip(fwd_cells, bwd_cells):
-        h = c = ad.zeros(fwd.hidden)
-        fstates = []
-        for x in seq:
-            h, c = lstm_step(fwd, x, h, c)
-            fstates.append(h)
-        h = c = ad.zeros(bwd.hidden)
-        bstates: list[Tensor | None] = [None] * len(seq)
-        for idx in range(len(seq) - 1, -1, -1):
-            h, c = lstm_step(bwd, seq[idx], h, c)
-            bstates[idx] = h
-        seq = [ad.concat([f, b]) for f, b in zip(fstates, bstates)]
+        xs = [ad.embedding_lookup(seq, rows) for rows in reads]
+        # Both directions' hidden rows, stacked step after step, the
+        # forward direction's first.
+        states = ad.stack_rows(
+            _run_direction(fwd, [xs[i] for i in fwd_steps], state_shape)
+            + _run_direction(bwd, [xs[i] for i in bwd_steps], state_shape)
+        )
+        seq = ad.concat([ad.embedding_lookup(states, fwd_rows), ad.embedding_lookup(states, bwd_rows)])
     return seq
+
+
+def _encoder_plan(rows: int, lengths: Sequence[int] | None) -> tuple:
+    """Index plan of an encoding of ``rows`` input rows, for :func:`bilstm_encode`.
+
+    Returns the sets of input rows that steps read (an int each for a
+    single sequence); per step, which set the forward and which the
+    backward direction reads; and per input row, where its forward and
+    its backward state sit among both directions' stacked step outputs.
+    """
+    if lengths is None:
+        if rows < 1:
+            raise ValueError("cannot encode an empty sequence")
+        # One sequence: step t reads row t forward and row rows - 1 - t backward.
+        steps = list(range(rows))
+        return steps, steps, steps[::-1], np.arange(rows), np.arange(2 * rows - 1, rows - 1, -1)
+    lengths = np.array(lengths, dtype=np.intp)
+    if lengths.size == 0 or lengths.min() < 1:
+        raise ValueError("cannot encode an empty sequence")
+    if lengths.sum() != rows:
+        raise ValueError(f"sequence lengths sum to {lengths.sum()}, but there are {rows} input rows")
+    n, steps = lengths.size, int(lengths.max())
+    starts = np.cumsum(lengths) - lengths
+    last = lengths - 1
+    t = np.arange(steps)[:, None]
+    reads = starts + np.minimum(t, last)   # the forward reads, steps x sequences
+    fwd_steps = list(range(steps))
+    if (lengths == steps).all():
+        # Equal lengths: the backward direction reads the forward
+        # direction's rows in reverse, so the two share their inputs.
+        bwd_steps = fwd_steps[::-1]
+    else:
+        reads = np.concatenate([reads, starts + np.maximum(last - t, 0)])
+        bwd_steps = list(range(steps, 2 * steps))
+    # The outputs stack as row step * n + sequence, the forward steps first.
+    seq_of = np.repeat(np.arange(n), lengths)
+    pos = np.arange(rows) - starts[seq_of]
+    fwd_rows = pos * n + seq_of
+    bwd_rows = (steps + last[seq_of] - pos) * n + seq_of
+    return list(reads), fwd_steps, bwd_steps, fwd_rows, bwd_rows
+
+
+def _run_direction(cell: LSTMCell, xs: list[Tensor], state_shape: tuple[int, ...]) -> list[Tensor]:
+    """One LSTM direction from zero states over the step inputs ``xs``;
+    returns every step's hidden rows."""
+    h = c = ad.zeros(state_shape + (cell.hidden,))
+    outs = []
+    for x in xs:
+        h, c = lstm_step(cell, x, h, c)
+        outs.append(h)
+    return outs
 
 
 def user_embed(w: Tensor, b: Tensor, features: Tensor) -> Tensor:
@@ -445,19 +505,20 @@ def user_embed(w: Tensor, b: Tensor, features: Tensor) -> Tensor:
     return ad.tanh(ad.add(ad.matvec(w, features), b))
 
 
-def attention_context(s_prev: Tensor, states: Tensor, w_a: Tensor) -> AttentionResult:
+def attention_context(s_prev: Tensor, states: Tensor, w_a: Tensor, mask: np.ndarray | None = None) -> AttentionResult:
     """Bilinear attention: score_j = s' W h_j, weights = softmax, context = sum.
 
     ``states`` is the encoder's (T, 2H) matrix.  ``s_prev`` is one decoder
     state or a (B, H) block of them; q = s' W is formed once, then one
     product against the states gives every row's scores and one more gives
-    the contexts.
+    the contexts.  ``mask`` (B, T), when given, limits each row to the
+    states where it is True; the rest get weight exactly 0.
     """
     if states.shape[0] == 0:
         raise ValueError("attention needs at least one encoder state")
     q = ad.vecmat(s_prev, w_a)
     scores = ad.matvec(states, q)
-    weights = ad.softmax(scores)
+    weights = ad.softmax(scores, mask)
     context = ad.vecmat(weights, states)
     return AttentionResult(context=context, weights=weights)
 
@@ -493,49 +554,64 @@ def gated_memory_step(
 # ---------------------------------------------------------------------------
 
 
-def embed_sequence(params: ModelParams, ids: Sequence[int]) -> list[Tensor]:
-    return [ad.embedding_lookup(params.embedding, i) for i in ids]
+def encode_blog(params: ModelParams, x_ids: Sequence[int], lengths: Sequence[int] | None = None) -> Tensor:
+    """The blog encoder's states as one (T, 2H) matrix, row t = [h_fwd; h_bwd].
+
+    ``x_ids`` is one blog, or a block of blogs one after another with
+    ``lengths`` their lengths; one embedding lookup reads all the ids.
+    """
+    ids = np.asarray(x_ids, dtype=np.intp)
+    return bilstm_encode(params.blog_fwd, params.blog_bwd, ad.embedding_lookup(params.embedding, ids), lengths)
 
 
-def encode_blog(params: ModelParams, x_ids: Sequence[int]) -> Tensor:
-    """The blog encoder's states as one (T, 2H) matrix, row t = [h_fwd; h_bwd]."""
-    return ad.stack_rows(bilstm_encode(params.blog_fwd, params.blog_bwd, embed_sequence(params, x_ids)))
-
-
-def encode_description(params: ModelParams, d_ids: Sequence[int]) -> Tensor:
-    """The description encoder's states as one (T, 2H) matrix."""
+def encode_description(params: ModelParams, d_ids: Sequence[int], lengths: Sequence[int] | None = None) -> Tensor:
+    """The description encoder's states as one (T, 2H) matrix; ids as for
+    :func:`encode_blog`."""
     if params.desc_fwd is None:
         raise ValueError("this variant has no description encoder")
-    return ad.stack_rows(bilstm_encode(params.desc_fwd, params.desc_bwd, embed_sequence(params, d_ids)))
+    ids = np.asarray(d_ids, dtype=np.intp)
+    return bilstm_encode(params.desc_fwd, params.desc_bwd, ad.embedding_lookup(params.embedding, ids), lengths)
 
 
 def user_vector(params: ModelParams, features: Tensor | np.ndarray) -> Tensor:
+    """v_u for one user's features, or one row per row of a (B, F) block."""
     if params.user_proj is None:
         raise ValueError("this variant has no user projection")
     if not isinstance(features, Tensor):
         features = Tensor(features)
-    if features.shape != (params.config.feature_dim,):
-        raise ad.ShapeError(
-            f"user features have shape {features.shape}, expected ({params.config.feature_dim},)"
-        )
+    feature_dim = params.config.feature_dim
+    if features.array.ndim not in (1, 2) or features.shape[-1] != feature_dim:
+        raise ad.ShapeError(f"user features have shape {features.shape}, expected ({feature_dim},) or (B, {feature_dim})")
     return user_embed(params.user_proj.w, params.user_proj.b, features)
 
 
-def init_decoder_state(params: ModelParams, blog_states: Tensor, v_u: Tensor | None) -> DecoderState:
+def init_decoder_state(
+    params: ModelParams,
+    blog_states: Tensor,
+    v_u: Tensor | None,
+    lengths: Sequence[int] | None = None,
+) -> DecoderState:
     """Initial per-layer (h, c) from the encoder's final states; M_0 = v_u.
 
-    The state is one row: a vector per layer, like every tensor of the
-    teacher-forced walk.
+    Without ``lengths``, ``blog_states`` is one example's and the state is
+    one row of vectors.  With ``lengths`` (each example's rows of
+    ``blog_states``, as for :func:`encode_blog`) the state is a block with
+    one row per example, and so is ``v_u``.
     """
     cfg = params.config
     if cfg.variant.use_gated_memory and v_u is None:
         raise ValueError("gated memory needs a user vector for M_0")
     hidden = cfg.blog_hidden
+    if lengths is None:
+        first, last = 0, blog_states.shape[0] - 1
+    else:
+        last = np.cumsum(lengths, dtype=np.intp) - 1
+        first = last - np.asarray(lengths, dtype=np.intp) + 1
     # Rows of the (T, 2H) states are [fwd; bwd]: the forward summary sits
-    # at the last position, the backward summary at the first.
+    # at an example's last position, the backward summary at its first.
     summary = ad.concat([
-        ad.vslice(ad.embedding_lookup(blog_states, blog_states.shape[0] - 1), 0, hidden),
-        ad.vslice(ad.embedding_lookup(blog_states, 0), hidden, 2 * hidden),
+        ad.vslice(ad.embedding_lookup(blog_states, last), 0, hidden),
+        ad.vslice(ad.embedding_lookup(blog_states, first), hidden, 2 * hidden),
     ])
     layers = []
     for init in params.state_init:
@@ -553,6 +629,8 @@ def decoder_step(
     blog_states: Tensor,
     desc_states: Tensor | None,
     v_u: Tensor | None,
+    blog_mask: np.ndarray | None = None,
+    desc_mask: np.ndarray | None = None,
 ) -> StepResult:
     """One teacher-forcing/decoding step: previous token ids -> next logits.
 
@@ -560,6 +638,9 @@ def decoder_step(
     independent rows ((B, .) state tensors, B ids in ``y_prev``, and a
     (B, U) ``v_u``); every row attends over the same (T, 2H) encoder
     states, and each layer is one primitive call for the whole block.
+    When the rows come from several examples, the encoder states join
+    theirs and the (B, T) masks keep each row to its own example's states
+    (see :func:`attention_context`).
     All step-t gates and attention read the previous top state; the
     memory read M_t^o joins the LSTM input, and the new top state feeds
     the output head.
@@ -576,8 +657,8 @@ def decoder_step(
         raise ValueError("user vector does not match the variant")
 
     s_prev = state.top_h
-    blog_attn = attention_context(s_prev, blog_states, params.attn_blog)
-    desc_attn = attention_context(s_prev, desc_states, params.attn_desc) if v.use_coattention else None
+    blog_attn = attention_context(s_prev, blog_states, params.attn_blog, blog_mask)
+    desc_attn = attention_context(s_prev, desc_states, params.attn_desc, desc_mask) if v.use_coattention else None
     e_prev = ad.embedding_lookup(params.embedding, y_prev)
 
     new_memory = None

@@ -1,5 +1,16 @@
 """Teacher-forced training: loss assembly, SGD with gradient clipping,
-seeded epoch loops."""
+seeded epoch loops.
+
+Every loss comes from one teacher-forced walk, :func:`gold_log_probs`,
+over a block of examples.  The block steps as one row block: the encoders
+run all its blogs (and descriptions) together, each decoder step runs one
+row per example, and each row's attention keeps only its own example's
+encoder states (a softmax mask).  A block of one example runs on vectors,
+the engine's one-row form.  ``sequence_loss`` and ``token_log_probs``
+walk one example, and ``train_epoch`` sums one ``sequence_loss`` per
+example.  ``dataset_perplexity`` walks :data:`SCORE_BLOCK` consecutive
+examples at a time (see there).
+"""
 
 from __future__ import annotations
 
@@ -19,6 +30,8 @@ from .data import EncodedExample
 __all__ = [
     "OptimizerConfig",
     "EpochStats",
+    "SCORE_BLOCK",
+    "gold_log_probs",
     "sequence_loss",
     "example_forward",
     "token_log_probs",
@@ -27,6 +40,9 @@ __all__ = [
     "dataset_perplexity",
     "fit",
 ]
+
+# Examples per teacher-forced walk in dataset_perplexity.
+SCORE_BLOCK = 16
 
 
 @dataclass(frozen=True)
@@ -45,45 +61,93 @@ class OptimizerConfig:
             raise ValueError(f"clip_norm must be positive, got {self.clip_norm}")
 
 
-def example_forward(params: M.ModelParams, example: EncodedExample):
-    """Shared encode/init work for one example.
+def _block_lengths(examples: Sequence[EncodedExample]) -> tuple[list[int] | None, list[int] | None]:
+    """Each example's blog and description lengths, for the model functions.
 
-    Returns (blog_states, desc_states, v_u, initial decoder state); each
-    encoder's states come stacked once into a (T, 2H) matrix that every
-    decoder step attends over.
+    (None, None) for a single example: the model then runs it on vectors,
+    the engine's one-row form, which costs less per op than a one-row
+    block.  Everything downstream keys on that None.
+    """
+    if len(examples) == 1:
+        return None, None
+    return [len(ex.x) for ex in examples], [len(ex.d) for ex in examples]
+
+
+def example_forward(params: M.ModelParams, examples: Sequence[EncodedExample]):
+    """Shared encode/init work for a block of examples.
+
+    Returns (blog_states, desc_states, v_u, initial decoder state).  Each
+    encoder's states are one (T, 2H) matrix holding the examples' rows one
+    after another, which every decoder step attends over; v_u and the
+    state have one row per example (vectors for a single example, see
+    :func:`_block_lengths`).
     """
     v = params.config.variant
-    blog_states = M.encode_blog(params, example.x)
-    desc_states = M.encode_description(params, example.d) if v.use_coattention else None
-    v_u = M.user_vector(params, example.f) if v.needs_user_vector else None
-    state = M.init_decoder_state(params, blog_states, v_u)
+    x_lens, d_lens = _block_lengths(examples)
+    blog_states = M.encode_blog(params, [i for ex in examples for i in ex.x], x_lens)
+    desc_states = None
+    if v.use_coattention:
+        desc_states = M.encode_description(params, [i for ex in examples for i in ex.d], d_lens)
+    v_u = None
+    if v.needs_user_vector:
+        v_u = M.user_vector(params, examples[0].f if x_lens is None else np.stack([ex.f for ex in examples]))
+    state = M.init_decoder_state(params, blog_states, v_u, x_lens)
     return blog_states, desc_states, v_u, state
 
 
-def _gold_log_probs(params: M.ModelParams, example: EncodedExample) -> list[Tensor]:
-    """Teacher-forced walk: one log-probability term per gold target.
+def _own_rows(lengths: list[int] | None) -> np.ndarray | None:
+    """(B, sum(lengths)) mask: row b keeps example b's encoder states.
 
-    Step t consumes gold token y_{t-1} and is scored on y_t.  The bos
-    anchor is input-only; the eos terminator is a scored target.
+    None for a single example (``lengths`` None), whose row keeps them all.
     """
-    blog_states, desc_states, v_u, state = example_forward(params, example)
-    terms = []
-    for t in range(1, len(example.y)):
-        result = M.decoder_step(params, state, example.y[t - 1], blog_states, desc_states, v_u)
+    if lengths is None:
+        return None
+    owner = np.repeat(np.arange(len(lengths)), lengths)
+    return owner[None, :] == np.arange(len(lengths))[:, None]
+
+
+def gold_log_probs(params: M.ModelParams, examples: Sequence[EncodedExample]) -> tuple[Tensor, np.ndarray]:
+    """One teacher-forced walk over a block: every gold target's log-probability.
+
+    Step t feeds each example its gold token y_{t-1} and scores y_t; the
+    bos anchor is input-only, the eos terminator a scored target.  An
+    example whose comment has ended keeps stepping on token 0 and is not
+    scored.  Returns (terms, owner): ``terms`` holds every example's
+    target_len log-probabilities, step after step and, within a step, in
+    example order; ``owner[j]`` is the example index of ``terms[j]``.  For
+    one example, terms are its positions in order.
+    """
+    blog_states, desc_states, v_u, state = example_forward(params, examples)
+    x_lens, d_lens = _block_lengths(examples)
+    blog_mask = _own_rows(x_lens)
+    desc_mask = None if desc_states is None else _own_rows(d_lens)
+    gold = np.zeros((len(examples), max(len(ex.y) for ex in examples)), dtype=np.intp)
+    for row, ex in zip(gold, examples):
+        row[: len(ex.y)] = ex.y
+    target_lens = np.array([len(ex.y) - 1 for ex in examples])
+    # scored[t - 1, b]: step t scores example b.
+    scored = (np.arange(1, gold.shape[1]) <= target_lens[:, None]).T
+    # A single example steps on vectors, so its inputs are ints.
+    inputs = gold[0, :-1] if x_lens is None else gold[:, :-1].T
+    logits = []
+    for prev, rows in zip(inputs, scored):
+        result = M.decoder_step(params, state, prev, blog_states, desc_states, v_u, blog_mask, desc_mask)
         state = result.state
-        terms.append(ad.pick(ad.log_softmax(result.logits), example.y[t]))
-    return terms
+        logits.append(result.logits if rows.all() else ad.embedding_lookup(result.logits, np.flatnonzero(rows)))
+    log_probs = ad.log_softmax(ad.stack_rows(logits))
+    return ad.pick(log_probs, gold[:, 1:].T[scored]), np.nonzero(scored)[1]
 
 
 def sequence_loss(params: M.ModelParams, example: EncodedExample) -> Tensor:
     """Negative log-likelihood of the gold comment, summed over positions
     (natural log)."""
-    return ad.scale(reduce(ad.add, _gold_log_probs(params, example)), -1.0)
+    terms, _ = gold_log_probs(params, [example])
+    return ad.scale(ad.sum_all(terms), -1.0)
 
 
 def token_log_probs(params: M.ModelParams, example: EncodedExample) -> np.ndarray:
     """Per-target-position gold log-probabilities (tape-free forward)."""
-    return np.array([term.item() for term in _gold_log_probs(params, example)], dtype=np.float64)
+    return gold_log_probs(params, [example])[0].array
 
 
 def sgd_update(
@@ -185,18 +249,29 @@ def train_epoch(
 def dataset_perplexity(params: M.ModelParams, dataset: Sequence[EncodedExample]) -> float:
     """exp(total NLL / total target tokens) over a dataset (tape-free).
 
-    Raises NonFiniteError naming the first example whose loss is NaN/Inf.
+    Walks :data:`SCORE_BLOCK` consecutive examples at a time through
+    :func:`gold_log_probs`.  Each example's loss sums its own terms in
+    position order, and the losses are added in dataset order.  Raises
+    NonFiniteError naming the first example whose loss is NaN/Inf, as
+    scored on its own.
     """
     if len(dataset) == 0:
         raise ValueError("cannot evaluate perplexity on an empty dataset")
     total = 0.0
     tokens = 0
-    for i, ex in enumerate(dataset):
-        loss = sequence_loss(params, ex).item()
-        if not math.isfinite(loss):
-            raise NonFiniteError(f"non-finite loss for example {i}")
-        total += loss
-        tokens += ex.target_len
+    for start in range(0, len(dataset), SCORE_BLOCK):
+        block = dataset[start : start + SCORE_BLOCK]
+        terms, owner = gold_log_probs(params, block)
+        losses = -np.bincount(owner, weights=terms.array, minlength=len(block))
+        for i, (ex, loss) in enumerate(zip(block, losses.tolist())):
+            if not math.isfinite(loss):
+                # The block's rows share its encoder states, and a NaN there
+                # reaches every row's attention context (0 * NaN), so score
+                # the examples alone to name the first bad one.
+                bad = next((j for j, e in enumerate(block) if not math.isfinite(sequence_loss(params, e).item())), i)
+                raise NonFiniteError(f"non-finite loss for example {start + bad}")
+            total += loss
+            tokens += ex.target_len
     return math.exp(total / tokens)
 
 

@@ -117,7 +117,7 @@ def nan_cell_params(params):
     """
     w_x, w_h = "blog_enc.l0.fwd.w_x", "blog_enc.l0.fwd.w_h"
     return params.with_tensors({
-        "embedding": ad.ones(params.embedding.shape),
+        "embedding": ad.tensor(np.ones(params.embedding.shape)),
         w_x: ad.tensor(np.full(params.tensor(w_x).shape, 1e308)),
         w_h: ad.tensor(np.full(params.tensor(w_h).shape, -1e308)),
     })

@@ -4,11 +4,18 @@ Everything here is written gate-by-gate with plain numpy and explicit
 loops, on purpose: it must not share code paths with the package's tensor
 primitives, so agreement between the two is evidence of correctness rather
 than tautology.  Parameter arrays are read through the public name table.
+
+The one exception is :func:`per_example_walk`: the teacher-forced walk
+the package used before it scored blocks of examples, kept on the tensor
+primitives so that its gradients can be compared with the block walk's.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from pcgn import autodiff as ad
+from pcgn import model as M
 
 
 def sig(v):
@@ -127,6 +134,45 @@ def reference_step_scores(params, example):
 
 def reference_loss(params, example) -> float:
     return float(-reference_step_scores(params, example).sum())
+
+
+def _encode_one(params, fwd_cells, bwd_cells, ids):
+    """One sequence through a stacked bidirectional encoder, one vector per
+    step and one embedding lookup per token; returns the (T, 2H) states."""
+    seq = [ad.embedding_lookup(params.embedding, i) for i in ids]
+    for fwd, bwd in zip(fwd_cells, bwd_cells):
+        h = c = ad.zeros(fwd.hidden)
+        fstates = []
+        for x in seq:
+            h, c = M.lstm_step(fwd, x, h, c)
+            fstates.append(h)
+        h = c = ad.zeros(bwd.hidden)
+        bstates = [None] * len(seq)
+        for idx in range(len(seq) - 1, -1, -1):
+            h, c = M.lstm_step(bwd, seq[idx], h, c)
+            bstates[idx] = h
+        seq = [ad.concat([f, b]) for f, b in zip(fstates, bstates)]
+    return ad.stack_rows(seq)
+
+
+def per_example_walk(params, example):
+    """Teacher-forced walk of one example on vectors: one log-probability
+    tensor per gold target.
+
+    Step t consumes gold token y_{t-1} and is scored on y_t.  Run under a
+    tape, it gives the reference gradients for ``training.gold_log_probs``.
+    """
+    v = params.config.variant
+    blog = _encode_one(params, params.blog_fwd, params.blog_bwd, example.x)
+    desc = _encode_one(params, params.desc_fwd, params.desc_bwd, example.d) if v.use_coattention else None
+    v_u = M.user_vector(params, example.f) if v.needs_user_vector else None
+    state = M.init_decoder_state(params, blog, v_u)
+    terms = []
+    for t in range(1, len(example.y)):
+        result = M.decoder_step(params, state, example.y[t - 1], blog, desc, v_u)
+        state = result.state
+        terms.append(ad.pick(ad.log_softmax(result.logits), example.y[t]))
+    return terms
 
 
 def enumerate_finished(step_fn, initial_state, bos_id, eos_id, vocab_size, max_len):

@@ -88,6 +88,8 @@ class TestForwardValues:
     def test_stack_rows(self):
         out = ad.stack_rows([ad.tensor([1.0, 2.0]), ad.tensor([3.0, 4.0])])
         assert np.array_equal(out.array, [[1.0, 2.0], [3.0, 4.0]])
+        blocks = ad.stack_rows([ad.tensor([[1.0, 2.0]]), ad.tensor([[3.0, 4.0], [5.0, 6.0]])])
+        assert np.array_equal(blocks.array, [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
 
     def test_embedding_lookup_copies_row(self):
         table = ad.tensor(np.arange(12.0).reshape(4, 3))
@@ -104,11 +106,11 @@ class TestForwardValues:
         a, b = ad.tensor([2.0, 3.0]), ad.tensor([5.0, -1.0])
         assert np.array_equal(ad.hadamard(a, b).array, [10.0, -3.0])
         assert np.array_equal(ad.add(a, b).array, [7.0, 2.0])
+        assert np.array_equal(ad.add(ad.tensor([[1.0, 1.0], [2.0, 2.0]]), b).array, [[6.0, 0.0], [7.0, 1.0]])
         assert np.array_equal(ad.scale(a, -2.0).array, [-4.0, -6.0])
 
-    def test_zeros_ones_helpers(self):
+    def test_zeros_helper(self):
         assert np.array_equal(ad.zeros((2, 2)).array, np.zeros((2, 2)))
-        assert np.array_equal(ad.ones(3).array, np.ones(3))
 
 
 class TestGradientHandValues:
@@ -133,6 +135,29 @@ class TestGradientHandValues:
         expected[2] = 1.0
         assert np.array_equal(g, expected)
 
+    def test_row_reads_accumulate_with_dense_gradients(self):
+        table = np.arange(15.0).reshape(5, 3)
+        g = grad_of(
+            lambda t: ad.add(
+                ad.add(ad.sum_all(ad.embedding_lookup(t, [1, 1, 3])), ad.sum_all(ad.embedding_lookup(t, 1))),
+                ad.sum_all(ad.hadamard(t, t)),
+            ),
+            table,
+        )
+        counts = np.array([0.0, 3.0, 0.0, 1.0, 0.0])[:, None]
+        assert np.array_equal(g, counts + 2.0 * table)
+
+    def test_row_read_leaves_a_shared_gradient_array_alone(self):
+        # add hands the same gradient array to both inputs; the row read of
+        # p must not add into it, or q's gradient changes too.
+        def f(x):
+            p, q = ad.scale(x, 1.0), ad.scale(x, 2.0)
+            row = ad.embedding_lookup(p, 0)
+            return ad.add(ad.sum_all(ad.add(p, q)), ad.sum_all(row))
+
+        g = grad_of(f, np.zeros((3, 2)))
+        assert np.array_equal(g, [[4.0, 4.0], [3.0, 3.0], [3.0, 3.0]])
+
     def test_reused_operand_accumulates(self):
         g = grad_of(lambda x: ad.sum_all(ad.add(x, x)), [1.0, 2.0])
         assert np.array_equal(g, [2.0, 2.0])
@@ -153,6 +178,17 @@ class TestGradientHandValues:
     def test_vslice_scatter_gradient(self):
         g = grad_of(lambda x: ad.sum_all(ad.vslice(x, 1, 3)), np.zeros(4))
         assert np.array_equal(g, [0.0, 1.0, 1.0, 0.0])
+
+    def test_masked_softmax_weights_are_exactly_zero(self):
+        x = np.array([[0.3, -1.2, 2.5, 0.0], [4.0, 1.0, -2.0, 0.5]])
+        mask = np.array([[True, False, True, False], [False, True, True, True]])
+        out = ad.softmax(ad.tensor(x), mask).array
+        assert (out[~mask] == 0.0).all()
+        for row in range(2):
+            kept = ad.softmax(ad.tensor(x[row][mask[row]])).array
+            assert np.array_equal(out[row][mask[row]], kept)
+        g = grad_of(lambda t: ad.sum_all(ad.hadamard(ad.softmax(t, mask), ad.tensor(x))), x)
+        assert (g[~mask] == 0.0).all()
 
     def test_softmax_gradient_sums_to_zero(self):
         r = ad.tensor([0.4, -1.0, 2.0])
@@ -198,10 +234,16 @@ def _fd_cases(name, rng):
             (lambda t: ad.sum_all(ad.hadamard(ad.vecmat(ad.tensor(xs), t), mix)), w),
         ]
     if name == "add":
-        (n,) = dims()
+        n, rows = dims(2)
         other = ad.tensor(rng.normal(size=n))
         weights = ad.tensor(rng.normal(size=n))
-        return [(lambda t: ad.dot(ad.add(t, other), weights), rng.normal(size=n))]
+        block = ad.tensor(rng.normal(size=(rows, n)))
+        mix = ad.tensor(rng.normal(size=(rows, n)))
+        return [
+            (lambda t: ad.dot(ad.add(t, other), weights), rng.normal(size=n)),
+            (lambda t: ad.sum_all(ad.hadamard(ad.add(block, t), mix)), rng.normal(size=n)),
+            (lambda t: ad.sum_all(ad.hadamard(ad.add(t, other), mix)), rng.normal(size=(rows, n))),
+        ]
     if name == "scale":
         (n,) = dims()
         c = float(rng.normal())
@@ -227,10 +269,21 @@ def _fd_cases(name, rng):
         n, rows = dims(2)
         weights = ad.tensor(rng.normal(size=n))
         mix = ad.tensor(rng.normal(size=(rows, n)))
-        return [
+        cases = [
             (lambda t: ad.dot(op(t), weights), rng.normal(size=n)),
             (lambda t: ad.sum_all(ad.hadamard(op(t), mix)), rng.normal(size=(rows, n))),
         ]
+        if name == "softmax":
+            # Random masks that keep at least one entry per row.
+            mask = rng.random(n) < 0.5
+            mask[rng.integers(0, n)] = True
+            masks = rng.random((rows, n)) < 0.5
+            masks[np.arange(rows), rng.integers(0, n, rows)] = True
+            cases += [
+                (lambda t: ad.dot(ad.softmax(t, mask), weights), rng.normal(size=n)),
+                (lambda t: ad.sum_all(ad.hadamard(ad.softmax(t, masks), mix)), rng.normal(size=(rows, n))),
+            ]
+        return cases
     if name == "concat":
         a, b, rows = dims(3)
         left = ad.tensor(rng.normal(size=a))
@@ -243,10 +296,14 @@ def _fd_cases(name, rng):
             (lambda t: ad.sum_all(ad.hadamard(ad.concat([left_rows, t, left_rows]), mix)), rng.normal(size=(rows, b))),
         ]
     if name == "stack_rows":
-        (n,) = dims()
+        n, rows = dims(2)
         other = ad.tensor(rng.normal(size=n))
         mix = ad.tensor(rng.normal(size=(n, 2)))
-        return [(lambda t: ad.sum_all(ad.matmul(ad.stack_rows([t, other]), mix)), rng.normal(size=n))]
+        other_rows = ad.tensor(rng.normal(size=(2, n)))
+        return [
+            (lambda t: ad.sum_all(ad.matmul(ad.stack_rows([t, other]), mix)), rng.normal(size=n)),
+            (lambda t: ad.sum_all(ad.matmul(ad.stack_rows([other_rows, t, other_rows]), mix)), rng.normal(size=(rows, n))),
+        ]
     if name == "vslice":
         n = int(rng.integers(2, 9))
         start = int(rng.integers(0, n - 1))
@@ -401,6 +458,10 @@ class TestErrors:
     def test_add_shape_mismatch(self):
         with pytest.raises(ad.ShapeError):
             ad.add(ad.tensor([1.0]), ad.tensor([1.0, 2.0]))
+        with pytest.raises(ad.ShapeError):
+            ad.add(ad.tensor(np.zeros((2, 3))), ad.tensor(np.zeros(2)))
+        with pytest.raises(ad.ShapeError):
+            ad.add(ad.tensor(np.zeros(3)), ad.tensor(np.zeros((2, 3))))
 
     def test_softmax_rejects_empty_rows_and_3d(self):
         for op in (ad.softmax, ad.log_softmax):
@@ -410,6 +471,13 @@ class TestErrors:
                 op(ad.tensor(np.zeros((2, 0))))
             with pytest.raises(ad.ShapeError):
                 op(ad.tensor(np.zeros((2, 2, 2))))
+
+    def test_softmax_mask_must_keep_an_entry_per_row(self):
+        x = ad.tensor(np.zeros((2, 3)))
+        with pytest.raises(ValueError, match="no entries"):
+            ad.softmax(x, np.array([[True, False, False], [False, False, False]]))
+        with pytest.raises(ad.ShapeError):
+            ad.softmax(x, np.ones(3, dtype=bool))
 
     def test_concat_rejects_empty_list_and_mismatched_rows(self):
         with pytest.raises(ValueError):

@@ -321,20 +321,19 @@ class TestBiLSTM:
         rng = np.random.default_rng(1)
         fwd = [random_cell(rng, 3, 4), random_cell(rng, 8, 4)]
         bwd = [random_cell(rng, 3, 4), random_cell(rng, 8, 4)]
-        inputs = [ad.tensor(rng.normal(size=3)) for _ in range(5)]
+        inputs = ad.tensor(rng.normal(size=(5, 3)))
         states = M.bilstm_encode(fwd, bwd, inputs)
-        assert len(states) == 5
-        assert all(s.shape == (8,) for s in states)
+        assert states.shape == (5, 8)
 
     def test_direction_symmetry_under_reversal(self):
         rng = np.random.default_rng(2)
         f_cell, b_cell = random_cell(rng, 3, 4), random_cell(rng, 3, 4)
-        inputs = [ad.tensor(rng.normal(size=3)) for _ in range(4)]
-        states = M.bilstm_encode([f_cell], [b_cell], inputs)
-        swapped = M.bilstm_encode([b_cell], [f_cell], list(reversed(inputs)))
+        inputs = rng.normal(size=(4, 3))
+        states = M.bilstm_encode([f_cell], [b_cell], ad.tensor(inputs))
+        swapped = M.bilstm_encode([b_cell], [f_cell], ad.tensor(inputs[::-1]))
         for t in range(4):
-            orig = states[t].array
-            mirror = swapped[3 - t].array
+            orig = states.array[t]
+            mirror = swapped.array[3 - t]
             assert np.array_equal(orig[:4], mirror[4:])
             assert np.array_equal(orig[4:], mirror[:4])
 
@@ -342,7 +341,9 @@ class TestBiLSTM:
         rng = np.random.default_rng(3)
         cells = [random_cell(rng, 3, 4)]
         with pytest.raises(ValueError, match="empty"):
-            M.bilstm_encode(cells, cells, [])
+            M.bilstm_encode(cells, cells, ad.zeros((0, 3)))
+        with pytest.raises(ValueError, match="empty"):
+            M.bilstm_encode(cells, cells, ad.zeros((2, 3)), [2, 0])
 
     def test_matches_reference(self):
         cfg = tiny_config("Seq2Seq", blog_layers=2)
@@ -594,7 +595,7 @@ class TestBatchedDecoderStep:
     def test_rows_match_separate_one_row_steps(self, variant, blog_layers):
         cfg = tiny_config(variant, blog_layers=blog_layers)
         params = random_params(cfg, 50)
-        blog, desc, v_u, state = T.example_forward(params, tiny_example(cfg, 51))
+        blog, desc, v_u, state = T.example_forward(params, [tiny_example(cfg, 51)])
         rng = np.random.default_rng(52)
         rows = 4
 

@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import base64
+import dataclasses
 import json
 import math
 import zlib
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -76,11 +78,128 @@ class TestSequenceLoss:
         assert np.allclose(got, want, atol=1e-10)
 
 
+# (blog, comment body, description) lengths of the block-walk examples: the
+# first has a one-token blog and description and a target that is only eos.
+RAGGED = ((1, 0, 1), (4, 3, 2), (2, 5, 1), (5, 1, 3), (3, 2, 4), (1, 4, 2), (6, 0, 1))
+
+
+def ragged_examples(cfg, count, seed=0):
+    return [
+        tiny_example(cfg, seed=seed + i, x_len=x_len, y_len=y_len, d_len=d_len)
+        for i, (x_len, y_len, d_len) in enumerate(RAGGED[:count])
+    ]
+
+
+def block_losses(params, examples):
+    terms, owner = T.gold_log_probs(params, examples)
+    return -np.bincount(owner, weights=terms.array, minlength=len(examples))
+
+
+class TestBlockWalk:
+    """The block walk against the per-example walk it replaced."""
+
+    @pytest.mark.parametrize("block", [1, 3, 7])
+    @pytest.mark.parametrize("layers", [1, 2])
+    @pytest.mark.parametrize("variant", sorted(M.PRESETS))
+    def test_matches_per_example_reference(self, variant, layers, block):
+        cfg = tiny_config(variant, blog_layers=layers)
+        params = random_params(cfg, seed=zlib.crc32(f"{variant}/{layers}/{block}".encode()))
+        examples = ragged_examples(cfg, block)
+        # Distinct weights per example, so a gradient credited to the wrong
+        # example shows.
+        weights = 1.0 + 0.5 * np.arange(block)
+
+        tape = ad.Tape()
+        watched = {name: tape.watch(t) for name, t in params.named_parameters()}
+        terms, owner = T.gold_log_probs(params.with_tensors(watched), examples)
+        objective = ad.dot(terms, ad.tensor(-weights[owner]))
+        grads = ad.backprop(tape, objective)
+
+        want_losses = []
+        want_grads = {name: np.zeros(t.shape) for name, t in params.named_parameters()}
+        for ex, w in zip(examples, weights):
+            tape = ad.Tape()
+            ref_watched = {name: tape.watch(t) for name, t in params.named_parameters()}
+            ref_terms = oracle.per_example_walk(params.with_tensors(ref_watched), ex)
+            loss = ad.scale(reduce(ad.add, ref_terms), -1.0)
+            want_losses.append(loss.item())
+            ref_grads = ad.backprop(tape, loss)
+            for name, leaf in ref_watched.items():
+                want_grads[name] += w * ref_grads[leaf].array
+
+        got_losses = -np.bincount(owner, weights=terms.array, minlength=block)
+        assert np.abs(got_losses - want_losses).max() <= 1e-10
+        for name, leaf in watched.items():
+            want = want_grads[name]
+            gap = np.abs(grads[leaf].array - want).max()
+            assert gap <= 1e-10 * max(1.0, np.abs(want).max()), f"{name}: gap {gap:.3e}"
+
+    @pytest.mark.parametrize("variant", ["Seq2Seq", "PCGN"])
+    def test_row_loss_ignores_block_neighbours(self, variant):
+        cfg = tiny_config(variant, blog_layers=2)
+        params = random_params(cfg, 61)
+        examples = ragged_examples(cfg, 7, seed=100)
+        alone = [block_losses(params, [ex])[0] for ex in examples]
+        for block in (examples, examples[::-1], examples[2:5], [examples[4], examples[0]]):
+            got = block_losses(params, block)
+            for ex, loss in zip(block, got):
+                want = alone[examples.index(ex)]
+                assert abs(loss - want) <= 1e-12 * max(1.0, abs(want))
+
+    def test_terms_of_one_example_are_its_positions(self):
+        cfg = tiny_config("PCGN")
+        params = random_params(cfg, 62)
+        ex = tiny_example(cfg, 63, y_len=4)
+        terms, owner = T.gold_log_probs(params, [ex])
+        assert np.array_equal(owner, np.zeros(ex.target_len))
+        assert np.allclose(terms.array, oracle.reference_step_scores(params, ex), atol=1e-10)
+
+
+class TestBlockedPerplexity:
+    def test_spans_blocks_in_dataset_order(self):
+        cfg = tiny_config("PCGN")
+        params = random_params(cfg, 64)
+        dataset = [ex for seed in range(3) for ex in ragged_examples(cfg, 7, seed=10 * seed)]
+        assert len(dataset) > T.SCORE_BLOCK
+        total = sum(oracle.reference_loss(params, ex) for ex in dataset)
+        tokens = sum(ex.target_len for ex in dataset)
+        want = math.exp(total / tokens)
+        assert abs(T.dataset_perplexity(params, dataset) - want) <= 1e-12 * want
+
+    @pytest.mark.parametrize("bad", [3, T.SCORE_BLOCK + 1])
+    def test_nonfinite_loss_names_the_example(self, bad):
+        # Blog (9, 9, ...) drives the forward blog cell's W_x x to +inf at
+        # both steps and, from the second on, W_h h to -inf: their sum is
+        # NaN.  Other blogs keep W_x x finite.  The NaN states of that one
+        # example sit among the block's shared encoder states.
+        cfg = tiny_config("PCGN")
+        params = random_params(cfg, 65)
+        embedding = params.embedding.array.copy()
+        embedding[9] = 1e308
+        cell = "blog_enc.l0.fwd"
+        broken = params.with_tensors({
+            "embedding": ad.tensor(embedding),
+            f"{cell}.w_x": ad.tensor(np.full(params.tensor(f"{cell}.w_x").shape, 2.0)),
+            f"{cell}.w_h": ad.tensor(np.full(params.tensor(f"{cell}.w_h").shape, -1e308)),
+        })
+        body = (cfg.bos_id, 4, 5, cfg.eos_id)
+        dataset = [
+            dataclasses.replace(tiny_example(cfg, i), x=(4, 5, 6), y=body, d=(5, 6))
+            for i in range(T.SCORE_BLOCK + 3)
+        ]
+        dataset[bad] = dataclasses.replace(dataset[bad], x=(9, 9, 4))
+        with np.errstate(all="ignore"):
+            assert math.isnan(T.sequence_loss(broken, dataset[bad]).item())
+            assert math.isfinite(T.sequence_loss(broken, dataset[0]).item())
+            with pytest.raises(ad.NonFiniteError, match=f"non-finite loss for example {bad}$"):
+                T.dataset_perplexity(broken, dataset)
+
+
 class TestSGD:
     def setup_params(self):
         cfg = tiny_config("Seq2Seq", vocab_size=10, embed_dim=3)
         params = random_params(cfg, 9)
-        return params.with_tensors({"embedding": ad.ones((10, 3))})
+        return params.with_tensors({"embedding": ad.tensor(np.ones((10, 3)))})
 
     def zero_grads(self, params):
         return {name: ad.zeros(t.shape) for name, t in params.named_parameters()}
