@@ -63,7 +63,6 @@ __all__ = [
     "all_finite",
     "tensor",
     "zeros",
-    "matmul",
     "matvec",
     "vecmat",
     "add",
@@ -236,27 +235,6 @@ def _tape_of(*operands: Tensor) -> "Tape | None":
 # tape is involved) records a backward closure returning one gradient array
 # per input, aligned positionally; None marks inputs that need no gradient.
 # ---------------------------------------------------------------------------
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    av, bv = a.array, b.array
-    if av.ndim != 2 or bv.ndim != 2:
-        raise ShapeError(f"matmul expects two matrices, got shapes {av.shape} and {bv.shape}")
-    if av.shape[1] != bv.shape[0]:
-        raise ShapeError(f"matmul inner extents differ: {av.shape} x {bv.shape}")
-    tape = _tape_of(a, b)
-    out = av @ bv
-    if tape is None:
-        return _wrap(out)
-    na, nb = a.node, b.node
-
-    def backward(g):
-        return (
-            g @ bv.T if na is not None else None,
-            av.T @ g if nb is not None else None,
-        )
-
-    return tape._record("matmul", (na, nb), out, backward)
 
 
 # Row blocks are multiplied as one matrix-vector product per row, in a

@@ -31,6 +31,7 @@ from .checkpoint import (
     save_checkpoint,
 )
 from .data import (
+    UNK_ID,
     DataError,
     FeatureSchema,
     RawRecord,
@@ -44,6 +45,7 @@ from .data import (
     fit_schema,
     parse_dataset,
     parse_record,
+    record_to_dict,
     split_by_blog,
 )
 from .decoding import DecodeConfig, DecodeInput, beam_search
@@ -137,11 +139,11 @@ def _coerce(key: str, raw):
     if not isinstance(raw, str):
         return raw
     try:
-        if kind in ("int", int):
+        if kind == "int":
             return int(raw)
-        if kind in ("float", float):
+        if kind == "float":
             return float(raw)
-        if kind in ("bool", bool):
+        if kind == "bool":
             low = raw.lower()
             if low in ("1", "true", "yes", "on"):
                 return True
@@ -200,22 +202,6 @@ def _out_dir(cfg: RunConfig, fallback: str) -> Path:
     return path
 
 
-def _record_to_json(r: RawRecord) -> str:
-    obj = {
-        "blog": " ".join(r.blog_tokens),
-        "comment": " ".join(r.comment_tokens),
-        "user_id": r.user_id,
-        "province": r.province,
-        "city": r.city,
-        "gender": r.gender,
-        "age": r.age,
-        "marital_status": r.marital_status,
-        "description": " ".join(r.description_tokens),
-        "common_words": list(r.common_words),
-    }
-    return json.dumps(obj, sort_keys=True)
-
-
 def _profile_record(obj: dict) -> RawRecord:
     """A RawRecord carrying only profile fields (for featurize/description)."""
     merged = {"blog": "", "comment": "", **obj}
@@ -259,22 +245,16 @@ def cmd_prepare(cfg: RunConfig) -> int:
     for name, split in (("train", train), ("dev", dev), ("test", test)):
         with atomic_write(out / f"{name}.jsonl") as fh:
             for r in split:
-                fh.write(_record_to_json(r) + "\n")
+                fh.write(json.dumps(record_to_dict(r), sort_keys=True) + "\n")
     _write_json(out / "vocab.json", vocab.to_dict())
     _write_json(out / "schema.json", schema.to_dict())
 
     users: dict[str, dict] = {}
     for r in records:
-        users.setdefault(r.user_id, {
-            "user_id": r.user_id,
-            "province": r.province,
-            "city": r.city,
-            "gender": r.gender,
-            "age": r.age,
-            "marital_status": r.marital_status,
-            "description": " ".join(r.description_tokens),
-            "common_words": list(r.common_words),
-        })
+        if r.user_id not in users:
+            profile = record_to_dict(r)
+            del profile["blog"], profile["comment"]
+            users[r.user_id] = profile
     _write_json(out / "users.json", users)
 
     counts = {
@@ -303,7 +283,8 @@ def cmd_prepare(cfg: RunConfig) -> int:
         for label, key in (("Users", "users"), ("Comments", "comments"), ("Microblogs", "microblogs"))
     ]
     table = _format_table(headers, rows)
-    (out / "report.txt").write_text(table, encoding="utf-8")
+    with atomic_write(out / "report.txt") as fh:
+        fh.write(table)
     sys.stdout.write(table)
     print(f"prepared {len(records)} records -> {out}")
     return 0
@@ -437,7 +418,7 @@ def _load_users_file(data_dir) -> dict[str, dict]:
 
 def _decode_input(profile: RawRecord, blog_ids, vocab: Vocab, schema: FeatureSchema) -> DecodeInput:
     d_tokens = augment_common_words(profile, 0)
-    d_ids = vocab.encode(d_tokens) or [vocab.unk_id]
+    d_ids = vocab.encode(d_tokens) or [UNK_ID]
     return DecodeInput(
         x=tuple(blog_ids),
         f=featurize_user(profile, schema),
@@ -647,7 +628,8 @@ def cmd_ablate(cfg: RunConfig) -> int:
         for r in rows
     ]
     table = _format_table(headers, table_rows)
-    (out / "ablation.txt").write_text(table, encoding="utf-8")
+    with atomic_write(out / "ablation.txt") as fh:
+        fh.write(table)
     sys.stdout.write(table)
     return 0
 
@@ -666,7 +648,7 @@ def _add_cfg_flags(parser: argparse.ArgumentParser, names: list[str]) -> None:
     for name in names:
         kind = _CONFIG_FIELDS[name]
         flag = "--" + name.replace("_", "-")
-        if kind in ("bool", bool):
+        if kind == "bool":
             parser.add_argument(flag, dest=name, action="store_true", default=argparse.SUPPRESS)
         else:
             parser.add_argument(flag, dest=name, default=argparse.SUPPRESS)

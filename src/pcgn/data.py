@@ -27,6 +27,7 @@ __all__ = [
     "CATEGORICAL_FIELDS",
     "parse_dataset",
     "parse_record",
+    "record_to_dict",
     "filter_records",
     "build_vocab",
     "fit_schema",
@@ -134,6 +135,22 @@ def parse_record(obj: dict, lineno: int = 0) -> RawRecord:
         raise DataError(f"line {lineno}: {err}") from None
 
 
+def record_to_dict(r: RawRecord) -> dict:
+    """The JSON object of one record; ``parse_record`` reads it back."""
+    return {
+        "blog": " ".join(r.blog_tokens),
+        "comment": " ".join(r.comment_tokens),
+        "user_id": r.user_id,
+        "province": r.province,
+        "city": r.city,
+        "gender": r.gender,
+        "age": r.age,
+        "marital_status": r.marital_status,
+        "description": " ".join(r.description_tokens),
+        "common_words": list(r.common_words),
+    }
+
+
 def parse_dataset(path) -> list[RawRecord]:
     """Read line-delimited JSON records; blank lines are skipped.
 
@@ -178,11 +195,6 @@ class Vocab:
 
     tokens: tuple[str, ...]
     index: dict[str, int] = field(compare=False, repr=False, default_factory=dict)
-
-    pad_id = PAD_ID
-    unk_id = UNK_ID
-    bos_id = BOS_ID
-    eos_id = EOS_ID
 
     def __post_init__(self):
         if tuple(self.tokens[:4]) != SPECIAL_TOKENS:

@@ -19,7 +19,7 @@ flag subset of the full model (see :data:`PRESETS`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -49,12 +49,7 @@ __all__ = [
     "user_vector",
     "init_decoder_state",
     "decoder_step",
-    "GATE_BLOCKS",
 ]
-
-# Row-block order inside every packed LSTM parameter: input, forget,
-# candidate, output gates, each a hidden-size slab.
-GATE_BLOCKS = ("input", "forget", "candidate", "output")
 
 
 @dataclass(frozen=True)
@@ -74,17 +69,6 @@ class Variant:
     def needs_user_vector(self) -> bool:
         return self.use_user_embedding or self.use_gated_memory or self.use_external
 
-    @property
-    def needs_description(self) -> bool:
-        return self.use_coattention
-
-    def flags(self) -> dict[str, bool]:
-        return {
-            "use_user_embedding": self.use_user_embedding,
-            "use_gated_memory": self.use_gated_memory,
-            "use_coattention": self.use_coattention,
-            "use_external": self.use_external,
-        }
 
 
 _PCGN = Variant(use_gated_memory=True, use_coattention=True, use_external=True)
@@ -180,21 +164,7 @@ class ModelConfig:
         return dim
 
     def to_dict(self) -> dict:
-        return {
-            "vocab_size": self.vocab_size,
-            "feature_dim": self.feature_dim,
-            "variant": self.variant.flags(),
-            "embed_dim": self.embed_dim,
-            "blog_hidden": self.blog_hidden,
-            "blog_layers": self.blog_layers,
-            "desc_hidden": self.desc_hidden,
-            "desc_layers": self.desc_layers,
-            "user_dim": self.user_dim,
-            "pad_id": self.pad_id,
-            "unk_id": self.unk_id,
-            "bos_id": self.bos_id,
-            "eos_id": self.eos_id,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, obj: dict) -> "ModelConfig":
@@ -205,7 +175,8 @@ class ModelConfig:
 
 @dataclass
 class LSTMCell:
-    """Packed single-cell parameters; rows follow GATE_BLOCKS."""
+    """Packed single-cell parameters: the rows hold the input, forget,
+    candidate and output gates, in that order, each a hidden-size slab."""
 
     w_x: Tensor  # (4H, in_dim)
     w_h: Tensor  # (4H, H)
@@ -274,7 +245,7 @@ def param_spec(config: ModelConfig) -> list[tuple[str, tuple[int, ...]]]:
         cell(f"blog_enc.l{layer}.bwd", in_dim, config.blog_hidden)
         in_dim = 2 * config.blog_hidden
 
-    if v.needs_description:
+    if v.use_coattention:
         in_dim = config.embed_dim
         for layer in range(config.desc_layers):
             cell(f"desc_enc.l{layer}.fwd", in_dim, config.desc_hidden)
@@ -347,8 +318,8 @@ class ModelParams:
         self.embedding = t["embedding"]
         self.blog_fwd = [self._cell(f"blog_enc.l{i}.fwd") for i in range(cfg.blog_layers)]
         self.blog_bwd = [self._cell(f"blog_enc.l{i}.bwd") for i in range(cfg.blog_layers)]
-        self.desc_fwd = [self._cell(f"desc_enc.l{i}.fwd") for i in range(cfg.desc_layers)] if v.needs_description else None
-        self.desc_bwd = [self._cell(f"desc_enc.l{i}.bwd") for i in range(cfg.desc_layers)] if v.needs_description else None
+        self.desc_fwd = [self._cell(f"desc_enc.l{i}.fwd") for i in range(cfg.desc_layers)] if v.use_coattention else None
+        self.desc_bwd = [self._cell(f"desc_enc.l{i}.bwd") for i in range(cfg.desc_layers)] if v.use_coattention else None
         self.user_proj = Affine(t["user_proj.w"], t["user_proj.b"]) if v.needs_user_vector else None
         self.attn_blog = t["attn_blog"]
         self.attn_desc = t["attn_desc"] if v.use_coattention else None
@@ -377,9 +348,6 @@ class ModelParams:
         merged.update(tensors)
         return ModelParams(self.config, merged)
 
-    @property
-    def n_parameters(self) -> int:
-        return sum(t.size for t in self._tensors.values())
 
 
 def build_model(config: ModelConfig, seed: int) -> ModelParams:

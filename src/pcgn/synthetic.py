@@ -19,13 +19,11 @@ from .data import RawRecord
 __all__ = [
     "synthetic_records",
     "USER_TOKEN_INDEX",
-    "TOPIC_TOKEN_INDEX",
     "SIGNATURE_WORDS",
 ]
 
 # Comment template: ("so", <signature>, "this", <topic>).
 USER_TOKEN_INDEX = 1
-TOPIC_TOKEN_INDEX = 3
 
 SIGNATURE_WORDS = (
     "sunny", "mellow", "spicy", "brisk", "gloomy", "vivid", "quiet", "fancy",

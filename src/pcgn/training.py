@@ -154,7 +154,7 @@ def sgd_update(
     params: M.ModelParams,
     grads: dict[str, Tensor],
     lr: float,
-    clip_norm: float | None = 5.0,
+    clip_norm: float = 5.0,
 ) -> M.ModelParams:
     """One plain SGD step with global-norm clipping.
 
@@ -172,7 +172,7 @@ def sgd_update(
                 raise NonFiniteError(f"non-finite gradient for parameter {name!r}")
             sq_sum += total
     norm = math.sqrt(sq_sum)
-    if clip_norm is None or norm <= clip_norm:
+    if norm <= clip_norm:
         factor = 1.0
     elif math.isfinite(norm):
         factor = clip_norm / norm

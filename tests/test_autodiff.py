@@ -27,16 +27,6 @@ def grad_of(f, theta_values):
 
 
 class TestForwardValues:
-    def test_matmul_hand_value(self):
-        out = ad.matmul(ad.tensor([[1.0, 2.0]]), ad.tensor([[3.0], [4.0]]))
-        assert out.array.shape == (1, 1)
-        assert out.item() == 11.0
-
-    def test_matmul_identity(self):
-        a = np.arange(6.0).reshape(2, 3)
-        out = ad.matmul(ad.tensor(a), ad.tensor(np.eye(3)))
-        assert np.array_equal(out.array, a)
-
     def test_matvec_hand_value(self):
         out = ad.matvec(ad.tensor([[1.0, 0.0], [1.0, 1.0]]), ad.tensor([2.0, 3.0]))
         assert np.array_equal(out.array, [2.0, 5.0])
@@ -206,13 +196,6 @@ def _fd_cases(name, rng):
     def dims(n=1):
         return tuple(int(v) for v in rng.integers(1, 9, n))
 
-    if name == "matmul":
-        m, k, n = dims(3)
-        a, b = rng.normal(size=(m, k)), rng.normal(size=(k, n))
-        return [
-            (lambda t: ad.sum_all(ad.matmul(t, ad.tensor(b))), a),
-            (lambda t: ad.sum_all(ad.matmul(ad.tensor(a), t)), b),
-        ]
     if name == "matvec":
         m, k, rows = dims(3)
         w, x, xs = rng.normal(size=(m, k)), rng.normal(size=k), rng.normal(size=(rows, k))
@@ -301,8 +284,8 @@ def _fd_cases(name, rng):
         mix = ad.tensor(rng.normal(size=(n, 2)))
         other_rows = ad.tensor(rng.normal(size=(2, n)))
         return [
-            (lambda t: ad.sum_all(ad.matmul(ad.stack_rows([t, other]), mix)), rng.normal(size=n)),
-            (lambda t: ad.sum_all(ad.matmul(ad.stack_rows([other_rows, t, other_rows]), mix)), rng.normal(size=(rows, n))),
+            (lambda t: ad.sum_all(ad.vecmat(ad.stack_rows([t, other]), mix)), rng.normal(size=n)),
+            (lambda t: ad.sum_all(ad.vecmat(ad.stack_rows([other_rows, t, other_rows]), mix)), rng.normal(size=(rows, n))),
         ]
     if name == "vslice":
         n = int(rng.integers(2, 9))
@@ -348,7 +331,7 @@ def _fd_cases(name, rng):
 
 
 PRIMITIVES = [
-    "matmul", "matvec", "vecmat", "add", "scale", "hadamard",
+    "matvec", "vecmat", "add", "scale", "hadamard",
     "sigmoid", "tanh", "softmax", "log_softmax", "concat", "stack_rows",
     "vslice", "embedding_lookup", "pick", "dot", "sum_all",
 ]
@@ -451,10 +434,6 @@ class TestTape:
 
 
 class TestErrors:
-    def test_matmul_shape_error_names_both_shapes(self):
-        with pytest.raises(ad.ShapeError, match=r"\(2, 3\)"):
-            ad.matmul(ad.tensor(np.zeros((2, 3))), ad.tensor(np.zeros((2, 3))))
-
     def test_add_shape_mismatch(self):
         with pytest.raises(ad.ShapeError):
             ad.add(ad.tensor([1.0]), ad.tensor([1.0, 2.0]))
@@ -551,14 +530,6 @@ def test_softmax_shift_invariance(values, shift):
     base = ad.softmax(ad.tensor(values)).array
     shifted = ad.softmax(ad.tensor(np.asarray(values) + shift)).array
     assert np.allclose(base, shifted, atol=1e-12)
-
-
-@given(st.integers(1, 5), st.integers(1, 5), st.integers(1, 5), st.integers(0, 10_000))
-@settings(max_examples=40, deadline=None)
-def test_matmul_shape_postcondition(m, k, n, seed):
-    rng = np.random.default_rng(seed)
-    out = ad.matmul(ad.tensor(rng.normal(size=(m, k))), ad.tensor(rng.normal(size=(k, n))))
-    assert out.shape == (m, n)
 
 
 @given(st.lists(finite_vectors, min_size=1, max_size=4))

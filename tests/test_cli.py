@@ -555,6 +555,32 @@ class TestArtifactWrites:
         assert json.loads(path.read_text(encoding="utf-8")) == {"ppl": 1.5}
         assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
 
+    @pytest.mark.parametrize("table", ["report.txt", "ablation.txt"])
+    def test_failed_table_write_keeps_previous_file(self, table, prep_dir, tmp_path, monkeypatch, capsys):
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / table).write_bytes(b"previous table\n")
+        real_replace = os.replace
+
+        def replace(src, dst):
+            if Path(dst).name == table:
+                raise OSError("disk full")
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", replace)
+        if table == "report.txt":
+            argv = PREPARE_ARGS + ["--out-dir", str(out)]
+        else:
+            argv = [
+                "ablate", "--data-dir", str(prep_dir), "--out-dir", str(out),
+                "--seed", "0", "--lr", "1.0", "--batch-size", "12", "--epochs", "1",
+                "--eval-split", "test",
+            ]
+        assert cli.main(argv) == 2
+        assert "disk full" in capsys.readouterr().err
+        assert (out / table).read_bytes() == b"previous table\n"
+        assert list(out.glob("*.tmp")) == []
+
 
 class TestDispatch:
     def test_no_command_exits_1(self, capsys):

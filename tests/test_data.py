@@ -92,6 +92,32 @@ class TestParseRecord:
             D.RawRecord(blog_tokens=("a",), comment_tokens=("b",), user_id="u", age=-3)
 
 
+# Records as parse_record builds them: profile strings stripped, text
+# fields split on whitespace into non-empty tokens.
+_stripped = st.text(max_size=6).filter(lambda s: s == s.strip())
+_tokens = st.lists(st.text(min_size=1, max_size=6).filter(lambda s: s.split() == [s]), max_size=4).map(tuple)
+_records = st.builds(
+    D.RawRecord,
+    blog_tokens=_tokens,
+    comment_tokens=_tokens,
+    user_id=_stripped.filter(bool),
+    province=_stripped,
+    city=_stripped,
+    gender=_stripped,
+    marital_status=_stripped,
+    age=st.none() | st.integers(0, 200),
+    description_tokens=_tokens,
+    common_words=st.lists(_stripped.filter(bool), max_size=3).map(tuple),
+)
+
+
+@given(_records)
+@settings(max_examples=100, deadline=None)
+def test_record_to_dict_inverts_parse_record(record):
+    line = json.dumps(D.record_to_dict(record), sort_keys=True)
+    assert D.parse_record(json.loads(line)) == record
+
+
 class TestParseDataset:
     def test_reads_lines_and_skips_blanks(self, tmp_path):
         path = tmp_path / "data.jsonl"

@@ -33,7 +33,7 @@ def random_cell(rng, in_dim, hidden):
 
 class TestVariant:
     def test_preset_flags(self):
-        assert M.PRESETS["Seq2Seq"].flags() == dict(
+        assert M.PRESETS["Seq2Seq"] == M.Variant(
             use_user_embedding=False, use_gated_memory=False,
             use_coattention=False, use_external=False)
         assert M.PRESETS["Seq2Seq+Emb"].use_user_embedding
@@ -122,7 +122,8 @@ class TestParamSpec:
         dec_cell = 16 * 11 + 16 * 4 + 16  # input = 2*4 + 3
         init = 2 * (4 * 8 + 4)
         head = 10 * 4
-        assert params.n_parameters == embedding + 2 * enc_cell + attn + dec_cell + init + head
+        n_parameters = sum(t.size for _, t in params.named_parameters())
+        assert n_parameters == embedding + 2 * enc_cell + attn + dec_cell + init + head
 
     def test_mem_output_gate_reads_state_embed_context(self):
         cfg = tiny_config("+Mem", embed_dim=3, blog_hidden=4, user_dim=2)
@@ -541,7 +542,7 @@ class TestDecoderStep:
         params = random_params(cfg, seed)
         ex = tiny_example(cfg, seed + 1)
         blog = M.encode_blog(params, ex.x)
-        desc = M.encode_description(params, ex.d) if cfg.variant.needs_description else None
+        desc = M.encode_description(params, ex.d) if cfg.variant.use_coattention else None
         v_u = M.user_vector(params, ex.f) if cfg.variant.needs_user_vector else None
         state = M.init_decoder_state(params, blog, v_u)
         return params, ex, blog, desc, v_u, state
