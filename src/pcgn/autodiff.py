@@ -21,11 +21,13 @@ blocks as well as vectors.  Beam search steps every live hypothesis as
 one such block, so each layer is one numpy call per step, and every row's
 values are bit-identical to stepping that row alone.
 
-A row read, ``embedding_lookup``, hands :func:`backprop` only its rows'
-gradient, which the sweep adds in place into the source's gradient
-array.  So reading a sequence's rows one step at a time costs time
-linear in its length, and a token lookup allocates no table-sized array:
-each source gets one gradient array per sweep.
+:func:`backprop` keeps one gradient array per node.  It adds row and
+dense gradients into the arrays it owns in place, and frees a node's
+gradient once its producer has run, so a sweep holds the leaves'
+gradients and the few it is still summing, not one per node.  A row
+read, ``embedding_lookup``, hands the sweep only its rows' gradient, so
+reading a sequence's rows one step at a time costs time linear in its
+length, and a token lookup allocates no table-sized array.
 
 ``softmax`` takes an optional mask: a constant boolean array of its
 input's shape, False where an entry is left out.  Left-out entries get
@@ -682,20 +684,32 @@ class _RowGrad:
 
 
 def backprop(tape: Tape, output: Tensor) -> GradientSet:
-    """Reverse sweep from a scalar output to every watched leaf."""
+    """Reverse sweep from a scalar output to every watched leaf.
+
+    The sweep keeps one gradient array per node.  It adds row and dense
+    gradients into the arrays it owns in place, and frees a node's
+    gradient once its producer has run, so only the leaves' gradients
+    outlive the sweep.  Each gradient sees the same additions in the same
+    order as if every sum allocated a new array, so the result is the
+    same to the bit.
+    """
     if output.tape is not tape or output.node is None:
         raise ValueError("output is not a node of this tape")
     if output.array.size != 1:
         raise ValueError(f"backprop requires a scalar output, got shape {output.shape}")
     acc: dict[int, np.ndarray] = {output.node: np.ones_like(output.array)}
     # Nodes whose gradient array the sweep allocated itself.  Only those
-    # take row gradients in place: a backward may hand on the very array
-    # it received, so any other array can be shared.
+    # take gradients in place: a backward may hand on the very array it
+    # received (add hands its g to both inputs), so any other array can
+    # be shared.
     owned: set[int] = set()
     for _name, in_nodes, out_node, backward in reversed(tape._entries):
-        g = acc.get(out_node)
+        # Every consumer of out_node ran earlier in the sweep, so its
+        # gradient is complete: take it out, and drop it once used.
+        g = acc.pop(out_node, None)
         if g is None:
             continue
+        owned.discard(out_node)
         for nid, ig in zip(in_nodes, backward(g)):
             if nid is None or ig is None:
                 continue
@@ -707,8 +721,12 @@ def backprop(tape: Tape, output: Tensor) -> GradientSet:
                 ig.add_to(prev)
             elif prev is None:
                 acc[nid] = ig
+            elif nid in owned:
+                prev += ig
             else:
-                acc[nid] = prev + ig
+                # asarray: a sum of 0-d arrays is a numpy scalar, which
+                # would not take the next sum in place.
+                acc[nid] = np.asarray(prev + ig)
                 owned.add(nid)
     leaf_grads: dict[int, Tensor] = {}
     for nid, shape in tape._leaf_shapes.items():

@@ -14,6 +14,7 @@ with equal inputs are byte-identical.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import hashlib
 import json
@@ -348,8 +349,6 @@ def _train_variant(cfg: RunConfig, variant_name: str, data_dir, log_path=None, e
     params = build_model(config, cfg.seed)
     opt = _optimizer_config(cfg)
 
-    log_fh = open(log_path, "w", encoding="utf-8") if log_path else None
-
     def on_epoch(epoch, stats, dev_ppl):
         if log_fh is not None:
             log_fh.write(f"{epoch}\t{stats.mean_loss:.6f}\t{stats.ppl:.6f}\t{stats.seconds:.3f}\n")
@@ -358,7 +357,9 @@ def _train_variant(cfg: RunConfig, variant_name: str, data_dir, log_path=None, e
             extra = f"  dev_ppl={dev_ppl:.4f}" if dev_ppl is not None else ""
             print(f"epoch {epoch}: loss/token={stats.mean_loss:.4f} ppl={stats.ppl:.4f}{extra}")
 
-    try:
+    # The log replaces an earlier run's only once training ends, so an
+    # interrupted rerun leaves the finished run's log beside its checkpoint.
+    with (atomic_write(log_path) if log_path else contextlib.nullcontext()) as log_fh:
         final, best, history = fit(
             params,
             encoded["train"],
@@ -368,9 +369,6 @@ def _train_variant(cfg: RunConfig, variant_name: str, data_dir, log_path=None, e
             on_epoch=on_epoch,
             stop_below_ppl=cfg.stop_below_ppl or None,
         )
-    finally:
-        if log_fh is not None:
-            log_fh.close()
 
     extra = {
         "run_config": dataclasses.asdict(cfg),

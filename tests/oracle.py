@@ -5,9 +5,13 @@ loops, on purpose: it must not share code paths with the package's tensor
 primitives, so agreement between the two is evidence of correctness rather
 than tautology.  Parameter arrays are read through the public name table.
 
-The one exception is :func:`per_example_walk`: the teacher-forced walk
+Two exceptions keep a superseded form of package code as the reference
+for its replacement.  :func:`per_example_walk` is the teacher-forced walk
 the package used before it scored blocks of examples, kept on the tensor
 primitives so that its gradients can be compared with the block walk's.
+:func:`reference_backprop` is the reverse sweep from before it added
+gradients in place and freed them early, which must agree with
+``autodiff.backprop`` to the bit.
 """
 
 from __future__ import annotations
@@ -173,6 +177,50 @@ def per_example_walk(params, example):
         state = result.state
         terms.append(ad.pick(ad.log_softmax(result.logits), example.y[t]))
     return terms
+
+
+def reference_backprop(tape, output):
+    """The reverse sweep that allocates a new array for every sum and keeps
+    every node's gradient until it ends.
+
+    The same additions on the same operands in the same order as
+    ``autodiff.backprop``, so its gradients must be equal to the bit.
+    """
+    if output.tape is not tape or output.node is None:
+        raise ValueError("output is not a node of this tape")
+    if output.array.size != 1:
+        raise ValueError(f"backprop requires a scalar output, got shape {output.shape}")
+    acc = {output.node: np.ones_like(output.array)}
+    # Nodes whose gradient array the sweep allocated itself.  Only those
+    # take row gradients in place: a backward may hand on the very array
+    # it received, so any other array can be shared.
+    owned = set()
+    for _name, in_nodes, out_node, backward in reversed(tape._entries):
+        g = acc.get(out_node)
+        if g is None:
+            continue
+        for nid, ig in zip(in_nodes, backward(g)):
+            if nid is None or ig is None:
+                continue
+            prev = acc.get(nid)
+            if type(ig) is ad._RowGrad:
+                if nid not in owned:
+                    prev = acc[nid] = np.zeros(ig.shape) if prev is None else prev.copy()
+                    owned.add(nid)
+                ig.add_to(prev)
+            elif prev is None:
+                acc[nid] = ig
+            else:
+                acc[nid] = prev + ig
+                owned.add(nid)
+    leaf_grads = {}
+    for nid, shape in tape._leaf_shapes.items():
+        g = acc.get(nid)
+        if g is None:
+            leaf_grads[nid] = ad.zeros(shape)
+        else:
+            leaf_grads[nid] = ad._wrap(np.ascontiguousarray(g).reshape(shape))
+    return ad.GradientSet(leaf_grads)
 
 
 def enumerate_finished(step_fn, initial_state, bos_id, eos_id, vocab_size, max_len):

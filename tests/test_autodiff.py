@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -148,9 +149,38 @@ class TestGradientHandValues:
         g = grad_of(f, np.zeros((3, 2)))
         assert np.array_equal(g, [[4.0, 4.0], [3.0, 3.0], [3.0, 3.0]])
 
+    def test_dense_sums_leave_a_shared_gradient_array_alone(self):
+        # add hands the same gradient array to p and q, and that array is
+        # p's first gradient; p's next two must not be added into it, or
+        # q's gradient changes too.
+        w, c1, c2 = (ad.tensor(v) for v in ([1.0, 2.0], [10.0, 20.0], [100.0, 200.0]))
+        tape = ad.Tape()
+        a, b = watched(tape, [0.5, -1.0]), watched(tape, [3.0, 4.0])
+        p, q = ad.scale(a, 1.0), ad.scale(b, 1.0)
+        t1, t2 = ad.hadamard(p, c1), ad.hadamard(p, c2)
+        # Recorded after t1 and t2, so the sweep reaches it first.
+        s = ad.add(p, q)
+        out = ad.add(ad.add(ad.sum_all(ad.hadamard(s, w)), ad.sum_all(t1)), ad.sum_all(t2))
+        grads = ad.backprop(tape, out)
+        assert np.array_equal(grads[b].array, [1.0, 2.0])
+        assert np.array_equal(grads[a].array, [111.0, 222.0])
+        # A second sweep over the same tape sees unchanged tape and leaf arrays.
+        again = ad.backprop(tape, out)
+        for leaf in (a, b):
+            assert np.array_equal(again[leaf].array, grads[leaf].array)
+        assert np.array_equal(a.array, [0.5, -1.0]) and np.array_equal(b.array, [3.0, 4.0])
+
     def test_reused_operand_accumulates(self):
         g = grad_of(lambda x: ad.sum_all(ad.add(x, x)), [1.0, 2.0])
         assert np.array_equal(g, [2.0, 2.0])
+
+    def test_scalar_node_accumulates_three_gradients(self):
+        # A sum of 0-d arrays is a numpy scalar; the third sum must still land.
+        def f(x):
+            total = ad.sum_all(x)
+            return ad.add(ad.add(total, total), total)
+
+        assert np.array_equal(grad_of(f, [1.0, 2.0]), [3.0, 3.0])
 
     def test_unreached_leaf_gets_zeros(self):
         tape = ad.Tape()
@@ -415,6 +445,23 @@ class TestTape:
         y = ad.scale(x, 2.0)
         with pytest.raises(ValueError, match="scalar"):
             ad.backprop(tape, y)
+
+    def test_backprop_frees_each_gradient_once_consumed(self):
+        # Along a chain, each node's gradient is dead once its producer ran;
+        # a sweep that kept them all would hold ~100 vectors at its peak.
+        tape = ad.Tape()
+        x = watched(tape, np.linspace(-1.0, 1.0, 10_000))
+        y = x
+        for _ in range(100):
+            y = ad.tanh(y)
+        out = ad.sum_all(y)
+        tracemalloc.start()
+        try:
+            ad.backprop(tape, out)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * x.array.nbytes
 
     def test_backprop_rejects_foreign_output(self):
         tape = ad.Tape()

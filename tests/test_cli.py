@@ -581,6 +581,26 @@ class TestArtifactWrites:
         assert (out / table).read_bytes() == b"previous table\n"
         assert list(out.glob("*.tmp")) == []
 
+    def test_interrupted_rerun_keeps_the_finished_log(self, prep_dir, tmp_path, monkeypatch, capsys):
+        out = tmp_path / "run"
+        assert cli.main(train_args(prep_dir, out, epochs="3")) == 0
+        log_before = (out / "train_log.tsv").read_bytes()
+        real_fit = cli.fit
+
+        def interrupted_fit(*args, on_epoch, **kwargs):
+            def log_then_stop(*epoch_args):
+                on_epoch(*epoch_args)
+                raise KeyboardInterrupt
+
+            return real_fit(*args, on_epoch=log_then_stop, **kwargs)
+
+        monkeypatch.setattr(cli, "fit", interrupted_fit)
+        with pytest.raises(KeyboardInterrupt):
+            cli.main(train_args(prep_dir, out, epochs="50"))
+        assert "epoch 0:" in capsys.readouterr().out  # the rerun logged an epoch
+        assert (out / "train_log.tsv").read_bytes() == log_before
+        assert list(out.glob("*.tmp")) == []
+
 
 class TestDispatch:
     def test_no_command_exits_1(self, capsys):

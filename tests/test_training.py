@@ -332,6 +332,42 @@ class TestTrainEpoch:
                 T.train_epoch(broken, small_dataset(cfg, n=2), T.OptimizerConfig(lr=0.1), 0)
 
 
+def assert_bitwise_equal(got, want, what):
+    assert got.shape == want.shape and got.tobytes() == want.tobytes(), what
+
+
+class TestBackpropMatchesReference:
+    """The in-place sweep against the allocate-every-sum sweep it replaced."""
+
+    @pytest.mark.parametrize("variant", sorted(M.PRESETS))
+    def test_batch_loss_gradients_are_bitwise_equal(self, variant):
+        cfg = tiny_config(variant, blog_layers=2)
+        params = random_params(cfg, seed=zlib.crc32(variant.encode()))
+        # The batch loss as train_epoch builds it.
+        tape = ad.Tape()
+        watched = {name: tape.watch(t) for name, t in params.named_parameters()}
+        working = params.with_tensors(watched)
+        losses = [T.sequence_loss(working, ex) for ex in ragged_examples(cfg, 4)]
+        batch_loss = ad.scale(reduce(ad.add, losses), 1.0 / len(losses))
+        got = ad.backprop(tape, batch_loss)
+        want = oracle.reference_backprop(tape, batch_loss)
+        for name, leaf in watched.items():
+            assert_bitwise_equal(got[leaf].array, want[leaf].array, name)
+
+    @pytest.mark.parametrize("variant", sorted(M.PRESETS))
+    def test_one_epoch_gives_bitwise_equal_parameters(self, variant, monkeypatch):
+        cfg = tiny_config(variant)
+        params = random_params(cfg, seed=zlib.crc32(f"epoch/{variant}".encode()))
+        data = ragged_examples(cfg, 7, seed=70)
+        opt = T.OptimizerConfig(lr=0.1, batch_size=3, seed=6)
+        got, got_stats = T.train_epoch(params, data, opt, 0)
+        monkeypatch.setattr(ad, "backprop", oracle.reference_backprop)
+        want, want_stats = T.train_epoch(params, data, opt, 0)
+        for (name, a), (_, b) in zip(got.named_parameters(), want.named_parameters()):
+            assert_bitwise_equal(a.array, b.array, name)
+        assert got_stats.mean_loss == want_stats.mean_loss
+
+
 class TestFit:
     def test_history_length_and_callback(self):
         cfg = tiny_config("Seq2Seq")
