@@ -113,21 +113,17 @@ class Tensor:
 
     __slots__ = ("array", "tape", "node")
 
-    def __init__(self, values, tape: "Tape | None" = None, node: int | None = None):
+    def __init__(self, values):
         arr = np.ascontiguousarray(values, dtype=np.float64)
         if not all_finite(arr):
             raise NonFiniteError(f"non-finite values in tensor of shape {arr.shape}")
         self.array = arr
-        self.tape = tape
-        self.node = node
+        self.tape = None
+        self.node = None
 
     @property
     def shape(self) -> tuple[int, ...]:
         return self.array.shape
-
-    @property
-    def size(self) -> int:
-        return self.array.size
 
     def item(self) -> float:
         if self.array.size != 1:

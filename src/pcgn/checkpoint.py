@@ -20,7 +20,7 @@ import numpy as np
 
 from .autodiff import Tensor
 from .data import FeatureSchema, Vocab
-from .model import ModelConfig, ModelParams, param_spec
+from .model import ModelConfig, ModelParams
 
 __all__ = [
     "CheckpointError",
@@ -59,15 +59,11 @@ class CheckpointCorruptError(CheckpointError):
 @dataclass
 class Checkpoint:
     params: ModelParams
+    vocab: Vocab
+    schema: FeatureSchema
     step: int = 0
     variant_name: str = ""
-    vocab: Vocab | None = None
-    schema: FeatureSchema | None = None
     extra: dict = field(default_factory=dict)
-
-    @property
-    def config(self) -> ModelConfig:
-        return self.params.config
 
 
 def _encode_array(arr: np.ndarray) -> dict:
@@ -128,8 +124,8 @@ def save_checkpoint(path, checkpoint: Checkpoint) -> None:
         "step": int(checkpoint.step),
         "variant_name": checkpoint.variant_name,
         "model": params.config.to_dict(),
-        "vocab": checkpoint.vocab.to_dict() if checkpoint.vocab is not None else None,
-        "schema": checkpoint.schema.to_dict() if checkpoint.schema is not None else None,
+        "vocab": checkpoint.vocab.to_dict(),
+        "schema": checkpoint.schema.to_dict(),
         "extra": checkpoint.extra,
         "params": {name: _encode_array(t.array) for name, t in params.named_parameters()},
     }
@@ -141,15 +137,18 @@ def save_checkpoint(path, checkpoint: Checkpoint) -> None:
 def load_checkpoint(path) -> Checkpoint:
     """Read and validate a checkpoint.
 
-    Raises CheckpointCorruptError for undecodable files,
-    CheckpointVersionError for foreign/newer formats, and
-    CheckpointShapeError when parameters disagree with the config.
+    Raises CheckpointCorruptError for undecodable files (the embedded
+    vocab and schema included), CheckpointVersionError for foreign/newer
+    formats, and CheckpointShapeError when parameters disagree with the
+    config.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
     except json.JSONDecodeError as err:
         raise CheckpointCorruptError(f"not a JSON document: {err.msg}") from None
+    except UnicodeDecodeError as err:
+        raise CheckpointCorruptError(f"not UTF-8 text: {err}") from None
     if not isinstance(doc, dict) or "format" not in doc:
         raise CheckpointCorruptError("missing format marker")
     if doc.get("format") != FORMAT_NAME:
@@ -160,33 +159,18 @@ def load_checkpoint(path) -> Checkpoint:
         )
     try:
         config = ModelConfig.from_dict(doc["model"])
-        raw_params = doc["params"]
+        raw_params = dict(doc["params"])
         step = int(doc.get("step", 0))
         variant_name = str(doc.get("variant_name", ""))
-        vocab_doc = doc.get("vocab")
-        schema_doc = doc.get("schema")
+        vocab = Vocab.from_dict(doc["vocab"])
+        schema = FeatureSchema.from_dict(doc["schema"])
         extra = doc.get("extra") or {}
     except (KeyError, TypeError, ValueError) as err:
         raise CheckpointCorruptError(f"bad checkpoint structure: {err}") from None
 
-    expected = param_spec(config)
-    expected_names = [n for n, _ in expected]
-    if sorted(raw_params) != sorted(expected_names):
-        missing = sorted(set(expected_names) - set(raw_params))
-        extra_names = sorted(set(raw_params) - set(expected_names))
-        raise CheckpointShapeError(f"parameter set mismatch: missing={missing} extra={extra_names}")
-    tensors = {}
-    for name, shape in expected:
-        arr = _decode_array(raw_params[name], name)
-        if arr.shape != shape:
-            raise CheckpointShapeError(f"parameter {name!r} has shape {arr.shape}, config implies {shape}")
-        tensors[name] = Tensor(arr)
-    params = ModelParams(config, tensors)
-    return Checkpoint(
-        params=params,
-        step=step,
-        variant_name=variant_name,
-        vocab=Vocab.from_dict(vocab_doc) if vocab_doc else None,
-        schema=FeatureSchema.from_dict(schema_doc) if schema_doc else None,
-        extra=extra,
-    )
+    tensors = {name: Tensor(_decode_array(obj, name)) for name, obj in raw_params.items()}
+    try:
+        params = ModelParams(config, tensors)
+    except ValueError as err:
+        raise CheckpointShapeError(str(err)) from None
+    return Checkpoint(params, vocab, schema, step=step, variant_name=variant_name, extra=extra)

@@ -32,14 +32,13 @@ from .checkpoint import (
     save_checkpoint,
 )
 from .data import (
-    UNK_ID,
     DataError,
     FeatureSchema,
     RawRecord,
     Vocab,
     apply_common_words,
-    augment_common_words,
     build_vocab,
+    description_ids,
     encode_records,
     featurize_user,
     filter_records,
@@ -296,18 +295,27 @@ def cmd_prepare(cfg: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _read_json(path):
+    """A prepared JSON artifact; an undecodable one is a data error."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except (json.JSONDecodeError, UnicodeDecodeError) as err:
+        raise DataError(f"{path} is not a readable JSON document: {err}") from None
+
+
+def _read_split(data_dir, name: str) -> list[RawRecord]:
+    path = Path(data_dir) / f"{name}.jsonl"
+    return parse_dataset(path) if path.exists() else []
+
+
 def _load_prepared(data_dir) -> tuple[Vocab, FeatureSchema, dict[str, list[RawRecord]]]:
     base = Path(data_dir)
     for needed in ("vocab.json", "schema.json", "train.jsonl"):
         if not (base / needed).exists():
             raise DataError(f"{base / needed} not found; run prepare first")
-    vocab = Vocab.from_dict(json.loads((base / "vocab.json").read_text(encoding="utf-8")))
-    schema = FeatureSchema.from_dict(json.loads((base / "schema.json").read_text(encoding="utf-8")))
-    splits = {}
-    for name in ("train", "dev", "test"):
-        path = base / f"{name}.jsonl"
-        splits[name] = parse_dataset(path) if path.exists() else []
-    return vocab, schema, splits
+    vocab = Vocab.from_dict(_read_json(base / "vocab.json"))
+    schema = FeatureSchema.from_dict(_read_json(base / "schema.json"))
+    return vocab, schema, {name: _read_split(base, name) for name in ("train", "dev", "test")}
 
 
 def _data_checksums(data_dir) -> dict:
@@ -411,24 +419,20 @@ def _load_users_file(data_dir) -> dict[str, dict]:
     path = Path(data_dir) / "users.json"
     if not path.exists():
         raise DataError(f"{path} not found; run prepare first or pass --user-json")
-    return json.loads(path.read_text(encoding="utf-8"))
+    return _read_json(path)
 
 
 def _decode_input(profile: RawRecord, blog_ids, vocab: Vocab, schema: FeatureSchema) -> DecodeInput:
-    d_tokens = augment_common_words(profile, 0)
-    d_ids = vocab.encode(d_tokens) or [UNK_ID]
     return DecodeInput(
         x=tuple(blog_ids),
         f=featurize_user(profile, schema),
-        d=tuple(d_ids),
+        d=description_ids(profile, vocab),
         user_id=profile.user_id,
     )
 
 
 def cmd_generate(cfg: RunConfig, args: argparse.Namespace) -> int:
     ckpt = load_checkpoint(args.checkpoint)
-    if ckpt.vocab is None or ckpt.schema is None:
-        raise DataError("checkpoint lacks an embedded vocab/schema; cannot generate")
     vocab, schema = ckpt.vocab, ckpt.schema
 
     blog_tokens = args.blog.split()
@@ -517,14 +521,11 @@ def _score_split(params, encoded_split, decode_cfg: DecodeConfig):
 
 def cmd_eval(cfg: RunConfig, args: argparse.Namespace) -> int:
     ckpt = load_checkpoint(args.checkpoint)
-    if ckpt.vocab is None or ckpt.schema is None:
-        raise DataError("checkpoint lacks an embedded vocab/schema; cannot evaluate")
     if cfg.split not in ("train", "dev", "test"):
         raise UsageError(f"unknown split {cfg.split!r}; expected train, dev, or test")
-    _, _, splits = _load_prepared(cfg.data_dir)
-    records = splits[cfg.split]
+    records = _read_split(cfg.data_dir, cfg.split)
     if not records:
-        raise DataError(f"split {cfg.split!r} is empty")
+        raise DataError(f"split {cfg.split!r} in {cfg.data_dir} is empty or missing; run prepare first")
     encoded = encode_records(records, ckpt.vocab, ckpt.schema)
 
     decode_cfg = _decode_config(cfg)

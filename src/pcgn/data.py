@@ -36,6 +36,7 @@ __all__ = [
     "split_by_blog",
     "encode_records",
     "encode_record",
+    "description_ids",
     "apply_common_words",
 ]
 
@@ -154,19 +155,23 @@ def record_to_dict(r: RawRecord) -> dict:
 def parse_dataset(path) -> list[RawRecord]:
     """Read line-delimited JSON records; blank lines are skipped.
 
-    Raises DataError naming the 1-based line number on the first bad line.
+    Raises DataError naming the 1-based line number on the first bad line,
+    or the file when it is not UTF-8 text.
     """
     records = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as err:
-                raise DataError(f"line {lineno}: malformed JSON ({err.msg})") from None
-            records.append(parse_record(obj, lineno))
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                line = line.strip()
+                if not line:
+                    continue
+                try:
+                    obj = json.loads(line)
+                except json.JSONDecodeError as err:
+                    raise DataError(f"line {lineno}: malformed JSON ({err.msg})") from None
+                records.append(parse_record(obj, lineno))
+    except UnicodeDecodeError as err:
+        raise DataError(f"{path} is not UTF-8 text: {err}") from None
     return records
 
 
@@ -198,7 +203,7 @@ class Vocab:
 
     def __post_init__(self):
         if tuple(self.tokens[:4]) != SPECIAL_TOKENS:
-            raise ValueError(f"vocab must start with {SPECIAL_TOKENS}")
+            raise DataError(f"vocab must start with {SPECIAL_TOKENS}")
         if not self.index:
             object.__setattr__(self, "index", {tok: i for i, tok in enumerate(self.tokens)})
 
@@ -224,7 +229,10 @@ class Vocab:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "Vocab":
-        return cls(tokens=tuple(obj["tokens"]))
+        try:
+            return cls(tokens=tuple(obj["tokens"]))
+        except (KeyError, TypeError) as err:
+            raise DataError(f"malformed vocab: {err!r}") from None
 
 
 def build_vocab(train_records: Sequence[RawRecord], max_size: int) -> Vocab:
@@ -271,17 +279,19 @@ class FeatureSchema:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "FeatureSchema":
-        return cls(
-            categories={f: tuple(obj["fields"][f]) for f in CATEGORICAL_FIELDS},
-            age_divisor=float(obj["age_divisor"]),
-        )
+        try:
+            categories = {f: tuple(obj["fields"][f]) for f in CATEGORICAL_FIELDS}
+            age_divisor = float(obj["age_divisor"])
+        except (KeyError, TypeError, ValueError) as err:
+            raise DataError(f"malformed feature schema: {err!r}") from None
+        if not age_divisor > 0:
+            raise DataError(f"feature schema: age_divisor must be positive, got {age_divisor}")
+        return cls(categories=categories, age_divisor=age_divisor)
 
 
-def fit_schema(train_records: Sequence[RawRecord], age_divisor: float = 100.0) -> FeatureSchema:
+def fit_schema(train_records: Sequence[RawRecord]) -> FeatureSchema:
     if not train_records:
         raise DataError("cannot fit a feature schema on an empty training set")
-    if age_divisor <= 0:
-        raise ValueError(f"age_divisor must be positive, got {age_divisor}")
     categories: dict[str, tuple[str, ...]] = {}
     for fname in CATEGORICAL_FIELDS:
         seen: dict[str, None] = {}
@@ -290,7 +300,7 @@ def fit_schema(train_records: Sequence[RawRecord], age_divisor: float = 100.0) -
             if val:
                 seen.setdefault(val, None)
         categories[fname] = tuple(seen)
-    return FeatureSchema(categories=categories, age_divisor=age_divisor)
+    return FeatureSchema(categories=categories)
 
 
 def featurize_user(record: RawRecord, schema: FeatureSchema) -> np.ndarray:
@@ -385,15 +395,20 @@ class EncodedExample:
         return len(self.y) - 1
 
 
+def description_ids(record: RawRecord, vocab: Vocab) -> tuple[int, ...]:
+    """Ids of the record's self description; an empty description is a
+    single unk, so description attention always has a state."""
+    return tuple(vocab.encode(record.description_tokens)) or (UNK_ID,)
+
+
 def encode_record(record: RawRecord, vocab: Vocab, schema: FeatureSchema) -> EncodedExample:
     """Ids for one record; common words reach the description only through
     :func:`apply_common_words` beforehand."""
-    d_ids = vocab.encode(record.description_tokens) or [UNK_ID]
     return EncodedExample(
         x=tuple(vocab.encode(record.blog_tokens)),
         y=(BOS_ID,) + tuple(vocab.encode(record.comment_tokens)) + (EOS_ID,),
         f=featurize_user(record, schema),
-        d=tuple(d_ids),
+        d=description_ids(record, vocab),
         user_id=record.user_id,
     )
 

@@ -160,7 +160,6 @@ def beam_search_steps(
     eos_id: int,
     vocab_size: int,
     config: DecodeConfig,
-    prune: bool = True,
 ) -> list[Hypothesis]:
     """Beam search over a batched step function (see :data:`StepFn`).
 
@@ -191,7 +190,7 @@ def beam_search_steps(
     beam: list[Hypothesis] = [Hypothesis((), 0.0, False)]
     states, parents = initial_state, [0]
     pool: list[Hypothesis] = []
-    can_prune = prune and config.length_norm == 0.0
+    can_prune = config.length_norm == 0.0
 
     for _ in range(config.max_len):
         prev_ids = [h.tokens[-1] if h.tokens else bos_id for h in beam]
@@ -237,14 +236,11 @@ def beam_search_steps(
     return ranked
 
 
-def beam_search(params: M.ModelParams, example, config: DecodeConfig = DecodeConfig(), prune: bool = True) -> list[Hypothesis]:
+def beam_search(params: M.ModelParams, example, config: DecodeConfig = DecodeConfig()) -> list[Hypothesis]:
     """Beam-search decoding for one encoded input."""
     session = DecodeSession(params, example)
     cfg = params.config
-    return beam_search_steps(
-        session.step, session.initial_state(), cfg.bos_id, cfg.eos_id,
-        cfg.vocab_size, config, prune=prune,
-    )
+    return beam_search_steps(session.step, session.initial_state(), cfg.bos_id, cfg.eos_id, cfg.vocab_size, config)
 
 
 def rescore(params: M.ModelParams, example, hypothesis: Hypothesis) -> float:

@@ -130,12 +130,15 @@ def gold_log_probs(params: M.ModelParams, examples: Sequence[EncodedExample]) ->
     # A single example steps on vectors, so its inputs are ints.
     inputs = gold[0, :-1] if x_lens is None else gold[:, :-1].T
     logits = []
-    for prev, rows in zip(inputs, scored):
+    for prev in inputs:
         result = M.decoder_step(params, state, prev, blog_states, desc_states, v_u, blog_mask, desc_mask)
         state = result.state
-        logits.append(result.logits if rows.all() else ad.embedding_lookup(result.logits, np.flatnonzero(rows)))
-    log_probs = ad.log_softmax(ad.stack_rows(logits))
-    return ad.pick(log_probs, gold[:, 1:].T[scored]), np.nonzero(scored)[1]
+        logits.append(result.logits)
+    # Rows step-major, as ``scored`` flattens; keep only the scored ones.
+    stacked = ad.stack_rows(logits)
+    if not scored.all():
+        stacked = ad.embedding_lookup(stacked, np.flatnonzero(scored))
+    return ad.pick(ad.log_softmax(stacked), gold[:, 1:].T[scored]), np.nonzero(scored)[1]
 
 
 def sequence_loss(params: M.ModelParams, example: EncodedExample) -> Tensor:

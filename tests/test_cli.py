@@ -542,6 +542,74 @@ class TestAblate:
         assert copy.read_bytes() == src.read_bytes()
 
 
+def _data_copy(prep_dir, tmp_path, name, content: bytes):
+    """A copy of the prepared directory with ``name`` replaced by ``content``."""
+    out = tmp_path / "data"
+    out.mkdir()
+    for artifact in PREP_ARTIFACTS:
+        (out / artifact).write_bytes((prep_dir / artifact).read_bytes())
+    (out / name).write_bytes(content)
+    return out
+
+
+def _file(tmp_path, name, content: bytes):
+    path = tmp_path / name
+    path.write_bytes(content)
+    return path
+
+
+def _checkpoint_copy(pcgn_dir, tmp_path, edit):
+    doc = json.loads((pcgn_dir / "checkpoint_final.json").read_text())
+    edit(doc)
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def _train_on(prep_dir, tmp_path, name, content):
+    return train_args(_data_copy(prep_dir, tmp_path, name, content), tmp_path / "out")
+
+
+def _generate_with(checkpoint, data_dir=None):
+    argv = ["generate", "--checkpoint", str(checkpoint), "--blog", "new post", "--user", "u00"]
+    return argv + (["--data-dir", str(data_dir)] if data_dir else [])
+
+
+# case -> (argv built from (prep_dir, pcgn_dir, tmp_path), words the error names)
+MALFORMED_FILES = {
+    "truncated vocab": (lambda prep, run, tmp: _train_on(
+        prep, tmp, "vocab.json", (prep / "vocab.json").read_bytes()[:20]), "vocab.json"),
+    "empty vocab object": (lambda prep, run, tmp: _train_on(prep, tmp, "vocab.json", b"{}"), "vocab"),
+    "vocab without the special tokens": (lambda prep, run, tmp: _train_on(
+        prep, tmp, "vocab.json", b'{"tokens": ["a", "b"]}'), "vocab must start"),
+    "zero age divisor": (lambda prep, run, tmp: _train_on(
+        prep, tmp, "schema.json",
+        json.dumps({**json.loads((prep / "schema.json").read_text()), "age_divisor": 0}).encode()), "age_divisor"),
+    "truncated users table": (lambda prep, run, tmp: _generate_with(
+        run / "checkpoint_final.json",
+        _data_copy(prep, tmp, "users.json", (prep / "users.json").read_bytes()[:30])), "users.json"),
+    "non-UTF-8 input": (lambda prep, run, tmp: [
+        "prepare", "--input", str(_file(tmp, "raw.jsonl", b'{"blog": "\xff\xfe"}\n')),
+        "--out-dir", str(tmp / "out")], "raw.jsonl is not UTF-8"),
+    "non-UTF-8 checkpoint": (lambda prep, run, tmp: _generate_with(
+        _file(tmp, "ckpt.json", b'{"format": "\xff"}'), prep), "not UTF-8"),
+    "checkpoint with a null vocab": (lambda prep, run, tmp: _generate_with(
+        _checkpoint_copy(run, tmp, lambda doc: doc.update(vocab=None)), prep), "malformed vocab"),
+}
+
+
+class TestMalformedFiles:
+    @pytest.mark.parametrize("case", list(MALFORMED_FILES))
+    def test_exits_2_with_a_data_error(self, case, prep_dir, pcgn_dir, tmp_path, capsys):
+        build_argv, named = MALFORMED_FILES[case]
+        argv = build_argv(prep_dir, pcgn_dir, tmp_path)
+        capsys.readouterr()
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ")
+        assert named in err
+
+
 class TestArtifactWrites:
     def test_failed_json_write_keeps_previous_file(self, tmp_path, monkeypatch):
         path = tmp_path / "report.json"

@@ -287,8 +287,9 @@ class TestFeatures:
     def test_fit_rejects_empty(self):
         with pytest.raises(D.DataError):
             D.fit_schema([])
-        with pytest.raises(ValueError):
-            D.fit_schema([rec()], age_divisor=0.0)
+        doc = D.fit_schema([rec()]).to_dict()
+        with pytest.raises(D.DataError, match="age_divisor"):
+            D.FeatureSchema.from_dict({**doc, "age_divisor": 0.0})
 
     def test_schema_roundtrip(self):
         schema = self.make_schema()

@@ -186,11 +186,12 @@ def tie_heavy_step(seed, vocab_size, inf_share):
     return step
 
 
-def assert_matches_reference(step_fn, initial_state, one_row, one_row_initial, bos_id, eos_id, vocab_size, config, prune):
-    """The batched search over ``step_fn`` equals the full-sort reference
-    walking the same model one row at a time through ``one_row``."""
-    got = dec.beam_search_steps(step_fn, initial_state, bos_id, eos_id, vocab_size, config, prune=prune)
-    want = oracle.beam_reference(one_row, one_row_initial, bos_id, eos_id, vocab_size, config, prune)
+def assert_matches_reference(step_fn, initial_state, one_row, one_row_initial, bos_id, eos_id, vocab_size, config):
+    """The batched search over ``step_fn``, which stops early when no live
+    prefix can enter the result, equals the full-sort reference walking the
+    same model one row at a time through ``one_row`` to ``max_len``."""
+    got = dec.beam_search_steps(step_fn, initial_state, bos_id, eos_id, vocab_size, config)
+    want = oracle.beam_reference(one_row, one_row_initial, bos_id, eos_id, vocab_size, config, prune=False)
     assert [(h.tokens, h.log_prob, h.finished) for h in got] == want
 
 
@@ -207,10 +208,7 @@ class TestTopKSelection:
             )
             step = tie_heavy_step(seed, vocab_size, float(rng.choice([0.0, 0.25, 0.6])))
             eos_id = int(rng.integers(0, vocab_size))
-            for prune in (True, False):
-                assert_matches_reference(
-                    batched_step(step), [()], step, (), vocab_size, eos_id, vocab_size, config, prune,
-                )
+            assert_matches_reference(batched_step(step), [()], step, (), vocab_size, eos_id, vocab_size, config)
 
     @pytest.mark.parametrize("width", [1, 4, 10])
     def test_real_models_match_full_sort(self, width):
@@ -221,7 +219,7 @@ class TestTopKSelection:
             assert_matches_reference(
                 session.step, session.initial_state(), row_step(session.step), session.initial_state(),
                 cfg.bos_id, cfg.eos_id, cfg.vocab_size,
-                dec.DecodeConfig(beam_size=width, max_len=4), prune=True,
+                dec.DecodeConfig(beam_size=width, max_len=4),
             )
 
 
@@ -253,11 +251,15 @@ class TestBeamBehavior:
             params = random_params(cfg, seed + 300)
             example = tiny_example(cfg, seed + 301)
             search = dec.DecodeConfig(beam_size=3, max_len=5)
-            pruned = dec.beam_search(params, example, search, prune=True)
-            full = dec.beam_search(params, example, search, prune=False)
-            assert [h.tokens for h in pruned] == [h.tokens for h in full]
+            pruned = dec.beam_search(params, example, search)
+            session = dec.DecodeSession(params, example)
+            full = oracle.beam_reference(
+                row_step(session.step), session.initial_state(), cfg.bos_id, cfg.eos_id, cfg.vocab_size,
+                search, prune=False,
+            )
+            assert [h.tokens for h in pruned] == [tokens for tokens, _, _ in full]
             assert all(
-                abs(a.log_prob - b.log_prob) < 1e-12 for a, b in zip(pruned, full)
+                abs(a.log_prob - log_prob) < 1e-12 for a, (_, log_prob, _) in zip(pruned, full)
             )
 
     def test_results_sorted_and_bounded(self):

@@ -122,7 +122,7 @@ class TestParamSpec:
         dec_cell = 16 * 11 + 16 * 4 + 16  # input = 2*4 + 3
         init = 2 * (4 * 8 + 4)
         head = 10 * 4
-        n_parameters = sum(t.size for _, t in params.named_parameters())
+        n_parameters = sum(t.array.size for _, t in params.named_parameters())
         assert n_parameters == embedding + 2 * enc_cell + attn + dec_cell + init + head
 
     def test_mem_output_gate_reads_state_embed_context(self):

@@ -435,7 +435,7 @@ class TestCheckpoint:
         ckpt = make_checkpoint()
         C.save_checkpoint(path, ckpt)
         loaded = C.load_checkpoint(path)
-        assert loaded.config == ckpt.config
+        assert loaded.params.config == ckpt.params.config
         assert loaded.step == 7
         assert loaded.variant_name == "PCGN"
         assert loaded.vocab == ckpt.vocab
