@@ -80,7 +80,6 @@ __all__ = [
     "vslice",
     "embedding_lookup",
     "pick",
-    "dot",
     "sum_all",
     "backprop",
     "finite_difference_check",
@@ -207,13 +206,6 @@ class GradientSet:
         if nid not in self._grads:
             raise KeyError(f"node {nid} is not a watched leaf")
         return self._grads[nid]
-
-    def __contains__(self, key: "Tensor | int") -> bool:
-        nid = key.node if isinstance(key, Tensor) else key
-        return nid in self._grads
-
-    def __len__(self) -> int:
-        return len(self._grads)
 
 
 def _tape_of(*operands: Tensor) -> "Tape | None":
@@ -626,22 +618,6 @@ def pick(x: Tensor, index) -> Tensor:
         return (full,)
 
     return tape._record("pick", (x.node,), out, backward)
-
-
-def dot(a: Tensor, b: Tensor) -> Tensor:
-    av, bv = a.array, b.array
-    if av.ndim != 1 or bv.ndim != 1 or av.shape != bv.shape:
-        raise ShapeError(f"dot expects equal-length vectors, got {av.shape} and {bv.shape}")
-    tape = _tape_of(a, b)
-    out = np.asarray(np.dot(av, bv))
-    if tape is None:
-        return _wrap(out)
-    na, nb = a.node, b.node
-
-    def backward(g):
-        return (g * bv if na is not None else None, g * av if nb is not None else None)
-
-    return tape._record("dot", (na, nb), out, backward)
 
 
 def sum_all(x: Tensor) -> Tensor:

@@ -44,7 +44,8 @@ from .data import (
     filter_records,
     fit_schema,
     parse_dataset,
-    parse_record,
+    parse_profile,
+    profile_to_dict,
     record_to_dict,
     split_by_blog,
 )
@@ -202,12 +203,6 @@ def _out_dir(cfg: RunConfig, fallback: str) -> Path:
     return path
 
 
-def _profile_record(obj: dict) -> RawRecord:
-    """A RawRecord carrying only profile fields (for featurize/description)."""
-    merged = {"blog": "", "comment": "", **obj}
-    return parse_record(merged, lineno=0)
-
-
 # ---------------------------------------------------------------------------
 # prepare
 # ---------------------------------------------------------------------------
@@ -252,9 +247,7 @@ def cmd_prepare(cfg: RunConfig) -> int:
     users: dict[str, dict] = {}
     for r in records:
         if r.user_id not in users:
-            profile = record_to_dict(r)
-            del profile["blog"], profile["comment"]
-            users[r.user_id] = profile
+            users[r.user_id] = profile_to_dict(r)
     _write_json(out / "users.json", users)
 
     counts = {
@@ -415,11 +408,14 @@ def cmd_train(cfg: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _load_users_file(data_dir) -> dict[str, dict]:
+def _load_users_file(data_dir) -> dict:
     path = Path(data_dir) / "users.json"
     if not path.exists():
         raise DataError(f"{path} not found; run prepare first or pass --user-json")
-    return _read_json(path)
+    table = _read_json(path)
+    if not isinstance(table, dict):
+        raise DataError(f"{path} must hold a JSON object of user profiles, got {type(table).__name__}")
+    return table
 
 
 def _decode_input(profile: RawRecord, blog_ids, vocab: Vocab, schema: FeatureSchema) -> DecodeInput:
@@ -448,13 +444,14 @@ def cmd_generate(cfg: RunConfig, args: argparse.Namespace) -> int:
             if uid not in table:
                 known = ", ".join(sorted(table)) or "(none)"
                 raise DataError(f"unknown user {uid!r}; known users: {known}")
-            profiles.append(_profile_record(table[uid]))
+            profiles.append(parse_profile(table[uid], f"users.json entry {uid!r}"))
     for raw in args.user_json or []:
         try:
-            obj = json.loads(raw)
+            profiles.append(parse_profile(json.loads(raw), "--user-json"))
         except json.JSONDecodeError as err:
             raise UsageError(f"--user-json is not valid JSON: {err.msg}") from None
-        profiles.append(_profile_record(obj))
+        except DataError as err:
+            raise UsageError(str(err)) from None
     if not profiles:
         raise UsageError("generate needs at least one --user or --user-json")
 
@@ -469,7 +466,7 @@ def cmd_generate(cfg: RunConfig, args: argparse.Namespace) -> int:
     rows = []
     for uid, hyps in outputs:
         for rank, h in enumerate(hyps):
-            words = vocab.decode(h.content_tokens, keep_specials=True)
+            words = vocab.decode(h.content_tokens)
             label = uid if rank == 0 else ""
             rows.append([label, " ".join(words) or "(empty)", f"{h.log_prob:.4f}"])
     sys.stdout.write(_format_table(headers, rows))
@@ -485,7 +482,7 @@ def cmd_generate(cfg: RunConfig, args: argparse.Namespace) -> int:
                     "hypotheses": [
                         {
                             "token_ids": list(h.content_tokens),
-                            "tokens": vocab.decode(h.content_tokens, keep_specials=True),
+                            "tokens": vocab.decode(h.content_tokens),
                             "log_prob": h.log_prob,
                             "finished": h.finished,
                         }
@@ -545,8 +542,8 @@ def cmd_eval(cfg: RunConfig, args: argparse.Namespace) -> int:
     if args.dump_pairs:
         with atomic_write(args.dump_pairs) as fh:
             for i, pair in enumerate(pairs):
-                hyp = " ".join(ckpt.vocab.decode(pair.hypothesis, keep_specials=True))
-                ref = " ".join(ckpt.vocab.decode(pair.reference, keep_specials=True))
+                hyp = " ".join(ckpt.vocab.decode(pair.hypothesis))
+                ref = " ".join(ckpt.vocab.decode(pair.reference))
                 fh.write(f"{i}\t{hyp}\t{ref}\n")
     return 0
 

@@ -4,6 +4,8 @@ The on-disk format is line-delimited JSON, one record per line, with string
 fields ``blog``, ``comment``, ``user_id`` (required) and optional profile
 fields ``province``, ``city``, ``gender``, ``age``, ``marital_status``,
 ``description``, ``common_words``.  Text fields are whitespace-tokenized.
+An author profile, one entry of ``users.json``, is a record without
+``blog`` and ``comment``.
 """
 
 from __future__ import annotations
@@ -26,7 +28,9 @@ __all__ = [
     "SPECIAL_TOKENS",
     "CATEGORICAL_FIELDS",
     "parse_dataset",
+    "parse_profile",
     "parse_record",
+    "profile_to_dict",
     "record_to_dict",
     "filter_records",
     "build_vocab",
@@ -77,70 +81,76 @@ class RawRecord:
             raise DataError(f"record has negative age {self.age}")
 
 
-def _opt_str(obj: dict, key: str, lineno: int) -> str:
+def _opt_str(obj: dict, key: str, where: str) -> str:
     val = obj.get(key)
     if val is None:
         return ""
     if not isinstance(val, str):
-        raise DataError(f"line {lineno}: field {key!r} must be a string")
+        raise DataError(f"{where}: field {key!r} must be a string")
     return val.strip()
 
 
-def parse_record(obj: dict, lineno: int = 0) -> RawRecord:
-    """Build a RawRecord from one decoded JSON object."""
-    if not isinstance(obj, dict):
-        raise DataError(f"line {lineno}: record must be a JSON object")
-    for key in ("blog", "comment", "user_id"):
-        if key not in obj or obj[key] is None:
-            raise DataError(f"line {lineno}: missing required field {key!r}")
-        if not isinstance(obj[key], str):
-            raise DataError(f"line {lineno}: field {key!r} must be a string")
-    user_id = obj["user_id"].strip()
-    if not user_id:
-        raise DataError(f"line {lineno}: user_id is empty")
+def _req_str(obj: dict, key: str, where: str) -> str:
+    if obj.get(key) is None:
+        raise DataError(f"{where}: missing required field {key!r}")
+    return _opt_str(obj, key, where)
 
+
+def _string_list(val, what: str) -> list[str]:
+    """``val`` when it is a JSON list of strings, else a DataError."""
+    if not (isinstance(val, list) and all(isinstance(w, str) for w in val)):
+        raise DataError(f"{what} must be a list of strings")
+    return val
+
+
+def parse_profile(obj, where: str) -> RawRecord:
+    """The author profile of one decoded JSON object, as a RawRecord with
+    no blog or comment; ``where`` prefixes every error."""
+    if not isinstance(obj, dict):
+        raise DataError(f"{where}: expected a JSON object, got {type(obj).__name__}")
     age_raw = obj.get("age")
     if age_raw is None or age_raw == "":
         age = None
     elif isinstance(age_raw, bool) or not isinstance(age_raw, (int, float)):
-        raise DataError(f"line {lineno}: age must be a number, got {age_raw!r}")
+        raise DataError(f"{where}: age must be a number, got {age_raw!r}")
     elif isinstance(age_raw, float) and not age_raw.is_integer():
-        raise DataError(f"line {lineno}: age must be an integer, got {age_raw!r}")
+        raise DataError(f"{where}: age must be an integer, got {age_raw!r}")
     else:
         age = int(age_raw)
-        if age < 0:
-            raise DataError(f"line {lineno}: age must be non-negative, got {age}")
-
     common_raw = obj.get("common_words")
-    if common_raw is None:
-        common: tuple[str, ...] = ()
-    elif isinstance(common_raw, list) and all(isinstance(w, str) for w in common_raw):
-        common = tuple(w for w in (s.strip() for s in common_raw) if w)
-    else:
-        raise DataError(f"line {lineno}: common_words must be a list of strings")
+    common = () if common_raw is None else _string_list(common_raw, f"{where}: common_words")
 
+    fields = dict(
+        user_id=_req_str(obj, "user_id", where),
+        province=_opt_str(obj, "province", where),
+        city=_opt_str(obj, "city", where),
+        gender=_opt_str(obj, "gender", where),
+        marital_status=_opt_str(obj, "marital_status", where),
+        age=age,
+        description_tokens=tuple(_opt_str(obj, "description", where).split()),
+        common_words=tuple(w for w in (s.strip() for s in common) if w),
+    )
     try:
-        return RawRecord(
-            blog_tokens=tuple(obj["blog"].split()),
-            comment_tokens=tuple(obj["comment"].split()),
-            user_id=user_id,
-            province=_opt_str(obj, "province", lineno),
-            city=_opt_str(obj, "city", lineno),
-            gender=_opt_str(obj, "gender", lineno),
-            marital_status=_opt_str(obj, "marital_status", lineno),
-            age=age,
-            description_tokens=tuple(_opt_str(obj, "description", lineno).split()),
-            common_words=common,
-        )
+        return RawRecord(blog_tokens=(), comment_tokens=(), **fields)
     except DataError as err:
-        raise DataError(f"line {lineno}: {err}") from None
+        raise DataError(f"{where}: {err}") from None
 
 
-def record_to_dict(r: RawRecord) -> dict:
-    """The JSON object of one record; ``parse_record`` reads it back."""
+def parse_record(obj, lineno: int = 0) -> RawRecord:
+    """Build a RawRecord from one decoded JSON object: a profile plus the
+    ``blog`` and ``comment`` strings."""
+    where = f"line {lineno}"
+    return replace(
+        parse_profile(obj, where),
+        blog_tokens=tuple(_req_str(obj, "blog", where).split()),
+        comment_tokens=tuple(_req_str(obj, "comment", where).split()),
+    )
+
+
+def profile_to_dict(r: RawRecord) -> dict:
+    """The JSON object of one author profile, a ``users.json`` entry;
+    ``parse_profile`` reads it back."""
     return {
-        "blog": " ".join(r.blog_tokens),
-        "comment": " ".join(r.comment_tokens),
         "user_id": r.user_id,
         "province": r.province,
         "city": r.city,
@@ -150,6 +160,11 @@ def record_to_dict(r: RawRecord) -> dict:
         "description": " ".join(r.description_tokens),
         "common_words": list(r.common_words),
     }
+
+
+def record_to_dict(r: RawRecord) -> dict:
+    """The JSON object of one record; ``parse_record`` reads it back."""
+    return {"blog": " ".join(r.blog_tokens), "comment": " ".join(r.comment_tokens), **profile_to_dict(r)}
 
 
 def parse_dataset(path) -> list[RawRecord]:
@@ -214,13 +229,11 @@ class Vocab:
         idx = self.index
         return [idx.get(t, UNK_ID) for t in toks]
 
-    def decode(self, ids: Iterable[int], keep_specials: bool = False) -> list[str]:
+    def decode(self, ids: Iterable[int]) -> list[str]:
         out = []
         for i in ids:
             if not (0 <= i < len(self.tokens)):
                 raise IndexError(f"token id {i} out of range for vocab of {len(self.tokens)}")
-            if not keep_specials and i < 4:
-                continue
             out.append(self.tokens[i])
         return out
 
@@ -230,9 +243,10 @@ class Vocab:
     @classmethod
     def from_dict(cls, obj: dict) -> "Vocab":
         try:
-            return cls(tokens=tuple(obj["tokens"]))
+            tokens = obj["tokens"]
         except (KeyError, TypeError) as err:
             raise DataError(f"malformed vocab: {err!r}") from None
+        return cls(tokens=tuple(_string_list(tokens, "vocab tokens")))
 
 
 def build_vocab(train_records: Sequence[RawRecord], max_size: int) -> Vocab:
@@ -280,12 +294,13 @@ class FeatureSchema:
     @classmethod
     def from_dict(cls, obj: dict) -> "FeatureSchema":
         try:
-            categories = {f: tuple(obj["fields"][f]) for f in CATEGORICAL_FIELDS}
+            fields = {f: obj["fields"][f] for f in CATEGORICAL_FIELDS}
             age_divisor = float(obj["age_divisor"])
-        except (KeyError, TypeError, ValueError) as err:
+        except (KeyError, TypeError, ValueError, OverflowError) as err:
             raise DataError(f"malformed feature schema: {err!r}") from None
         if not age_divisor > 0:
             raise DataError(f"feature schema: age_divisor must be positive, got {age_divisor}")
+        categories = {f: tuple(_string_list(cats, f"feature schema field {f!r}")) for f, cats in fields.items()}
         return cls(categories=categories, age_divisor=age_divisor)
 
 

@@ -20,7 +20,7 @@ flag subset of the full model (see :data:`PRESETS`).
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -129,11 +129,8 @@ class ModelConfig:
 
     @classmethod
     def paper(cls, vocab_size: int, feature_dim: int, variant: Variant = PRESETS["PCGN"], **over) -> "ModelConfig":
-        """Full-scale dimensions (40k vocab caps apply upstream)."""
-        base = dict(embed_dim=300, blog_hidden=512, blog_layers=2,
-                    desc_hidden=200, desc_layers=1, user_dim=100)
-        base.update(over)
-        return cls(vocab_size=vocab_size, feature_dim=feature_dim, variant=variant, **base)
+        """Full-scale dimensions, the field defaults (40k vocab caps apply upstream)."""
+        return cls(vocab_size=vocab_size, feature_dim=feature_dim, variant=variant, **over)
 
     @classmethod
     def desk(cls, vocab_size: int, feature_dim: int, variant: Variant = PRESETS["PCGN"], **over) -> "ModelConfig":
@@ -201,14 +198,12 @@ class StateInit:
     c: Affine
 
 
-@dataclass(frozen=True)
-class AttentionResult:
+class AttentionResult(NamedTuple):
     context: Tensor
     weights: Tensor
 
 
-@dataclass(frozen=True)
-class DecoderState:
+class DecoderState(NamedTuple):
     """Per-layer (h, c) pairs plus the user memory cell and step count."""
 
     layers: tuple[tuple[Tensor, Tensor], ...]
@@ -220,8 +215,7 @@ class DecoderState:
         return self.layers[-1][0]
 
 
-@dataclass(frozen=True)
-class StepResult:
+class StepResult(NamedTuple):
     logits: Tensor
     state: DecoderState
     blog_attention: Tensor

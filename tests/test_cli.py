@@ -375,6 +375,15 @@ class TestGenerate:
         assert rc == 1
         assert "not valid JSON" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["5", "[1]"])
+    def test_non_object_user_json_exits_1(self, value, pcgn_dir, capsys):
+        rc = cli.main([
+            "generate", "--checkpoint", str(pcgn_dir / "checkpoint_final.json"),
+            "--blog", "new post", "--user-json", value,
+        ])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("usage error: --user-json: expected a JSON object")
+
     def test_no_user_exits_1(self, pcgn_dir, capsys):
         rc = cli.main([
             "generate", "--checkpoint", str(pcgn_dir / "checkpoint_final.json"),
@@ -566,6 +575,12 @@ def _checkpoint_copy(pcgn_dir, tmp_path, edit):
     return path
 
 
+def _edited_json(path, edit) -> bytes:
+    doc = json.loads(path.read_text())
+    edit(doc)
+    return json.dumps(doc).encode()
+
+
 def _train_on(prep_dir, tmp_path, name, content):
     return train_args(_data_copy(prep_dir, tmp_path, name, content), tmp_path / "out")
 
@@ -595,6 +610,18 @@ MALFORMED_FILES = {
         _file(tmp, "ckpt.json", b'{"format": "\xff"}'), prep), "not UTF-8"),
     "checkpoint with a null vocab": (lambda prep, run, tmp: _generate_with(
         _checkpoint_copy(run, tmp, lambda doc: doc.update(vocab=None)), prep), "malformed vocab"),
+    "schema field holding a string": (lambda prep, run, tmp: _train_on(
+        prep, tmp, "schema.json", _edited_json(prep / "schema.json", lambda doc: doc["fields"].update(city="abc"))),
+        "field 'city' must be a list of strings"),
+    "vocab with a non-string token": (lambda prep, run, tmp: _train_on(
+        prep, tmp, "vocab.json", b'{"tokens": ["<pad>", "<unk>", "<bos>", "<eos>", 7]}'),
+        "vocab tokens must be a list of strings"),
+    "checkpoint vocab with a non-string token": (lambda prep, run, tmp: [
+        "eval", "--checkpoint", str(_checkpoint_copy(run, tmp, lambda doc: doc["vocab"]["tokens"].append(7))),
+        "--data-dir", str(prep)], "vocab tokens must be a list of strings"),
+    "users table that is a list": (lambda prep, run, tmp: _generate_with(
+        run / "checkpoint_final.json", _data_copy(prep, tmp, "users.json", b'[{"user_id": "u00"}]')),
+        "JSON object of user profiles"),
 }
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -81,6 +82,11 @@ class TestParseRecord:
         with pytest.raises(D.DataError, match="user_id"):
             D.parse_record({"blog": "a b", "comment": "c d", "user_id": "  "})
 
+    def test_bad_optional_string_names_the_line_once(self):
+        with pytest.raises(D.DataError) as err:
+            D.parse_record({"blog": "a b", "comment": "c d", "user_id": "u", "city": 5}, lineno=7)
+        assert str(err.value) == "line 7: field 'city' must be a string"
+
     def test_common_words_must_be_string_list(self):
         with pytest.raises(D.DataError, match="common_words"):
             D.parse_record({"blog": "a b", "comment": "c d", "user_id": "u", "common_words": "x y"})
@@ -116,6 +122,61 @@ _records = st.builds(
 def test_record_to_dict_inverts_parse_record(record):
     line = json.dumps(D.record_to_dict(record), sort_keys=True)
     assert D.parse_record(json.loads(line)) == record
+    entry = json.dumps(D.profile_to_dict(record), sort_keys=True)
+    assert D.parse_profile(json.loads(entry), "entry") == replace(record, blog_tokens=(), comment_tokens=())
+
+
+def _json_type(value) -> str:
+    if isinstance(value, bool):
+        return "boolean"
+    if isinstance(value, (int, float)):
+        return "number"
+    return type(value).__name__
+
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False, allow_infinity=False) | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=4,
+)
+
+
+def _paths(doc, path=()):
+    """Every position in a JSON document, the document itself included."""
+    yield path
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield from _paths(value, path + (key,))
+
+
+_PROFILE = rec(province="p", city="c", gender="f", marital_status="m", age=30, description="d e",
+               common_words=("w",))
+# artifact -> (its reader, a valid document)
+_READERS = {
+    "vocab.json": (D.Vocab.from_dict, {"tokens": [*D.SPECIAL_TOKENS, "a", "b"]}),
+    "schema.json": (D.FeatureSchema.from_dict, D.fit_schema([_PROFILE]).to_dict()),
+    "users.json entry": (lambda obj: D.parse_profile(obj, "users.json entry"), D.profile_to_dict(_PROFILE)),
+}
+
+
+@given(st.sampled_from(sorted(_READERS)), st.data())
+@settings(max_examples=300, deadline=None)
+def test_readers_answer_a_swapped_json_type_with_a_data_error(artifact, data):
+    read, doc = _READERS[artifact]
+    path = data.draw(st.sampled_from(list(_paths(doc))))
+    doc = json.loads(json.dumps(doc))
+    parent, old = None, doc
+    for key in path:
+        parent, old = old, old[key]
+    value = data.draw(_json_values.filter(lambda v: _json_type(v) != _json_type(old)))
+    if parent is None:
+        doc = value
+    else:
+        parent[path[-1]] = value
+    try:
+        read(doc)
+    except D.DataError:
+        pass
 
 
 class TestParseDataset:
@@ -217,11 +278,10 @@ class TestVocab:
         v = D.build_vocab([rec(blog="a b", comment="c d", user="u")], max_size=10)
         assert v.encode(["a", "zzz"]) == [v.index["a"], D.UNK_ID]
 
-    def test_decode_strips_specials_by_default(self):
+    def test_decode_keeps_specials(self):
         v = D.build_vocab([rec(blog="a b", comment="c d", user="u")], max_size=10)
         ids = [D.BOS_ID, v.index["a"], D.EOS_ID]
-        assert v.decode(ids) == ["a"]
-        assert v.decode(ids, keep_specials=True) == ["<bos>", "a", "<eos>"]
+        assert v.decode(ids) == ["<bos>", "a", "<eos>"]
 
     def test_decode_out_of_range(self):
         v = D.build_vocab([rec()], max_size=10)
@@ -290,6 +350,8 @@ class TestFeatures:
         doc = D.fit_schema([rec()]).to_dict()
         with pytest.raises(D.DataError, match="age_divisor"):
             D.FeatureSchema.from_dict({**doc, "age_divisor": 0.0})
+        with pytest.raises(D.DataError, match="malformed feature schema"):
+            D.FeatureSchema.from_dict({**doc, "age_divisor": 10**400})
 
     def test_schema_roundtrip(self):
         schema = self.make_schema()

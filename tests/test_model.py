@@ -239,7 +239,7 @@ class TestLSTM:
                 b=theta if which == "b" else base.b,
             )
             h, c = M.lstm_step(cell, x, h_prev, c_prev)
-            return ad.add(ad.dot(h, weights), ad.dot(c, weights))
+            return ad.add(ad.sum_all(ad.hadamard(h, weights)), ad.sum_all(ad.hadamard(c, weights)))
 
         err = ad.finite_difference_check(f, getattr(base, which))
         assert err < 1e-6
@@ -271,7 +271,7 @@ class TestFusedLSTMCell:
         def f(theta):
             args = dict(inputs, **{which: theta})
             packed = ad.lstm_cell(cell.w_x, cell.w_h, cell.b, args["x"], args["h_prev"], args["c_prev"])
-            return ad.dot(packed, weights)
+            return ad.sum_all(ad.hadamard(packed, weights))
 
         assert ad.finite_difference_check(f, inputs[which]) < 1e-6
 
@@ -399,7 +399,7 @@ class TestAttention:
         weights = ad.tensor(rng.normal(size=4))
 
         def f(w_a):
-            return ad.dot(M.attention_context(s_prev, states, w_a).context, weights)
+            return ad.sum_all(ad.hadamard(M.attention_context(s_prev, states, w_a).context, weights))
 
         assert ad.finite_difference_check(f, ad.tensor(rng.normal(size=(2, 4)))) < 1e-6
 
@@ -479,7 +479,7 @@ class TestGatedMemory:
 
         def f(w_u):
             _, m_read = M.gated_memory_step(w_u, w_o, s, s, e, cb, m_prev)
-            return ad.dot(m_read, mix)
+            return ad.sum_all(ad.hadamard(m_read, mix))
 
         assert ad.finite_difference_check(f, ad.tensor(rng.normal(size=(3, 4)))) < 1e-6
 
@@ -586,6 +586,39 @@ class TestDecoderStep:
         out = M.decoder_step(params, state, ex.y[0], blog, desc, v_u)
         assert len(out.state.layers) == 2
         assert out.logits.shape == (params.config.vocab_size,)
+
+
+def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestVectorWalk:
+    """One example's vector walk is a speed path of the block walk: it
+    returns the one-row block's values bit for bit."""
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_matches_the_one_row_block(self, seed):
+        rng = np.random.default_rng(seed)
+
+        def dim(hi):
+            return int(rng.integers(1, hi))
+
+        cfg = tiny_config("PCGN", embed_dim=dim(6), blog_hidden=dim(6), blog_layers=dim(3),
+                          desc_hidden=dim(6), desc_layers=dim(3), user_dim=dim(4))
+        params = random_params(cfg, seed)
+        ex = tiny_example(cfg, seed, x_len=dim(8), d_len=dim(6))
+        for encode, ids in ((M.encode_blog, ex.x), (M.encode_description, ex.d)):
+            assert same_bits(encode(params, ids).array, encode(params, ids, lengths=[len(ids)]).array)
+
+        blog = M.encode_blog(params, ex.x)
+        vector = M.init_decoder_state(params, blog, M.user_vector(params, ex.f))
+        row = M.init_decoder_state(params, blog, M.user_vector(params, ex.f[None]), lengths=[len(ex.x)])
+        assert len(vector.layers) == len(row.layers) == cfg.decoder_layers
+        pairs = [(vector.memory, row.memory)] + [
+            pair for v, r in zip(vector.layers, row.layers) for pair in zip(v, r)
+        ]
+        for v, r in pairs:
+            assert same_bits(v.array[None], r.array)
 
 
 class TestBatchedDecoderStep:

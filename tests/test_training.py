@@ -112,7 +112,7 @@ class TestBlockWalk:
         tape = ad.Tape()
         watched = {name: tape.watch(t) for name, t in params.named_parameters()}
         terms, owner = T.gold_log_probs(params.with_tensors(watched), examples)
-        objective = ad.dot(terms, ad.tensor(-weights[owner]))
+        objective = ad.sum_all(ad.hadamard(terms, ad.tensor(-weights[owner])))
         grads = ad.backprop(tape, objective)
 
         want_losses = []
