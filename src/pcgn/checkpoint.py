@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import base64
 import json
+import math
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -80,15 +81,17 @@ def _decode_array(obj: dict, name: str) -> np.ndarray:
         shape = tuple(int(d) for d in obj["shape"])
         dtype = obj["dtype"]
         blob = base64.b64decode(obj["data"], validate=True)
-    except (KeyError, TypeError, ValueError) as err:
+    except (KeyError, TypeError, ValueError, OverflowError) as err:
         raise CheckpointCorruptError(f"parameter {name!r}: {err}") from None
+    if any(d < 0 for d in shape):
+        raise CheckpointCorruptError(f"parameter {name!r}: negative dimension in shape {shape}")
     if dtype not in _DTYPE_CODES:
         raise CheckpointCorruptError(f"parameter {name!r}: unsupported dtype {dtype!r}")
     try:
         arr = np.frombuffer(blob, dtype=_DTYPE_CODES[dtype])
     except ValueError as err:
         raise CheckpointCorruptError(f"parameter {name!r}: {err}") from None
-    expected = int(np.prod(shape)) if shape else 1
+    expected = math.prod(shape)
     if arr.size != expected:
         raise CheckpointCorruptError(
             f"parameter {name!r}: payload holds {arr.size} elements, shape {shape} needs {expected}"

@@ -38,9 +38,8 @@ from .data import (
     Vocab,
     apply_common_words,
     build_vocab,
-    description_ids,
+    encode_record,
     encode_records,
-    featurize_user,
     filter_records,
     fit_schema,
     parse_dataset,
@@ -49,7 +48,7 @@ from .data import (
     record_to_dict,
     split_by_blog,
 )
-from .decoding import DecodeConfig, DecodeInput, beam_search
+from .decoding import DecodeConfig, beam_search
 from .metrics import CorpusScores, EvalPair, bleu2, meteor_lite
 from .model import ModelConfig, build_model, variant_from_name
 from .synthetic import synthetic_records
@@ -418,23 +417,13 @@ def _load_users_file(data_dir) -> dict:
     return table
 
 
-def _decode_input(profile: RawRecord, blog_ids, vocab: Vocab, schema: FeatureSchema) -> DecodeInput:
-    return DecodeInput(
-        x=tuple(blog_ids),
-        f=featurize_user(profile, schema),
-        d=description_ids(profile, vocab),
-        user_id=profile.user_id,
-    )
-
-
 def cmd_generate(cfg: RunConfig, args: argparse.Namespace) -> int:
     ckpt = load_checkpoint(args.checkpoint)
     vocab, schema = ckpt.vocab, ckpt.schema
 
-    blog_tokens = args.blog.split()
+    blog_tokens = tuple(args.blog.split())
     if not blog_tokens:
         raise UsageError("--blog must contain at least one token")
-    blog_ids = vocab.encode(blog_tokens)
 
     profiles: list[RawRecord] = []
     user_ids = list(args.user or [])
@@ -459,7 +448,8 @@ def cmd_generate(cfg: RunConfig, args: argparse.Namespace) -> int:
     top = max(1, cfg.top)
     outputs = []
     for profile in profiles:
-        hyps = beam_search(ckpt.params, _decode_input(profile, blog_ids, vocab, schema), decode_cfg)
+        example = encode_record(dataclasses.replace(profile, blog_tokens=blog_tokens), vocab, schema)
+        hyps = beam_search(ckpt.params, example, decode_cfg)
         outputs.append((profile.user_id, hyps[:top]))
 
     headers = ["User", "Comment", "LogProb"]

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -40,7 +40,6 @@ __all__ = [
     "split_by_blog",
     "encode_records",
     "encode_record",
-    "description_ids",
     "apply_common_words",
 ]
 
@@ -117,6 +116,10 @@ def parse_profile(obj, where: str) -> RawRecord:
         raise DataError(f"{where}: age must be an integer, got {age_raw!r}")
     else:
         age = int(age_raw)
+        try:
+            float(age)
+        except OverflowError:
+            raise DataError(f"{where}: age is too large for a float") from None
     common_raw = obj.get("common_words")
     common = () if common_raw is None else _string_list(common_raw, f"{where}: common_words")
 
@@ -214,13 +217,11 @@ class Vocab:
     """Token <-> id table with four reserved ids: 0 pad, 1 unk, 2 bos, 3 eos."""
 
     tokens: tuple[str, ...]
-    index: dict[str, int] = field(compare=False, repr=False, default_factory=dict)
 
     def __post_init__(self):
         if tuple(self.tokens[:4]) != SPECIAL_TOKENS:
             raise DataError(f"vocab must start with {SPECIAL_TOKENS}")
-        if not self.index:
-            object.__setattr__(self, "index", {tok: i for i, tok in enumerate(self.tokens)})
+        object.__setattr__(self, "index", {tok: i for i, tok in enumerate(self.tokens)})
 
     def __len__(self) -> int:
         return len(self.tokens)
@@ -410,20 +411,15 @@ class EncodedExample:
         return len(self.y) - 1
 
 
-def description_ids(record: RawRecord, vocab: Vocab) -> tuple[int, ...]:
-    """Ids of the record's self description; an empty description is a
-    single unk, so description attention always has a state."""
-    return tuple(vocab.encode(record.description_tokens)) or (UNK_ID,)
-
-
 def encode_record(record: RawRecord, vocab: Vocab, schema: FeatureSchema) -> EncodedExample:
     """Ids for one record; common words reach the description only through
-    :func:`apply_common_words` beforehand."""
+    :func:`apply_common_words` beforehand.  An empty description is a
+    single unk, so description attention always has a state."""
     return EncodedExample(
         x=tuple(vocab.encode(record.blog_tokens)),
         y=(BOS_ID,) + tuple(vocab.encode(record.comment_tokens)) + (EOS_ID,),
         f=featurize_user(record, schema),
-        d=description_ids(record, vocab),
+        d=tuple(vocab.encode(record.description_tokens)) or (UNK_ID,),
         user_id=record.user_id,
     )
 

@@ -77,6 +77,12 @@ class DecodeConfig:
             raise ValueError(f"length_norm must be >= 0, got {self.length_norm}")
 
 
+def _normalized(log_prob, length: int, length_norm: float):
+    """``log_prob / length ** length_norm``, the score beam search ranks by;
+    at length_norm 0 the divisor is exactly 1.0, so the score is log_prob."""
+    return log_prob / length ** length_norm
+
+
 @dataclass(frozen=True)
 class Hypothesis:
     """A (possibly finished) decoded prefix.
@@ -95,9 +101,7 @@ class Hypothesis:
         return self.tokens[:-1] if self.finished else self.tokens
 
     def score(self, length_norm: float = 0.0) -> float:
-        if length_norm == 0.0:
-            return self.log_prob
-        return self.log_prob / max(len(self.tokens), 1) ** length_norm
+        return _normalized(self.log_prob, max(len(self.tokens), 1), length_norm)
 
 
 def _map_state(state: M.DecoderState, fn) -> M.DecoderState:
@@ -174,13 +178,13 @@ def beam_search_steps(
     passes the states the previous call returned with every survivor's
     row in them.  The call scores every (live hypothesis, token) pair at
     once as a (live, V) array: the parent's log_prob plus the step
-    log-prob, divided by len(tokens)**length_norm when that exponent is
-    nonzero, which all live prefixes share.  Tokens with step log-prob
-    -inf are never candidates.  An exact top-k keeps every candidate
-    scoring at least the beam_size-th best score, so all ties at that
-    boundary survive; only those survivors become token tuples, and they
-    are sorted by (score descending, tokens ascending).  The result is the
-    same as fully sorting all V x live candidates.
+    log-prob, divided by len(tokens)**length_norm, which all live
+    prefixes share.  Tokens with step log-prob -inf are never
+    candidates.  An exact top-k keeps every candidate scoring at least
+    the beam_size-th best score, so all ties at that boundary survive;
+    only those survivors become token tuples, and they are sorted by
+    (score descending, tokens ascending).  The result is the same as
+    fully sorting all V x live candidates.
 
     Early stop ("pruning") fires only with length_norm == 0, where scores
     can only fall with length: once beam_size hypotheses are pooled and
@@ -198,8 +202,7 @@ def beam_search_steps(
         if step_lp.shape != (len(beam), vocab_size):
             raise ValueError(f"step function returned {step_lp.shape}, expected ({len(beam)}, {vocab_size})")
         totals = (step_lp + np.array([h.log_prob for h in beam])[:, None]).ravel()
-        norm = config.length_norm
-        scores = totals if norm == 0.0 else totals / (len(beam[0].tokens) + 1) ** norm
+        scores = _normalized(totals, len(beam[0].tokens) + 1, config.length_norm)
         allowed = np.flatnonzero(step_lp.ravel() != -np.inf)
         if allowed.size == 0:
             break

@@ -16,6 +16,7 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +25,7 @@ import pytest
 from pcgn import cli
 from pcgn.autodiff import NonFiniteError
 from pcgn.checkpoint import load_checkpoint, save_checkpoint
-from pcgn.data import encode_records, parse_dataset
+from pcgn.data import encode_record, encode_records, parse_dataset, parse_profile
 from pcgn.decoding import DecodeConfig, beam_search
 from pcgn.metrics import EvalPair, bleu2, meteor_lite
 from pcgn.training import dataset_perplexity
@@ -321,6 +322,35 @@ class TestGenerate:
         scores = [h["log_prob"] for h in entry["hypotheses"]]
         assert scores == sorted(scores, reverse=True)
 
+    @pytest.mark.parametrize("length_norm", [0.0, 0.5])
+    def test_json_matches_library_decode(self, length_norm, pcgn_dir, prep_dir, tmp_path):
+        blog = "new post about coffee today"
+        adhoc = {"user_id": "adhoc", "gender": "f", "description": ""}
+        doc_path = tmp_path / "gen.json"
+        rc = cli.main([
+            "generate", "--checkpoint", str(pcgn_dir / "checkpoint_final.json"),
+            "--data-dir", str(prep_dir), "--blog", blog, "--user", "u00", "--user", "u01",
+            "--user-json", json.dumps(adhoc), "--top", "10",
+            "--length-norm", str(length_norm), "--json", str(doc_path),
+        ])
+        assert rc == 0
+        doc = json.loads(doc_path.read_text(encoding="utf-8"))
+
+        ckpt = load_checkpoint(pcgn_dir / "checkpoint_final.json")
+        users = json.loads((prep_dir / "users.json").read_text(encoding="utf-8"))
+        profiles = [parse_profile(users["u00"], "u00"), parse_profile(users["u01"], "u01"),
+                    parse_profile(adhoc, "adhoc")]
+        decode_cfg = DecodeConfig(beam_size=10, max_len=20, length_norm=length_norm)
+        assert [u["user_id"] for u in doc["users"]] == [p.user_id for p in profiles]
+        for entry, profile in zip(doc["users"], profiles):
+            example = encode_record(replace(profile, blog_tokens=tuple(blog.split())), ckpt.vocab, ckpt.schema)
+            expected = [
+                {"token_ids": list(h.content_tokens), "tokens": ckpt.vocab.decode(h.content_tokens),
+                 "log_prob": h.log_prob, "finished": h.finished}
+                for h in beam_search(ckpt.params, example, decode_cfg)
+            ]
+            assert entry["hypotheses"] == expected
+
     def test_seq2seq_ignores_user_identity(self, seq2seq_dir, prep_dir, tmp_path):
         doc_path = tmp_path / "gen.json"
         rc = cli.main([
@@ -585,6 +615,15 @@ def _train_on(prep_dir, tmp_path, name, content):
     return train_args(_data_copy(prep_dir, tmp_path, name, content), tmp_path / "out")
 
 
+HUGE_AGE = 10**400  # an int that float() cannot hold
+
+
+def _reshape_first_param(doc, shape_of, **fields):
+    """Give the checkpoint's first parameter ``shape_of(its element count)``."""
+    param = doc["params"][min(doc["params"])]
+    param.update(shape=shape_of(math.prod(param["shape"])), **fields)
+
+
 def _generate_with(checkpoint, data_dir=None):
     argv = ["generate", "--checkpoint", str(checkpoint), "--blog", "new post", "--user", "u00"]
     return argv + (["--data-dir", str(data_dir)] if data_dir else [])
@@ -622,6 +661,23 @@ MALFORMED_FILES = {
     "users table that is a list": (lambda prep, run, tmp: _generate_with(
         run / "checkpoint_final.json", _data_copy(prep, tmp, "users.json", b'[{"user_id": "u00"}]')),
         "JSON object of user profiles"),
+    "users table entry with an age too large for a float": (lambda prep, run, tmp: _generate_with(
+        run / "checkpoint_final.json",
+        _data_copy(prep, tmp, "users.json", _edited_json(prep / "users.json", lambda doc: doc["u00"].update(age=HUGE_AGE)))),
+        "users.json entry 'u00': age is too large"),
+    "input record with an age too large for a float": (lambda prep, run, tmp: [
+        "prepare", "--input", str(_file(tmp, "raw.jsonl", SAMPLE_DATA.read_bytes().replace(
+            b'"age": 29,', f'"age": {HUGE_AGE},'.encode(), 1))),
+        "--out-dir", str(tmp / "out")], "line 1: age is too large"),
+    "checkpoint parameter with negative dimensions": (lambda prep, run, tmp: _generate_with(
+        _checkpoint_copy(run, tmp, lambda doc: _reshape_first_param(doc, lambda n: [-1, -n])), prep),
+        "negative dimension"),
+    "checkpoint parameter whose dimensions overflow int64": (lambda prep, run, tmp: _generate_with(
+        _checkpoint_copy(run, tmp, lambda doc: _reshape_first_param(doc, lambda n: [2**32, 2**32], data="")), prep),
+        "shape (4294967296, 4294967296) needs"),
+    "checkpoint parameter with an infinite dimension": (lambda prep, run, tmp: _generate_with(
+        _checkpoint_copy(run, tmp, lambda doc: _reshape_first_param(doc, lambda n: [math.inf])), prep),
+        "infinity"),
 }
 
 
@@ -635,6 +691,16 @@ class TestMalformedFiles:
         err = capsys.readouterr().err
         assert err.startswith("data error: ")
         assert named in err
+        assert len(err.splitlines()) == 1
+
+    def test_user_json_age_too_large_for_a_float_exits_1(self, pcgn_dir, capsys):
+        profile = json.dumps({"user_id": "adhoc", "age": HUGE_AGE})
+        rc = cli.main([
+            "generate", "--checkpoint", str(pcgn_dir / "checkpoint_final.json"),
+            "--blog", "new post", "--user-json", profile,
+        ])
+        assert rc == 1
+        assert capsys.readouterr().err == "usage error: --user-json: age is too large for a float\n"
 
 
 class TestArtifactWrites:

@@ -58,7 +58,7 @@ class TestParseRecord:
         assert D.parse_record({**base, "age": ""}).age is None
         assert D.parse_record({**base, "age": 30.0}).age == 30
 
-    @pytest.mark.parametrize("bad", ["thirty", 25.5, True, -1])
+    @pytest.mark.parametrize("bad", ["thirty", 25.5, True, -1, pytest.param(10**400, id="float-overflow")])
     def test_bad_age_rejected_with_line(self, bad):
         with pytest.raises(D.DataError, match="line 9"):
             D.parse_record({"blog": "a b", "comment": "c d", "user_id": "u", "age": bad}, lineno=9)
