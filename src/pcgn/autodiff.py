@@ -21,13 +21,20 @@ blocks as well as vectors.  Beam search steps every live hypothesis as
 one such block, so each layer is one numpy call per step, and every row's
 values are bit-identical to stepping that row alone.
 
+The encoders do not step: ``lstm_layer`` runs one LSTM direction over
+whole sequences (one, or a ragged block laid end to end) as one tape
+entry.  Its forward makes one matrix product for every row's input term
+and loops over time only for the recurrence, a stacked matvec per step;
+its backward runs back-propagation through time in closed form and ends
+with one matrix product per weight gradient.
+
 :func:`backprop` keeps one gradient array per node.  It adds row and
 dense gradients into the arrays it owns in place, and frees a node's
 gradient once its producer has run, so a sweep holds the leaves'
 gradients and the few it is still summing, not one per node.  A row
 read, ``embedding_lookup``, hands the sweep only its rows' gradient, so
-reading a sequence's rows one step at a time costs time linear in its
-length, and a token lookup allocates no table-sized array.
+a token lookup allocates no table-sized array, and reading a block's rows
+one step at a time costs time linear in its length.
 
 ``softmax`` takes an optional mask: a constant boolean array of its
 input's shape, False where an entry is left out.  Left-out entries get
@@ -73,6 +80,7 @@ __all__ = [
     "sigmoid",
     "tanh",
     "lstm_cell",
+    "lstm_layer",
     "softmax",
     "log_softmax",
     "concat",
@@ -433,6 +441,151 @@ def lstm_cell(w_x: Tensor, w_h: Tensor, b: Tensor, x: Tensor, h_prev: Tensor, c_
         )
 
     return tape._record("lstm_cell", nodes, out, backward)
+
+
+def _layer_plan(rows: int, lengths: Sequence[int] | None, reverse: bool) -> tuple:
+    """Step-major order of one LSTM direction over a block of sequences.
+
+    Sequences are taken longest first (ties in block order), so the ones
+    still running at step t are a prefix of those that ran at step t - 1.
+    Step-major row k is the k-th (step, sequence) pair.  Returns ``order``,
+    an index (a slice for one sequence) that takes the input rows to
+    step-major order; ``steps``, one (first row, rows, previous-state row)
+    per step, where the previous states sit in a buffer whose first rows
+    hold the zero start states and whose row ``sequences + k`` holds
+    step-major row k's state; and ``prev``, each step-major row's
+    previous-state row in that buffer (None when it is row k).
+    """
+    if lengths is None:
+        lengths = (rows,)
+    if len(lengths) == 1:
+        if rows < 1:
+            raise ValueError("cannot run an LSTM over an empty sequence")
+        if lengths[0] != rows:
+            raise ShapeError(f"sequence length {lengths[0]} differs from the {rows} input rows")
+        return slice(None, None, -1 if reverse else 1), [(t, 1, t) for t in range(rows)], None
+    lens = np.array(lengths, dtype=np.intp)
+    if lens.ndim != 1 or lens.size == 0 or lens.min() < 1:
+        raise ValueError("cannot run an LSTM over an empty sequence")
+    if lens.sum() != rows:
+        raise ShapeError(f"sequence lengths sum to {lens.sum()}, but there are {rows} input rows")
+    n = lens.size
+    by_len = np.argsort(-lens, kind="stable")
+    lens_s = lens[by_len]
+    starts_s = (np.cumsum(lens) - lens)[by_len]
+    t = np.arange(lens_s[0])[:, None]
+    running = t < lens_s                                  # steps x sequences, prefixes
+    counts = running.sum(axis=1)
+    first = np.cumsum(counts) - counts
+    order = (starts_s + (lens_s - 1 - t if reverse else t))[running]
+    prev_first = np.concatenate(([0], n + first[:-1]))
+    prev = (prev_first[:, None] + np.arange(n))[running]
+    steps = list(zip(first.tolist(), counts.tolist(), prev_first.tolist()))
+    return order, steps, (None if (lens == lens[0]).all() else prev)
+
+
+def lstm_layer(w_x: Tensor, w_h: Tensor, b: Tensor, x: Tensor, reverse: bool, lengths: Sequence[int] | None = None) -> Tensor:
+    """One LSTM direction from zero states over whole sequences.
+
+    ``x`` holds one sequence's input vectors as its rows, or, with
+    ``lengths``, a block of sequences laid one after another.  The
+    forward direction reads each sequence first row to last; ``reverse``
+    reads it last to first.  Returns every step's hidden state as the
+    row of the input it read, so the result has x's rows.  The cell is
+    :func:`lstm_cell`'s.
+
+    W_x x + b is one matrix product over all rows; only W_h h steps
+    through time, one stacked matvec per step for the sequences still
+    running, so each row's recurrence does not depend on the rows beside
+    it.  The whole layer is one tape entry: its backward runs
+    back-propagation through time in closed form and ends with one
+    matrix product per weight gradient.
+    """
+    wxv, whv, bv, xv = w_x.array, w_h.array, b.array, x.array
+    if wxv.ndim != 2 or whv.ndim != 2 or bv.ndim != 1 or xv.ndim != 2:
+        raise ShapeError(
+            f"lstm_layer expects matrices w_x, w_h, a vector b, and a row block x, "
+            f"got shapes {wxv.shape}, {whv.shape}, {bv.shape}, {xv.shape}"
+        )
+    hidden = whv.shape[1]
+    gates = 4 * hidden
+    if whv.shape[0] != gates or wxv.shape[0] != gates or bv.shape[0] != gates:
+        raise ShapeError(f"lstm_layer gate rows differ: w_x {wxv.shape}, w_h {whv.shape}, b {bv.shape}")
+    if wxv.shape[1] != xv.shape[1]:
+        raise ShapeError(f"lstm_layer input extents differ: {wxv.shape} x {xv.shape}")
+    rows = xv.shape[0]
+    order, steps, prev = _layer_plan(rows, lengths, reverse)
+    tape = _tape_of(w_x, w_h, b, x)
+    n_seq = steps[0][1]
+    xs = np.ascontiguousarray(xv[order])
+    # Step-major buffers.  act holds each row's gate activations (input,
+    # forget, candidate, output); hs and cs hold the zero start states,
+    # then each step-major row's h and c.
+    pre = xs @ wxv.T + bv
+    act = np.empty_like(pre)
+    hs = np.zeros((n_seq + rows, hidden))
+    cs = np.zeros((n_seq + rows, hidden))
+    h1, h2, h3 = hidden, 2 * hidden, 3 * hidden
+    for first, count, p in steps:
+        z = pre[first : first + count]
+        z += _mv(whv, hs[p : p + count])
+        a = act[first : first + count]
+        np.multiply(z, 0.5, out=a)
+        np.tanh(a, out=a)
+        a *= 0.5
+        a += 0.5
+        np.tanh(z[:, h2:h3], out=a[:, h2:h3])
+        c = cs[n_seq + first : n_seq + first + count]
+        np.multiply(a[:, h1:h2], cs[p : p + count], out=c)
+        c += a[:, :h1] * a[:, h2:h3]
+        np.multiply(a[:, h3:], np.tanh(c), out=hs[n_seq + first : n_seq + first + count])
+    out = np.empty((rows, hidden))
+    out[order] = hs[n_seq:]
+    if tape is None:
+        return _wrap(out)
+    nodes = (w_x.node, w_h.node, b.node, x.node)
+
+    def backward(g):
+        # g_h gains each later step's recurrent gradient in place, so it
+        # must be a copy: g may be shared.
+        g_h = np.array(g[order])
+        h_prev, c_prev = (hs[:rows], cs[:rows]) if prev is None else (hs[prev], cs[prev])
+        tanh_c = np.tanh(cs[n_seq:])
+        gate_i, gate_f, cand, gate_o = act[:, :h1], act[:, h1:h2], act[:, h2:h3], act[:, h3:]
+        # d pre = factor * [d c, d c, d c, d h], slab by slab; d c = d h * dc_dh + carry.
+        dc_dh = gate_o * (1.0 - tanh_c * tanh_c)
+        factor = np.concatenate((
+            cand * gate_i * (1.0 - gate_i),
+            c_prev * gate_f * (1.0 - gate_f),
+            gate_i * (1.0 - cand * cand),
+            tanh_c * gate_o * (1.0 - gate_o),
+        ), axis=1).reshape(rows, 4, hidden)
+        d_pre = np.empty((rows, 4, hidden))
+        g_c = np.zeros((rows, hidden))
+        for first, count, p in reversed(steps):
+            at = slice(first, first + count)
+            d_h, d_c = g_h[at], g_c[at]
+            d_c += d_h * dc_dh[at]
+            np.multiply(factor[at, :3], d_c[:, None, :], out=d_pre[at, :3])
+            np.multiply(factor[at, 3], d_h, out=d_pre[at, 3])
+            if p >= n_seq:  # the previous state is a step's, not the zero start
+                back = slice(p - n_seq, p - n_seq + count)
+                g_h[back] += d_pre[at].reshape(count, gates) @ whv
+                np.multiply(d_c, gate_f[at], out=g_c[back])
+        d_pre = d_pre.reshape(rows, gates)
+        n_wx, n_wh, n_b, n_x = nodes
+        g_x = None
+        if n_x is not None:
+            g_x = np.empty(xv.shape)
+            g_x[order] = d_pre @ wxv
+        return (
+            d_pre.T @ xs if n_wx is not None else None,
+            d_pre.T @ h_prev if n_wh is not None else None,
+            d_pre.sum(axis=0) if n_b is not None else None,
+            g_x,
+        )
+
+    return tape._record("lstm_layer", nodes, out, backward)
 
 
 def softmax(x: Tensor, mask: np.ndarray | None = None) -> Tensor:

@@ -148,10 +148,10 @@ def load_checkpoint(path) -> Checkpoint:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-    except json.JSONDecodeError as err:
-        raise CheckpointCorruptError(f"not a JSON document: {err.msg}") from None
     except UnicodeDecodeError as err:
         raise CheckpointCorruptError(f"not UTF-8 text: {err}") from None
+    except ValueError as err:  # also an integer literal past the digit limit
+        raise CheckpointCorruptError(f"not a JSON document: {getattr(err, 'msg', err)}") from None
     if not isinstance(doc, dict) or "format" not in doc:
         raise CheckpointCorruptError("missing format marker")
     if doc.get("format") != FORMAT_NAME:

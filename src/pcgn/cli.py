@@ -291,7 +291,7 @@ def _read_json(path):
     """A prepared JSON artifact; an undecodable one is a data error."""
     try:
         return json.loads(Path(path).read_text(encoding="utf-8"))
-    except (json.JSONDecodeError, UnicodeDecodeError) as err:
+    except ValueError as err:  # undecodable JSON or UTF-8, or an integer past the digit limit
         raise DataError(f"{path} is not a readable JSON document: {err}") from None
 
 

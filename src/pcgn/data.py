@@ -185,8 +185,8 @@ def parse_dataset(path) -> list[RawRecord]:
                     continue
                 try:
                     obj = json.loads(line)
-                except json.JSONDecodeError as err:
-                    raise DataError(f"line {lineno}: malformed JSON ({err.msg})") from None
+                except ValueError as err:  # also an integer literal past the digit limit
+                    raise DataError(f"line {lineno}: malformed JSON ({getattr(err, 'msg', err)})") from None
                 records.append(parse_record(obj, lineno))
     except UnicodeDecodeError as err:
         raise DataError(f"{path} is not UTF-8 text: {err}") from None

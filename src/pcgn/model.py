@@ -383,83 +383,22 @@ def bilstm_encode(
 ) -> Tensor:
     """Stacked bidirectional encoding of one sequence or a block of them.
 
-    ``inputs`` holds the input vectors as rows.  Without ``lengths`` they
-    are one sequence, which steps on vectors, the engine's one-row form.
-    With ``lengths`` they are a block of sequences, one after another,
-    that steps as one (B, .) row block.  Row i of the result is
-    [h_fwd; h_bwd] at input row i.  Both directions start from zero
-    states: at step t the forward direction reads every sequence's
-    position t and the backward direction its position len - 1 - t.  A
-    sequence that has ended keeps stepping on its edge input, and those
-    states are never read, so no state needs a mask.  Layer l+1 consumes
-    layer l's outputs.  Every sequence must be non-empty.
+    ``inputs`` holds the input vectors as rows: one sequence, or with
+    ``lengths`` a block of sequences, one after another.  Row i of the
+    result is [h_fwd; h_bwd] at input row i.  Both directions start from
+    zero states; each is one ``ad.lstm_layer``, which runs a one-sequence
+    encode and the same sequence as a one-row block alike.  Layer l+1
+    consumes layer l's outputs.  Every sequence must be non-empty.
     """
     if len(fwd_cells) != len(bwd_cells) or len(fwd_cells) == 0:
         raise ValueError("encoder needs matching non-empty forward/backward stacks")
-    reads, fwd_steps, bwd_steps, fwd_rows, bwd_rows = _encoder_plan(inputs.shape[0], lengths)
-    state_shape = () if lengths is None else (len(lengths),)
     seq = inputs
     for fwd, bwd in zip(fwd_cells, bwd_cells):
-        xs = [ad.embedding_lookup(seq, rows) for rows in reads]
-        # Both directions' hidden rows, stacked step after step, the
-        # forward direction's first.
-        states = ad.stack_rows(
-            _run_direction(fwd, [xs[i] for i in fwd_steps], state_shape)
-            + _run_direction(bwd, [xs[i] for i in bwd_steps], state_shape)
-        )
-        seq = ad.concat([ad.embedding_lookup(states, fwd_rows), ad.embedding_lookup(states, bwd_rows)])
+        seq = ad.concat([
+            ad.lstm_layer(fwd.w_x, fwd.w_h, fwd.b, seq, False, lengths),
+            ad.lstm_layer(bwd.w_x, bwd.w_h, bwd.b, seq, True, lengths),
+        ])
     return seq
-
-
-def _encoder_plan(rows: int, lengths: Sequence[int] | None) -> tuple:
-    """Index plan of an encoding of ``rows`` input rows, for :func:`bilstm_encode`.
-
-    Returns the sets of input rows that steps read (an int each for a
-    single sequence); per step, which set the forward and which the
-    backward direction reads; and per input row, where its forward and
-    its backward state sit among both directions' stacked step outputs.
-    """
-    if lengths is None:
-        if rows < 1:
-            raise ValueError("cannot encode an empty sequence")
-        # One sequence: step t reads row t forward and row rows - 1 - t backward.
-        steps = list(range(rows))
-        return steps, steps, steps[::-1], np.arange(rows), np.arange(2 * rows - 1, rows - 1, -1)
-    lengths = np.array(lengths, dtype=np.intp)
-    if lengths.size == 0 or lengths.min() < 1:
-        raise ValueError("cannot encode an empty sequence")
-    if lengths.sum() != rows:
-        raise ValueError(f"sequence lengths sum to {lengths.sum()}, but there are {rows} input rows")
-    n, steps = lengths.size, int(lengths.max())
-    starts = np.cumsum(lengths) - lengths
-    last = lengths - 1
-    t = np.arange(steps)[:, None]
-    reads = starts + np.minimum(t, last)   # the forward reads, steps x sequences
-    fwd_steps = list(range(steps))
-    if (lengths == steps).all():
-        # Equal lengths: the backward direction reads the forward
-        # direction's rows in reverse, so the two share their inputs.
-        bwd_steps = fwd_steps[::-1]
-    else:
-        reads = np.concatenate([reads, starts + np.maximum(last - t, 0)])
-        bwd_steps = list(range(steps, 2 * steps))
-    # The outputs stack as row step * n + sequence, the forward steps first.
-    seq_of = np.repeat(np.arange(n), lengths)
-    pos = np.arange(rows) - starts[seq_of]
-    fwd_rows = pos * n + seq_of
-    bwd_rows = (steps + last[seq_of] - pos) * n + seq_of
-    return list(reads), fwd_steps, bwd_steps, fwd_rows, bwd_rows
-
-
-def _run_direction(cell: LSTMCell, xs: list[Tensor], state_shape: tuple[int, ...]) -> list[Tensor]:
-    """One LSTM direction from zero states over the step inputs ``xs``;
-    returns every step's hidden rows."""
-    h = c = ad.zeros(state_shape + (cell.hidden,))
-    outs = []
-    for x in xs:
-        h, c = lstm_step(cell, x, h, c)
-        outs.append(h)
-    return outs
 
 
 def user_embed(w: Tensor, b: Tensor, features: Tensor) -> Tensor:

@@ -209,6 +209,25 @@ def _batches(n: int, batch_size: int, order: np.ndarray):
         yield order[start : start + batch_size]
 
 
+def _batch_gradients(
+    params: M.ModelParams, examples: Sequence[EncodedExample], where: str
+) -> tuple[dict[str, Tensor], list[float]]:
+    """Gradients of a batch's mean example loss, and each example's loss.
+
+    The batch's tape dies on return, so the forward values it holds are
+    freed before the caller's update allocates the new parameters.
+    """
+    tape = ad.Tape()
+    watched = {name: tape.watch(t) for name, t in params.named_parameters()}
+    working = params.with_tensors(watched)
+    example_losses = [sequence_loss(working, ex) for ex in examples]
+    batch_loss = ad.scale(reduce(ad.add, example_losses), 1.0 / len(example_losses))
+    if not math.isfinite(batch_loss.item()):
+        raise NonFiniteError(f"non-finite loss in {where}")
+    grad_set = ad.backprop(tape, batch_loss)
+    return {name: grad_set[w] for name, w in watched.items()}, [l.item() for l in example_losses]
+
+
 def train_epoch(
     params: M.ModelParams,
     dataset: Sequence[EncodedExample],
@@ -225,21 +244,10 @@ def train_epoch(
     total_loss = 0.0
     total_tokens = 0
     for batch_idx, batch in enumerate(_batches(len(dataset), opt.batch_size, order)):
-        tape = ad.Tape()
-        watched = {name: tape.watch(t) for name, t in params.named_parameters()}
-        working = params.with_tensors(watched)
-        example_losses = []
-        for i in batch:
-            ex = dataset[int(i)]
-            example_losses.append(sequence_loss(working, ex))
-            total_tokens += ex.target_len
-        batch_loss = ad.scale(reduce(ad.add, example_losses), 1.0 / len(example_losses))
-        loss_val = batch_loss.item()
-        if not math.isfinite(loss_val):
-            raise NonFiniteError(f"non-finite loss in batch {batch_idx} of epoch {epoch}")
-        total_loss += sum(l.item() for l in example_losses)
-        grad_set = ad.backprop(tape, batch_loss)
-        grads = {name: grad_set[w] for name, w in watched.items()}
+        examples = [dataset[int(i)] for i in batch]
+        grads, example_losses = _batch_gradients(params, examples, f"batch {batch_idx} of epoch {epoch}")
+        total_tokens += sum(ex.target_len for ex in examples)
+        total_loss += sum(example_losses)
         params = sgd_update(params, grads, opt.lr, opt.clip_norm)
     stats = EpochStats(
         mean_loss=total_loss / total_tokens,

@@ -349,13 +349,39 @@ def _fd_cases(name, rng):
     if name == "sum_all":
         m, n = dims(2)
         return [(lambda t: ad.sum_all(t), rng.normal(size=(m, n)))]
+    if name == "lstm_layer":
+        # Small sizes: every case probes all four operands.
+        hidden, in_dim, steps = (int(v) for v in rng.integers(1, 4, 3))
+        ragged = rng.permutation([1, int(rng.integers(2, 5)), int(rng.integers(1, 5))]).tolist()
+        layouts = [
+            (steps + 1, False, None),             # forward
+            (steps + 1, True, None),              # reverse
+            (1, bool(rng.integers(2)), None),     # T = 1
+            (sum(ragged), False, ragged),         # ragged block, a length-1 sequence in it
+            (sum(ragged), True, ragged),
+        ]
+
+        def case(operands, probed, reverse, lengths, mix):
+            def f(t):
+                args = list(operands)
+                args[probed] = t
+                return ad.sum_all(ad.hadamard(ad.lstm_layer(*args, reverse, lengths), mix))
+            return f, operands[probed].array
+
+        cases = []
+        for rows, reverse, lengths in layouts:
+            operands = [ad.tensor(rng.normal(size=shape)) for shape in
+                        ((4 * hidden, in_dim), (4 * hidden, hidden), (4 * hidden,), (rows, in_dim))]
+            mix = ad.tensor(rng.normal(size=(rows, hidden)))
+            cases += [case(operands, probed, reverse, lengths, mix) for probed in range(4)]
+        return cases
     raise AssertionError(name)
 
 
 PRIMITIVES = [
     "matvec", "vecmat", "add", "scale", "hadamard",
     "sigmoid", "tanh", "softmax", "log_softmax", "concat", "stack_rows",
-    "vslice", "embedding_lookup", "pick", "sum_all",
+    "vslice", "embedding_lookup", "pick", "sum_all", "lstm_layer",
 ]
 
 
@@ -471,6 +497,23 @@ class TestTape:
 
 
 class TestErrors:
+    def test_lstm_layer_shape_mismatch(self):
+        w_x, w_h, b = ad.zeros((16, 3)), ad.zeros((16, 4)), ad.zeros(16)
+        with pytest.raises(ad.ShapeError):
+            ad.lstm_layer(w_x, w_h, b, ad.zeros((2, 2)), False)
+        with pytest.raises(ad.ShapeError):
+            ad.lstm_layer(w_x, ad.zeros((16, 3)), b, ad.zeros((2, 3)), False)
+        with pytest.raises(ad.ShapeError):
+            ad.lstm_layer(w_x, w_h, ad.zeros(12), ad.zeros((2, 3)), False)
+        with pytest.raises(ad.ShapeError):
+            ad.lstm_layer(w_x, w_h, b, ad.zeros(3), False)
+        with pytest.raises(ad.ShapeError):
+            ad.lstm_layer(w_x, w_h, b, ad.zeros((3, 3)), True, [1, 1])
+        with pytest.raises(ValueError, match="empty"):
+            ad.lstm_layer(w_x, w_h, b, ad.zeros((0, 3)), False)
+        with pytest.raises(ValueError, match="empty"):
+            ad.lstm_layer(w_x, w_h, b, ad.zeros((2, 3)), False, [2, 0])
+
     def test_add_shape_mismatch(self):
         with pytest.raises(ad.ShapeError):
             ad.add(ad.tensor([1.0]), ad.tensor([1.0, 2.0]))

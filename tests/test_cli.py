@@ -616,6 +616,9 @@ def _train_on(prep_dir, tmp_path, name, content):
 
 
 HUGE_AGE = 10**400  # an int that float() cannot hold
+# An integer literal past Python's int-string digit limit (4300 digits):
+# json raises a plain ValueError for it, not a JSONDecodeError.
+LONG_INT = b"9" * 5000
 
 
 def _reshape_first_param(doc, shape_of, **fields):
@@ -669,6 +672,16 @@ MALFORMED_FILES = {
         "prepare", "--input", str(_file(tmp, "raw.jsonl", SAMPLE_DATA.read_bytes().replace(
             b'"age": 29,', f'"age": {HUGE_AGE},'.encode(), 1))),
         "--out-dir", str(tmp / "out")], "line 1: age is too large"),
+    "input record with an integer past the digit limit": (lambda prep, run, tmp: [
+        "prepare", "--input", str(_file(tmp, "raw.jsonl", SAMPLE_DATA.read_bytes().replace(
+            b'"age": 29,', b'"age": ' + LONG_INT + b",", 1))),
+        "--out-dir", str(tmp / "out")], "line 1: malformed JSON"),
+    "users table with an integer past the digit limit": (lambda prep, run, tmp: _generate_with(
+        run / "checkpoint_final.json",
+        _data_copy(prep, tmp, "users.json", b'{"u00": {"user_id": "u00", "age": ' + LONG_INT + b"}}")),
+        "users.json is not a readable JSON document"),
+    "checkpoint with an integer past the digit limit": (lambda prep, run, tmp: _generate_with(
+        _file(tmp, "ckpt.json", b'{"format": ' + LONG_INT + b"}"), prep), "not a JSON document"),
     "checkpoint parameter with negative dimensions": (lambda prep, run, tmp: _generate_with(
         _checkpoint_copy(run, tmp, lambda doc: _reshape_first_param(doc, lambda n: [-1, -n])), prep),
         "negative dimension"),

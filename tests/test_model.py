@@ -346,6 +346,16 @@ class TestBiLSTM:
         with pytest.raises(ValueError, match="empty"):
             M.bilstm_encode(cells, cells, ad.zeros((2, 3)), [2, 0])
 
+    def test_one_tape_entry_per_layer_direction(self):
+        cfg = tiny_config("PCGN", blog_layers=2)
+        params = random_params(cfg, 6)
+        tape = ad.Tape()
+        watched = params.with_tensors({name: tape.watch(t) for name, t in params.named_parameters()})
+        M.encode_blog(watched, tiny_example(cfg, seed=6, x_len=5).x)
+        ops = [name for name, _, _ in tape.entries]
+        assert ops.count("lstm_layer") == 2 * cfg.blog_layers
+        assert not {"lstm_cell", "vslice", "stack_rows"} & set(ops)
+
     def test_matches_reference(self):
         cfg = tiny_config("Seq2Seq", blog_layers=2)
         params = random_params(cfg, 5)
