@@ -19,7 +19,14 @@ that share the weights (``matvec``, ``vecmat``, ``lstm_cell``,
 adds a vector to every row of a block, and ``stack_rows`` stacks row
 blocks as well as vectors.  Beam search steps every live hypothesis as
 one such block, so each layer is one numpy call per step, and every row's
-values are bit-identical to stepping that row alone.
+values are bit-identical to stepping that row alone.  That holds because
+the products of a block, ``matvec``, ``vecmat`` and ``lstm_cell``'s, are
+row-exact: each row gets the bits of its one-row product.
+
+``linear`` is not row-exact: it multiplies a whole row block by one
+weight matrix as a single matrix product, whose summation order depends
+on the block's size.  The teacher-forced walk applies the decoder's
+output layer that way, once over every scored row.
 
 The encoders do not step: ``lstm_layer`` runs one LSTM direction over
 whole sequences (one, or a ragged block laid end to end) as one tape
@@ -74,6 +81,7 @@ __all__ = [
     "zeros",
     "matvec",
     "vecmat",
+    "linear",
     "add",
     "scale",
     "hadamard",
@@ -236,7 +244,8 @@ def _tape_of(*operands: Tensor) -> "Tape | None":
 
 
 # Row blocks are multiplied as one matrix-vector product per row, in a
-# single numpy call, not as one matrix product: a BLAS GEMM's summation
+# single numpy call, not as one matrix product (``linear`` is the
+# exception, see the module docstring): a BLAS GEMM's summation
 # order depends on the block's size, so a row's result would change with
 # the rows stacked beside it.  This way every row gets exactly the bits of
 # the one-row product, whatever the block.
@@ -298,6 +307,30 @@ def vecmat(x: Tensor, w: Tensor) -> Tensor:
         )
 
     return tape._record("vecmat", (nx, nw), out, backward)
+
+
+def linear(w: Tensor, x: Tensor) -> Tensor:
+    """x @ W.T for a row block x: one matrix product over all its rows.
+
+    Unlike :func:`matvec`, a row's bits depend on the block's size (see
+    :func:`_mv`), so it serves products whose rows are never compared
+    with a one-row run: the teacher-forced walk's output layer.
+    """
+    wv, xv = w.array, x.array
+    if wv.ndim != 2 or xv.ndim != 2:
+        raise ShapeError(f"linear expects a matrix and a row block, got shapes {wv.shape} and {xv.shape}")
+    if wv.shape[1] != xv.shape[1]:
+        raise ShapeError(f"linear extents differ: {wv.shape} x {xv.shape}")
+    tape = _tape_of(w, x)
+    out = xv @ wv.T
+    if tape is None:
+        return _wrap(out)
+    nw, nx = w.node, x.node
+
+    def backward(g):
+        return (g.T @ xv if nw is not None else None, g @ wv if nx is not None else None)
+
+    return tape._record("linear", (nw, nx), out, backward)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:

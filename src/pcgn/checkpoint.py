@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .autodiff import Tensor
+from .autodiff import Tensor, all_finite
 from .data import FeatureSchema, Vocab
 from .model import ModelConfig, ModelParams
 
@@ -96,7 +96,10 @@ def _decode_array(obj: dict, name: str) -> np.ndarray:
         raise CheckpointCorruptError(
             f"parameter {name!r}: payload holds {arr.size} elements, shape {shape} needs {expected}"
         )
-    return np.ascontiguousarray(arr.reshape(shape).astype(np.float64))
+    arr = np.ascontiguousarray(arr.reshape(shape).astype(np.float64))
+    if not all_finite(arr):
+        raise CheckpointCorruptError(f"parameter {name!r}: payload holds NaN or infinity")
+    return arr
 
 
 @contextmanager
@@ -168,7 +171,7 @@ def load_checkpoint(path) -> Checkpoint:
         vocab = Vocab.from_dict(doc["vocab"])
         schema = FeatureSchema.from_dict(doc["schema"])
         extra = doc.get("extra") or {}
-    except (KeyError, TypeError, ValueError) as err:
+    except (KeyError, TypeError, ValueError, OverflowError) as err:
         raise CheckpointCorruptError(f"bad checkpoint structure: {err}") from None
 
     tensors = {name: Tensor(_decode_array(obj, name)) for name, obj in raw_params.items()}

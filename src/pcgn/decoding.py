@@ -22,6 +22,7 @@ sorting every candidate.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -73,8 +74,8 @@ class DecodeConfig:
             raise ValueError(f"beam_size must be >= 1, got {self.beam_size}")
         if self.max_len < 1:
             raise ValueError(f"max_len must be >= 1, got {self.max_len}")
-        if self.length_norm < 0:
-            raise ValueError(f"length_norm must be >= 0, got {self.length_norm}")
+        if not 0 <= self.length_norm < math.inf:  # NaN fails too
+            raise ValueError(f"length_norm must be finite and >= 0, got {self.length_norm}")
 
 
 def _normalized(log_prob, length: int, length_norm: float):

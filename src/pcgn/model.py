@@ -20,7 +20,7 @@ flag subset of the full model (see :data:`PRESETS`).
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -48,6 +48,8 @@ __all__ = [
     "encode_description",
     "user_vector",
     "init_decoder_state",
+    "decoder_advance",
+    "output_layer",
     "decoder_step",
 ]
 
@@ -523,7 +525,7 @@ def init_decoder_state(
     return DecoderState(layers=tuple(layers), memory=memory, step=0)
 
 
-def decoder_step(
+def decoder_advance(
     params: ModelParams,
     state: DecoderState,
     y_prev: int | np.ndarray,
@@ -532,8 +534,8 @@ def decoder_step(
     v_u: Tensor | None,
     blog_mask: np.ndarray | None = None,
     desc_mask: np.ndarray | None = None,
-) -> StepResult:
-    """One teacher-forcing/decoding step: previous token ids -> next logits.
+) -> tuple[DecoderState, AttentionResult, AttentionResult | None]:
+    """The recurrent part of a decoder step: previous token ids -> new state.
 
     Runs one row (vector state tensors, an int ``y_prev``) or a block of B
     independent rows ((B, .) state tensors, B ids in ``y_prev``, and a
@@ -543,8 +545,8 @@ def decoder_step(
     theirs and the (B, T) masks keep each row to its own example's states
     (see :func:`attention_context`).
     All step-t gates and attention read the previous top state; the
-    memory read M_t^o joins the LSTM input, and the new top state feeds
-    the output head.
+    memory read M_t^o joins the LSTM input.  Returns the new state and the
+    step's blog and description attention (None without co-attention).
     """
     cfg = params.config
     v = cfg.variant
@@ -585,17 +587,51 @@ def decoder_step(
         h, c = lstm_step(cell, x, h_prev, c_prev)
         new_layers.append((h, c))
         x = h
-    s_t = new_layers[-1][0]
-
-    if v.use_external:
-        r_u = ad.matvec(params.user_mix, ad.concat([v_u, desc_attn.context]))
-        logits = ad.matvec(params.out_mix, ad.concat([s_t, r_u]))
-    else:
-        logits = ad.matvec(params.out_proj, s_t)
-
     new_state = DecoderState(layers=tuple(new_layers), memory=new_memory, step=state.step + 1)
+    return new_state, blog_attn, desc_attn
+
+
+def output_layer(
+    params: ModelParams,
+    s_t: Tensor,
+    v_u: Tensor | None,
+    desc_context: Tensor | None,
+    product: Callable[[Tensor, Tensor], Tensor],
+) -> Tensor:
+    """Logits from the decoder's new top state: W_out s_t, or for the
+    external variants W_out [s_t; W_mix [v_u; c_desc]].
+
+    ``v_u`` and ``desc_context`` have s_t's rows and are read only by the
+    external variants.  ``product(w, x)`` applies a weight:
+    ``ad.matvec``, whose rows are exact, for decoding steps, or
+    ``ad.linear``, one matrix product over a row block, for the
+    teacher-forced walk.
+    """
+    if params.config.variant.use_external:
+        r_u = product(params.user_mix, ad.concat([v_u, desc_context]))
+        return product(params.out_mix, ad.concat([s_t, r_u]))
+    return product(params.out_proj, s_t)
+
+
+def decoder_step(
+    params: ModelParams,
+    state: DecoderState,
+    y_prev: int | np.ndarray,
+    blog_states: Tensor,
+    desc_states: Tensor | None,
+    v_u: Tensor | None,
+    blog_mask: np.ndarray | None = None,
+    desc_mask: np.ndarray | None = None,
+) -> StepResult:
+    """One decoding step: :func:`decoder_advance`, then the new top state
+    through :func:`output_layer` with row-exact products, so every row's
+    logits are bit-identical to stepping that row alone."""
+    new_state, blog_attn, desc_attn = decoder_advance(
+        params, state, y_prev, blog_states, desc_states, v_u, blog_mask, desc_mask
+    )
+    desc_context = None if desc_attn is None else desc_attn.context
     return StepResult(
-        logits=logits,
+        logits=output_layer(params, new_state.top_h, v_u, desc_context, ad.matvec),
         state=new_state,
         blog_attention=blog_attn.weights,
         desc_attention=desc_attn.weights if desc_attn is not None else None,

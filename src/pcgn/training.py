@@ -6,10 +6,15 @@ over a block of examples.  The block steps as one row block: the encoders
 run all its blogs (and descriptions) together, each decoder step runs one
 row per example, and each row's attention keeps only its own example's
 encoder states (a softmax mask).  A block of one example runs on vectors,
-the engine's one-row form.  ``sequence_loss`` and ``token_log_probs``
-walk one example, and ``train_epoch`` sums one ``sequence_loss`` per
-example.  ``dataset_perplexity`` walks :data:`SCORE_BLOCK` consecutive
-examples at a time (see there).
+the engine's one-row form.  The steps run only the decoder's recurrent
+part (``model.decoder_advance``): the output layer feeds no later step,
+so the walk applies it once, after the last step, to every scored row
+together through ``ad.linear``, one matrix product per weight.  Decoding
+keeps ``model.decoder_step``, whose row-exact products make each beam
+row's logits independent of the rows beside it.  ``sequence_loss`` and
+``token_log_probs`` walk one example, and ``train_epoch`` sums one
+``sequence_loss`` per example.  ``dataset_perplexity`` walks
+:data:`SCORE_BLOCK` consecutive examples at a time (see there).
 """
 
 from __future__ import annotations
@@ -53,12 +58,13 @@ class OptimizerConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.lr < 0:
-            raise ValueError(f"lr must be >= 0, got {self.lr}")
+        # NaN fails these checks too.
+        if not 0 <= self.lr < math.inf:
+            raise ValueError(f"lr must be finite and >= 0, got {self.lr}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.clip_norm <= 0:
-            raise ValueError(f"clip_norm must be positive, got {self.clip_norm}")
+        if not 0 < self.clip_norm < math.inf:
+            raise ValueError(f"clip_norm must be finite and positive, got {self.clip_norm}")
 
 
 def _block_lengths(examples: Sequence[EncodedExample]) -> tuple[list[int] | None, list[int] | None]:
@@ -127,18 +133,33 @@ def gold_log_probs(params: M.ModelParams, examples: Sequence[EncodedExample]) ->
     target_lens = np.array([len(ex.y) - 1 for ex in examples])
     # scored[t - 1, b]: step t scores example b.
     scored = (np.arange(1, gold.shape[1]) <= target_lens[:, None]).T
+    owner = np.nonzero(scored)[1]
+    external = params.config.variant.use_external
     # A single example steps on vectors, so its inputs are ints.
     inputs = gold[0, :-1] if x_lens is None else gold[:, :-1].T
-    logits = []
+    tops, contexts = [], []
     for prev in inputs:
-        result = M.decoder_step(params, state, prev, blog_states, desc_states, v_u, blog_mask, desc_mask)
-        state = result.state
-        logits.append(result.logits)
+        state, _, desc_attn = M.decoder_advance(params, state, prev, blog_states, desc_states, v_u, blog_mask, desc_mask)
+        tops.append(state.top_h)
+        if external:
+            contexts.append(desc_attn.context)
+
     # Rows step-major, as ``scored`` flattens; keep only the scored ones.
-    stacked = ad.stack_rows(logits)
-    if not scored.all():
-        stacked = ad.embedding_lookup(stacked, np.flatnonzero(scored))
-    return ad.pick(ad.log_softmax(stacked), gold[:, 1:].T[scored]), np.nonzero(scored)[1]
+    keep = None if scored.all() else np.flatnonzero(scored)
+
+    def scored_rows(steps: list[Tensor]) -> Tensor:
+        stacked = ad.stack_rows(steps)
+        return stacked if keep is None else ad.embedding_lookup(stacked, keep)
+
+    # No later step reads the output layer, so it runs once over every
+    # scored row: one matrix product per weight.
+    users = desc_context = None
+    if external:
+        # stack_rows makes one example's v_u vector a one-row block.
+        users = ad.embedding_lookup(ad.stack_rows([v_u]), owner)
+        desc_context = scored_rows(contexts)
+    logits = M.output_layer(params, scored_rows(tops), users, desc_context, ad.linear)
+    return ad.pick(ad.log_softmax(logits), gold[:, 1:].T[scored]), owner
 
 
 def sequence_loss(params: M.ModelParams, example: EncodedExample) -> Tensor:

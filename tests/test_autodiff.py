@@ -36,6 +36,13 @@ class TestForwardValues:
         out = ad.vecmat(ad.tensor([2.0, 3.0]), ad.tensor([[1.0, 0.0], [1.0, 1.0]]))
         assert np.array_equal(out.array, [5.0, 3.0])
 
+    def test_linear_is_one_matrix_product(self):
+        rng = np.random.default_rng(7)
+        w, x = rng.normal(size=(5, 3)), rng.normal(size=(4, 3))
+        out = ad.linear(ad.tensor(w), ad.tensor(x)).array
+        assert np.array_equal(out, x @ w.T)
+        assert np.allclose(out, [w @ row for row in x], rtol=0, atol=1e-14)
+
     def test_sigmoid_at_zero(self):
         assert ad.sigmoid(ad.tensor([0.0])).array[0] == 0.5
 
@@ -245,6 +252,17 @@ def _fd_cases(name, rng):
             (lambda t: ad.sum_all(ad.hadamard(ad.vecmat(t, ad.tensor(w)), mix)), xs),
             (lambda t: ad.sum_all(ad.hadamard(ad.vecmat(ad.tensor(xs), t), mix)), w),
         ]
+    if name == "linear":
+        m, k, rows = dims(3)
+        w = rng.normal(size=(m, k))
+        cases = []
+        for n in (1, rows):
+            x, mix = rng.normal(size=(n, k)), ad.tensor(rng.normal(size=(n, m)))
+            cases += [
+                (lambda t, x=x, mix=mix: ad.sum_all(ad.hadamard(ad.linear(t, ad.tensor(x)), mix)), w),
+                (lambda t, mix=mix: ad.sum_all(ad.hadamard(ad.linear(ad.tensor(w), t), mix)), x),
+            ]
+        return cases
     if name == "add":
         n, rows = dims(2)
         other = ad.tensor(rng.normal(size=n))
@@ -379,7 +397,7 @@ def _fd_cases(name, rng):
 
 
 PRIMITIVES = [
-    "matvec", "vecmat", "add", "scale", "hadamard",
+    "matvec", "vecmat", "linear", "add", "scale", "hadamard",
     "sigmoid", "tanh", "softmax", "log_softmax", "concat", "stack_rows",
     "vslice", "embedding_lookup", "pick", "sum_all", "lstm_layer",
 ]
@@ -513,6 +531,15 @@ class TestErrors:
             ad.lstm_layer(w_x, w_h, b, ad.zeros((0, 3)), False)
         with pytest.raises(ValueError, match="empty"):
             ad.lstm_layer(w_x, w_h, b, ad.zeros((2, 3)), False, [2, 0])
+
+    def test_linear_shape_mismatch(self):
+        w = ad.zeros((4, 3))
+        with pytest.raises(ad.ShapeError):
+            ad.linear(w, ad.zeros((2, 4)))
+        with pytest.raises(ad.ShapeError):
+            ad.linear(w, ad.zeros(3))
+        with pytest.raises(ad.ShapeError):
+            ad.linear(ad.zeros(3), ad.zeros((2, 3)))
 
     def test_add_shape_mismatch(self):
         with pytest.raises(ad.ShapeError):

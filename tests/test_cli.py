@@ -9,6 +9,7 @@ artifacts byte for byte.
 from __future__ import annotations
 
 import argparse
+import base64
 import hashlib
 import json
 import math
@@ -627,6 +628,13 @@ def _reshape_first_param(doc, shape_of, **fields):
     param.update(shape=shape_of(math.prod(param["shape"])), **fields)
 
 
+def _set_first_value(param, value):
+    """Write ``value`` over a checkpoint parameter's first element."""
+    values = np.frombuffer(base64.b64decode(param["data"]), dtype="<f8").copy()
+    values[0] = value
+    param["data"] = base64.b64encode(values.tobytes()).decode("ascii")
+
+
 def _generate_with(checkpoint, data_dir=None):
     argv = ["generate", "--checkpoint", str(checkpoint), "--blog", "new post", "--user", "u00"]
     return argv + (["--data-dir", str(data_dir)] if data_dir else [])
@@ -691,6 +699,11 @@ MALFORMED_FILES = {
     "checkpoint parameter with an infinite dimension": (lambda prep, run, tmp: _generate_with(
         _checkpoint_copy(run, tmp, lambda doc: _reshape_first_param(doc, lambda n: [math.inf])), prep),
         "infinity"),
+    "checkpoint parameter holding a NaN": (lambda prep, run, tmp: _generate_with(
+        _checkpoint_copy(run, tmp, lambda doc: _set_first_value(doc["params"]["attn_blog"], math.nan)), prep),
+        "parameter 'attn_blog'"),
+    "checkpoint with a step of 1e400": (lambda prep, run, tmp: _generate_with(
+        _checkpoint_copy(run, tmp, lambda doc: doc.update(step=1e400)), prep), "infinity"),
 }
 
 
@@ -774,6 +787,19 @@ class TestArtifactWrites:
         assert "epoch 0:" in capsys.readouterr().out  # the rerun logged an epoch
         assert (out / "train_log.tsv").read_bytes() == log_before
         assert list(out.glob("*.tmp")) == []
+
+
+class TestNonFiniteFlags:
+    def test_generate_with_a_nan_length_norm_exits_1(self, prep_dir, pcgn_dir, capsys):
+        argv = _generate_with(pcgn_dir / "checkpoint_final.json", prep_dir) + ["--length-norm", "nan"]
+        assert cli.main(argv) == 1
+        assert capsys.readouterr().err.startswith("usage error: length_norm")
+
+    def test_train_with_a_nan_lr_exits_1(self, prep_dir, tmp_path, capsys):
+        argv = train_args(prep_dir, tmp_path / "out", epochs="1")
+        argv[argv.index("--lr") + 1] = "nan"
+        assert cli.main(argv) == 1
+        assert capsys.readouterr().err.startswith("usage error: lr")
 
 
 class TestDispatch:

@@ -8,6 +8,7 @@ is compared with the per-token loop and full sort of oracle.beam_reference.
 
 from __future__ import annotations
 
+import math
 import zlib
 
 import numpy as np
@@ -64,6 +65,9 @@ class TestConfigAndHypothesis:
             dec.DecodeConfig(max_len=0)
         with pytest.raises(ValueError):
             dec.DecodeConfig(length_norm=-0.5)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="length_norm"):
+                dec.DecodeConfig(length_norm=bad)
 
     def test_content_tokens_strip_eos_only_when_finished(self):
         done = dec.Hypothesis(tokens=(5, 6, 3), log_prob=-1.0, finished=True)

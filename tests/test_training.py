@@ -78,6 +78,21 @@ class TestSequenceLoss:
         assert np.allclose(got, want, atol=1e-10)
 
 
+class TestOutputLayerOnce:
+    """The walk applies the output layer once, after the last step."""
+
+    @pytest.mark.parametrize("variant, weights", [("PCGN", ("user_mix", "out_mix")), ("Seq2Seq", ("out_proj",))])
+    def test_one_linear_entry_per_output_weight(self, variant, weights):
+        cfg = tiny_config(variant)
+        params = random_params(cfg, 9)
+        tape = ad.Tape()
+        watched = {name: tape.watch(t) for name, t in params.named_parameters()}
+        T.sequence_loss(params.with_tensors(watched), tiny_example(cfg, 10, y_len=4))
+        nodes = {watched[name].node: name for name in weights}
+        readers = [(op, nodes[n]) for op, ins, _ in tape.entries for n in ins if n in nodes]
+        assert readers == [("linear", name) for name in weights]
+
+
 # (blog, comment body, description) lengths of the block-walk examples: the
 # first has a one-token blog and description and a target that is only eos.
 RAGGED = ((1, 0, 1), (4, 3, 2), (2, 5, 1), (5, 1, 3), (3, 2, 4), (1, 4, 2), (6, 0, 1))
@@ -270,6 +285,11 @@ class TestSGD:
             T.OptimizerConfig(batch_size=0)
         with pytest.raises(ValueError):
             T.OptimizerConfig(clip_norm=0.0)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="lr"):
+                T.OptimizerConfig(lr=bad)
+            with pytest.raises(ValueError, match="clip_norm"):
+                T.OptimizerConfig(clip_norm=bad)
 
 
 def small_dataset(cfg, n=6, seed=30):
