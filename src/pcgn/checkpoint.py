@@ -85,7 +85,7 @@ def _decode_array(obj: dict, name: str) -> np.ndarray:
         raise CheckpointCorruptError(f"parameter {name!r}: {err}") from None
     if any(d < 0 for d in shape):
         raise CheckpointCorruptError(f"parameter {name!r}: negative dimension in shape {shape}")
-    if dtype not in _DTYPE_CODES:
+    if not isinstance(dtype, str) or dtype not in _DTYPE_CODES:
         raise CheckpointCorruptError(f"parameter {name!r}: unsupported dtype {dtype!r}")
     try:
         arr = np.frombuffer(blob, dtype=_DTYPE_CODES[dtype])

@@ -11,6 +11,7 @@ An author profile, one entry of ``users.json``, is a record without
 from __future__ import annotations
 
 import json
+import math
 from collections import Counter
 from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
@@ -366,9 +367,10 @@ def split_by_blog(
     with the seed, then cut at floor(n*train) and floor(n*dev); the
     remainder is test.  Record order inside each split follows the input.
     """
-    if len(ratios) != 3 or any(r <= 0 for r in ratios):
+    # Both checks are written so that NaN and infinity fail them.
+    if len(ratios) != 3 or not all(0 < r < math.inf for r in ratios):
         raise ValueError(f"ratios must be three positive numbers, got {ratios}")
-    if abs(sum(ratios) - 1.0) > 1e-9:
+    if not abs(sum(ratios) - 1.0) <= 1e-9:
         raise ValueError(f"ratios must sum to 1, got {ratios}")
     blogs = list(dict.fromkeys(r.blog_tokens for r in records))
     if len(blogs) < 3:

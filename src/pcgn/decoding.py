@@ -18,6 +18,15 @@ hypotheses x V) score array: everything scoring at least the
 beam_size-th best score survives, ties included, and only those
 survivors are sorted by that tie-break.  That gives the same beam as
 sorting every candidate.
+
+A step passes over that (live x V) block about ten times and allocates
+four arrays of its size.  The session checks the logits, then masks unk
+and takes the log-softmax in place on them (a row max, a subtraction,
+exp into a new array, a row sum, a subtraction).  The search adds the
+parents' log-probs into a new totals array, divides it by the length
+term only when length_norm is not 0, and picks survivors with one
+``np.partition`` (a copy) and one ``np.flatnonzero`` of a comparison.
+It never writes into the array the step function returned.
 """
 
 from __future__ import annotations
@@ -147,15 +156,17 @@ class DecodeSession:
         result = M.decoder_step(
             self.params, rows, np.asarray(prev_ids, dtype=np.intp), self._blog_states, self._desc_states, v_u
         )
+        # decoder_step made these logits for this call alone, so the mask
+        # and the log-softmax (ad.log_softmax's ops, in its order) go in place.
         logits = result.logits.array
         if not all_finite(logits):
             raise NonFiniteError(f"non-finite logits at decode step {state.step}")
         unk = self.config.unk_id
         if unk is not None:
-            logits = logits.copy()
             logits[:, unk] = -np.inf
-        shifted = logits - logits.max(axis=1, keepdims=True)
-        return shifted - np.log(np.sum(np.exp(shifted), axis=1, keepdims=True)), result.state
+        logits -= logits.max(axis=1, keepdims=True)
+        logits -= np.log(np.sum(np.exp(logits), axis=1, keepdims=True))
+        return logits, result.state
 
 
 def beam_search_steps(
@@ -180,7 +191,8 @@ def beam_search_steps(
     row in them.  The call scores every (live hypothesis, token) pair at
     once as a (live, V) array: the parent's log_prob plus the step
     log-prob, divided by len(tokens)**length_norm, which all live
-    prefixes share.  Tokens with step log-prob -inf are never
+    prefixes share (at length_norm 0 that divisor is 1, so no division
+    is made).  Tokens with step log-prob -inf are never
     candidates.  An exact top-k keeps every candidate scoring at least
     the beam_size-th best score, so all ties at that boundary survive;
     only those survivors become token tuples, and they are sorted by
@@ -203,15 +215,15 @@ def beam_search_steps(
         if step_lp.shape != (len(beam), vocab_size):
             raise ValueError(f"step function returned {step_lp.shape}, expected ({len(beam)}, {vocab_size})")
         totals = (step_lp + np.array([h.log_prob for h in beam])[:, None]).ravel()
-        scores = _normalized(totals, len(beam[0].tokens) + 1, config.length_norm)
-        allowed = np.flatnonzero(step_lp.ravel() != -np.inf)
-        if allowed.size == 0:
+        scores = _normalized(totals, len(beam[0].tokens) + 1, config.length_norm) if config.length_norm else totals
+        cut = scores.size - min(config.beam_size, scores.size)
+        threshold = np.partition(scores, cut)[cut]
+        # A -inf threshold means fewer than beam_size candidates are allowed.
+        survivors = np.flatnonzero(scores >= threshold if threshold > -np.inf else scores > threshold)
+        if survivors.size == 0:
             break
-        allowed_scores = scores[allowed]
-        cut = allowed.size - min(config.beam_size, allowed.size)
-        threshold = np.partition(allowed_scores, cut)[cut]
         candidates: list[tuple[float, tuple[int, ...], float, int]] = []
-        for flat in allowed[allowed_scores >= threshold].tolist():
+        for flat in survivors.tolist():
             row, tok = divmod(flat, vocab_size)
             candidates.append((float(scores[flat]), beam[row].tokens + (tok,), float(totals[flat]), row))
         candidates.sort(key=lambda c: (-c[0], c[1]))

@@ -19,7 +19,7 @@ flag subset of the full model (see :data:`PRESETS`).
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -64,6 +64,10 @@ class Variant:
     use_external: bool = False
 
     def __post_init__(self):
+        for f in fields(self):
+            flag = getattr(self, f.name)
+            if not isinstance(flag, bool):
+                raise ValueError(f"variant flag {f.name} must be true or false, got {flag!r}")
         if self.use_external and not self.use_coattention:
             raise ValueError("use_external requires use_coattention (the output head reads the description context)")
 
@@ -118,6 +122,12 @@ class ModelConfig:
     eos_id: int = 3
 
     def __post_init__(self):
+        for f in fields(self):
+            val = getattr(self, f.name)
+            if f.name == "variant" or (val is None and f.name in ("pad_id", "unk_id")):
+                continue
+            if not isinstance(val, int) or isinstance(val, bool):
+                raise ValueError(f"{f.name} must be an integer, got {val!r}")
         for name in ("vocab_size", "embed_dim", "blog_hidden", "blog_layers",
                      "desc_hidden", "desc_layers", "user_dim"):
             if getattr(self, name) < 1:

@@ -218,6 +218,14 @@ class TestPrepare:
         assert rc == 1
         assert "sum to 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("ratio", ["nan", "inf", "-inf"])
+    def test_non_finite_ratio_exits_1(self, ratio, tmp_path, capsys):
+        rc = cli.main(["prepare", "--synthetic", "60", f"--train-ratio={ratio}", "--out-dir", str(tmp_path / "x")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "ratios must be three positive numbers" in err
+        assert "Traceback" not in err
+
     def test_out_dir_env_fallback_and_flag_override(self, tmp_path, monkeypatch):
         env_dir = tmp_path / "from_env"
         monkeypatch.setenv("PCGN_OUT_DIR", str(env_dir))
@@ -704,6 +712,18 @@ MALFORMED_FILES = {
         "parameter 'attn_blog'"),
     "checkpoint with a step of 1e400": (lambda prep, run, tmp: _generate_with(
         _checkpoint_copy(run, tmp, lambda doc: doc.update(step=1e400)), prep), "infinity"),
+    "checkpoint with a fractional layer count": (lambda prep, run, tmp: _generate_with(
+        _checkpoint_copy(run, tmp, lambda doc: doc["model"].update(blog_layers=1.5)), prep),
+        "blog_layers must be an integer, got 1.5"),
+    "checkpoint with a layer count of 1e308": (lambda prep, run, tmp: [
+        "eval", "--checkpoint", str(_checkpoint_copy(run, tmp, lambda doc: doc["model"].update(desc_layers=1e308))),
+        "--data-dir", str(prep)], "desc_layers must be an integer, got 1e+308"),
+    "checkpoint with a variant flag that is not a boolean": (lambda prep, run, tmp: _generate_with(
+        _checkpoint_copy(run, tmp, lambda doc: doc["model"]["variant"].update(use_coattention=1)), prep),
+        "use_coattention must be true or false, got 1"),
+    "checkpoint parameter with a list dtype": (lambda prep, run, tmp: _generate_with(
+        _checkpoint_copy(run, tmp, lambda doc: doc["params"][min(doc["params"])].update(dtype=["float64"])), prep),
+        "unsupported dtype ['float64']"),
 }
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -431,6 +432,12 @@ class TestSplit:
             D.split_by_blog(self.corpus(), ratios=(0.5, 0.5, 0.5))
         with pytest.raises(ValueError):
             D.split_by_blog(self.corpus(), ratios=(1.0, 0.0, 0.0))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_ratios(self, bad):
+        for ratios in ((bad, 0.1, 0.1), (0.8, bad, 0.1), (0.8, 0.1, bad)):
+            with pytest.raises(ValueError, match="ratios must be three positive numbers"):
+                D.split_by_blog(self.corpus(), ratios=ratios)
 
 
 class TestEncode:

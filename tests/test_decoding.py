@@ -248,6 +248,63 @@ class TestBatchedSession:
                 np.testing.assert_allclose(children.memory.array[r], child.memory.array[0], rtol=0, atol=1e-12)
 
 
+def cached_step(step):
+    """``step`` memoized on the paths it extends: a repeated call returns
+    the very arrays the first call returned."""
+    cache = {}
+
+    def cached(states, parents, prev_ids):
+        key = (tuple(states[p] for p in parents), tuple(prev_ids))
+        if key not in cache:
+            cache[key] = step(states, parents, prev_ids)
+        return cache[key]
+
+    return cached
+
+
+class TestStepArrays:
+    """The search must leave the step function's arrays alone, and the
+    session's in-place log-softmax must be ad.log_softmax to the bit."""
+
+    def test_search_over_cached_step_arrays_matches_full_sort(self):
+        for case in range(40):
+            seed = zlib.crc32(f"cached-step/{case}".encode())
+            rng = np.random.default_rng(seed)
+            vocab_size = int(rng.integers(2, 8))
+            config = dec.DecodeConfig(
+                beam_size=int(rng.integers(1, 2 * vocab_size + 2)),
+                max_len=int(rng.integers(2, 6)),
+                length_norm=float(rng.choice([0.0, 0.5])),
+            )
+            step = tie_heavy_step(seed, vocab_size, float(rng.choice([0.0, 0.25])))
+            eos_id = int(rng.integers(0, vocab_size))
+            cached = cached_step(batched_step(step))
+            # the second search is served from the arrays the first one saw
+            for _ in range(2):
+                assert_matches_reference(cached, [()], step, (), vocab_size, eos_id, vocab_size, config)
+
+    @pytest.mark.parametrize("variant", ["Seq2Seq", "PCGN"])
+    def test_session_log_probs_are_log_softmax_of_masked_logits(self, variant, monkeypatch):
+        cfg = tiny_config(variant, vocab_size=60)
+        params = random_params(cfg, 370)
+        session = dec.DecodeSession(params, tiny_example(cfg, 371))
+        logits = []
+        real_step = M.decoder_step
+
+        def recording_step(*args, **kwargs):
+            result = real_step(*args, **kwargs)
+            logits.append(result.logits.array.copy())
+            return result
+
+        monkeypatch.setattr(M, "decoder_step", recording_step)
+        states = session.initial_state()
+        for parents, prev_ids in (([0], [cfg.bos_id]), ([0, 0, 0], [4, 5, 6]), ([2, 0, 1, 1], [7, 8, 9, 4])):
+            lp, states = session.step(states, parents, prev_ids)
+            masked = logits[-1]
+            masked[:, cfg.unk_id] = -np.inf
+            assert np.array_equal(lp, ad.log_softmax(ad._wrap(masked)).array)
+
+
 class TestBeamBehavior:
     def test_pruning_never_changes_results(self):
         for seed in range(5):

@@ -91,6 +91,17 @@ class TestModelConfig:
         with pytest.raises(ValueError, match="feature_dim"):
             M.ModelConfig(vocab_size=8, feature_dim=0, variant=M.PRESETS["PCGN"])
 
+    @pytest.mark.parametrize("field", ["blog_layers", "desc_layers", "vocab_size", "bos_id"])
+    @pytest.mark.parametrize("value", [1.5, 1e308, "2", True, None])
+    def test_non_integer_fields_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            tiny_config(**{field: value})
+
+    @pytest.mark.parametrize("value", [1, 0.0, "yes", None])
+    def test_non_boolean_variant_flags_rejected(self, value):
+        with pytest.raises(ValueError, match="use_gated_memory must be true or false"):
+            M.Variant(use_gated_memory=value)
+
     def test_nullable_special_ids(self):
         cfg = M.ModelConfig(vocab_size=1, feature_dim=1, pad_id=None, unk_id=None, bos_id=0, eos_id=0)
         assert cfg.pad_id is None and cfg.unk_id is None

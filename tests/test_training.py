@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import base64
+import copy
 import dataclasses
 import json
 import math
@@ -449,7 +450,44 @@ def make_checkpoint(seed=50, variant="PCGN"):
     )
 
 
+# One value of each JSON type, and numbers a field may not hold.
+JSON_VALUES = (None, True, 0, -1, 1.5, 1e308, "text", [], [1], {}, {"k": 1})
+DROP = object()
+
+
+def checkpoint_parts(doc) -> dict:
+    """The objects of a checkpoint document that the mutation sweep edits."""
+    return {
+        "top level": doc, "model": doc["model"], "variant": doc["model"]["variant"],
+        "vocab": doc["vocab"], "schema": doc["schema"], "embedding": doc["params"]["embedding"],
+    }
+
+
 class TestCheckpoint:
+    def test_mutated_files_raise_only_checkpoint_errors(self, tmp_path):
+        path = tmp_path / "model.json"
+        C.save_checkpoint(path, make_checkpoint())
+        original = json.loads(path.read_text())
+        escaped = []
+        for part, obj in checkpoint_parts(original).items():
+            for key in obj:
+                for value in (DROP, *JSON_VALUES):
+                    doc = copy.deepcopy(original)
+                    target = checkpoint_parts(doc)[part]
+                    if value is DROP:
+                        del target[key]
+                    else:
+                        target[key] = value
+                    path.write_text(json.dumps(doc))
+                    try:
+                        C.load_checkpoint(path)
+                    except C.CheckpointError:
+                        pass
+                    except Exception as err:
+                        what = "dropped" if value is DROP else f"= {value!r}"
+                        escaped.append(f"{part}.{key} {what}: {type(err).__name__}: {err}")
+        assert escaped == []
+
     def test_roundtrip_is_bitwise(self, tmp_path):
         path = tmp_path / "model.json"
         ckpt = make_checkpoint()
