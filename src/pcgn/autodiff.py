@@ -29,11 +29,9 @@ on the block's size.  The teacher-forced walk applies the decoder's
 output layer that way, once over every scored row.
 
 The encoders do not step: ``lstm_layer`` runs one LSTM direction over
-whole sequences (one, or a ragged block laid end to end) as one tape
-entry.  Its forward makes one matrix product for every row's input term
-and loops over time only for the recurrence, a stacked matvec per step;
-its backward runs back-propagation through time in closed form and ends
-with one matrix product per weight gradient.
+whole sequences as one tape entry.  Each of its steps runs the cell
+kernel that ``lstm_cell`` runs once, and both backwards build the
+pre-activation gradient from the same factors.
 
 :func:`backprop` keeps one gradient array per node.  It adds row and
 dense gradients into the arrays it owns in place, and frees a node's
@@ -328,7 +326,7 @@ def linear(w: Tensor, x: Tensor) -> Tensor:
     nw, nx = w.node, x.node
 
     def backward(g):
-        return (g.T @ xv if nw is not None else None, g @ wv if nx is not None else None)
+        return (_weight_grad(g, xv) if nw is not None else None, g @ wv if nx is not None else None)
 
     return tape._record("linear", (nw, nx), out, backward)
 
@@ -381,10 +379,15 @@ def hadamard(a: Tensor, b: Tensor) -> Tensor:
     return tape._record("hadamard", (na, nb), out, backward)
 
 
-def _sigmoid(v: np.ndarray) -> np.ndarray:
+def _sigmoid(v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """sigmoid(v), written into ``out`` when one is given."""
     # (1 + tanh(v / 2)) / 2 saturates to exactly 0 or 1 and, unlike
     # 1 / (1 + exp(-v)), never overflows.
-    return 0.5 * np.tanh(0.5 * v) + 0.5
+    out = np.multiply(v, 0.5, out=np.empty(v.shape) if out is None else out)
+    np.tanh(out, out=out)
+    out *= 0.5
+    out += 0.5
+    return out
 
 
 def sigmoid(x: Tensor) -> Tensor:
@@ -411,6 +414,48 @@ def tanh(x: Tensor) -> Tensor:
     return tape._record("tanh", (x.node,), out, backward)
 
 
+def _lstm_hidden(name: str, w_x: np.ndarray, w_h: np.ndarray, b: np.ndarray, x: np.ndarray, x_ranks: tuple) -> int:
+    """Checks an LSTM's weights against its input x; returns the hidden size."""
+    if w_x.ndim != 2 or w_h.ndim != 2 or b.ndim != 1 or x.ndim not in x_ranks:
+        x_kind = "a vector or row block" if 1 in x_ranks else "a row block"
+        raise ShapeError(f"{name} expects matrices w_x, w_h, a vector b, and {x_kind} x, "
+                         f"got shapes {w_x.shape}, {w_h.shape}, {b.shape}, {x.shape}")
+    hidden = w_h.shape[1]
+    if not w_x.shape[0] == w_h.shape[0] == b.shape[0] == 4 * hidden:
+        raise ShapeError(f"{name} gate rows differ: w_x {w_x.shape}, w_h {w_h.shape}, b {b.shape}")
+    if w_x.shape[1] != x.shape[-1]:
+        raise ShapeError(f"{name} input extents differ: {w_x.shape} x {x.shape}")
+    return hidden
+
+
+def _lstm_gates(pre: np.ndarray, c_prev: np.ndarray, act: np.ndarray, h: np.ndarray, c: np.ndarray) -> None:
+    """The LSTM cell on pre-activations ``pre``, in place: gate activations
+    (input, forget, candidate, output) into ``act``, new states into h and c."""
+    h1, h2, h3 = c.shape[-1], 2 * c.shape[-1], 3 * c.shape[-1]
+    _sigmoid(pre, out=act)
+    np.tanh(pre[..., h2:h3], out=act[..., h2:h3])
+    np.multiply(act[..., h1:h2], c_prev, out=c)
+    c += act[..., :h1] * act[..., h2:h3]
+    np.multiply(act[..., h3:], np.tanh(c), out=h)
+
+
+def _lstm_factors(act: np.ndarray, c_prev: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(factor, dc_dh) of an LSTM cell: d pre = factor * [d c, d c, d c, d h],
+    slab by slab, with d c = d h * dc_dh + c's own gradient.  ``factor`` is
+    a new array of act's shape, so a backward may build d pre in it."""
+    hidden = c.shape[-1]
+    gate_i, gate_f = act[..., :hidden], act[..., hidden : 2 * hidden]
+    cand, gate_o = act[..., 2 * hidden : 3 * hidden], act[..., 3 * hidden :]
+    tanh_c = np.tanh(c)
+    factor = np.concatenate((
+        cand * gate_i * (1.0 - gate_i),
+        c_prev * gate_f * (1.0 - gate_f),
+        gate_i * (1.0 - cand * cand),
+        tanh_c * gate_o * (1.0 - gate_o),
+    ), axis=-1)
+    return factor, gate_o * (1.0 - tanh_c * tanh_c)
+
+
 def lstm_cell(w_x: Tensor, w_h: Tensor, b: Tensor, x: Tensor, h_prev: Tensor, c_prev: Tensor) -> Tensor:
     """One fused LSTM cell application; returns the packed [h; c].
 
@@ -426,43 +471,24 @@ def lstm_cell(w_x: Tensor, w_h: Tensor, b: Tensor, x: Tensor, h_prev: Tensor, c_
     """
     wxv, whv, bv = w_x.array, w_h.array, b.array
     xv, hv, cv = x.array, h_prev.array, c_prev.array
-    if wxv.ndim != 2 or whv.ndim != 2 or bv.ndim != 1 or xv.ndim not in (1, 2):
-        raise ShapeError(
-            f"lstm_cell expects matrices w_x, w_h, a vector b, and a vector or row block x, "
-            f"got shapes {wxv.shape}, {whv.shape}, {bv.shape}, {xv.shape}"
-        )
-    hidden = whv.shape[1]
-    gates = 4 * hidden
-    if whv.shape[0] != gates or wxv.shape[0] != gates or bv.shape[0] != gates:
-        raise ShapeError(f"lstm_cell gate rows differ: w_x {wxv.shape}, w_h {whv.shape}, b {bv.shape}")
-    if wxv.shape[1] != xv.shape[-1]:
-        raise ShapeError(f"lstm_cell input extents differ: {wxv.shape} x {xv.shape}")
+    hidden = _lstm_hidden("lstm_cell", wxv, whv, bv, xv, (1, 2))
     state_shape = xv.shape[:-1] + (hidden,)
     if hv.shape != state_shape or cv.shape != state_shape:
         raise ShapeError(f"lstm_cell states must have shape {state_shape}, got {hv.shape} and {cv.shape}")
     tape = _tape_of(w_x, w_h, b, x, h_prev, c_prev)
     pre = _mv(wxv, xv) + _mv(whv, hv) + bv
-    sig = _sigmoid(pre)
-    gate_i = sig[..., :hidden]
-    gate_f = sig[..., hidden : 2 * hidden]
-    cand = np.tanh(pre[..., 2 * hidden : 3 * hidden])
-    gate_o = sig[..., 3 * hidden :]
-    c = gate_f * cv + gate_i * cand
-    tanh_c = np.tanh(c)
-    out = np.concatenate((gate_o * tanh_c, c), axis=-1)
+    act = np.empty_like(pre)
+    out = np.empty(state_shape[:-1] + (2 * hidden,))
+    _lstm_gates(pre, cv, act, out[..., :hidden], out[..., hidden:])
     if tape is None:
         return _wrap(out)
     nodes = (w_x.node, w_h.node, b.node, x.node, h_prev.node, c_prev.node)
 
     def backward(g):
         g_h, g_c = g[..., :hidden], g[..., hidden:]
-        d_c = g_c + g_h * gate_o * (1.0 - tanh_c * tanh_c)
-        d_pre = np.concatenate((
-            d_c * cand * gate_i * (1.0 - gate_i),
-            d_c * cv * gate_f * (1.0 - gate_f),
-            d_c * gate_i * (1.0 - cand * cand),
-            g_h * tanh_c * gate_o * (1.0 - gate_o),
-        ), axis=-1)
+        d_pre, dc_dh = _lstm_factors(act, cv, out[..., hidden:])
+        d_c = g_c + g_h * dc_dh
+        d_pre *= np.concatenate((d_c, d_c, d_c, g_h), axis=-1)
         n_wx, n_wh, n_b, n_x, n_h, n_c = nodes
         return (
             _weight_grad(d_pre, xv) if n_wx is not None else None,
@@ -470,7 +496,7 @@ def lstm_cell(w_x: Tensor, w_h: Tensor, b: Tensor, x: Tensor, h_prev: Tensor, c_
             (d_pre if d_pre.ndim == 1 else d_pre.sum(axis=0)) if n_b is not None else None,
             d_pre @ wxv if n_x is not None else None,
             d_pre @ whv if n_h is not None else None,
-            d_c * gate_f if n_c is not None else None,
+            d_c * act[..., hidden : 2 * hidden] if n_c is not None else None,
         )
 
     return tape._record("lstm_cell", nodes, out, backward)
@@ -535,45 +561,25 @@ def lstm_layer(w_x: Tensor, w_h: Tensor, b: Tensor, x: Tensor, reverse: bool, le
     matrix product per weight gradient.
     """
     wxv, whv, bv, xv = w_x.array, w_h.array, b.array, x.array
-    if wxv.ndim != 2 or whv.ndim != 2 or bv.ndim != 1 or xv.ndim != 2:
-        raise ShapeError(
-            f"lstm_layer expects matrices w_x, w_h, a vector b, and a row block x, "
-            f"got shapes {wxv.shape}, {whv.shape}, {bv.shape}, {xv.shape}"
-        )
-    hidden = whv.shape[1]
-    gates = 4 * hidden
-    if whv.shape[0] != gates or wxv.shape[0] != gates or bv.shape[0] != gates:
-        raise ShapeError(f"lstm_layer gate rows differ: w_x {wxv.shape}, w_h {whv.shape}, b {bv.shape}")
-    if wxv.shape[1] != xv.shape[1]:
-        raise ShapeError(f"lstm_layer input extents differ: {wxv.shape} x {xv.shape}")
+    hidden = _lstm_hidden("lstm_layer", wxv, whv, bv, xv, (2,))
     rows = xv.shape[0]
     order, steps, prev = _layer_plan(rows, lengths, reverse)
     tape = _tape_of(w_x, w_h, b, x)
     n_seq = steps[0][1]
     xs = np.ascontiguousarray(xv[order])
-    # Step-major buffers.  act holds each row's gate activations (input,
-    # forget, candidate, output); hs and cs hold the zero start states,
-    # then each step-major row's h and c.
+    unorder = order if isinstance(order, slice) else np.argsort(order)  # a reversal undoes itself
+    # Step-major buffers: act holds the gate activations; hs and cs the
+    # zero start states, then each step-major row's h and c.
     pre = xs @ wxv.T + bv
     act = np.empty_like(pre)
     hs = np.zeros((n_seq + rows, hidden))
     cs = np.zeros((n_seq + rows, hidden))
-    h1, h2, h3 = hidden, 2 * hidden, 3 * hidden
     for first, count, p in steps:
         z = pre[first : first + count]
         z += _mv(whv, hs[p : p + count])
-        a = act[first : first + count]
-        np.multiply(z, 0.5, out=a)
-        np.tanh(a, out=a)
-        a *= 0.5
-        a += 0.5
-        np.tanh(z[:, h2:h3], out=a[:, h2:h3])
-        c = cs[n_seq + first : n_seq + first + count]
-        np.multiply(a[:, h1:h2], cs[p : p + count], out=c)
-        c += a[:, :h1] * a[:, h2:h3]
-        np.multiply(a[:, h3:], np.tanh(c), out=hs[n_seq + first : n_seq + first + count])
-    out = np.empty((rows, hidden))
-    out[order] = hs[n_seq:]
+        at = slice(n_seq + first, n_seq + first + count)
+        _lstm_gates(z, cs[p : p + count], act[first : first + count], hs[at], cs[at])
+    out = np.ascontiguousarray(hs[n_seq:][unorder])
     if tape is None:
         return _wrap(out)
     nodes = (w_x.node, w_h.node, b.node, x.node)
@@ -583,39 +589,25 @@ def lstm_layer(w_x: Tensor, w_h: Tensor, b: Tensor, x: Tensor, reverse: bool, le
         # must be a copy: g may be shared.
         g_h = np.array(g[order])
         h_prev, c_prev = (hs[:rows], cs[:rows]) if prev is None else (hs[prev], cs[prev])
-        tanh_c = np.tanh(cs[n_seq:])
-        gate_i, gate_f, cand, gate_o = act[:, :h1], act[:, h1:h2], act[:, h2:h3], act[:, h3:]
-        # d pre = factor * [d c, d c, d c, d h], slab by slab; d c = d h * dc_dh + carry.
-        dc_dh = gate_o * (1.0 - tanh_c * tanh_c)
-        factor = np.concatenate((
-            cand * gate_i * (1.0 - gate_i),
-            c_prev * gate_f * (1.0 - gate_f),
-            gate_i * (1.0 - cand * cand),
-            tanh_c * gate_o * (1.0 - gate_o),
-        ), axis=1).reshape(rows, 4, hidden)
-        d_pre = np.empty((rows, 4, hidden))
+        d_pre, dc_dh = _lstm_factors(act, c_prev, cs[n_seq:])
+        slabs = d_pre.reshape(rows, 4, hidden)  # a view: d_pre is built step by step
         g_c = np.zeros((rows, hidden))
         for first, count, p in reversed(steps):
             at = slice(first, first + count)
             d_h, d_c = g_h[at], g_c[at]
             d_c += d_h * dc_dh[at]
-            np.multiply(factor[at, :3], d_c[:, None, :], out=d_pre[at, :3])
-            np.multiply(factor[at, 3], d_h, out=d_pre[at, 3])
+            slabs[at, :3] *= d_c[:, None, :]
+            slabs[at, 3] *= d_h
             if p >= n_seq:  # the previous state is a step's, not the zero start
                 back = slice(p - n_seq, p - n_seq + count)
-                g_h[back] += d_pre[at].reshape(count, gates) @ whv
-                np.multiply(d_c, gate_f[at], out=g_c[back])
-        d_pre = d_pre.reshape(rows, gates)
+                g_h[back] += d_pre[at] @ whv
+                np.multiply(d_c, act[at, hidden : 2 * hidden], out=g_c[back])
         n_wx, n_wh, n_b, n_x = nodes
-        g_x = None
-        if n_x is not None:
-            g_x = np.empty(xv.shape)
-            g_x[order] = d_pre @ wxv
         return (
-            d_pre.T @ xs if n_wx is not None else None,
-            d_pre.T @ h_prev if n_wh is not None else None,
+            _weight_grad(d_pre, xs) if n_wx is not None else None,
+            _weight_grad(d_pre, h_prev) if n_wh is not None else None,
             d_pre.sum(axis=0) if n_b is not None else None,
-            g_x,
+            np.ascontiguousarray((d_pre @ wxv)[unorder]) if n_x is not None else None,
         )
 
     return tape._record("lstm_layer", nodes, out, backward)
@@ -633,15 +625,14 @@ def softmax(x: Tensor, mask: np.ndarray | None = None) -> Tensor:
         raise ShapeError(f"softmax expects a vector or row block, got shape {v.shape}")
     if v.shape[-1] == 0:
         raise ValueError("softmax of an empty vector is undefined")
-    if mask is None:
-        e = np.exp(v - v.max(axis=-1, keepdims=True))
-    else:
+    kept = v
+    if mask is not None:
         if mask.shape != v.shape:
             raise ShapeError(f"softmax mask has shape {mask.shape}, expected {v.shape}")
         if not mask.any(axis=-1).all():
             raise ValueError("softmax mask leaves a row with no entries")
         kept = np.where(mask, v, -np.inf)
-        e = np.exp(kept - kept.max(axis=-1, keepdims=True))
+    e = np.exp(kept - kept.max(axis=-1, keepdims=True))
     out = e / e.sum(axis=-1, keepdims=True)
     tape = _tape_of(x)
     if tape is None:
@@ -653,6 +644,13 @@ def softmax(x: Tensor, mask: np.ndarray | None = None) -> Tensor:
     return tape._record("softmax", (x.node,), out, backward)
 
 
+def _log_softmax(v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Log-softmax of each row of v, written into ``out`` (which may be v) if given."""
+    out = np.subtract(v, v.max(axis=-1, keepdims=True), out=out)
+    out -= np.log(np.sum(np.exp(out), axis=-1, keepdims=True))
+    return out
+
+
 def log_softmax(x: Tensor) -> Tensor:
     """Log-softmax of a vector, or of each row of a matrix."""
     v = x.array
@@ -660,8 +658,7 @@ def log_softmax(x: Tensor) -> Tensor:
         raise ShapeError(f"log_softmax expects a vector or row block, got shape {v.shape}")
     if v.shape[-1] == 0:
         raise ValueError("log_softmax of an empty vector is undefined")
-    shifted = v - v.max(axis=-1, keepdims=True)
-    out = shifted - np.log(np.sum(np.exp(shifted), axis=-1, keepdims=True))
+    out = _log_softmax(v)
     tape = _tape_of(x)
     if tape is None:
         return _wrap(out)

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .autodiff import Tensor, all_finite
+from .autodiff import NonFiniteError, Tensor
 from .data import FeatureSchema, Vocab
 from .model import ModelConfig, ModelParams
 
@@ -76,7 +76,7 @@ def _encode_array(arr: np.ndarray) -> dict:
     }
 
 
-def _decode_array(obj: dict, name: str) -> np.ndarray:
+def _decode_tensor(obj: dict, name: str) -> Tensor:
     try:
         shape = tuple(int(d) for d in obj["shape"])
         dtype = obj["dtype"]
@@ -96,10 +96,10 @@ def _decode_array(obj: dict, name: str) -> np.ndarray:
         raise CheckpointCorruptError(
             f"parameter {name!r}: payload holds {arr.size} elements, shape {shape} needs {expected}"
         )
-    arr = np.ascontiguousarray(arr.reshape(shape).astype(np.float64))
-    if not all_finite(arr):
-        raise CheckpointCorruptError(f"parameter {name!r}: payload holds NaN or infinity")
-    return arr
+    try:  # the one NaN/Inf scan of this array is Tensor's
+        return Tensor(arr.reshape(shape).astype(np.float64))
+    except NonFiniteError:
+        raise CheckpointCorruptError(f"parameter {name!r}: payload holds NaN or infinity") from None
 
 
 @contextmanager
@@ -174,7 +174,7 @@ def load_checkpoint(path) -> Checkpoint:
     except (KeyError, TypeError, ValueError, OverflowError) as err:
         raise CheckpointCorruptError(f"bad checkpoint structure: {err}") from None
 
-    tensors = {name: Tensor(_decode_array(obj, name)) for name, obj in raw_params.items()}
+    tensors = {name: _decode_tensor(obj, name) for name, obj in raw_params.items()}
     try:
         params = ModelParams(config, tensors)
     except ValueError as err:

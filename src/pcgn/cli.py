@@ -445,12 +445,13 @@ def cmd_generate(cfg: RunConfig, args: argparse.Namespace) -> int:
         raise UsageError("generate needs at least one --user or --user-json")
 
     decode_cfg = _decode_config(cfg)
-    top = max(1, cfg.top)
+    if cfg.top < 1:
+        raise UsageError(f"top must be >= 1, got {cfg.top}")
     outputs = []
     for profile in profiles:
         example = encode_record(dataclasses.replace(profile, blog_tokens=blog_tokens), vocab, schema)
         hyps = beam_search(ckpt.params, example, decode_cfg)
-        outputs.append((profile.user_id, hyps[:top]))
+        outputs.append((profile.user_id, hyps[:cfg.top]))
 
     headers = ["User", "Comment", "LogProb"]
     rows = []

@@ -20,9 +20,8 @@ survivors are sorted by that tie-break.  That gives the same beam as
 sorting every candidate.
 
 A step passes over that (live x V) block about ten times and allocates
-four arrays of its size.  The session checks the logits, then masks unk
-and takes the log-softmax in place on them (a row max, a subtraction,
-exp into a new array, a row sum, a subtraction).  The search adds the
+four arrays of its size.  The session checks the logits, masks unk and
+runs ``ad.log_softmax``'s kernel in place on them.  The search adds the
 parents' log-probs into a new totals array, divides it by the length
 term only when length_norm is not 0, and picks survivors with one
 ``np.partition`` (a copy) and one ``np.flatnonzero`` of a comparison.
@@ -156,17 +155,14 @@ class DecodeSession:
         result = M.decoder_step(
             self.params, rows, np.asarray(prev_ids, dtype=np.intp), self._blog_states, self._desc_states, v_u
         )
-        # decoder_step made these logits for this call alone, so the mask
-        # and the log-softmax (ad.log_softmax's ops, in its order) go in place.
+        # These logits are this call's own: mask and normalize them in place.
         logits = result.logits.array
         if not all_finite(logits):
             raise NonFiniteError(f"non-finite logits at decode step {state.step}")
         unk = self.config.unk_id
         if unk is not None:
             logits[:, unk] = -np.inf
-        logits -= logits.max(axis=1, keepdims=True)
-        logits -= np.log(np.sum(np.exp(logits), axis=1, keepdims=True))
-        return logits, result.state
+        return ad._log_softmax(logits, out=logits), result.state
 
 
 def beam_search_steps(

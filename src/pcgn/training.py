@@ -320,10 +320,12 @@ def fit(
 
     Best-dev is tracked by dev perplexity when a dev set is given,
     otherwise by train perplexity.  ``stop_below_ppl`` ends training early
-    once the tracked perplexity drops under the threshold.
+    once the tracked perplexity drops under the threshold; 0 never stops.
     """
     if epochs < 1:
         raise ValueError(f"epochs must be >= 1, got {epochs}")
+    if stop_below_ppl is not None and not 0 <= stop_below_ppl < math.inf:  # NaN fails too
+        raise ValueError(f"stop_below_ppl must be finite and >= 0, got {stop_below_ppl}")
     history: list[EpochStats] = []
     best = params
     best_ppl = math.inf

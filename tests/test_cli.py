@@ -821,6 +821,30 @@ class TestNonFiniteFlags:
         assert cli.main(argv) == 1
         assert capsys.readouterr().err.startswith("usage error: lr")
 
+    @pytest.mark.parametrize("how", ["flag", "config"])
+    @pytest.mark.parametrize("top", ["0", "-3"])
+    def test_generate_with_top_below_1_exits_1(self, top, how, prep_dir, pcgn_dir, tmp_path, capsys):
+        argv = _generate_with(pcgn_dir / "checkpoint_final.json", prep_dir)
+        if how == "flag":
+            argv += [f"--top={top}"]
+        else:
+            (tmp_path / "run.cfg").write_text(f"top = {top}\n")
+            argv += ["--config", str(tmp_path / "run.cfg")]
+        assert cli.main(argv) == 1
+        assert capsys.readouterr().err.startswith("usage error: top")
+
+    @pytest.mark.parametrize("how", ["flag", "config"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+    def test_train_with_a_bad_stop_below_ppl_exits_1(self, value, how, prep_dir, tmp_path, capsys):
+        argv = train_args(prep_dir, tmp_path / "out", epochs="1")
+        if how == "flag":
+            argv += [f"--stop-below-ppl={value}"]
+        else:
+            (tmp_path / "run.cfg").write_text(f"stop_below_ppl = {value}\n")
+            argv += ["--config", str(tmp_path / "run.cfg")]
+        assert cli.main(argv) == 1
+        assert capsys.readouterr().err.startswith("usage error: stop_below_ppl")
+
 
 class TestDispatch:
     def test_no_command_exits_1(self, capsys):

@@ -429,6 +429,18 @@ class TestFit:
         with pytest.raises(ValueError):
             T.fit(params, small_dataset(params.config, 2), None, T.OptimizerConfig(), epochs=0)
 
+    @pytest.mark.parametrize("threshold", [math.nan, math.inf, -1.0])
+    def test_bad_stop_below_ppl_rejected(self, threshold):
+        params = random_params(tiny_config("Seq2Seq"), 39)
+        with pytest.raises(ValueError, match="stop_below_ppl"):
+            T.fit(params, small_dataset(params.config, 2), None, T.OptimizerConfig(), epochs=1, stop_below_ppl=threshold)
+
+    def test_stop_below_ppl_of_zero_never_stops(self):
+        params = random_params(tiny_config("Seq2Seq"), 39)
+        data = small_dataset(params.config, 2)
+        _, _, history = T.fit(params, data, None, T.OptimizerConfig(lr=0.1), epochs=3, stop_below_ppl=0.0)
+        assert len(history) == 3
+
     def test_dataset_perplexity_empty_rejected(self):
         params = random_params(tiny_config("Seq2Seq"), 40)
         with pytest.raises(ValueError):
