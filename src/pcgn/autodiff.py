@@ -13,15 +13,16 @@ Every value is float64; there is no precision or checking switch.
 
 The primitives the decoder uses take an optional leading row axis: a 1-D
 operand is a single row, and a 2-D operand is a block of independent rows
-that share the weights (``matvec``, ``vecmat``, ``lstm_cell``,
-``softmax``, ``log_softmax``, ``concat``, ``vslice``, ``pick``).
+that share the weights (``matvec``, ``attention``, ``gate``,
+``lstm_cell``, ``log_softmax``, ``concat``, ``vslice``, ``pick``).
 ``embedding_lookup`` of an id vector returns one row per id, ``add``
 adds a vector to every row of a block, and ``stack_rows`` stacks row
 blocks as well as vectors.  Beam search steps every live hypothesis as
 one such block, so each layer is one numpy call per step, and every row's
 values are bit-identical to stepping that row alone.  That holds because
-the products of a block, ``matvec``, ``vecmat`` and ``lstm_cell``'s, are
-row-exact: each row gets the bits of its one-row product.
+the products of a block, ``matvec``'s, ``attention``'s, ``gate``'s and
+``lstm_cell``'s, are row-exact: each row gets the bits of its one-row
+product.
 
 ``linear`` is not row-exact: it multiplies a whole row block by one
 weight matrix as a single matrix product, whose summation order depends
@@ -41,13 +42,10 @@ read, ``embedding_lookup``, hands the sweep only its rows' gradient, so
 a token lookup allocates no table-sized array, and reading a block's rows
 one step at a time costs time linear in its length.
 
-``softmax`` takes an optional mask: a constant boolean array of its
-input's shape, False where an entry is left out.  Left-out entries get
-weight exactly 0 and no gradient, and every row must keep at least one
-entry.  It lets rows that attend over one joined set of encoder states
-each keep only their own example's: ``training.gold_log_probs`` scores a
-block of examples that way.  Beam decoding passes no mask, since all its
-rows share one example.
+A decoder step's attention is one ``attention`` entry and each memory
+gate one ``gate`` entry.  Their backwards run the chain rule through
+their parts in reverse and hand each operand its gradients in that order
+(``attention`` lists ``states`` twice: for the context, then the scores).
 
 One finite-check rule: values are checked for NaN and infinity where they
 enter the engine and where they leave it, not inside.  They enter through
@@ -78,16 +76,15 @@ __all__ = [
     "tensor",
     "zeros",
     "matvec",
-    "vecmat",
     "linear",
     "add",
     "scale",
     "hadamard",
-    "sigmoid",
     "tanh",
     "lstm_cell",
     "lstm_layer",
-    "softmax",
+    "attention",
+    "gate",
     "log_softmax",
     "concat",
     "stack_rows",
@@ -284,29 +281,6 @@ def matvec(w: Tensor, x: Tensor) -> Tensor:
     return tape._record("matvec", (nw, nx), out, backward)
 
 
-def vecmat(x: Tensor, w: Tensor) -> Tensor:
-    """Row vector (or each row of a block) times matrix, x @ W, without
-    materializing W's transpose."""
-    xv, wv = x.array, w.array
-    if xv.ndim not in (1, 2) or wv.ndim != 2:
-        raise ShapeError(f"vecmat expects a vector or row block and a matrix, got shapes {xv.shape} and {wv.shape}")
-    if xv.shape[-1] != wv.shape[0]:
-        raise ShapeError(f"vecmat extents differ: {xv.shape} x {wv.shape}")
-    tape = _tape_of(x, w)
-    out = _vm(xv, wv)
-    if tape is None:
-        return _wrap(out)
-    nx, nw = x.node, w.node
-
-    def backward(g):
-        return (
-            g @ wv.T if nx is not None else None,
-            _weight_grad(xv, g) if nw is not None else None,
-        )
-
-    return tape._record("vecmat", (nx, nw), out, backward)
-
-
 def linear(w: Tensor, x: Tensor) -> Tensor:
     """x @ W.T for a row block x: one matrix product over all its rows.
 
@@ -388,18 +362,6 @@ def _sigmoid(v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     out *= 0.5
     out += 0.5
     return out
-
-
-def sigmoid(x: Tensor) -> Tensor:
-    out = _sigmoid(x.array)
-    tape = _tape_of(x)
-    if tape is None:
-        return _wrap(out)
-
-    def backward(g):
-        return (g * out * (1.0 - out),)
-
-    return tape._record("sigmoid", (x.node,), out, backward)
 
 
 def tanh(x: Tensor) -> Tensor:
@@ -613,35 +575,76 @@ def lstm_layer(w_x: Tensor, w_h: Tensor, b: Tensor, x: Tensor, reverse: bool, le
     return tape._record("lstm_layer", nodes, out, backward)
 
 
-def softmax(x: Tensor, mask: np.ndarray | None = None) -> Tensor:
-    """Softmax of a vector, or of each row of a matrix.
+def attention(s: Tensor, states: Tensor, w_a: Tensor, mask: np.ndarray | None = None) -> tuple[Tensor, Tensor]:
+    """Bilinear attention: q = s W_a, weights = softmax(states q) and the
+    context weights · states, for a query vector or each row of a block.
+    Returns (context, weights): one tape entry, and a tape-free value.
 
-    ``mask``, a constant boolean array of x's shape, keeps the entries
-    where it is True; the others get weight exactly 0 and no gradient.
-    Every row must keep at least one entry.
+    ``mask``, a constant boolean array of the scores' shape, keeps the
+    states where it is True; the others get weight exactly 0 and no
+    gradient, and every row must keep one.  Rows that attend over one
+    joined set of encoder states each keep only their own example's that
+    way (``training.gold_log_probs``); beam decoding passes no mask.
     """
-    v = x.array
-    if v.ndim not in (1, 2):
-        raise ShapeError(f"softmax expects a vector or row block, got shape {v.shape}")
-    if v.shape[-1] == 0:
-        raise ValueError("softmax of an empty vector is undefined")
-    kept = v
+    sv, stv, wv = s.array, states.array, w_a.array
+    if sv.ndim not in (1, 2) or stv.ndim != 2 or wv.shape != (sv.shape[-1], stv.shape[1]):
+        raise ShapeError(f"attention expects a query, states and w_a of shapes (..., H), (T, D) and (H, D), "
+                         f"got {sv.shape}, {stv.shape} and {wv.shape}")
+    if stv.shape[0] == 0:
+        raise ValueError("attention needs at least one encoder state")
+    q = _vm(sv, wv)
+    scores = _mv(stv, q)
     if mask is not None:
-        if mask.shape != v.shape:
-            raise ShapeError(f"softmax mask has shape {mask.shape}, expected {v.shape}")
+        if mask.shape != scores.shape:
+            raise ShapeError(f"attention mask has shape {mask.shape}, expected {scores.shape}")
         if not mask.any(axis=-1).all():
-            raise ValueError("softmax mask leaves a row with no entries")
-        kept = np.where(mask, v, -np.inf)
-    e = np.exp(kept - kept.max(axis=-1, keepdims=True))
-    out = e / e.sum(axis=-1, keepdims=True)
-    tape = _tape_of(x)
+            raise ValueError("attention mask leaves a row with no states")
+        scores = np.where(mask, scores, -np.inf)
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    weights = e / e.sum(axis=-1, keepdims=True)
+    context = _vm(weights, stv)
+    tape = _tape_of(s, states, w_a)
     if tape is None:
-        return _wrap(out)
+        return _wrap(context), _wrap(weights)
+    n_st, n_s, n_w = states.node, s.node, w_a.node
 
     def backward(g):
-        return (out * (g - np.sum(g * out, axis=-1, keepdims=True)),)
+        g_weights = g @ stv.T
+        g_scores = weights * (g_weights - np.sum(g_weights * weights, axis=-1, keepdims=True))
+        g_q = g_scores @ stv if n_s is not None or n_w is not None else None
+        return (
+            _weight_grad(weights, g) if n_st is not None else None,
+            _weight_grad(g_scores, q) if n_st is not None else None,
+            g_q @ wv.T if n_s is not None else None,
+            _weight_grad(sv, g_q) if n_w is not None else None,
+        )
 
-    return tape._record("softmax", (x.node,), out, backward)
+    return tape._record("attention", (n_st, n_st, n_s, n_w), context, backward), _wrap(weights)
+
+
+def gate(w: Tensor, x: Tensor, m: Tensor) -> Tensor:
+    """sigmoid(W x) * m for a vector x, or for each row of a block, as one
+    tape entry.  It lists m before w and x: the order of the chain rule."""
+    wv, xv, mv = w.array, x.array, m.array
+    if xv.ndim not in (1, 2) or wv.ndim != 2 or wv.shape[1] != xv.shape[-1] or mv.shape != xv.shape[:-1] + wv.shape[:1]:
+        raise ShapeError(f"gate expects w, x and m of shapes (K, N), (..., N) and (..., K), got {wv.shape}, {xv.shape} and {mv.shape}")
+    tape = _tape_of(w, x, m)
+    act = _mv(wv, xv)
+    _sigmoid(act, out=act)
+    out = act * mv
+    if tape is None:
+        return _wrap(out)
+    n_m, n_w, n_x = m.node, w.node, x.node
+
+    def backward(g):
+        d_pre = g * mv * act * (1.0 - act) if n_w is not None or n_x is not None else None
+        return (
+            g * act if n_m is not None else None,
+            _weight_grad(d_pre, xv) if n_w is not None else None,
+            d_pre @ wv if n_x is not None else None,
+        )
+
+    return tape._record("gate", (n_m, n_w, n_x), out, backward)
 
 
 def _log_softmax(v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

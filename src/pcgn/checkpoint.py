@@ -166,7 +166,10 @@ def load_checkpoint(path) -> Checkpoint:
     try:
         config = ModelConfig.from_dict(doc["model"])
         raw_params = dict(doc["params"])
-        step = int(doc.get("step", 0))
+        step = doc.get("step", 0)
+        if type(step) is not int or step < 0:
+            shown = "infinity" if isinstance(step, float) and math.isinf(step) else repr(step)
+            raise ValueError(f"step must be a non-negative integer, got {shown}")
         variant_name = str(doc.get("variant_name", ""))
         vocab = Vocab.from_dict(doc["vocab"])
         schema = FeatureSchema.from_dict(doc["schema"])

@@ -297,13 +297,14 @@ class FeatureSchema:
     def from_dict(cls, obj: dict) -> "FeatureSchema":
         try:
             fields = {f: obj["fields"][f] for f in CATEGORICAL_FIELDS}
-            age_divisor = float(obj["age_divisor"])
+            age_divisor = obj["age_divisor"]
+            number = type(age_divisor) in (int, float) and math.isfinite(age_divisor)
         except (KeyError, TypeError, ValueError, OverflowError) as err:
             raise DataError(f"malformed feature schema: {err!r}") from None
-        if not age_divisor > 0:
-            raise DataError(f"feature schema: age_divisor must be positive, got {age_divisor}")
+        if not (number and age_divisor > 0):
+            raise DataError(f"feature schema: age_divisor must be a finite positive number, got {age_divisor!r}")
         categories = {f: tuple(_string_list(cats, f"feature schema field {f!r}")) for f, cats in fields.items()}
-        return cls(categories=categories, age_divisor=age_divisor)
+        return cls(categories=categories, age_divisor=float(age_divisor))
 
 
 def fit_schema(train_records: Sequence[RawRecord]) -> FeatureSchema:

@@ -419,20 +419,12 @@ def user_embed(w: Tensor, b: Tensor, features: Tensor) -> Tensor:
 
 
 def attention_context(s_prev: Tensor, states: Tensor, w_a: Tensor, mask: np.ndarray | None = None) -> AttentionResult:
-    """Bilinear attention: score_j = s' W h_j, weights = softmax, context = sum.
-
-    ``states`` is the encoder's (T, 2H) matrix.  ``s_prev`` is one decoder
-    state or a (B, H) block of them; q = s' W is formed once, then one
-    product against the states gives every row's scores and one more gives
-    the contexts.  ``mask`` (B, T), when given, limits each row to the
-    states where it is True; the rest get weight exactly 0.
-    """
-    if states.shape[0] == 0:
-        raise ValueError("attention needs at least one encoder state")
-    q = ad.vecmat(s_prev, w_a)
-    scores = ad.matvec(states, q)
-    weights = ad.softmax(scores, mask)
-    context = ad.vecmat(weights, states)
+    """Bilinear attention, one ``ad.attention`` entry: score_j = s' W h_j,
+    weights = softmax, context = the weighted sum of the states.  ``states``
+    is the encoder's (T, 2H) matrix, ``s_prev`` one decoder state or a
+    (B, H) block, and ``mask`` (B, T) keeps each row to the states where it
+    is True.  The weights are tape-free: no loss reads them."""
+    context, weights = ad.attention(s_prev, states, w_a, mask)
     return AttentionResult(context=context, weights=weights)
 
 
@@ -450,15 +442,14 @@ def gated_memory_step(
     update gate  g_u = sigmoid(W_u s_t)        -> M_t   = g_u * M_{t-1}
     output gate  g_o = sigmoid(W_o [s_prev; e_prev; c_blog]) -> M_t^o = g_o * M_t
 
-    Both gates are strictly inside (0, 1), so |M_t| decays monotonically
-    coordinate-wise.  The caller decides which state to pass as ``s_t``;
-    the decoder passes the previous step's state in both slots because the
-    new state does not exist until after the memory read feeds the LSTM.
+    Each gate and its product is one ``ad.gate`` entry.  Both gates are
+    strictly inside (0, 1), so |M_t| decays monotonically coordinate-wise.
+    The caller decides which state to pass as ``s_t``; the decoder passes
+    the previous step's state in both slots because the new state does not
+    exist until after the memory read feeds the LSTM.
     """
-    g_u = ad.sigmoid(ad.matvec(w_update, s_t))
-    m_t = ad.hadamard(g_u, m_prev)
-    g_o = ad.sigmoid(ad.matvec(w_output, ad.concat([s_prev, e_prev, c_blog])))
-    m_out = ad.hadamard(g_o, m_t)
+    m_t = ad.gate(w_update, s_t, m_prev)
+    m_out = ad.gate(w_output, ad.concat([s_prev, e_prev, c_blog]), m_t)
     return m_t, m_out
 
 

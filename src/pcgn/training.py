@@ -5,7 +5,7 @@ Every loss comes from one teacher-forced walk, :func:`gold_log_probs`,
 over a block of examples.  The block steps as one row block: the encoders
 run all its blogs (and descriptions) together, each decoder step runs one
 row per example, and each row's attention keeps only its own example's
-encoder states (a softmax mask).  A block of one example runs on vectors,
+encoder states (an attention mask).  A block of one example runs on vectors,
 the engine's one-row form.  The steps run only the decoder's recurrent
 part (``model.decoder_advance``): the output layer feeds no later step,
 so the walk applies it once, after the last step, to every scored row

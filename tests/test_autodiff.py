@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import inspect
+import re
 import tracemalloc
 import zlib
 
@@ -11,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pcgn import autodiff as ad
+from pcgn import training
 
 from conftest import assert_caught_at_boundaries, overflowing_attention_params, random_params, tiny_config, tiny_example
 
@@ -27,14 +30,33 @@ def grad_of(f, theta_values):
     return ad.backprop(tape, out)[theta].array
 
 
+def sigmoid(x):
+    """sigmoid(x) through ``gate``: an identity weight and a memory of ones."""
+    x = np.asarray(x, dtype=np.float64)
+    return ad.gate(ad.tensor(np.eye(x.size)), ad.tensor(x), ad.tensor(np.ones(x.size))).array
+
+
+def attention_weights(scores, mask=None):
+    """``attention``'s weights for the given scores: row b's query picks
+    column b of the states, so its scores are exactly ``scores[b]``."""
+    scores = np.asarray(scores, dtype=np.float64)
+    rows = np.atleast_2d(scores)
+    query = np.ones(1) if scores.ndim == 1 else np.eye(len(rows))
+    _, weights = ad.attention(ad.tensor(query), ad.tensor(rows.T), ad.tensor(np.eye(len(rows))), mask)
+    return weights.array
+
+
 class TestForwardValues:
     def test_matvec_hand_value(self):
         out = ad.matvec(ad.tensor([[1.0, 0.0], [1.0, 1.0]]), ad.tensor([2.0, 3.0]))
         assert np.array_equal(out.array, [2.0, 5.0])
 
-    def test_vecmat_hand_value(self):
-        out = ad.vecmat(ad.tensor([2.0, 3.0]), ad.tensor([[1.0, 0.0], [1.0, 1.0]]))
-        assert np.array_equal(out.array, [5.0, 3.0])
+    def test_attention_hand_value(self):
+        # q = s W_a = [5, 3], not W_a s = [2, 5]; the states are one-hot.
+        context, weights = ad.attention(ad.tensor([2.0, 3.0]), ad.tensor(np.eye(2)), ad.tensor([[1.0, 0.0], [1.0, 1.0]]))
+        expected = np.array([np.e**2, 1.0]) / (np.e**2 + 1.0)
+        assert np.allclose(weights.array, expected, rtol=0, atol=1e-15)
+        assert np.array_equal(context.array, weights.array)
 
     def test_linear_is_one_matrix_product(self):
         rng = np.random.default_rng(7)
@@ -44,34 +66,30 @@ class TestForwardValues:
         assert np.allclose(out, [w @ row for row in x], rtol=0, atol=1e-14)
 
     def test_sigmoid_at_zero(self):
-        assert ad.sigmoid(ad.tensor([0.0])).array[0] == 0.5
+        assert sigmoid([0.0])[0] == 0.5
 
     def test_sigmoid_symmetry(self):
         x = np.linspace(-6.0, 6.0, 25)
-        s_pos = ad.sigmoid(ad.tensor(x)).array
-        s_neg = ad.sigmoid(ad.tensor(-x)).array
-        assert np.allclose(s_pos + s_neg, 1.0, atol=1e-15)
+        assert np.allclose(sigmoid(x) + sigmoid(-x), 1.0, atol=1e-15)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_sigmoid_saturates_without_overflow_error(self):
-        out = ad.sigmoid(ad.tensor([-1000.0, 1000.0])).array
+        out = sigmoid([-1000.0, 1000.0])
         assert out[0] == 0.0 and out[1] == 1.0
 
     def test_tanh_at_zero(self):
         assert ad.tanh(ad.tensor([0.0])).array[0] == 0.0
 
     def test_softmax_uniform(self):
-        out = ad.softmax(ad.tensor(np.zeros(4))).array
-        assert np.allclose(out, 0.25, atol=1e-15)
+        assert np.allclose(attention_weights(np.zeros(4)), 0.25, atol=1e-15)
 
     def test_softmax_hand_value(self):
-        out = ad.softmax(ad.tensor([0.0, np.log(3.0)])).array
-        assert np.allclose(out, [0.25, 0.75], atol=1e-12)
+        assert np.allclose(attention_weights([0.0, np.log(3.0)]), [0.25, 0.75], atol=1e-12)
 
     def test_log_softmax_matches_log_of_softmax(self):
         x = np.array([0.3, -1.2, 2.0])
         direct = ad.log_softmax(ad.tensor(x)).array
-        indirect = np.log(ad.softmax(ad.tensor(x)).array)
-        assert np.allclose(direct, indirect, atol=1e-12)
+        assert np.allclose(direct, np.log(attention_weights(x)), atol=1e-12)
 
     def test_concat_and_vslice_roundtrip(self):
         parts = [ad.tensor([1.0, 2.0]), ad.tensor([3.0]), ad.tensor([4.0, 5.0])]
@@ -112,7 +130,7 @@ class TestForwardValues:
 
 class TestGradientHandValues:
     def test_sigmoid_derivative_at_zero_is_quarter(self):
-        g = grad_of(lambda t: ad.sum_all(ad.sigmoid(t)), [0.0])
+        g = grad_of(lambda t: ad.sum_all(ad.gate(ad.tensor([[1.0]]), t, ad.tensor([1.0]))), [0.0])
         assert g[0] == 0.25
 
     def test_linear_map_weight_gradient_broadcasts_input(self):
@@ -207,23 +225,44 @@ class TestGradientHandValues:
 
     def test_masked_softmax_weights_are_exactly_zero(self):
         x = np.array([[0.3, -1.2, 2.5, 0.0], [4.0, 1.0, -2.0, 0.5]])
-        mask = np.array([[True, False, True, False], [False, True, True, True]])
-        out = ad.softmax(ad.tensor(x), mask).array
+        # Both rows leave out state 1; only the first leaves out state 3.
+        mask = np.array([[True, False, True, False], [True, False, True, True]])
+        out = attention_weights(x, mask)
         assert (out[~mask] == 0.0).all()
         for row in range(2):
-            kept = ad.softmax(ad.tensor(x[row][mask[row]])).array
-            assert np.array_equal(out[row][mask[row]], kept)
-        g = grad_of(lambda t: ad.sum_all(ad.hadamard(ad.softmax(t, mask), ad.tensor(x))), x)
-        assert (g[~mask] == 0.0).all()
+            assert np.array_equal(out[row][mask[row]], attention_weights(x[row][mask[row]]))
+        # Left-out states get no gradient: a row block's state 1, and a
+        # vector query's states 1 and 3.
+        rng = np.random.default_rng(3)
+        w_a, states = ad.tensor(rng.normal(size=(3, 5))), rng.normal(size=(4, 5))
+        for s, keep in ((rng.normal(size=(2, 3)), mask), (rng.normal(size=3), mask[0])):
+            mix = ad.tensor(rng.normal(size=s.shape[:-1] + (5,)))
+            g = grad_of(lambda t: ad.sum_all(ad.hadamard(ad.attention(ad.tensor(s), t, w_a, keep)[0], mix)), states)
+            kept = np.atleast_2d(keep).any(axis=0)
+            assert (g[~kept] == 0.0).all() and (g[kept] != 0.0).all()
 
     def test_softmax_gradient_sums_to_zero(self):
-        r = ad.tensor([0.4, -1.0, 2.0])
-        g = grad_of(lambda x: ad.sum_all(ad.hadamard(ad.softmax(x), r)), [0.1, 0.2, 0.3])
-        assert abs(g.sum()) < 1e-14
+        # Column 0 of the states gives the scores (q = [1, 0]), column 1
+        # the values r, so the context's entry 1 is sum(softmax(x) * r).
+        x, r = [0.1, 0.2, 0.3], [0.4, -1.0, 2.0]
+        g = grad_of(lambda t: ad.pick(ad.attention(ad.tensor([1.0]), t, ad.tensor([[1.0, 0.0]]))[0], 1),
+                    np.column_stack([x, r]))
+        assert abs(g[:, 0].sum()) < 1e-14
 
     def test_quadratic_via_hadamard(self):
         g = grad_of(lambda x: ad.sum_all(ad.hadamard(x, x)), [3.0, -2.0])
         assert np.array_equal(g, [6.0, -4.0])
+
+
+def _every_operand(op, operands, mix):
+    """One case per operand: sum(op(*operands) * mix) as a function of it."""
+    def case(probed):
+        def f(t):
+            args = [ad.tensor(a) for a in operands]
+            args[probed] = t
+            return ad.sum_all(ad.hadamard(op(*args), mix))
+        return f, operands[probed]
+    return [case(probed) for probed in range(len(operands))]
 
 
 # One entry per primitive: builds random operands (shapes up to 8x8) and a
@@ -241,16 +280,6 @@ def _fd_cases(name, rng):
             (lambda t: ad.sum_all(ad.matvec(ad.tensor(w), t)), x),
             (lambda t: ad.sum_all(ad.hadamard(ad.matvec(t, ad.tensor(xs)), mix)), w),
             (lambda t: ad.sum_all(ad.hadamard(ad.matvec(ad.tensor(w), t), mix)), xs),
-        ]
-    if name == "vecmat":
-        k, n, rows = dims(3)
-        x, w, xs = rng.normal(size=k), rng.normal(size=(k, n)), rng.normal(size=(rows, k))
-        mix = ad.tensor(rng.normal(size=(rows, n)))
-        return [
-            (lambda t: ad.sum_all(ad.vecmat(t, ad.tensor(w))), x),
-            (lambda t: ad.sum_all(ad.vecmat(ad.tensor(x), t)), w),
-            (lambda t: ad.sum_all(ad.hadamard(ad.vecmat(t, ad.tensor(w)), mix)), xs),
-            (lambda t: ad.sum_all(ad.hadamard(ad.vecmat(ad.tensor(xs), t), mix)), w),
         ]
     if name == "linear":
         m, k, rows = dims(3)
@@ -286,34 +315,79 @@ def _fd_cases(name, rng):
             (lambda t: ad.sum_all(ad.hadamard(t, other)), rng.normal(size=n)),
             (lambda t: ad.sum_all(ad.hadamard(other, t)), rng.normal(size=n)),
         ]
-    if name == "sigmoid":
-        (n,) = dims()
-        weights = ad.tensor(rng.normal(size=n))
-        return [(lambda t: ad.sum_all(ad.hadamard(ad.sigmoid(t), weights)), rng.normal(size=n))]
     if name == "tanh":
         (n,) = dims()
         weights = ad.tensor(rng.normal(size=n))
         return [(lambda t: ad.sum_all(ad.hadamard(ad.tanh(t), weights)), rng.normal(size=n))]
-    if name in ("softmax", "log_softmax"):
-        op = getattr(ad, name)
+    if name == "gate":
+        k, n, rows = dims(3)
+        w = rng.normal(size=(k, n))
+        cases = []
+        for lead in ((), (rows,)):
+            mix = ad.tensor(rng.normal(size=lead + (k,)))
+            cases += _every_operand(ad.gate, [w, rng.normal(size=lead + (n,)), rng.normal(size=lead + (k,))], mix)
+        return cases
+    if name == "attention":
+        h, d, steps, rows = dims(4)
+        # w_a's scale keeps the scores near unit size, so no weight
+        # saturates and central differences stay accurate.
+        states, w_a = rng.normal(size=(steps, d)), rng.normal(size=(h, d)) / np.sqrt(h * d)
+        cases = []
+        for lead in ((), (rows,)):
+            # A random mask that keeps at least one state per row.
+            mask = rng.random(lead + (steps,)) < 0.5
+            mask[..., rng.integers(0, steps)] = True
+            mix = ad.tensor(rng.normal(size=lead + (d,)))
+            for keep in (None, mask):
+                op = lambda s, st, w, keep=keep: ad.attention(s, st, w, keep)[0]
+                cases += _every_operand(op, [rng.normal(size=lead + (h,)), states, w_a], mix)
+        return cases
+    if name == "softmax":
+        # attention's masked softmax alone: W_a = e_0 makes row b's scores
+        # c_b x for the probed column x of the states, and mix is 0 on that
+        # column of the context, so the function is sum_b softmax(c_b x) . r_b
+        # for constant r_b = values mix_b.
+        steps, d, rows = dims(3)
+        values, w_a = ad.tensor(rng.normal(size=(steps, d))), ad.tensor(np.eye(1, d + 1))
+        cases = []
+        for lead in ((), (rows,)):
+            mask = rng.random(lead + (steps,)) < 0.5
+            mask[..., rng.integers(0, steps)] = True
+            s = ad.tensor(rng.normal(size=lead + (1,)))
+            mix = rng.normal(size=lead + (d + 1,))
+            mix[..., 0] = 0.0
+            for keep in (None, mask):
+                def f(t, s=s, mix=ad.tensor(mix), keep=keep):
+                    context = ad.attention(s, ad.concat([t, values]), w_a, keep)[0]
+                    return ad.sum_all(ad.hadamard(context, mix))
+                cases.append((f, rng.normal(size=(steps, 1))))
+        return cases
+    if name == "vecmat":
+        # attention's two vector-matrix products.  A zero query gives
+        # constant weights (uniform over the kept states), so the context
+        # weights . states is linear in the probed states; q = s W_a is
+        # probed through s and W_a.
+        h, d, steps, rows = dims(4)
+        states, w_a = rng.normal(size=(steps, d)), rng.normal(size=(h, d)) / np.sqrt(h * d)
+        cases = []
+        for lead in ((), (rows,)):
+            mask = rng.random(lead + (steps,)) < 0.5
+            mask[..., rng.integers(0, steps)] = True
+            mix = ad.tensor(rng.normal(size=lead + (d,)))
+            for keep in (None, mask):
+                op = lambda s, st, w, keep=keep: ad.attention(s, st, w, keep)[0]
+                zero_query = _every_operand(op, [np.zeros(lead + (h,)), states, w_a], mix)
+                query = _every_operand(op, [rng.normal(size=lead + (h,)), states, w_a], mix)
+                cases += [zero_query[1], query[0], query[2]]
+        return cases
+    if name == "log_softmax":
         n, rows = dims(2)
         weights = ad.tensor(rng.normal(size=n))
         mix = ad.tensor(rng.normal(size=(rows, n)))
-        cases = [
-            (lambda t: ad.sum_all(ad.hadamard(op(t), weights)), rng.normal(size=n)),
-            (lambda t: ad.sum_all(ad.hadamard(op(t), mix)), rng.normal(size=(rows, n))),
+        return [
+            (lambda t: ad.sum_all(ad.hadamard(ad.log_softmax(t), weights)), rng.normal(size=n)),
+            (lambda t: ad.sum_all(ad.hadamard(ad.log_softmax(t), mix)), rng.normal(size=(rows, n))),
         ]
-        if name == "softmax":
-            # Random masks that keep at least one entry per row.
-            mask = rng.random(n) < 0.5
-            mask[rng.integers(0, n)] = True
-            masks = rng.random((rows, n)) < 0.5
-            masks[np.arange(rows), rng.integers(0, n, rows)] = True
-            cases += [
-                (lambda t: ad.sum_all(ad.hadamard(ad.softmax(t, mask), weights)), rng.normal(size=n)),
-                (lambda t: ad.sum_all(ad.hadamard(ad.softmax(t, masks), mix)), rng.normal(size=(rows, n))),
-            ]
-        return cases
     if name == "concat":
         a, b, rows = dims(3)
         left = ad.tensor(rng.normal(size=a))
@@ -328,11 +402,11 @@ def _fd_cases(name, rng):
     if name == "stack_rows":
         n, rows = dims(2)
         other = ad.tensor(rng.normal(size=n))
-        mix = ad.tensor(rng.normal(size=(n, 2)))
+        mix = ad.tensor(rng.normal(size=(2, n)))
         other_rows = ad.tensor(rng.normal(size=(2, n)))
         return [
-            (lambda t: ad.sum_all(ad.vecmat(ad.stack_rows([t, other]), mix)), rng.normal(size=n)),
-            (lambda t: ad.sum_all(ad.vecmat(ad.stack_rows([other_rows, t, other_rows]), mix)), rng.normal(size=(rows, n))),
+            (lambda t: ad.sum_all(ad.matvec(mix, ad.stack_rows([t, other]))), rng.normal(size=n)),
+            (lambda t: ad.sum_all(ad.matvec(mix, ad.stack_rows([other_rows, t, other_rows]))), rng.normal(size=(rows, n))),
         ]
     if name == "vslice":
         n = int(rng.integers(2, 9))
@@ -397,13 +471,19 @@ def _fd_cases(name, rng):
 
 
 PRIMITIVES = [
-    "matvec", "vecmat", "linear", "add", "scale", "hadamard",
-    "sigmoid", "tanh", "softmax", "log_softmax", "concat", "stack_rows",
-    "vslice", "embedding_lookup", "pick", "sum_all", "lstm_layer",
+    "matvec", "linear", "add", "scale", "hadamard", "tanh", "attention",
+    "gate", "log_softmax", "concat", "stack_rows", "vslice",
+    "embedding_lookup", "pick", "sum_all", "lstm_layer",
 ]
 
+# Primitives whose finite-difference check lives in another module.
+CHECKED_ELSEWHERE = {"lstm_cell": "tests/test_model.py::TestFusedLSTMCell"}
 
-@pytest.mark.parametrize("name", PRIMITIVES)
+# Products fused into a primitive, each with cases that isolate it there.
+FUSED = {"softmax": "attention", "vecmat": "attention"}
+
+
+@pytest.mark.parametrize("name", PRIMITIVES + list(FUSED))
 def test_primitive_matches_finite_differences(name):
     worst = 0.0
     for seed in range(20):
@@ -412,6 +492,14 @@ def test_primitive_matches_finite_differences(name):
             err = ad.finite_difference_check(f, ad.tensor(theta))
             worst = max(worst, err)
     assert worst < 1e-4, f"{name}: worst relative error {worst:.3e}"
+
+
+def test_every_primitive_has_a_finite_difference_case():
+    # A primitive is an exported function that records a tape entry.
+    recorded = set(re.findall(r'_record\("(\w+)"', inspect.getsource(ad)))
+    assert recorded <= set(ad.__all__)
+    assert recorded == set(PRIMITIVES) | set(CHECKED_ELSEWHERE)
+    assert set(FUSED.values()) <= recorded and not set(FUSED) & recorded
 
 
 def test_finite_difference_check_exact_on_quadratic():
@@ -428,13 +516,28 @@ class TestTape:
     def test_entries_are_topologically_ordered(self):
         tape = ad.Tape()
         x = watched(tape, [1.0, 2.0])
-        y = ad.sigmoid(x)
+        y = ad.tanh(x)
         z = ad.add(y, y)
         ad.sum_all(z)
         for _name, in_nodes, out_node in tape.entries:
             for nid in in_nodes:
                 assert nid is not None and nid < out_node
         assert len(tape) == 3
+
+    @pytest.mark.parametrize("variant, per_step", [("PCGN", 10), ("Seq2Seq", 6)])
+    def test_entries_per_decoder_step(self, variant, per_step):
+        # One more target token adds one decoder step and nothing else: the
+        # output layer and the loss run once over every step.
+        cfg = tiny_config(variant)
+        params = random_params(cfg, 4)
+
+        def entries(y_len):
+            tape = ad.Tape()
+            watched = {name: tape.watch(t) for name, t in params.named_parameters()}
+            training.sequence_loss(params.with_tensors(watched), tiny_example(cfg, 5, y_len=y_len))
+            return len(tape.entries)
+
+        assert entries(4) - entries(3) == per_step
 
     def test_identical_programs_record_identically(self):
         def run():
@@ -550,20 +653,39 @@ class TestErrors:
             ad.add(ad.tensor(np.zeros(3)), ad.tensor(np.zeros((2, 3))))
 
     def test_softmax_rejects_empty_rows_and_3d(self):
-        for op in (ad.softmax, ad.log_softmax):
-            with pytest.raises(ValueError):
-                op(ad.tensor(np.zeros(0)))
-            with pytest.raises(ValueError):
-                op(ad.tensor(np.zeros((2, 0))))
-            with pytest.raises(ad.ShapeError):
-                op(ad.tensor(np.zeros((2, 2, 2))))
+        with pytest.raises(ValueError):
+            ad.log_softmax(ad.tensor(np.zeros(0)))
+        with pytest.raises(ValueError):
+            ad.log_softmax(ad.tensor(np.zeros((2, 0))))
+        with pytest.raises(ad.ShapeError):
+            ad.log_softmax(ad.tensor(np.zeros((2, 2, 2))))
+        w_a = ad.zeros((2, 3))
+        with pytest.raises(ValueError, match="at least one"):
+            ad.attention(ad.zeros(2), ad.zeros((0, 3)), w_a)
+        with pytest.raises(ad.ShapeError):
+            ad.attention(ad.zeros((2, 2, 2)), ad.zeros((4, 3)), w_a)
+        with pytest.raises(ad.ShapeError):
+            ad.attention(ad.zeros(2), ad.zeros((4, 3, 1)), w_a)
 
     def test_softmax_mask_must_keep_an_entry_per_row(self):
-        x = ad.tensor(np.zeros((2, 3)))
-        with pytest.raises(ValueError, match="no entries"):
-            ad.softmax(x, np.array([[True, False, False], [False, False, False]]))
+        s, states, w_a = ad.zeros((2, 2)), ad.zeros((3, 4)), ad.zeros((2, 4))
+        with pytest.raises(ValueError, match="no states"):
+            ad.attention(s, states, w_a, np.array([[True, False, False], [False, False, False]]))
         with pytest.raises(ad.ShapeError):
-            ad.softmax(x, np.ones(3, dtype=bool))
+            ad.attention(s, states, w_a, np.ones(3, dtype=bool))
+
+    def test_attention_and_gate_shape_mismatch(self):
+        with pytest.raises(ad.ShapeError):
+            ad.attention(ad.zeros(3), ad.zeros((4, 3)), ad.zeros((2, 3)))
+        with pytest.raises(ad.ShapeError):
+            ad.attention(ad.zeros(2), ad.zeros((4, 5)), ad.zeros((2, 3)))
+        w = ad.zeros((2, 3))
+        with pytest.raises(ad.ShapeError):
+            ad.gate(w, ad.zeros(2), ad.zeros(2))
+        with pytest.raises(ad.ShapeError):
+            ad.gate(w, ad.zeros(3), ad.zeros(3))
+        with pytest.raises(ad.ShapeError):
+            ad.gate(w, ad.zeros((4, 3)), ad.zeros(2))
 
     def test_concat_rejects_empty_list_and_mismatched_rows(self):
         with pytest.raises(ValueError):
@@ -626,7 +748,7 @@ finite_vectors = st.lists(
 @given(finite_vectors)
 @settings(max_examples=60, deadline=None)
 def test_softmax_is_a_distribution(values):
-    out = ad.softmax(ad.tensor(values)).array
+    out = attention_weights(values)
     assert abs(out.sum() - 1.0) < 1e-12
     assert (out > 0.0).all()
 
@@ -634,8 +756,8 @@ def test_softmax_is_a_distribution(values):
 @given(finite_vectors, st.floats(min_value=-20.0, max_value=20.0, allow_nan=False))
 @settings(max_examples=60, deadline=None)
 def test_softmax_shift_invariance(values, shift):
-    base = ad.softmax(ad.tensor(values)).array
-    shifted = ad.softmax(ad.tensor(np.asarray(values) + shift)).array
+    base = attention_weights(values)
+    shifted = attention_weights(np.asarray(values) + shift)
     assert np.allclose(base, shifted, atol=1e-12)
 
 

@@ -658,6 +658,21 @@ MALFORMED_FILES = {
     "zero age divisor": (lambda prep, run, tmp: _train_on(
         prep, tmp, "schema.json",
         json.dumps({**json.loads((prep / "schema.json").read_text()), "age_divisor": 0}).encode()), "age_divisor"),
+    "string age divisor": (lambda prep, run, tmp: _train_on(
+        prep, tmp, "schema.json", _edited_json(prep / "schema.json", lambda doc: doc.update(age_divisor="100"))),
+        "age_divisor must be a finite positive number, got '100'"),
+    "boolean age divisor": (lambda prep, run, tmp: _train_on(
+        prep, tmp, "schema.json", _edited_json(prep / "schema.json", lambda doc: doc.update(age_divisor=True))),
+        "age_divisor must be a finite positive number, got True"),
+    "age divisor of 1e400": (lambda prep, run, tmp: _train_on(prep, tmp, "schema.json", _edited_json(
+        prep / "schema.json", lambda doc: doc.update(age_divisor=0.125)).replace(b"0.125", b"1e400")),
+        "age_divisor must be a finite positive number, got inf"),
+    "infinite age divisor": (lambda prep, run, tmp: _train_on(
+        prep, tmp, "schema.json", _edited_json(prep / "schema.json", lambda doc: doc.update(age_divisor=math.inf))),
+        "age_divisor must be a finite positive number, got inf"),
+    "checkpoint schema with a string age divisor": (lambda prep, run, tmp: _generate_with(
+        _checkpoint_copy(run, tmp, lambda doc: doc["schema"].update(age_divisor="1e2")), prep),
+        "age_divisor must be a finite positive number, got '1e2'"),
     "truncated users table": (lambda prep, run, tmp: _generate_with(
         run / "checkpoint_final.json",
         _data_copy(prep, tmp, "users.json", (prep / "users.json").read_bytes()[:30])), "users.json"),
@@ -712,6 +727,18 @@ MALFORMED_FILES = {
         "parameter 'attn_blog'"),
     "checkpoint with a step of 1e400": (lambda prep, run, tmp: _generate_with(
         _checkpoint_copy(run, tmp, lambda doc: doc.update(step=1e400)), prep), "infinity"),
+    "checkpoint with a fractional step": (lambda prep, run, tmp: _generate_with(
+        _checkpoint_copy(run, tmp, lambda doc: doc.update(step=7.5)), prep),
+        "step must be a non-negative integer, got 7.5"),
+    "checkpoint with a string step": (lambda prep, run, tmp: _generate_with(
+        _checkpoint_copy(run, tmp, lambda doc: doc.update(step="7")), prep),
+        "step must be a non-negative integer, got '7'"),
+    "checkpoint with a boolean step": (lambda prep, run, tmp: _generate_with(
+        _checkpoint_copy(run, tmp, lambda doc: doc.update(step=True)), prep),
+        "step must be a non-negative integer, got True"),
+    "checkpoint with a negative step": (lambda prep, run, tmp: _generate_with(
+        _checkpoint_copy(run, tmp, lambda doc: doc.update(step=-3)), prep),
+        "step must be a non-negative integer, got -3"),
     "checkpoint with a fractional layer count": (lambda prep, run, tmp: _generate_with(
         _checkpoint_copy(run, tmp, lambda doc: doc["model"].update(blog_layers=1.5)), prep),
         "blog_layers must be an integer, got 1.5"),

@@ -353,6 +353,11 @@ class TestFeatures:
             D.FeatureSchema.from_dict({**doc, "age_divisor": 0.0})
         with pytest.raises(D.DataError, match="malformed feature schema"):
             D.FeatureSchema.from_dict({**doc, "age_divisor": 10**400})
+        # Only a finite, positive JSON number: no string, bool or infinity.
+        for bad in ("100", "1e2", True, float("inf"), json.loads("1e400"), json.loads("Infinity"), -1.0):
+            with pytest.raises(D.DataError, match="age_divisor must be a finite positive number"):
+                D.FeatureSchema.from_dict({**doc, "age_divisor": bad})
+        assert D.FeatureSchema.from_dict({**doc, "age_divisor": 50}).age_divisor == 50.0
 
     def test_schema_roundtrip(self):
         schema = self.make_schema()
