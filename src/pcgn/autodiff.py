@@ -21,13 +21,17 @@ blocks as well as vectors.  Beam search steps every live hypothesis as
 one such block, so each layer is one numpy call per step, and every row's
 values are bit-identical to stepping that row alone.  That holds because
 the products of a block, ``matvec``'s, ``attention``'s, ``gate``'s and
-``lstm_cell``'s, are row-exact: each row gets the bits of its one-row
-product.
+``lstm_cell``'s, are row-exact by default: each row gets the bits of its
+one-row product.
 
-``linear`` is not row-exact: it multiplies a whole row block by one
-weight matrix as a single matrix product, whose summation order depends
-on the block's size.  The teacher-forced walk applies the decoder's
-output layer that way, once over every scored row.
+A product that is not row-exact multiplies a whole row block by one
+weight matrix as a single matrix product (a GEMM), whose summation order
+depends on the block's size.  ``linear`` is always one, and
+``attention``, ``gate`` and ``lstm_cell`` make one per product when
+called with ``exact=False`` on a row block.  The teacher-forced walk
+uses them: it sums its rows into one loss, so no row is ever compared
+with a one-row run.  A vector operand keeps ``w @ x`` whatever the flag,
+so a one-example walk has the same bits either way.
 
 The encoders do not step: ``lstm_layer`` runs one LSTM direction over
 whole sequences as one tape entry.  Each of its steps runs the cell
@@ -238,12 +242,13 @@ def _tape_of(*operands: Tensor) -> "Tape | None":
 # ---------------------------------------------------------------------------
 
 
-# Row blocks are multiplied as one matrix-vector product per row, in a
-# single numpy call, not as one matrix product (``linear`` is the
-# exception, see the module docstring): a BLAS GEMM's summation
-# order depends on the block's size, so a row's result would change with
-# the rows stacked beside it.  This way every row gets exactly the bits of
-# the one-row product, whatever the block.
+# The row-exact products: a row block is multiplied as one matrix-vector
+# product per row, in a single numpy call, not as one matrix product.  A
+# BLAS GEMM's summation order depends on the block's size, so a row's
+# result would change with the rows stacked beside it; this way every row
+# gets exactly the bits of the one-row product, whatever the block.  Where
+# no row is compared with a one-row run, a block takes one GEMM instead
+# (``linear``, ``exact=False``, see the module docstring).
 def _mv(w: np.ndarray, x: np.ndarray) -> np.ndarray:
     """W x for a vector x, or W x_r for each row x_r of a block."""
     return w @ x if x.ndim == 1 else np.matmul(w, x[:, :, None])[:, :, 0]
@@ -418,7 +423,7 @@ def _lstm_factors(act: np.ndarray, c_prev: np.ndarray, c: np.ndarray) -> tuple[n
     return factor, gate_o * (1.0 - tanh_c * tanh_c)
 
 
-def lstm_cell(w_x: Tensor, w_h: Tensor, b: Tensor, x: Tensor, h_prev: Tensor, c_prev: Tensor) -> Tensor:
+def lstm_cell(w_x: Tensor, w_h: Tensor, b: Tensor, x: Tensor, h_prev: Tensor, c_prev: Tensor, exact: bool = True) -> Tensor:
     """One fused LSTM cell application; returns the packed [h; c].
 
     Weight rows are four hidden-size slabs: input, forget, candidate and
@@ -430,6 +435,8 @@ def lstm_cell(w_x: Tensor, w_h: Tensor, b: Tensor, x: Tensor, h_prev: Tensor, c_
     x, h_prev and c_prev are vectors, or row blocks with one row per
     independent cell state; the packed output has the same rows.  The whole
     cell is one tape entry whose backward is closed-form for all six inputs.
+    A row block's products are row-exact, or with ``exact=False`` one GEMM
+    per weight.
     """
     wxv, whv, bv = w_x.array, w_h.array, b.array
     xv, hv, cv = x.array, h_prev.array, c_prev.array
@@ -438,7 +445,10 @@ def lstm_cell(w_x: Tensor, w_h: Tensor, b: Tensor, x: Tensor, h_prev: Tensor, c_
     if hv.shape != state_shape or cv.shape != state_shape:
         raise ShapeError(f"lstm_cell states must have shape {state_shape}, got {hv.shape} and {cv.shape}")
     tape = _tape_of(w_x, w_h, b, x, h_prev, c_prev)
-    pre = _mv(wxv, xv) + _mv(whv, hv) + bv
+    if exact or xv.ndim == 1:
+        pre = _mv(wxv, xv) + _mv(whv, hv) + bv
+    else:
+        pre = xv @ wxv.T + hv @ whv.T + bv
     act = np.empty_like(pre)
     out = np.empty(state_shape[:-1] + (2 * hidden,))
     _lstm_gates(pre, cv, act, out[..., :hidden], out[..., hidden:])
@@ -516,9 +526,11 @@ def lstm_layer(w_x: Tensor, w_h: Tensor, b: Tensor, x: Tensor, reverse: bool, le
     :func:`lstm_cell`'s.
 
     W_x x + b is one matrix product over all rows; only W_h h steps
-    through time, one stacked matvec per step for the sequences still
-    running, so each row's recurrence does not depend on the rows beside
-    it.  The whole layer is one tape entry: its backward runs
+    through time.  One sequence steps it as a row-exact matvec, so its
+    recurrence does not depend on the rows beside it.  A block of two or
+    more steps it as one GEMM over the sequences still running, so its
+    rows match each sequence run alone only to rounding.  The whole layer
+    is one tape entry: its backward runs
     back-propagation through time in closed form and ends with one
     matrix product per weight gradient.
     """
@@ -538,7 +550,7 @@ def lstm_layer(w_x: Tensor, w_h: Tensor, b: Tensor, x: Tensor, reverse: bool, le
     cs = np.zeros((n_seq + rows, hidden))
     for first, count, p in steps:
         z = pre[first : first + count]
-        z += _mv(whv, hs[p : p + count])
+        z += _mv(whv, hs[p : p + count]) if n_seq == 1 else hs[p : p + count] @ whv.T
         at = slice(n_seq + first, n_seq + first + count)
         _lstm_gates(z, cs[p : p + count], act[first : first + count], hs[at], cs[at])
     out = np.ascontiguousarray(hs[n_seq:][unorder])
@@ -575,7 +587,8 @@ def lstm_layer(w_x: Tensor, w_h: Tensor, b: Tensor, x: Tensor, reverse: bool, le
     return tape._record("lstm_layer", nodes, out, backward)
 
 
-def attention(s: Tensor, states: Tensor, w_a: Tensor, mask: np.ndarray | None = None) -> tuple[Tensor, Tensor]:
+def attention(s: Tensor, states: Tensor, w_a: Tensor, mask: np.ndarray | None = None,
+              exact: bool = True) -> tuple[Tensor, Tensor]:
     """Bilinear attention: q = s W_a, weights = softmax(states q) and the
     context weights · states, for a query vector or each row of a block.
     Returns (context, weights): one tape entry, and a tape-free value.
@@ -585,6 +598,8 @@ def attention(s: Tensor, states: Tensor, w_a: Tensor, mask: np.ndarray | None = 
     gradient, and every row must keep one.  Rows that attend over one
     joined set of encoder states each keep only their own example's that
     way (``training.gold_log_probs``); beam decoding passes no mask.
+    A block's three products are row-exact, or with ``exact=False`` one
+    GEMM each.
     """
     sv, stv, wv = s.array, states.array, w_a.array
     if sv.ndim not in (1, 2) or stv.ndim != 2 or wv.shape != (sv.shape[-1], stv.shape[1]):
@@ -592,8 +607,9 @@ def attention(s: Tensor, states: Tensor, w_a: Tensor, mask: np.ndarray | None = 
                          f"got {sv.shape}, {stv.shape} and {wv.shape}")
     if stv.shape[0] == 0:
         raise ValueError("attention needs at least one encoder state")
-    q = _vm(sv, wv)
-    scores = _mv(stv, q)
+    stacked = exact or sv.ndim == 1
+    q = _vm(sv, wv) if stacked else sv @ wv
+    scores = _mv(stv, q) if stacked else q @ stv.T
     if mask is not None:
         if mask.shape != scores.shape:
             raise ShapeError(f"attention mask has shape {mask.shape}, expected {scores.shape}")
@@ -602,7 +618,7 @@ def attention(s: Tensor, states: Tensor, w_a: Tensor, mask: np.ndarray | None = 
         scores = np.where(mask, scores, -np.inf)
     e = np.exp(scores - scores.max(axis=-1, keepdims=True))
     weights = e / e.sum(axis=-1, keepdims=True)
-    context = _vm(weights, stv)
+    context = _vm(weights, stv) if stacked else weights @ stv
     tape = _tape_of(s, states, w_a)
     if tape is None:
         return _wrap(context), _wrap(weights)
@@ -622,14 +638,15 @@ def attention(s: Tensor, states: Tensor, w_a: Tensor, mask: np.ndarray | None = 
     return tape._record("attention", (n_st, n_st, n_s, n_w), context, backward), _wrap(weights)
 
 
-def gate(w: Tensor, x: Tensor, m: Tensor) -> Tensor:
+def gate(w: Tensor, x: Tensor, m: Tensor, exact: bool = True) -> Tensor:
     """sigmoid(W x) * m for a vector x, or for each row of a block, as one
-    tape entry.  It lists m before w and x: the order of the chain rule."""
+    tape entry.  It lists m before w and x: the order of the chain rule.
+    A block's W x is row-exact, or with ``exact=False`` one GEMM."""
     wv, xv, mv = w.array, x.array, m.array
     if xv.ndim not in (1, 2) or wv.ndim != 2 or wv.shape[1] != xv.shape[-1] or mv.shape != xv.shape[:-1] + wv.shape[:1]:
         raise ShapeError(f"gate expects w, x and m of shapes (K, N), (..., N) and (..., K), got {wv.shape}, {xv.shape} and {mv.shape}")
     tape = _tape_of(w, x, m)
-    act = _mv(wv, xv)
+    act = _mv(wv, xv) if exact or xv.ndim == 1 else xv @ wv.T
     _sigmoid(act, out=act)
     out = act * mv
     if tape is None:

@@ -141,9 +141,11 @@ class DecodeSession:
         def one_row(t):
             return ad.stack_rows([t])
 
-        # Each step gathers its rows from these by parent index.
-        self._v_u = None if v_u is None else one_row(v_u)
+        # Each step gathers its state rows from these by parent index.
         self._initial = _map_state(initial, one_row)
+        # Every row reads the same v_u: rows for the widest step so far,
+        # which each step slices.
+        self._users = None if v_u is None else one_row(v_u)
 
     def initial_state(self) -> M.DecoderState:
         return self._initial
@@ -151,7 +153,7 @@ class DecodeSession:
     def step(self, state: M.DecoderState, parents: Sequence[int], prev_ids: Sequence[int]) -> tuple[np.ndarray, M.DecoderState]:
         parents = np.asarray(parents, dtype=np.intp)
         rows = _map_state(state, lambda t: ad.embedding_lookup(t, parents))
-        v_u = None if self._v_u is None else ad.embedding_lookup(self._v_u, np.zeros_like(parents))
+        v_u = None if self._users is None else self._user_rows(len(parents))
         result = M.decoder_step(
             self.params, rows, np.asarray(prev_ids, dtype=np.intp), self._blog_states, self._desc_states, v_u
         )
@@ -163,6 +165,12 @@ class DecodeSession:
         if unk is not None:
             logits[:, unk] = -np.inf
         return ad._log_softmax(logits, out=logits), result.state
+
+    def _user_rows(self, rows: int) -> ad.Tensor:
+        """``rows`` copies of v_u as a block (a view of the widest so far)."""
+        if rows > len(self._users.array):
+            self._users = ad.embedding_lookup(self._users, np.zeros(rows, dtype=np.intp))
+        return ad._wrap(self._users.array[:rows])
 
 
 def beam_search_steps(

@@ -20,7 +20,7 @@ flag subset of the full model (see :data:`PRESETS`).
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field, fields
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -380,10 +380,11 @@ def build_model(config: ModelConfig, seed: int) -> ModelParams:
 # ---------------------------------------------------------------------------
 
 
-def lstm_step(cell: LSTMCell, x: Tensor, h_prev: Tensor, c_prev: Tensor) -> tuple[Tensor, Tensor]:
-    """One LSTM cell application -> (h, c), via the fused ``ad.lstm_cell``."""
+def lstm_step(cell: LSTMCell, x: Tensor, h_prev: Tensor, c_prev: Tensor, exact: bool = True) -> tuple[Tensor, Tensor]:
+    """One LSTM cell application -> (h, c), via the fused ``ad.lstm_cell``;
+    ``exact`` as there."""
     hidden = cell.hidden
-    packed = ad.lstm_cell(cell.w_x, cell.w_h, cell.b, x, h_prev, c_prev)
+    packed = ad.lstm_cell(cell.w_x, cell.w_h, cell.b, x, h_prev, c_prev, exact=exact)
     return ad.vslice(packed, 0, hidden), ad.vslice(packed, hidden, 2 * hidden)
 
 
@@ -418,13 +419,16 @@ def user_embed(w: Tensor, b: Tensor, features: Tensor) -> Tensor:
     return ad.tanh(ad.add(ad.matvec(w, features), b))
 
 
-def attention_context(s_prev: Tensor, states: Tensor, w_a: Tensor, mask: np.ndarray | None = None) -> AttentionResult:
+def attention_context(
+    s_prev: Tensor, states: Tensor, w_a: Tensor, mask: np.ndarray | None = None, exact: bool = True
+) -> AttentionResult:
     """Bilinear attention, one ``ad.attention`` entry: score_j = s' W h_j,
     weights = softmax, context = the weighted sum of the states.  ``states``
     is the encoder's (T, 2H) matrix, ``s_prev`` one decoder state or a
     (B, H) block, and ``mask`` (B, T) keeps each row to the states where it
-    is True.  The weights are tape-free: no loss reads them."""
-    context, weights = ad.attention(s_prev, states, w_a, mask)
+    is True.  ``exact`` as for ``ad.attention``.  The weights are
+    tape-free: no loss reads them."""
+    context, weights = ad.attention(s_prev, states, w_a, mask, exact=exact)
     return AttentionResult(context=context, weights=weights)
 
 
@@ -436,20 +440,22 @@ def gated_memory_step(
     e_prev: Tensor,
     c_blog: Tensor,
     m_prev: Tensor,
+    exact: bool = True,
 ) -> tuple[Tensor, Tensor]:
     """Decay the user memory and gate what the decoder may read.
 
     update gate  g_u = sigmoid(W_u s_t)        -> M_t   = g_u * M_{t-1}
     output gate  g_o = sigmoid(W_o [s_prev; e_prev; c_blog]) -> M_t^o = g_o * M_t
 
-    Each gate and its product is one ``ad.gate`` entry.  Both gates are
-    strictly inside (0, 1), so |M_t| decays monotonically coordinate-wise.
+    Each gate and its product is one ``ad.gate`` entry (``exact`` as
+    there).  Both gates are strictly inside (0, 1), so |M_t| decays
+    monotonically coordinate-wise.
     The caller decides which state to pass as ``s_t``; the decoder passes
     the previous step's state in both slots because the new state does not
     exist until after the memory read feeds the LSTM.
     """
-    m_t = ad.gate(w_update, s_t, m_prev)
-    m_out = ad.gate(w_output, ad.concat([s_prev, e_prev, c_blog]), m_t)
+    m_t = ad.gate(w_update, s_t, m_prev, exact=exact)
+    m_out = ad.gate(w_output, ad.concat([s_prev, e_prev, c_blog]), m_t, exact=exact)
     return m_t, m_out
 
 
@@ -535,6 +541,7 @@ def decoder_advance(
     v_u: Tensor | None,
     blog_mask: np.ndarray | None = None,
     desc_mask: np.ndarray | None = None,
+    exact: bool = True,
 ) -> tuple[DecoderState, AttentionResult, AttentionResult | None]:
     """The recurrent part of a decoder step: previous token ids -> new state.
 
@@ -544,7 +551,10 @@ def decoder_advance(
     states, and each layer is one primitive call for the whole block.
     When the rows come from several examples, the encoder states join
     theirs and the (B, T) masks keep each row to its own example's states
-    (see :func:`attention_context`).
+    (see :func:`attention_context`).  A block's products are row-exact, so
+    each row's values are bit-identical to stepping that row alone; with
+    ``exact=False`` they are one GEMM per weight, for callers that never
+    compare a row with a one-row step.  A vector row is the same either way.
     All step-t gates and attention read the previous top state; the
     memory read M_t^o joins the LSTM input.  Returns the new state and the
     step's blog and description attention (None without co-attention).
@@ -561,8 +571,8 @@ def decoder_advance(
         raise ValueError("user vector does not match the variant")
 
     s_prev = state.top_h
-    blog_attn = attention_context(s_prev, blog_states, params.attn_blog, blog_mask)
-    desc_attn = attention_context(s_prev, desc_states, params.attn_desc, desc_mask) if v.use_coattention else None
+    blog_attn = attention_context(s_prev, blog_states, params.attn_blog, blog_mask, exact)
+    desc_attn = attention_context(s_prev, desc_states, params.attn_desc, desc_mask, exact) if v.use_coattention else None
     e_prev = ad.embedding_lookup(params.embedding, y_prev)
 
     new_memory = None
@@ -570,7 +580,7 @@ def decoder_advance(
     if v.use_gated_memory:
         new_memory, m_read = gated_memory_step(
             params.mem_update, params.mem_output,
-            s_prev, s_prev, e_prev, blog_attn.context, state.memory,
+            s_prev, s_prev, e_prev, blog_attn.context, state.memory, exact,
         )
 
     parts = [blog_attn.context]
@@ -585,7 +595,7 @@ def decoder_advance(
 
     new_layers = []
     for cell, (h_prev, c_prev) in zip(params.decoder, state.layers):
-        h, c = lstm_step(cell, x, h_prev, c_prev)
+        h, c = lstm_step(cell, x, h_prev, c_prev, exact)
         new_layers.append((h, c))
         x = h
     new_state = DecoderState(layers=tuple(new_layers), memory=new_memory, step=state.step + 1)
@@ -597,17 +607,17 @@ def output_layer(
     s_t: Tensor,
     v_u: Tensor | None,
     desc_context: Tensor | None,
-    product: Callable[[Tensor, Tensor], Tensor],
+    exact: bool = True,
 ) -> Tensor:
     """Logits from the decoder's new top state: W_out s_t, or for the
     external variants W_out [s_t; W_mix [v_u; c_desc]].
 
     ``v_u`` and ``desc_context`` have s_t's rows and are read only by the
-    external variants.  ``product(w, x)`` applies a weight:
-    ``ad.matvec``, whose rows are exact, for decoding steps, or
-    ``ad.linear``, one matrix product over a row block, for the
-    teacher-forced walk.
+    external variants.  Each weight is applied by ``ad.matvec``, whose
+    rows are exact, or with ``exact=False`` by ``ad.linear``, one matrix
+    product over a row block, as in :func:`decoder_advance`.
     """
+    product = ad.matvec if exact else ad.linear
     if params.config.variant.use_external:
         r_u = product(params.user_mix, ad.concat([v_u, desc_context]))
         return product(params.out_mix, ad.concat([s_t, r_u]))
@@ -632,7 +642,7 @@ def decoder_step(
     )
     desc_context = None if desc_attn is None else desc_attn.context
     return StepResult(
-        logits=output_layer(params, new_state.top_h, v_u, desc_context, ad.matvec),
+        logits=output_layer(params, new_state.top_h, v_u, desc_context),
         state=new_state,
         blog_attention=blog_attn.weights,
         desc_attention=desc_attn.weights if desc_attn is not None else None,

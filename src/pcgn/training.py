@@ -6,12 +6,18 @@ over a block of examples.  The block steps as one row block: the encoders
 run all its blogs (and descriptions) together, each decoder step runs one
 row per example, and each row's attention keeps only its own example's
 encoder states (an attention mask).  A block of one example runs on vectors,
-the engine's one-row form.  The steps run only the decoder's recurrent
-part (``model.decoder_advance``): the output layer feeds no later step,
-so the walk applies it once, after the last step, to every scored row
-together through ``ad.linear``, one matrix product per weight.  Decoding
-keeps ``model.decoder_step``, whose row-exact products make each beam
-row's logits independent of the rows beside it.  ``sequence_loss`` and
+the engine's one-row form.  The walk sums its rows into one loss and never
+compares a row with a one-row run, so it needs no row exactness: over a
+block of two or more examples, the encoders' recurrence and every decoder
+step apply each weight as one matrix product (``exact=False``).  Only the
+initial state and the user vector, made once per walk, keep row-exact
+products.  A one-example walk's vector products are ``w @ x`` either way,
+so training's values do not depend on the flag.  The steps run only the
+decoder's recurrent part (``model.decoder_advance``): the output layer
+feeds no later step, so the walk applies it once, after the last step, to
+every scored row together through ``ad.linear``.  Decoding keeps
+``model.decoder_step``, whose row-exact products make each beam row's
+logits independent of the rows beside it.  ``sequence_loss`` and
 ``token_log_probs`` walk one example, and ``train_epoch`` sums one
 ``sequence_loss`` per example.  ``dataset_perplexity`` walks
 :data:`SCORE_BLOCK` consecutive examples at a time (see there).
@@ -139,7 +145,9 @@ def gold_log_probs(params: M.ModelParams, examples: Sequence[EncodedExample]) ->
     inputs = gold[0, :-1] if x_lens is None else gold[:, :-1].T
     tops, contexts = [], []
     for prev in inputs:
-        state, _, desc_attn = M.decoder_advance(params, state, prev, blog_states, desc_states, v_u, blog_mask, desc_mask)
+        state, _, desc_attn = M.decoder_advance(
+            params, state, prev, blog_states, desc_states, v_u, blog_mask, desc_mask, exact=False
+        )
         tops.append(state.top_h)
         if external:
             contexts.append(desc_attn.context)
@@ -158,7 +166,7 @@ def gold_log_probs(params: M.ModelParams, examples: Sequence[EncodedExample]) ->
         # stack_rows makes one example's v_u vector a one-row block.
         users = ad.embedding_lookup(ad.stack_rows([v_u]), owner)
         desc_context = scored_rows(contexts)
-    logits = M.output_layer(params, scored_rows(tops), users, desc_context, ad.linear)
+    logits = M.output_layer(params, scored_rows(tops), users, desc_context, exact=False)
     return ad.pick(ad.log_softmax(logits), gold[:, 1:].T[scored]), owner
 
 

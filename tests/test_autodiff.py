@@ -128,6 +128,54 @@ class TestForwardValues:
         assert np.array_equal(ad.zeros((2, 2)).array, np.zeros((2, 2)))
 
 
+def product_forms(rng, lead, hidden=6, in_dim=5, steps=7):
+    """(name, call) for each primitive with an ``exact`` flag; ``call(exact)``
+    applies it to fixed random operands with ``lead`` rows."""
+    t = lambda *shape: ad.tensor(rng.normal(size=shape))
+    x, h, c, m = t(*lead, in_dim), t(*lead, hidden), t(*lead, hidden), t(*lead, 4 * hidden)
+    w_x, w_h, b = t(4 * hidden, in_dim), t(4 * hidden, hidden), t(4 * hidden)
+    states, w_a = t(steps, in_dim), ad.tensor(rng.normal(size=(hidden, in_dim)) / hidden)
+    mask = rng.random(lead + (steps,)) < 0.5
+    mask[..., 0] = True
+    return [
+        ("lstm_cell", lambda exact: ad.lstm_cell(w_x, w_h, b, x, h, c, exact=exact)),
+        ("gate", lambda exact: ad.gate(w_x, x, m, exact=exact)),
+        ("attention", lambda exact: ad.attention(h, states, w_a, exact=exact)[0]),
+        ("masked attention", lambda exact: ad.attention(h, states, w_a, mask, exact=exact)[0]),
+    ]
+
+
+class TestProductForms:
+    """``exact=False`` makes a row block's products one GEMM each; a vector
+    keeps ``w @ x``, and an LSTM layer over several sequences steps as one
+    GEMM."""
+
+    def test_gemm_flag_leaves_vectors_alone(self):
+        for name, call in product_forms(np.random.default_rng(70), ()):
+            assert call(False).array.tobytes() == call(True).array.tobytes(), name
+
+    def test_gemm_rows_match_row_exact_rows(self):
+        for name, call in product_forms(np.random.default_rng(71), (9,)):
+            exact, gemm = call(True).array, call(False).array
+            assert gemm.shape == exact.shape
+            assert np.abs(gemm - exact).max() <= 1e-13 * max(1.0, np.abs(exact).max()), name
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_lstm_layer_block_rows_match_each_sequence_alone(self, reverse):
+        rng = np.random.default_rng(72 + reverse)
+        hidden, in_dim = 16, 12
+        w_x, w_h, b = (ad.tensor(rng.normal(size=shape) / 2) for shape in
+                       ((4 * hidden, in_dim), (4 * hidden, hidden), (4 * hidden,)))
+        lengths = [5, 1, 9, 3, 9, 2]
+        x = rng.normal(size=(sum(lengths), in_dim))
+        block = ad.lstm_layer(w_x, w_h, b, ad.tensor(x), reverse, lengths).array
+        start = 0
+        for n in lengths:
+            alone = ad.lstm_layer(w_x, w_h, b, ad.tensor(x[start : start + n]), reverse).array
+            assert np.abs(block[start : start + n] - alone).max() <= 1e-12
+            start += n
+
+
 class TestGradientHandValues:
     def test_sigmoid_derivative_at_zero_is_quarter(self):
         g = grad_of(lambda t: ad.sum_all(ad.gate(ad.tensor([[1.0]]), t, ad.tensor([1.0]))), [0.0])
@@ -323,9 +371,11 @@ def _fd_cases(name, rng):
         k, n, rows = dims(3)
         w = rng.normal(size=(k, n))
         cases = []
-        for lead in ((), (rows,)):
+        # A vector, a row block, and a row block as one GEMM.
+        for lead, exact in (((), True), ((rows,), True), ((rows,), False)):
             mix = ad.tensor(rng.normal(size=lead + (k,)))
-            cases += _every_operand(ad.gate, [w, rng.normal(size=lead + (n,)), rng.normal(size=lead + (k,))], mix)
+            op = lambda w, x, m, exact=exact: ad.gate(w, x, m, exact=exact)
+            cases += _every_operand(op, [w, rng.normal(size=lead + (n,)), rng.normal(size=lead + (k,))], mix)
         return cases
     if name == "attention":
         h, d, steps, rows = dims(4)
@@ -333,13 +383,14 @@ def _fd_cases(name, rng):
         # saturates and central differences stay accurate.
         states, w_a = rng.normal(size=(steps, d)), rng.normal(size=(h, d)) / np.sqrt(h * d)
         cases = []
-        for lead in ((), (rows,)):
+        # A vector, a row block, and a row block as one GEMM per product.
+        for lead, exact in (((), True), ((rows,), True), ((rows,), False)):
             # A random mask that keeps at least one state per row.
             mask = rng.random(lead + (steps,)) < 0.5
             mask[..., rng.integers(0, steps)] = True
             mix = ad.tensor(rng.normal(size=lead + (d,)))
             for keep in (None, mask):
-                op = lambda s, st, w, keep=keep: ad.attention(s, st, w, keep)[0]
+                op = lambda s, st, w, keep=keep, exact=exact: ad.attention(s, st, w, keep, exact=exact)[0]
                 cases += _every_operand(op, [rng.normal(size=lead + (h,)), states, w_a], mix)
         return cases
     if name == "softmax":

@@ -287,7 +287,14 @@ class TestFusedLSTMCell:
         assert ad.finite_difference_check(f, inputs[which]) < 1e-6
 
     def test_row_block_gradients_match_finite_differences(self):
-        rng = np.random.default_rng(44)
+        self.check_row_block_gradients(44, exact=True)
+
+    def test_gemm_row_block_gradients_match_finite_differences(self):
+        self.check_row_block_gradients(45, exact=False)
+
+    @staticmethod
+    def check_row_block_gradients(seed, exact):
+        rng = np.random.default_rng(seed)
         cell = random_cell(rng, 3, 4)
         inputs = {
             "w_x": cell.w_x, "w_h": cell.w_h, "b": cell.b,
@@ -299,7 +306,8 @@ class TestFusedLSTMCell:
         for which in inputs:
             def f(theta):
                 args = dict(inputs, **{which: theta})
-                packed = ad.lstm_cell(args["w_x"], args["w_h"], args["b"], args["x"], args["h_prev"], args["c_prev"])
+                packed = ad.lstm_cell(args["w_x"], args["w_h"], args["b"], args["x"], args["h_prev"], args["c_prev"],
+                                      exact=exact)
                 return ad.sum_all(ad.hadamard(packed, mix))
 
             assert ad.finite_difference_check(f, inputs[which]) < 1e-6, which
