@@ -18,20 +18,17 @@ that share the weights (``matvec``, ``attention``, ``gate``,
 ``embedding_lookup`` of an id vector returns one row per id, ``add``
 adds a vector to every row of a block, and ``stack_rows`` stacks row
 blocks as well as vectors.  Beam search steps every live hypothesis as
-one such block, so each layer is one numpy call per step, and every row's
-values are bit-identical to stepping that row alone.  That holds because
-the products of a block, ``matvec``'s, ``attention``'s, ``gate``'s and
-``lstm_cell``'s, are row-exact by default: each row gets the bits of its
-one-row product.
+one such block, so each layer is one numpy call per step.
 
-A product that is not row-exact multiplies a whole row block by one
-weight matrix as a single matrix product (a GEMM), whose summation order
-depends on the block's size.  ``linear`` is always one, and
-``attention``, ``gate`` and ``lstm_cell`` make one per product when
-called with ``exact=False`` on a row block.  The teacher-forced walk
-uses them: it sums its rows into one loss, so no row is ever compared
-with a one-row run.  A vector operand keeps ``w @ x`` whatever the flag,
-so a one-example walk has the same bits either way.
+The four product primitives, ``matvec``, ``attention``, ``gate`` and
+``lstm_cell``, take an ``exact`` flag, and only the kernels ``_mv`` and
+``_vm`` act on it.  A vector operand is ``w @ x`` either way.  A row
+block is row-exact by default: each row gets the bits of its one-row
+product, so a beam row's values do not depend on the rows beside it.
+With ``exact=False`` a block is one matrix product (a GEMM) per weight,
+whose summation order depends on the block's size.  The teacher-forced
+walk uses that form: it sums its rows into one loss, so no row is ever
+compared with a one-row run.
 
 The encoders do not step: ``lstm_layer`` runs one LSTM direction over
 whole sequences as one tape entry.  Each of its steps runs the cell
@@ -80,7 +77,6 @@ __all__ = [
     "tensor",
     "zeros",
     "matvec",
-    "linear",
     "add",
     "scale",
     "hadamard",
@@ -242,21 +238,25 @@ def _tape_of(*operands: Tensor) -> "Tape | None":
 # ---------------------------------------------------------------------------
 
 
-# The row-exact products: a row block is multiplied as one matrix-vector
-# product per row, in a single numpy call, not as one matrix product.  A
-# BLAS GEMM's summation order depends on the block's size, so a row's
-# result would change with the rows stacked beside it; this way every row
-# gets exactly the bits of the one-row product, whatever the block.  Where
-# no row is compared with a one-row run, a block takes one GEMM instead
-# (``linear``, ``exact=False``, see the module docstring).
-def _mv(w: np.ndarray, x: np.ndarray) -> np.ndarray:
+# The two product kernels, and the only place the product form is chosen.
+# A row-exact product multiplies a row block as one matrix-vector product
+# per row, in a single numpy call, not as one matrix product.  A BLAS
+# GEMM's summation order depends on the block's size, so a row's result
+# would change with the rows beside it; this way every row gets
+# exactly the bits of the one-row product, whatever the block.  Where no
+# row is compared with a one-row run, ``exact=False`` takes one GEMM.
+def _mv(w: np.ndarray, x: np.ndarray, exact: bool = True) -> np.ndarray:
     """W x for a vector x, or W x_r for each row x_r of a block."""
-    return w @ x if x.ndim == 1 else np.matmul(w, x[:, :, None])[:, :, 0]
+    if x.ndim == 1:
+        return w @ x
+    return np.matmul(w, x[:, :, None])[:, :, 0] if exact else x @ w.T
 
 
-def _vm(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+def _vm(x: np.ndarray, w: np.ndarray, exact: bool = True) -> np.ndarray:
     """x W for a vector x, or x_r W for each row x_r of a block."""
-    return x @ w if x.ndim == 1 else np.matmul(x[:, None, :], w)[:, 0, :]
+    if x.ndim == 1:
+        return x @ w
+    return np.matmul(x[:, None, :], w)[:, 0, :] if exact else x @ w
 
 
 def _weight_grad(g: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -264,15 +264,16 @@ def _weight_grad(g: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.outer(g, x) if g.ndim == 1 else g.T @ x
 
 
-def matvec(w: Tensor, x: Tensor) -> Tensor:
-    """W x for a vector x, or W x_r for each row x_r of a matrix x."""
+def matvec(w: Tensor, x: Tensor, exact: bool = True) -> Tensor:
+    """W x for a vector x, or W x_r for each row x_r of a matrix x:
+    row-exact, or with ``exact=False`` one GEMM (see :func:`_mv`)."""
     wv, xv = w.array, x.array
     if wv.ndim != 2 or xv.ndim not in (1, 2):
         raise ShapeError(f"matvec expects a matrix and a vector or row block, got shapes {wv.shape} and {xv.shape}")
     if wv.shape[1] != xv.shape[-1]:
         raise ShapeError(f"matvec extents differ: {wv.shape} x {xv.shape}")
     tape = _tape_of(w, x)
-    out = _mv(wv, xv)
+    out = _mv(wv, xv, exact)
     if tape is None:
         return _wrap(out)
     nw, nx = w.node, x.node
@@ -284,30 +285,6 @@ def matvec(w: Tensor, x: Tensor) -> Tensor:
         )
 
     return tape._record("matvec", (nw, nx), out, backward)
-
-
-def linear(w: Tensor, x: Tensor) -> Tensor:
-    """x @ W.T for a row block x: one matrix product over all its rows.
-
-    Unlike :func:`matvec`, a row's bits depend on the block's size (see
-    :func:`_mv`), so it serves products whose rows are never compared
-    with a one-row run: the teacher-forced walk's output layer.
-    """
-    wv, xv = w.array, x.array
-    if wv.ndim != 2 or xv.ndim != 2:
-        raise ShapeError(f"linear expects a matrix and a row block, got shapes {wv.shape} and {xv.shape}")
-    if wv.shape[1] != xv.shape[1]:
-        raise ShapeError(f"linear extents differ: {wv.shape} x {xv.shape}")
-    tape = _tape_of(w, x)
-    out = xv @ wv.T
-    if tape is None:
-        return _wrap(out)
-    nw, nx = w.node, x.node
-
-    def backward(g):
-        return (_weight_grad(g, xv) if nw is not None else None, g @ wv if nx is not None else None)
-
-    return tape._record("linear", (nw, nx), out, backward)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -435,8 +412,7 @@ def lstm_cell(w_x: Tensor, w_h: Tensor, b: Tensor, x: Tensor, h_prev: Tensor, c_
     x, h_prev and c_prev are vectors, or row blocks with one row per
     independent cell state; the packed output has the same rows.  The whole
     cell is one tape entry whose backward is closed-form for all six inputs.
-    A row block's products are row-exact, or with ``exact=False`` one GEMM
-    per weight.
+    ``exact`` picks the product form of a row block (see :func:`_mv`).
     """
     wxv, whv, bv = w_x.array, w_h.array, b.array
     xv, hv, cv = x.array, h_prev.array, c_prev.array
@@ -445,10 +421,7 @@ def lstm_cell(w_x: Tensor, w_h: Tensor, b: Tensor, x: Tensor, h_prev: Tensor, c_
     if hv.shape != state_shape or cv.shape != state_shape:
         raise ShapeError(f"lstm_cell states must have shape {state_shape}, got {hv.shape} and {cv.shape}")
     tape = _tape_of(w_x, w_h, b, x, h_prev, c_prev)
-    if exact or xv.ndim == 1:
-        pre = _mv(wxv, xv) + _mv(whv, hv) + bv
-    else:
-        pre = xv @ wxv.T + hv @ whv.T + bv
+    pre = _mv(wxv, xv, exact) + _mv(whv, hv, exact) + bv
     act = np.empty_like(pre)
     out = np.empty(state_shape[:-1] + (2 * hidden,))
     _lstm_gates(pre, cv, act, out[..., :hidden], out[..., hidden:])
@@ -526,13 +499,12 @@ def lstm_layer(w_x: Tensor, w_h: Tensor, b: Tensor, x: Tensor, reverse: bool, le
     :func:`lstm_cell`'s.
 
     W_x x + b is one matrix product over all rows; only W_h h steps
-    through time.  One sequence steps it as a row-exact matvec, so its
-    recurrence does not depend on the rows beside it.  A block of two or
-    more steps it as one GEMM over the sequences still running, so its
-    rows match each sequence run alone only to rounding.  The whole layer
-    is one tape entry: its backward runs
-    back-propagation through time in closed form and ends with one
-    matrix product per weight gradient.
+    through time.  One sequence steps it row-exact, so its recurrence
+    does not depend on the rows beside it.  A block of two or more steps
+    it as one GEMM over the sequences still running, so its rows match
+    each sequence run alone only to rounding.  The whole layer is one
+    tape entry: its backward runs back-propagation through time in
+    closed form and ends with one matrix product per weight gradient.
     """
     wxv, whv, bv, xv = w_x.array, w_h.array, b.array, x.array
     hidden = _lstm_hidden("lstm_layer", wxv, whv, bv, xv, (2,))
@@ -540,6 +512,7 @@ def lstm_layer(w_x: Tensor, w_h: Tensor, b: Tensor, x: Tensor, reverse: bool, le
     order, steps, prev = _layer_plan(rows, lengths, reverse)
     tape = _tape_of(w_x, w_h, b, x)
     n_seq = steps[0][1]
+    exact = n_seq == 1
     xs = np.ascontiguousarray(xv[order])
     unorder = order if isinstance(order, slice) else np.argsort(order)  # a reversal undoes itself
     # Step-major buffers: act holds the gate activations; hs and cs the
@@ -550,7 +523,7 @@ def lstm_layer(w_x: Tensor, w_h: Tensor, b: Tensor, x: Tensor, reverse: bool, le
     cs = np.zeros((n_seq + rows, hidden))
     for first, count, p in steps:
         z = pre[first : first + count]
-        z += _mv(whv, hs[p : p + count]) if n_seq == 1 else hs[p : p + count] @ whv.T
+        z += _mv(whv, hs[p : p + count], exact)
         at = slice(n_seq + first, n_seq + first + count)
         _lstm_gates(z, cs[p : p + count], act[first : first + count], hs[at], cs[at])
     out = np.ascontiguousarray(hs[n_seq:][unorder])
@@ -598,8 +571,7 @@ def attention(s: Tensor, states: Tensor, w_a: Tensor, mask: np.ndarray | None = 
     gradient, and every row must keep one.  Rows that attend over one
     joined set of encoder states each keep only their own example's that
     way (``training.gold_log_probs``); beam decoding passes no mask.
-    A block's three products are row-exact, or with ``exact=False`` one
-    GEMM each.
+    ``exact`` picks the form of the three products (see :func:`_mv`).
     """
     sv, stv, wv = s.array, states.array, w_a.array
     if sv.ndim not in (1, 2) or stv.ndim != 2 or wv.shape != (sv.shape[-1], stv.shape[1]):
@@ -607,9 +579,8 @@ def attention(s: Tensor, states: Tensor, w_a: Tensor, mask: np.ndarray | None = 
                          f"got {sv.shape}, {stv.shape} and {wv.shape}")
     if stv.shape[0] == 0:
         raise ValueError("attention needs at least one encoder state")
-    stacked = exact or sv.ndim == 1
-    q = _vm(sv, wv) if stacked else sv @ wv
-    scores = _mv(stv, q) if stacked else q @ stv.T
+    q = _vm(sv, wv, exact)
+    scores = _mv(stv, q, exact)
     if mask is not None:
         if mask.shape != scores.shape:
             raise ShapeError(f"attention mask has shape {mask.shape}, expected {scores.shape}")
@@ -618,7 +589,7 @@ def attention(s: Tensor, states: Tensor, w_a: Tensor, mask: np.ndarray | None = 
         scores = np.where(mask, scores, -np.inf)
     e = np.exp(scores - scores.max(axis=-1, keepdims=True))
     weights = e / e.sum(axis=-1, keepdims=True)
-    context = _vm(weights, stv) if stacked else weights @ stv
+    context = _vm(weights, stv, exact)
     tape = _tape_of(s, states, w_a)
     if tape is None:
         return _wrap(context), _wrap(weights)
@@ -641,12 +612,12 @@ def attention(s: Tensor, states: Tensor, w_a: Tensor, mask: np.ndarray | None = 
 def gate(w: Tensor, x: Tensor, m: Tensor, exact: bool = True) -> Tensor:
     """sigmoid(W x) * m for a vector x, or for each row of a block, as one
     tape entry.  It lists m before w and x: the order of the chain rule.
-    A block's W x is row-exact, or with ``exact=False`` one GEMM."""
+    ``exact`` picks the form of W x (see :func:`_mv`)."""
     wv, xv, mv = w.array, x.array, m.array
     if xv.ndim not in (1, 2) or wv.ndim != 2 or wv.shape[1] != xv.shape[-1] or mv.shape != xv.shape[:-1] + wv.shape[:1]:
         raise ShapeError(f"gate expects w, x and m of shapes (K, N), (..., N) and (..., K), got {wv.shape}, {xv.shape} and {mv.shape}")
     tape = _tape_of(w, x, m)
-    act = _mv(wv, xv) if exact or xv.ndim == 1 else xv @ wv.T
+    act = _mv(wv, xv, exact)
     _sigmoid(act, out=act)
     out = act * mv
     if tape is None:

@@ -78,6 +78,10 @@ class DecodeConfig:
     length_norm: float = 0.0
 
     def __post_init__(self):
+        for name in ("beam_size", "max_len"):
+            val = getattr(self, name)
+            if not isinstance(val, int) or isinstance(val, bool):
+                raise ValueError(f"{name} must be an integer, got {val!r}")
         if self.beam_size < 1:
             raise ValueError(f"beam_size must be >= 1, got {self.beam_size}")
         if self.max_len < 1:

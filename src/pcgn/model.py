@@ -613,15 +613,13 @@ def output_layer(
     external variants W_out [s_t; W_mix [v_u; c_desc]].
 
     ``v_u`` and ``desc_context`` have s_t's rows and are read only by the
-    external variants.  Each weight is applied by ``ad.matvec``, whose
-    rows are exact, or with ``exact=False`` by ``ad.linear``, one matrix
-    product over a row block, as in :func:`decoder_advance`.
+    external variants.  Each weight is one ``ad.matvec``, with ``exact``
+    as in :func:`decoder_advance`.
     """
-    product = ad.matvec if exact else ad.linear
     if params.config.variant.use_external:
-        r_u = product(params.user_mix, ad.concat([v_u, desc_context]))
-        return product(params.out_mix, ad.concat([s_t, r_u]))
-    return product(params.out_proj, s_t)
+        r_u = ad.matvec(params.user_mix, ad.concat([v_u, desc_context]), exact)
+        return ad.matvec(params.out_mix, ad.concat([s_t, r_u]), exact)
+    return ad.matvec(params.out_proj, s_t, exact)
 
 
 def decoder_step(

@@ -15,7 +15,7 @@ products.  A one-example walk's vector products are ``w @ x`` either way,
 so training's values do not depend on the flag.  The steps run only the
 decoder's recurrent part (``model.decoder_advance``): the output layer
 feeds no later step, so the walk applies it once, after the last step, to
-every scored row together through ``ad.linear``.  Decoding keeps
+every scored row together (``ad.matvec``, ``exact=False``).  Decoding keeps
 ``model.decoder_step``, whose row-exact products make each beam row's
 logits independent of the rows beside it.  ``sequence_loss`` and
 ``token_log_probs`` walk one example, and ``train_epoch`` sums one
@@ -64,6 +64,10 @@ class OptimizerConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("batch_size", "seed"):
+            val = getattr(self, name)
+            if not isinstance(val, int) or isinstance(val, bool):
+                raise ValueError(f"{name} must be an integer, got {val!r}")
         # NaN fails these checks too.
         if not 0 <= self.lr < math.inf:
             raise ValueError(f"lr must be finite and >= 0, got {self.lr}")
@@ -330,8 +334,8 @@ def fit(
     otherwise by train perplexity.  ``stop_below_ppl`` ends training early
     once the tracked perplexity drops under the threshold; 0 never stops.
     """
-    if epochs < 1:
-        raise ValueError(f"epochs must be >= 1, got {epochs}")
+    if not isinstance(epochs, int) or isinstance(epochs, bool) or epochs < 1:
+        raise ValueError(f"epochs must be an integer >= 1, got {epochs!r}")
     if stop_below_ppl is not None and not 0 <= stop_below_ppl < math.inf:  # NaN fails too
         raise ValueError(f"stop_below_ppl must be finite and >= 0, got {stop_below_ppl}")
     history: list[EpochStats] = []

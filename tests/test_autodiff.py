@@ -61,7 +61,7 @@ class TestForwardValues:
     def test_linear_is_one_matrix_product(self):
         rng = np.random.default_rng(7)
         w, x = rng.normal(size=(5, 3)), rng.normal(size=(4, 3))
-        out = ad.linear(ad.tensor(w), ad.tensor(x)).array
+        out = ad.matvec(ad.tensor(w), ad.tensor(x), exact=False).array
         assert np.array_equal(out, x @ w.T)
         assert np.allclose(out, [w @ row for row in x], rtol=0, atol=1e-14)
 
@@ -138,6 +138,7 @@ def product_forms(rng, lead, hidden=6, in_dim=5, steps=7):
     mask = rng.random(lead + (steps,)) < 0.5
     mask[..., 0] = True
     return [
+        ("matvec", lambda exact: ad.matvec(w_x, x, exact=exact)),
         ("lstm_cell", lambda exact: ad.lstm_cell(w_x, w_h, b, x, h, c, exact=exact)),
         ("gate", lambda exact: ad.gate(w_x, x, m, exact=exact)),
         ("attention", lambda exact: ad.attention(h, states, w_a, exact=exact)[0]),
@@ -149,6 +150,16 @@ class TestProductForms:
     """``exact=False`` makes a row block's products one GEMM each; a vector
     keeps ``w @ x``, and an LSTM layer over several sequences steps as one
     GEMM."""
+
+    def test_kernels_make_the_form_the_flag_names(self):
+        # At these sizes a GEMM's bits differ from per-row products, so
+        # a kernel that ignored the flag would fail here.
+        rng = np.random.default_rng(74)
+        w, x = rng.normal(size=(40, 64)), rng.normal(size=(9, 64))
+        assert ad._mv(w, x, exact=False).tobytes() == (x @ w.T).tobytes()
+        assert ad._mv(w, x).tobytes() == np.array([w @ r for r in x]).tobytes()
+        assert ad._vm(x, w.T, exact=False).tobytes() == (x @ w.T).tobytes()
+        assert ad._vm(x, w.T).tobytes() == np.array([r @ w.T for r in x]).tobytes()
 
     def test_gemm_flag_leaves_vectors_alone(self):
         for name, call in product_forms(np.random.default_rng(70), ()):
@@ -329,15 +340,15 @@ def _fd_cases(name, rng):
             (lambda t: ad.sum_all(ad.hadamard(ad.matvec(t, ad.tensor(xs)), mix)), w),
             (lambda t: ad.sum_all(ad.hadamard(ad.matvec(ad.tensor(w), t), mix)), xs),
         ]
-    if name == "linear":
+    if name == "linear":  # matvec's GEMM form
         m, k, rows = dims(3)
         w = rng.normal(size=(m, k))
         cases = []
         for n in (1, rows):
             x, mix = rng.normal(size=(n, k)), ad.tensor(rng.normal(size=(n, m)))
             cases += [
-                (lambda t, x=x, mix=mix: ad.sum_all(ad.hadamard(ad.linear(t, ad.tensor(x)), mix)), w),
-                (lambda t, mix=mix: ad.sum_all(ad.hadamard(ad.linear(ad.tensor(w), t), mix)), x),
+                (lambda t, x=x, mix=mix: ad.sum_all(ad.hadamard(ad.matvec(t, ad.tensor(x), exact=False), mix)), w),
+                (lambda t, mix=mix: ad.sum_all(ad.hadamard(ad.matvec(ad.tensor(w), t, exact=False), mix)), x),
             ]
         return cases
     if name == "add":
@@ -522,7 +533,7 @@ def _fd_cases(name, rng):
 
 
 PRIMITIVES = [
-    "matvec", "linear", "add", "scale", "hadamard", "tanh", "attention",
+    "matvec", "add", "scale", "hadamard", "tanh", "attention",
     "gate", "log_softmax", "concat", "stack_rows", "vslice",
     "embedding_lookup", "pick", "sum_all", "lstm_layer",
 ]
@@ -530,8 +541,8 @@ PRIMITIVES = [
 # Primitives whose finite-difference check lives in another module.
 CHECKED_ELSEWHERE = {"lstm_cell": "tests/test_model.py::TestFusedLSTMCell"}
 
-# Products fused into a primitive, each with cases that isolate it there.
-FUSED = {"softmax": "attention", "vecmat": "attention"}
+# Products folded into a primitive, each with cases that isolate it there.
+FUSED = {"softmax": "attention", "vecmat": "attention", "linear": "matvec"}
 
 
 @pytest.mark.parametrize("name", PRIMITIVES + list(FUSED))
@@ -689,11 +700,9 @@ class TestErrors:
     def test_linear_shape_mismatch(self):
         w = ad.zeros((4, 3))
         with pytest.raises(ad.ShapeError):
-            ad.linear(w, ad.zeros((2, 4)))
+            ad.matvec(w, ad.zeros((2, 4)), exact=False)
         with pytest.raises(ad.ShapeError):
-            ad.linear(w, ad.zeros(3))
-        with pytest.raises(ad.ShapeError):
-            ad.linear(ad.zeros(3), ad.zeros((2, 3)))
+            ad.matvec(ad.zeros(3), ad.zeros((2, 3)), exact=False)
 
     def test_add_shape_mismatch(self):
         with pytest.raises(ad.ShapeError):

@@ -68,6 +68,10 @@ class TestConfigAndHypothesis:
         for bad in (math.nan, math.inf):
             with pytest.raises(ValueError, match="length_norm"):
                 dec.DecodeConfig(length_norm=bad)
+        for field in ("beam_size", "max_len"):
+            for bad in (2.5, 2.0, True):
+                with pytest.raises(ValueError, match=f"{field} must be an integer"):
+                    dec.DecodeConfig(**{field: bad})
 
     def test_content_tokens_strip_eos_only_when_finished(self):
         done = dec.Hypothesis(tokens=(5, 6, 3), log_prob=-1.0, finished=True)

@@ -93,7 +93,7 @@ class TestOutputLayerOnce:
         T.sequence_loss(params.with_tensors(watched), tiny_example(cfg, 10, y_len=4))
         nodes = {watched[name].node: name for name in weights}
         readers = [(op, nodes[n]) for op, ins, _ in tape.entries for n in ins if n in nodes]
-        assert readers == [("linear", name) for name in weights]
+        assert readers == [("matvec", name) for name in weights]
 
 
 # (blog, comment body, description) lengths of the block-walk examples: the
@@ -174,13 +174,13 @@ class TestBlockWalk:
 
 
 def stacked_product_callers(monkeypatch) -> list[str]:
-    """Spies on the row-exact products ``ad._mv`` and ``ad._vm``: the list
-    returned collects the calling function's name for each call on a row
-    block."""
+    """Spies on the product kernels ``ad._mv`` and ``ad._vm``: the list
+    returned collects the calling function's name for each row-exact call,
+    one on a row block with ``exact`` true."""
     callers = []
     for name, operand in (("_mv", 1), ("_vm", 0)):
         def spy(*args, original=getattr(ad, name), operand=operand):
-            if args[operand].ndim == 2:
+            if args[operand].ndim == 2 and (len(args) < 3 or args[2]):
                 callers.append(sys._getframe(1).f_code.co_name)
             return original(*args)
         monkeypatch.setattr(ad, name, spy)
@@ -327,6 +327,10 @@ class TestSGD:
                 T.OptimizerConfig(lr=bad)
             with pytest.raises(ValueError, match="clip_norm"):
                 T.OptimizerConfig(clip_norm=bad)
+        for field in ("batch_size", "seed"):
+            for bad in (2.5, 2.0, True):
+                with pytest.raises(ValueError, match=f"{field} must be an integer"):
+                    T.OptimizerConfig(**{field: bad})
 
 
 def small_dataset(cfg, n=6, seed=30):
@@ -464,6 +468,9 @@ class TestFit:
         params = random_params(tiny_config("Seq2Seq"), 39)
         with pytest.raises(ValueError):
             T.fit(params, small_dataset(params.config, 2), None, T.OptimizerConfig(), epochs=0)
+        for bad in (2.5, 1.0, True):
+            with pytest.raises(ValueError, match="epochs must be an integer"):
+                T.fit(params, small_dataset(params.config, 2), None, T.OptimizerConfig(), epochs=bad)
 
     @pytest.mark.parametrize("threshold", [math.nan, math.inf, -1.0])
     def test_bad_stop_below_ppl_rejected(self, threshold):
