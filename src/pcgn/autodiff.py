@@ -30,10 +30,11 @@ whose summation order depends on the block's size.  The teacher-forced
 walk uses that form: it sums its rows into one loss, so no row is ever
 compared with a one-row run.
 
-The encoders do not step: ``lstm_layer`` runs one LSTM direction over
-whole sequences as one tape entry.  Each of its steps runs the cell
-kernel that ``lstm_cell`` runs once, and both backwards build the
-pre-activation gradient from the same factors.
+The encoders do not step: ``bilstm_layer`` runs both directions of one
+bidirectional LSTM layer over whole sequences as one tape entry and
+returns their joined states.  Each of its steps runs the cell kernel
+that ``lstm_cell`` runs once, on both directions' rows together, and
+both backwards build the pre-activation gradient from the same factors.
 
 :func:`backprop` keeps one gradient array per node.  It adds row and
 dense gradients into the arrays it owns in place, and frees a node's
@@ -82,7 +83,7 @@ __all__ = [
     "hadamard",
     "tanh",
     "lstm_cell",
-    "lstm_layer",
+    "bilstm_layer",
     "attention",
     "gate",
     "log_softmax",
@@ -447,18 +448,20 @@ def lstm_cell(w_x: Tensor, w_h: Tensor, b: Tensor, x: Tensor, h_prev: Tensor, c_
     return tape._record("lstm_cell", nodes, out, backward)
 
 
-def _layer_plan(rows: int, lengths: Sequence[int] | None, reverse: bool) -> tuple:
-    """Step-major order of one LSTM direction over a block of sequences.
+def _layer_plan(rows: int, lengths: Sequence[int] | None) -> tuple:
+    """Step-major orders of both LSTM directions over a block of sequences.
 
     Sequences are taken longest first (ties in block order), so the ones
     still running at step t are a prefix of those that ran at step t - 1.
-    Step-major row k is the k-th (step, sequence) pair.  Returns ``order``,
-    an index (a slice for one sequence) that takes the input rows to
-    step-major order; ``steps``, one (first row, rows, previous-state row)
-    per step, where the previous states sit in a buffer whose first rows
-    hold the zero start states and whose row ``sequences + k`` holds
-    step-major row k's state; and ``prev``, each step-major row's
-    previous-state row in that buffer (None when it is row k).
+    Step-major row k is the k-th (step, sequence) pair; both directions
+    share that layout and differ only in which input row a pair reads.
+    Returns ``orders``, the forward and backward indexes (slices for one
+    sequence) that take the input rows to step-major order; ``steps``,
+    one (first row, rows, previous-state row) per step, where the previous
+    states sit in a buffer whose first rows hold the zero start states and
+    whose row ``sequences + k`` holds step-major row k's state; and
+    ``prev``, each step-major row's previous-state row in that buffer
+    (None when it is row k).
     """
     if lengths is None:
         lengths = (rows,)
@@ -467,7 +470,7 @@ def _layer_plan(rows: int, lengths: Sequence[int] | None, reverse: bool) -> tupl
             raise ValueError("cannot run an LSTM over an empty sequence")
         if lengths[0] != rows:
             raise ShapeError(f"sequence length {lengths[0]} differs from the {rows} input rows")
-        return slice(None, None, -1 if reverse else 1), [(t, 1, t) for t in range(rows)], None
+        return (slice(None), slice(None, None, -1)), [(t, 1, t) for t in range(rows)], None
     lens = np.array(lengths, dtype=np.intp)
     if lens.ndim != 1 or lens.size == 0 or lens.min() < 1:
         raise ValueError("cannot run an LSTM over an empty sequence")
@@ -481,83 +484,100 @@ def _layer_plan(rows: int, lengths: Sequence[int] | None, reverse: bool) -> tupl
     running = t < lens_s                                  # steps x sequences, prefixes
     counts = running.sum(axis=1)
     first = np.cumsum(counts) - counts
-    order = (starts_s + (lens_s - 1 - t if reverse else t))[running]
+    orders = ((starts_s + t)[running], (starts_s + lens_s - 1 - t)[running])
     prev_first = np.concatenate(([0], n + first[:-1]))
     prev = (prev_first[:, None] + np.arange(n))[running]
     steps = list(zip(first.tolist(), counts.tolist(), prev_first.tolist()))
-    return order, steps, (None if (lens == lens[0]).all() else prev)
+    return orders, steps, (None if (lens == lens[0]).all() else prev)
 
 
-def lstm_layer(w_x: Tensor, w_h: Tensor, b: Tensor, x: Tensor, reverse: bool, lengths: Sequence[int] | None = None) -> Tensor:
-    """One LSTM direction from zero states over whole sequences.
+def bilstm_layer(fwd: Sequence[Tensor], bwd: Sequence[Tensor], x: Tensor,
+                 lengths: Sequence[int] | None = None) -> Tensor:
+    """One bidirectional LSTM layer from zero states over whole sequences.
 
-    ``x`` holds one sequence's input vectors as its rows, or, with
-    ``lengths``, a block of sequences laid one after another.  The
-    forward direction reads each sequence first row to last; ``reverse``
-    reads it last to first.  Returns every step's hidden state as the
-    row of the input it read, so the result has x's rows.  The cell is
+    ``fwd`` and ``bwd`` are each a (w_x, w_h, b) triple with the same
+    hidden size H.  ``x`` holds one sequence's input vectors as its rows,
+    or, with ``lengths``, a block of sequences laid one after another.
+    The forward direction reads each sequence first row to last, the
+    backward one last to first.  Row i of the result is [h_fwd; h_bwd] at
+    input row i, so the result has x's rows and 2H columns.  The cell is
     :func:`lstm_cell`'s.
 
-    W_x x + b is one matrix product over all rows; only W_h h steps
-    through time.  One sequence steps it row-exact, so its recurrence
-    does not depend on the rows beside it.  A block of two or more steps
-    it as one GEMM over the sequences still running, so its rows match
-    each sequence run alone only to rounding.  The whole layer is one
-    tape entry: its backward runs back-propagation through time in
-    closed form and ends with one matrix product per weight gradient.
+    Each direction's W_x x + b is one matrix product over all its rows;
+    only W_h h steps through time, and each step runs both directions'
+    cells as one (2, rows, 4H) block.  One sequence steps W_h h row-exact,
+    so its recurrence does not depend on the rows beside it.  A block of
+    two or more steps it as one GEMM over the sequences still running, so
+    its rows match each sequence run alone only to rounding.  The whole
+    layer is one tape entry over its seven operands: its backward runs
+    back-propagation through time for both directions in closed form and
+    ends with one matrix product per weight gradient.
     """
-    wxv, whv, bv, xv = w_x.array, w_h.array, b.array, x.array
-    hidden = _lstm_hidden("lstm_layer", wxv, whv, bv, xv, (2,))
+    weights = [[t.array for t in fwd], [t.array for t in bwd]]
+    xv = x.array
+    hidden = _lstm_hidden("bilstm_layer", *weights[0], xv, (2,))
+    if _lstm_hidden("bilstm_layer", *weights[1], xv, (2,)) != hidden:
+        raise ShapeError(f"bilstm_layer directions' hidden sizes differ: "
+                         f"w_h {weights[0][1].shape} and {weights[1][1].shape}")
     rows = xv.shape[0]
-    order, steps, prev = _layer_plan(rows, lengths, reverse)
-    tape = _tape_of(w_x, w_h, b, x)
+    orders, steps, prev = _layer_plan(rows, lengths)
+    tape = _tape_of(*fwd, *bwd, x)
     n_seq = steps[0][1]
     exact = n_seq == 1
-    xs = np.ascontiguousarray(xv[order])
-    unorder = order if isinstance(order, slice) else np.argsort(order)  # a reversal undoes itself
-    # Step-major buffers: act holds the gate activations; hs and cs the
-    # zero start states, then each step-major row's h and c.
-    pre = xs @ wxv.T + bv
+    xs = [np.ascontiguousarray(xv[order]) for order in orders]
+    unorders = [o if isinstance(o, slice) else np.argsort(o) for o in orders]  # a reversal undoes itself
+    # Direction-major, step-major buffers: act holds the gate activations;
+    # hs and cs the zero start states, then each step-major row's h and c.
+    pre = np.stack([xd @ w_x.T + b for xd, (w_x, _, b) in zip(xs, weights)])
     act = np.empty_like(pre)
-    hs = np.zeros((n_seq + rows, hidden))
-    cs = np.zeros((n_seq + rows, hidden))
+    hs = np.zeros((2, n_seq + rows, hidden))
+    cs = np.zeros((2, n_seq + rows, hidden))
     for first, count, p in steps:
-        z = pre[first : first + count]
-        z += _mv(whv, hs[p : p + count], exact)
+        z = pre[:, first : first + count]
+        for d, (_, w_h, _) in enumerate(weights):
+            z[d] += _mv(w_h, hs[d, p : p + count], exact)
         at = slice(n_seq + first, n_seq + first + count)
-        _lstm_gates(z, cs[p : p + count], act[first : first + count], hs[at], cs[at])
-    out = np.ascontiguousarray(hs[n_seq:][unorder])
+        _lstm_gates(z, cs[:, p : p + count], act[:, first : first + count], hs[:, at], cs[:, at])
+    out = np.concatenate([hs[d, n_seq:][unorder] for d, unorder in enumerate(unorders)], axis=1)
     if tape is None:
         return _wrap(out)
-    nodes = (w_x.node, w_h.node, b.node, x.node)
+    nodes = tuple(t.node for t in (*fwd, *bwd, x))
 
     def backward(g):
         # g_h gains each later step's recurrent gradient in place, so it
         # must be a copy: g may be shared.
-        g_h = np.array(g[order])
-        h_prev, c_prev = (hs[:rows], cs[:rows]) if prev is None else (hs[prev], cs[prev])
-        d_pre, dc_dh = _lstm_factors(act, c_prev, cs[n_seq:])
-        slabs = d_pre.reshape(rows, 4, hidden)  # a view: d_pre is built step by step
-        g_c = np.zeros((rows, hidden))
+        g_h = np.stack([g[order, d * hidden : (d + 1) * hidden] for d, order in enumerate(orders)])
+        h_prev, c_prev = (hs[:, :rows], cs[:, :rows]) if prev is None else (hs[:, prev], cs[:, prev])
+        d_pre, dc_dh = _lstm_factors(act, c_prev, cs[:, n_seq:])
+        slabs = d_pre.reshape(2, rows, 4, hidden)  # a view: d_pre is built step by step
+        g_c = np.zeros((2, rows, hidden))
         for first, count, p in reversed(steps):
             at = slice(first, first + count)
-            d_h, d_c = g_h[at], g_c[at]
-            d_c += d_h * dc_dh[at]
-            slabs[at, :3] *= d_c[:, None, :]
-            slabs[at, 3] *= d_h
+            d_h, d_c = g_h[:, at], g_c[:, at]
+            d_c += d_h * dc_dh[:, at]
+            slabs[:, at, :3] *= d_c[:, :, None, :]
+            slabs[:, at, 3] *= d_h
             if p >= n_seq:  # the previous state is a step's, not the zero start
                 back = slice(p - n_seq, p - n_seq + count)
-                g_h[back] += d_pre[at] @ whv
-                np.multiply(d_c, act[at, hidden : 2 * hidden], out=g_c[back])
-        n_wx, n_wh, n_b, n_x = nodes
-        return (
-            _weight_grad(d_pre, xs) if n_wx is not None else None,
-            _weight_grad(d_pre, h_prev) if n_wh is not None else None,
-            d_pre.sum(axis=0) if n_b is not None else None,
-            np.ascontiguousarray((d_pre @ wxv)[unorder]) if n_x is not None else None,
-        )
+                for d, (_, w_h, _) in enumerate(weights):
+                    g_h[d, back] += d_pre[d, at] @ w_h
+                np.multiply(d_c, act[:, at, hidden : 2 * hidden], out=g_c[:, back])
+        grads = []
+        for d in (0, 1):
+            n_wx, n_wh, n_b = nodes[3 * d : 3 * d + 3]
+            grads += [
+                _weight_grad(d_pre[d], xs[d]) if n_wx is not None else None,
+                _weight_grad(d_pre[d], h_prev[d]) if n_wh is not None else None,
+                d_pre[d].sum(axis=0) if n_b is not None else None,
+            ]
+        # Backward direction's term plus forward's: the sum backprop formed
+        # when each direction was its own tape entry.
+        g_x = None
+        if nodes[6] is not None:
+            g_x = (d_pre[1] @ weights[1][0])[unorders[1]] + (d_pre[0] @ weights[0][0])[unorders[0]]
+        return (*grads, g_x)
 
-    return tape._record("lstm_layer", nodes, out, backward)
+    return tape._record("bilstm_layer", nodes, out, backward)
 
 
 def attention(s: Tensor, states: Tensor, w_a: Tensor, mask: np.ndarray | None = None,

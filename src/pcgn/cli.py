@@ -118,7 +118,7 @@ def parse_config_file(path) -> dict:
     values: dict[str, str] = {}
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         raise UsageError(f"cannot read config file {path}: {err}") from None
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
@@ -165,6 +165,8 @@ def resolve_run_config(namespace: argparse.Namespace) -> RunConfig:
     for key, val in vars(namespace).items():
         if key in _CONFIG_FIELDS:
             values[key] = _coerce(key, val)
+    if values["seed"] < 0:  # every command seeds numpy, which takes no negative seed
+        raise UsageError(f"seed must be >= 0, got {values['seed']}")
     return RunConfig(**values)
 
 

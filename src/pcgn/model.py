@@ -399,18 +399,16 @@ def bilstm_encode(
     ``inputs`` holds the input vectors as rows: one sequence, or with
     ``lengths`` a block of sequences, one after another.  Row i of the
     result is [h_fwd; h_bwd] at input row i.  Both directions start from
-    zero states; each is one ``ad.lstm_layer``, which runs a one-sequence
-    encode and the same sequence as a one-row block alike.  Layer l+1
-    consumes layer l's outputs.  Every sequence must be non-empty.
+    zero states.  Each layer is one ``ad.bilstm_layer`` tape entry, which
+    runs both directions and joins their states, for one sequence or a
+    block.  Layer l+1 consumes layer l's outputs.  Every sequence must be
+    non-empty, and a layer's two directions must have the same hidden size.
     """
     if len(fwd_cells) != len(bwd_cells) or len(fwd_cells) == 0:
         raise ValueError("encoder needs matching non-empty forward/backward stacks")
     seq = inputs
     for fwd, bwd in zip(fwd_cells, bwd_cells):
-        seq = ad.concat([
-            ad.lstm_layer(fwd.w_x, fwd.w_h, fwd.b, seq, False, lengths),
-            ad.lstm_layer(bwd.w_x, bwd.w_h, bwd.b, seq, True, lengths),
-        ])
+        seq = ad.bilstm_layer((fwd.w_x, fwd.w_h, fwd.b), (bwd.w_x, bwd.w_h, bwd.b), seq, lengths)
     return seq
 
 

@@ -73,6 +73,8 @@ class OptimizerConfig:
             raise ValueError(f"lr must be finite and >= 0, got {self.lr}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+        if self.seed < 0:  # numpy's generators take no negative seed
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not 0 < self.clip_norm < math.inf:
             raise ValueError(f"clip_norm must be finite and positive, got {self.clip_norm}")
 

@@ -173,17 +173,21 @@ class TestProductForms:
 
     @pytest.mark.parametrize("reverse", [False, True])
     def test_lstm_layer_block_rows_match_each_sequence_alone(self, reverse):
+        # One direction of ad.bilstm_layer per case: the forward direction is
+        # the first half of each output row, the backward direction the second.
         rng = np.random.default_rng(72 + reverse)
         hidden, in_dim = 16, 12
-        w_x, w_h, b = (ad.tensor(rng.normal(size=shape) / 2) for shape in
-                       ((4 * hidden, in_dim), (4 * hidden, hidden), (4 * hidden,)))
+        half = slice(hidden, None) if reverse else slice(None, hidden)
+        fwd, bwd = ([ad.tensor(rng.normal(size=shape) / 2) for shape in
+                     ((4 * hidden, in_dim), (4 * hidden, hidden), (4 * hidden,))] for _ in range(2))
         lengths = [5, 1, 9, 3, 9, 2]
         x = rng.normal(size=(sum(lengths), in_dim))
-        block = ad.lstm_layer(w_x, w_h, b, ad.tensor(x), reverse, lengths).array
+        block = ad.bilstm_layer(fwd, bwd, ad.tensor(x), lengths).array
+        assert block.shape == (sum(lengths), 2 * hidden)
         start = 0
         for n in lengths:
-            alone = ad.lstm_layer(w_x, w_h, b, ad.tensor(x[start : start + n]), reverse).array
-            assert np.abs(block[start : start + n] - alone).max() <= 1e-12
+            alone = ad.bilstm_layer(fwd, bwd, ad.tensor(x[start : start + n])).array
+            assert np.abs(block[start : start + n, half] - alone[:, half]).max() <= 1e-12
             start += n
 
 
@@ -503,31 +507,29 @@ def _fd_cases(name, rng):
     if name == "sum_all":
         m, n = dims(2)
         return [(lambda t: ad.sum_all(t), rng.normal(size=(m, n)))]
-    if name == "lstm_layer":
-        # Small sizes: every case probes all four operands.
+    if name == "bilstm_layer":
+        # Small sizes: every case probes all seven operands.
         hidden, in_dim, steps = (int(v) for v in rng.integers(1, 4, 3))
         ragged = rng.permutation([1, int(rng.integers(2, 5)), int(rng.integers(1, 5))]).tolist()
         layouts = [
-            (steps + 1, False, None),             # forward
-            (steps + 1, True, None),              # reverse
-            (1, bool(rng.integers(2)), None),     # T = 1
-            (sum(ragged), False, ragged),         # ragged block, a length-1 sequence in it
-            (sum(ragged), True, ragged),
+            (steps + 1, None),        # one sequence
+            (1, None),                # T = 1
+            (sum(ragged), ragged),    # ragged block, a length-1 sequence in it
         ]
 
-        def case(operands, probed, reverse, lengths, mix):
+        def case(operands, probed, lengths, mix):
             def f(t):
                 args = list(operands)
                 args[probed] = t
-                return ad.sum_all(ad.hadamard(ad.lstm_layer(*args, reverse, lengths), mix))
+                return ad.sum_all(ad.hadamard(ad.bilstm_layer(args[:3], args[3:6], args[6], lengths), mix))
             return f, operands[probed].array
 
         cases = []
-        for rows, reverse, lengths in layouts:
-            operands = [ad.tensor(rng.normal(size=shape)) for shape in
-                        ((4 * hidden, in_dim), (4 * hidden, hidden), (4 * hidden,), (rows, in_dim))]
-            mix = ad.tensor(rng.normal(size=(rows, hidden)))
-            cases += [case(operands, probed, reverse, lengths, mix) for probed in range(4)]
+        for rows, lengths in layouts:
+            direction = ((4 * hidden, in_dim), (4 * hidden, hidden), (4 * hidden,))
+            operands = [ad.tensor(rng.normal(size=shape)) for shape in 2 * direction + ((rows, in_dim),)]
+            mix = ad.tensor(rng.normal(size=(rows, 2 * hidden)))
+            cases += [case(operands, probed, lengths, mix) for probed in range(7)]
         return cases
     raise AssertionError(name)
 
@@ -535,7 +537,7 @@ def _fd_cases(name, rng):
 PRIMITIVES = [
     "matvec", "add", "scale", "hadamard", "tanh", "attention",
     "gate", "log_softmax", "concat", "stack_rows", "vslice",
-    "embedding_lookup", "pick", "sum_all", "lstm_layer",
+    "embedding_lookup", "pick", "sum_all", "bilstm_layer",
 ]
 
 # Primitives whose finite-difference check lives in another module.
@@ -680,22 +682,25 @@ class TestTape:
 
 
 class TestErrors:
-    def test_lstm_layer_shape_mismatch(self):
+    def test_bilstm_layer_shape_mismatch(self):
         w_x, w_h, b = ad.zeros((16, 3)), ad.zeros((16, 4)), ad.zeros(16)
+        good = (w_x, w_h, b)
         with pytest.raises(ad.ShapeError):
-            ad.lstm_layer(w_x, w_h, b, ad.zeros((2, 2)), False)
+            ad.bilstm_layer(good, good, ad.zeros((2, 2)))
         with pytest.raises(ad.ShapeError):
-            ad.lstm_layer(w_x, ad.zeros((16, 3)), b, ad.zeros((2, 3)), False)
+            ad.bilstm_layer(good, (w_x, ad.zeros((16, 3)), b), ad.zeros((2, 3)))
         with pytest.raises(ad.ShapeError):
-            ad.lstm_layer(w_x, w_h, ad.zeros(12), ad.zeros((2, 3)), False)
+            ad.bilstm_layer((w_x, w_h, ad.zeros(12)), good, ad.zeros((2, 3)))
         with pytest.raises(ad.ShapeError):
-            ad.lstm_layer(w_x, w_h, b, ad.zeros(3), False)
+            ad.bilstm_layer(good, good, ad.zeros(3))
         with pytest.raises(ad.ShapeError):
-            ad.lstm_layer(w_x, w_h, b, ad.zeros((3, 3)), True, [1, 1])
+            ad.bilstm_layer(good, good, ad.zeros((3, 3)), [1, 1])
+        with pytest.raises(ad.ShapeError, match="hidden sizes differ"):
+            ad.bilstm_layer(good, (ad.zeros((8, 3)), ad.zeros((8, 2)), ad.zeros(8)), ad.zeros((2, 3)))
         with pytest.raises(ValueError, match="empty"):
-            ad.lstm_layer(w_x, w_h, b, ad.zeros((0, 3)), False)
+            ad.bilstm_layer(good, good, ad.zeros((0, 3)))
         with pytest.raises(ValueError, match="empty"):
-            ad.lstm_layer(w_x, w_h, b, ad.zeros((2, 3)), False, [2, 0])
+            ad.bilstm_layer(good, good, ad.zeros((2, 3)), [2, 0])
 
     def test_linear_shape_mismatch(self):
         w = ad.zeros((4, 3))

@@ -153,6 +153,69 @@ class TestConfigResolution:
         with pytest.raises(cli.UsageError, match="with_emb"):
             cli.resolve_run_config(argparse.Namespace(config=str(path)))
 
+    @pytest.mark.parametrize("how", ["flag", "config"])
+    @pytest.mark.parametrize("command", ["prepare", "train"])
+    def test_negative_seed_exits_1(self, command, how, prep_dir, tmp_path, capsys):
+        if command == "prepare":
+            argv = PREPARE_ARGS + ["--out-dir", str(tmp_path / "out")]
+        else:
+            argv = train_args(prep_dir, tmp_path / "out", epochs="1")
+        del argv[argv.index("--seed") : argv.index("--seed") + 2]
+        if how == "flag":
+            argv += ["--seed", "-4"]
+        else:
+            (tmp_path / "run.cfg").write_text("seed = -1\n")
+            argv += ["--config", str(tmp_path / "run.cfg")]
+        assert cli.main(argv) == 1
+        assert capsys.readouterr().err.startswith("usage error: seed must be >= 0")
+        assert not (tmp_path / "out").exists()
+
+
+def _config_mutations():
+    """(id, mutate) pairs; mutate maps a valid config file's bytes to bad ones."""
+    def append(text):
+        return lambda base: base + text.encode()
+
+    cases = [
+        ("line without equals", append("epochs 3\n")),
+        ("unknown key", append("learning_rate = 0.5\n")),
+        ("5000-digit integer", append("epochs = " + "9" * 5000 + "\n")),
+        ("non-UTF-8 bytes", lambda base: base + b"variant = PCGN\xff\xfe\n"),
+        ("non-UTF-8 key", lambda base: b"\xc3\x28 = 1\n" + base),
+    ]
+    bad = {"int": ["three", "2.5", "1e3", ""], "float": ["fast", "1,5", ""], "bool": ["maybe", "2", ""]}
+    for key, kind in cli._CONFIG_FIELDS.items():
+        for value in bad.get(kind, ()):
+            cases.append((f"{key}={value!r}", append(f"{key} = {value}\n")))
+    return cases
+
+
+class TestConfigFileMutations:
+    """``pcgn train --config`` on a valid file mutated one way at a time:
+    each mutation exits 1 with a usage error, never a traceback or exit 3."""
+
+    @pytest.fixture
+    def base(self, prep_dir, tmp_path):
+        text = (
+            f"data_dir = {prep_dir}\nout_dir = {tmp_path / 'out'}\nseed = 0\nvariant = PCGN\n"
+            "lr = 1.0\nbatch_size = 12\nepochs = 1\nclip_norm = 5.0\nwith_emb = no\n"
+        ).encode()
+        path = tmp_path / "run.cfg"
+        path.write_bytes(text)
+        cfg = cli.resolve_run_config(cli.build_parser().parse_args(["train", "--config", str(path)]))
+        assert (cfg.data_dir, cfg.epochs, cfg.with_emb) == (str(prep_dir), 1, False)
+        return path, text
+
+    @pytest.mark.parametrize("mutate", [pytest.param(m, id=i) for i, m in _config_mutations()])
+    def test_mutation_exits_1(self, mutate, base, tmp_path, capsys):
+        path, text = base
+        path.write_bytes(mutate(text))
+        assert cli.main(["train", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ")  # main() caught it: no traceback
+        assert "config" in err.splitlines()[0]  # the message points at the file
+        assert not (tmp_path / "out").exists()
+
 
 class TestPrepare:
     def test_artifacts_and_checksums(self, prep_dir):

@@ -357,6 +357,20 @@ class TestBiLSTM:
             assert np.array_equal(orig[:4], mirror[4:])
             assert np.array_equal(orig[4:], mirror[:4])
 
+    def test_direction_symmetry_on_a_ragged_block(self):
+        rng = np.random.default_rng(2)
+        f_cell, b_cell = random_cell(rng, 3, 4), random_cell(rng, 3, 4)
+        lengths = [5, 1, 3, 3]
+        inputs = rng.normal(size=(sum(lengths), 3))
+        starts = np.cumsum([0] + lengths[:-1])
+        # Each sequence's rows reversed in place: row i of a sequence goes to
+        # row n - 1 - i of the same sequence.
+        mirror = np.concatenate([np.arange(s + n - 1, s - 1, -1) for s, n in zip(starts, lengths)])
+        states = M.bilstm_encode([f_cell], [b_cell], ad.tensor(inputs), lengths).array
+        swapped = M.bilstm_encode([b_cell], [f_cell], ad.tensor(inputs[mirror]), lengths).array
+        assert np.array_equal(states[:, :4], swapped[mirror, 4:])
+        assert np.array_equal(states[:, 4:], swapped[mirror, :4])
+
     def test_empty_sequence_rejected(self):
         rng = np.random.default_rng(3)
         cells = [random_cell(rng, 3, 4)]
@@ -372,8 +386,9 @@ class TestBiLSTM:
         watched = params.with_tensors({name: tape.watch(t) for name, t in params.named_parameters()})
         M.encode_blog(watched, tiny_example(cfg, seed=6, x_len=5).x)
         ops = [name for name, _, _ in tape.entries]
-        assert ops.count("lstm_layer") == 2 * cfg.blog_layers
-        assert not {"lstm_cell", "vslice", "stack_rows"} & set(ops)
+        # One entry runs both directions of a layer and joins their states.
+        assert ops.count("bilstm_layer") == cfg.blog_layers
+        assert not {"concat", "lstm_cell", "vslice", "stack_rows"} & set(ops)
 
     def test_matches_reference(self):
         cfg = tiny_config("Seq2Seq", blog_layers=2)

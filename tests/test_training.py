@@ -332,6 +332,13 @@ class TestSGD:
                 with pytest.raises(ValueError, match=f"{field} must be an integer"):
                     T.OptimizerConfig(**{field: bad})
 
+    def test_negative_seed_names_itself(self):
+        # Rejected when built, not inside train_epoch with numpy's message.
+        for bad in (-1, -4):
+            with pytest.raises(ValueError, match="seed must be >= 0"):
+                T.OptimizerConfig(seed=bad)
+        assert T.OptimizerConfig(seed=0).seed == 0
+
 
 def small_dataset(cfg, n=6, seed=30):
     return [tiny_example(cfg, seed=seed + i, x_len=3, y_len=3, d_len=2) for i in range(n)]
