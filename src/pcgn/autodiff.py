@@ -11,20 +11,22 @@ allocation-light.
 
 Every value is float64; there is no precision or checking switch.
 
-The primitives the decoder uses take an optional leading row axis: a 1-D
+The primitives the model uses take an optional leading row axis: a 1-D
 operand is a single row, and a 2-D operand is a block of independent rows
-that share the weights (``matvec``, ``attention``, ``gate``,
-``lstm_cell``, ``log_softmax``, ``concat``, ``vslice``, ``pick``).
-``embedding_lookup`` of an id vector returns one row per id, ``add``
-adds a vector to every row of a block, and ``stack_rows`` stacks row
-blocks as well as vectors.  Beam search steps every live hypothesis as
-one such block, so each layer is one numpy call per step.
+that share the weights (``matvec``, ``tanh_affine``, ``attention``,
+``gate``, ``lstm_cell``, ``log_softmax``, ``concat``, ``vslice``,
+``pick``).  ``embedding_lookup`` of an id vector returns one row per id,
+and ``stack_rows`` stacks row blocks as well as vectors; ``add`` takes
+equal shapes only.  Beam search steps every live hypothesis as one such
+block, so each layer is one numpy call per step.
 
 The four product primitives, ``matvec``, ``attention``, ``gate`` and
 ``lstm_cell``, take an ``exact`` flag, and only the kernels ``_mv`` and
-``_vm`` act on it.  A vector operand is ``w @ x`` either way.  A row
-block is row-exact by default: each row gets the bits of its one-row
-product, so a beam row's values do not depend on the rows beside it.
+``_vm`` act on it; ``tanh_affine``, which makes the user vector and the
+decoder's initial state once per walk, always takes ``_mv``'s default.
+A vector operand is ``w @ x`` either way.  A row block is row-exact by
+default: each row gets the bits of its one-row product, so a beam row's
+values do not depend on the rows beside it.
 With ``exact=False`` a block is one matrix product (a GEMM) per weight,
 whose summation order depends on the block's size.  The teacher-forced
 walk uses that form: it sums its rows into one loss, so no row is ever
@@ -81,7 +83,7 @@ __all__ = [
     "add",
     "scale",
     "hadamard",
-    "tanh",
+    "tanh_affine",
     "lstm_cell",
     "bilstm_layer",
     "attention",
@@ -289,11 +291,10 @@ def matvec(w: Tensor, x: Tensor, exact: bool = True) -> Tensor:
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    """a + b for equal shapes, or a vector b added to every row of a block a."""
+    """a + b for equal shapes."""
     av, bv = a.array, b.array
-    per_row = av.shape != bv.shape
-    if per_row and not (av.ndim == 2 and bv.ndim == 1 and av.shape[1] == bv.shape[0]):
-        raise ShapeError(f"add expects equal shapes or a row block and a row, got {av.shape} and {bv.shape}")
+    if av.shape != bv.shape:
+        raise ShapeError(f"add expects equal shapes, got {av.shape} and {bv.shape}")
     tape = _tape_of(a, b)
     out = av + bv
     if tape is None:
@@ -301,8 +302,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     na, nb = a.node, b.node
 
     def backward(g):
-        g_b = g.sum(axis=0) if per_row else g
-        return (g if na is not None else None, g_b if nb is not None else None)
+        return (g if na is not None else None, g if nb is not None else None)
 
     return tape._record("add", (na, nb), out, backward)
 
@@ -347,16 +347,28 @@ def _sigmoid(v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return out
 
 
-def tanh(x: Tensor) -> Tensor:
-    out = np.tanh(x.array)
-    tape = _tape_of(x)
+def tanh_affine(w: Tensor, b: Tensor, x: Tensor) -> Tensor:
+    """tanh(W x + b) for a vector x, or for each row of a block, as one
+    tape entry; a block's product is row-exact (see :func:`_mv`)."""
+    wv, bv, xv = w.array, b.array, x.array
+    if wv.ndim != 2 or bv.shape != wv.shape[:1] or xv.ndim not in (1, 2) or xv.shape[-1] != wv.shape[1]:
+        raise ShapeError(f"tanh_affine expects w, b and x of shapes (K, N), (K,) and (..., N), got {wv.shape}, {bv.shape} and {xv.shape}")
+    tape = _tape_of(w, b, x)
+    out = _mv(wv, xv) + bv
+    np.tanh(out, out=out)
     if tape is None:
         return _wrap(out)
+    n_w, n_b, n_x = w.node, b.node, x.node
 
     def backward(g):
-        return (g * (1.0 - out * out),)
+        d = g * (1.0 - out * out)
+        return (
+            _weight_grad(d, xv) if n_w is not None else None,
+            (d if d.ndim == 1 else d.sum(axis=0)) if n_b is not None else None,
+            d @ wv if n_x is not None else None,
+        )
 
-    return tape._record("tanh", (x.node,), out, backward)
+    return tape._record("tanh_affine", (n_w, n_b, n_x), out, backward)
 
 
 def _lstm_hidden(name: str, w_x: np.ndarray, w_h: np.ndarray, b: np.ndarray, x: np.ndarray, x_ranks: tuple) -> int:

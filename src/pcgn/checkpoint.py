@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .autodiff import NonFiniteError, Tensor
-from .data import FeatureSchema, Vocab
+from .data import FeatureSchema, Vocab, excerpt
 from .model import ModelConfig, ModelParams
 
 __all__ = [
@@ -82,24 +82,24 @@ def _decode_tensor(obj: dict, name: str) -> Tensor:
         dtype = obj["dtype"]
         blob = base64.b64decode(obj["data"], validate=True)
     except (KeyError, TypeError, ValueError, OverflowError) as err:
-        raise CheckpointCorruptError(f"parameter {name!r}: {err}") from None
+        raise CheckpointCorruptError(f"parameter {excerpt(name)}: {err}") from None
     if any(d < 0 for d in shape):
-        raise CheckpointCorruptError(f"parameter {name!r}: negative dimension in shape {shape}")
+        raise CheckpointCorruptError(f"parameter {excerpt(name)}: negative dimension in shape {shape}")
     if not isinstance(dtype, str) or dtype not in _DTYPE_CODES:
-        raise CheckpointCorruptError(f"parameter {name!r}: unsupported dtype {dtype!r}")
+        raise CheckpointCorruptError(f"parameter {excerpt(name)}: unsupported dtype {excerpt(dtype)}")
     try:
         arr = np.frombuffer(blob, dtype=_DTYPE_CODES[dtype])
     except ValueError as err:
-        raise CheckpointCorruptError(f"parameter {name!r}: {err}") from None
+        raise CheckpointCorruptError(f"parameter {excerpt(name)}: {err}") from None
     expected = math.prod(shape)
     if arr.size != expected:
         raise CheckpointCorruptError(
-            f"parameter {name!r}: payload holds {arr.size} elements, shape {shape} needs {expected}"
+            f"parameter {excerpt(name)}: payload holds {arr.size} elements, shape {shape} needs {expected}"
         )
     try:  # the one NaN/Inf scan of this array is Tensor's
         return Tensor(arr.reshape(shape).astype(np.float64))
     except NonFiniteError:
-        raise CheckpointCorruptError(f"parameter {name!r}: payload holds NaN or infinity") from None
+        raise CheckpointCorruptError(f"parameter {excerpt(name)}: payload holds NaN or infinity") from None
 
 
 @contextmanager
@@ -153,22 +153,22 @@ def load_checkpoint(path) -> Checkpoint:
             doc = json.load(fh)
     except UnicodeDecodeError as err:
         raise CheckpointCorruptError(f"not UTF-8 text: {err}") from None
-    except ValueError as err:  # also an integer literal past the digit limit
+    except (ValueError, RecursionError) as err:  # also an integer past the digit limit, or deep nesting
         raise CheckpointCorruptError(f"not a JSON document: {getattr(err, 'msg', err)}") from None
     if not isinstance(doc, dict) or "format" not in doc:
         raise CheckpointCorruptError("missing format marker")
     if doc.get("format") != FORMAT_NAME:
-        raise CheckpointVersionError(f"format {doc.get('format')!r} is not {FORMAT_NAME!r}")
+        raise CheckpointVersionError(f"format {excerpt(doc.get('format'))} is not {FORMAT_NAME!r}")
     if doc.get("version") != FORMAT_VERSION:
         raise CheckpointVersionError(
-            f"version {doc.get('version')!r} unsupported; this build reads version {FORMAT_VERSION}"
+            f"version {excerpt(doc.get('version'))} unsupported; this build reads version {FORMAT_VERSION}"
         )
     try:
         config = ModelConfig.from_dict(doc["model"])
         raw_params = dict(doc["params"])
         step = doc.get("step", 0)
         if type(step) is not int or step < 0:
-            shown = "infinity" if isinstance(step, float) and math.isinf(step) else repr(step)
+            shown = "infinity" if isinstance(step, float) and math.isinf(step) else excerpt(step)
             raise ValueError(f"step must be a non-negative integer, got {shown}")
         variant_name = str(doc.get("variant_name", ""))
         vocab = Vocab.from_dict(doc["vocab"])

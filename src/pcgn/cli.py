@@ -40,6 +40,7 @@ from .data import (
     build_vocab,
     encode_record,
     encode_records,
+    excerpt,
     filter_records,
     fit_schema,
     parse_dataset,
@@ -125,11 +126,11 @@ def parse_config_file(path) -> dict:
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
-            raise UsageError(f"config line {lineno}: expected 'key = value', got {line!r}")
+            raise UsageError(f"config line {lineno}: expected 'key = value', got {excerpt(line)}")
         key, _, raw = line.partition("=")
         key = key.strip()
         if key not in _CONFIG_FIELDS:
-            raise UsageError(f"config line {lineno}: unknown key {key!r}")
+            raise UsageError(f"config line {lineno}: unknown key {excerpt(key)}")
         values[key] = raw.strip()
     return values
 
@@ -152,7 +153,7 @@ def _coerce(key: str, raw):
             raise ValueError(raw)
         return raw
     except ValueError:
-        raise UsageError(f"config key {key!r}: cannot parse {raw!r} as {kind}") from None
+        raise UsageError(f"config key {key!r}: cannot parse {excerpt(raw)} as {kind}") from None
 
 
 def resolve_run_config(namespace: argparse.Namespace) -> RunConfig:
@@ -290,10 +291,12 @@ def cmd_prepare(cfg: RunConfig) -> int:
 
 
 def _read_json(path):
-    """A prepared JSON artifact; an undecodable one is a data error."""
+    """A prepared JSON artifact; an undecodable one is a data error: bad
+    JSON or UTF-8, an integer past the digit limit, or nesting past the
+    recursion limit."""
     try:
         return json.loads(Path(path).read_text(encoding="utf-8"))
-    except ValueError as err:  # undecodable JSON or UTF-8, or an integer past the digit limit
+    except (ValueError, RecursionError) as err:
         raise DataError(f"{path} is not a readable JSON document: {err}") from None
 
 
@@ -324,7 +327,7 @@ def _model_config(cfg: RunConfig, variant_name: str, vocab_size: int, feature_di
     except ValueError as err:
         raise UsageError(str(err)) from None
     if cfg.preset not in ("desk", "paper"):
-        raise UsageError(f"unknown preset {cfg.preset!r}; expected 'desk' or 'paper'")
+        raise UsageError(f"unknown preset {excerpt(cfg.preset)}; expected 'desk' or 'paper'")
     overrides = {}
     for dim in ("embed_dim", "blog_hidden", "blog_layers", "desc_hidden", "desc_layers", "user_dim"):
         val = getattr(cfg, dim)
@@ -433,16 +436,15 @@ def cmd_generate(cfg: RunConfig, args: argparse.Namespace) -> int:
         table = _load_users_file(cfg.data_dir)
         for uid in user_ids:
             if uid not in table:
-                known = ", ".join(sorted(table)) or "(none)"
-                raise DataError(f"unknown user {uid!r}; known users: {known}")
-            profiles.append(parse_profile(table[uid], f"users.json entry {uid!r}"))
+                raise DataError(f"unknown user {excerpt(uid)}; known users: {excerpt(sorted(table))}")
+            profiles.append(parse_profile(table[uid], f"users.json entry {excerpt(uid)}"))
     for raw in args.user_json or []:
         try:
             profiles.append(parse_profile(json.loads(raw), "--user-json"))
-        except json.JSONDecodeError as err:
-            raise UsageError(f"--user-json is not valid JSON: {err.msg}") from None
         except DataError as err:
             raise UsageError(str(err)) from None
+        except (ValueError, RecursionError) as err:  # as in _read_json
+            raise UsageError(f"--user-json is not valid JSON: {getattr(err, 'msg', err)}") from None
     if not profiles:
         raise UsageError("generate needs at least one --user or --user-json")
 
@@ -512,7 +514,7 @@ def _score_split(params, encoded_split, decode_cfg: DecodeConfig):
 def cmd_eval(cfg: RunConfig, args: argparse.Namespace) -> int:
     ckpt = load_checkpoint(args.checkpoint)
     if cfg.split not in ("train", "dev", "test"):
-        raise UsageError(f"unknown split {cfg.split!r}; expected train, dev, or test")
+        raise UsageError(f"unknown split {excerpt(cfg.split)}; expected train, dev, or test")
     records = _read_split(cfg.data_dir, cfg.split)
     if not records:
         raise DataError(f"split {cfg.split!r} in {cfg.data_dir} is empty or missing; run prepare first")
@@ -553,7 +555,7 @@ def _safe_name(variant_name: str) -> str:
 def cmd_ablate(cfg: RunConfig) -> int:
     out = _out_dir(cfg, "runs/ablation")
     if cfg.eval_split not in ("train", "dev", "test"):
-        raise UsageError(f"unknown eval_split {cfg.eval_split!r}")
+        raise UsageError(f"unknown eval_split {excerpt(cfg.eval_split)}")
     row_names = ["Seq2Seq"]
     if cfg.with_emb:
         row_names.append("Seq2Seq+Emb")

@@ -81,6 +81,18 @@ class RawRecord:
             raise DataError(f"record has negative age {self.age}")
 
 
+_EXCERPT_CHARS = 40
+
+
+def excerpt(value) -> str:
+    """The repr of a user-given value for an error line; past 40 characters,
+    its first 40 and its length, so the line stays short."""
+    text = repr(value)
+    if len(text) <= _EXCERPT_CHARS:
+        return text
+    return f"{text[:_EXCERPT_CHARS]}... ({len(text)} characters)"
+
+
 def _opt_str(obj: dict, key: str, where: str) -> str:
     val = obj.get(key)
     if val is None:
@@ -112,7 +124,7 @@ def parse_profile(obj, where: str) -> RawRecord:
     if age_raw is None or age_raw == "":
         age = None
     elif isinstance(age_raw, bool) or not isinstance(age_raw, (int, float)):
-        raise DataError(f"{where}: age must be a number, got {age_raw!r}")
+        raise DataError(f"{where}: age must be a number, got {excerpt(age_raw)}")
     elif isinstance(age_raw, float) and not age_raw.is_integer():
         raise DataError(f"{where}: age must be an integer, got {age_raw!r}")
     else:
@@ -186,7 +198,7 @@ def parse_dataset(path) -> list[RawRecord]:
                     continue
                 try:
                     obj = json.loads(line)
-                except ValueError as err:  # also an integer literal past the digit limit
+                except (ValueError, RecursionError) as err:  # also an integer past the digit limit, or deep nesting
                     raise DataError(f"line {lineno}: malformed JSON ({getattr(err, 'msg', err)})") from None
                 records.append(parse_record(obj, lineno))
     except UnicodeDecodeError as err:
@@ -302,7 +314,7 @@ class FeatureSchema:
         except (KeyError, TypeError, ValueError, OverflowError) as err:
             raise DataError(f"malformed feature schema: {err!r}") from None
         if not (number and age_divisor > 0):
-            raise DataError(f"feature schema: age_divisor must be a finite positive number, got {age_divisor!r}")
+            raise DataError(f"feature schema: age_divisor must be a finite positive number, got {excerpt(age_divisor)}")
         categories = {f: tuple(_string_list(cats, f"feature schema field {f!r}")) for f, cats in fields.items()}
         return cls(categories=categories, age_divisor=float(age_divisor))
 

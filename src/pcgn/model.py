@@ -26,6 +26,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
+from .data import excerpt
 
 __all__ = [
     "Variant",
@@ -67,7 +68,7 @@ class Variant:
         for f in fields(self):
             flag = getattr(self, f.name)
             if not isinstance(flag, bool):
-                raise ValueError(f"variant flag {f.name} must be true or false, got {flag!r}")
+                raise ValueError(f"variant flag {f.name} must be true or false, got {excerpt(flag)}")
         if self.use_external and not self.use_coattention:
             raise ValueError("use_external requires use_coattention (the output head reads the description context)")
 
@@ -94,7 +95,7 @@ PRESETS: dict[str, Variant] = {
 
 def variant_from_name(name: str) -> Variant:
     if name not in PRESETS:
-        raise ValueError(f"unknown variant {name!r}; expected one of {sorted(PRESETS)}")
+        raise ValueError(f"unknown variant {excerpt(name)}; expected one of {sorted(PRESETS)}")
     return PRESETS[name]
 
 
@@ -127,7 +128,7 @@ class ModelConfig:
             if f.name == "variant" or (val is None and f.name in ("pad_id", "unk_id")):
                 continue
             if not isinstance(val, int) or isinstance(val, bool):
-                raise ValueError(f"{f.name} must be an integer, got {val!r}")
+                raise ValueError(f"{f.name} must be an integer, got {excerpt(val)}")
         for name in ("vocab_size", "embed_dim", "blog_hidden", "blog_layers",
                      "desc_hidden", "desc_layers", "user_dim"):
             if getattr(self, name) < 1:
@@ -194,20 +195,6 @@ class LSTMCell:
     @property
     def hidden(self) -> int:
         return self.w_h.shape[1]
-
-
-@dataclass
-class Affine:
-    w: Tensor
-    b: Tensor
-
-
-@dataclass
-class StateInit:
-    """Projections producing one decoder layer's initial (h, c)."""
-
-    h: Affine
-    c: Affine
 
 
 class AttentionResult(NamedTuple):
@@ -326,17 +313,14 @@ class ModelParams:
         self.blog_bwd = [self._cell(f"blog_enc.l{i}.bwd") for i in range(cfg.blog_layers)]
         self.desc_fwd = [self._cell(f"desc_enc.l{i}.fwd") for i in range(cfg.desc_layers)] if v.use_coattention else None
         self.desc_bwd = [self._cell(f"desc_enc.l{i}.bwd") for i in range(cfg.desc_layers)] if v.use_coattention else None
-        self.user_proj = Affine(t["user_proj.w"], t["user_proj.b"]) if v.needs_user_vector else None
+        self.user_proj = (t["user_proj.w"], t["user_proj.b"]) if v.needs_user_vector else None
         self.attn_blog = t["attn_blog"]
         self.attn_desc = t["attn_desc"] if v.use_coattention else None
         self.mem_update = t["mem_update"] if v.use_gated_memory else None
         self.mem_output = t["mem_output"] if v.use_gated_memory else None
         self.decoder = [self._cell(f"dec.l{i}") for i in range(cfg.decoder_layers)]
         self.state_init = [
-            StateInit(
-                h=Affine(t[f"init.l{i}.h.w"], t[f"init.l{i}.h.b"]),
-                c=Affine(t[f"init.l{i}.c.w"], t[f"init.l{i}.c.b"]),
-            )
+            ((t[f"init.l{i}.h.w"], t[f"init.l{i}.h.b"]), (t[f"init.l{i}.c.w"], t[f"init.l{i}.c.b"]))
             for i in range(cfg.decoder_layers)
         ]
         self.user_mix = t["user_mix"] if v.use_external else None
@@ -413,8 +397,8 @@ def bilstm_encode(
 
 
 def user_embed(w: Tensor, b: Tensor, features: Tensor) -> Tensor:
-    """Dense user vector v_u = tanh(W F + b)."""
-    return ad.tanh(ad.add(ad.matvec(w, features), b))
+    """Dense user vector v_u = tanh(W F + b), one ``ad.tanh_affine`` entry."""
+    return ad.tanh_affine(w, b, features)
 
 
 def attention_context(
@@ -490,7 +474,7 @@ def user_vector(params: ModelParams, features: Tensor | np.ndarray) -> Tensor:
     feature_dim = params.config.feature_dim
     if features.array.ndim not in (1, 2) or features.shape[-1] != feature_dim:
         raise ad.ShapeError(f"user features have shape {features.shape}, expected ({feature_dim},) or (B, {feature_dim})")
-    return user_embed(params.user_proj.w, params.user_proj.b, features)
+    return user_embed(*params.user_proj, features)
 
 
 def init_decoder_state(
@@ -501,7 +485,9 @@ def init_decoder_state(
 ) -> DecoderState:
     """Initial per-layer (h, c) from the encoder's final states; M_0 = v_u.
 
-    Without ``lengths``, ``blog_states`` is one example's and the state is
+    With s the blog summary [h_fwd at the last position; h_bwd at the
+    first], each layer's h = tanh(W_h s + b_h) and c = tanh(W_c s + b_c),
+    one ``ad.tanh_affine`` entry each.  Without ``lengths``, ``blog_states`` is one example's and the state is
     one row of vectors.  With ``lengths`` (each example's rows of
     ``blog_states``, as for :func:`encode_blog`) the state is a block with
     one row per example, and so is ``v_u``.
@@ -521,13 +507,9 @@ def init_decoder_state(
         ad.vslice(ad.embedding_lookup(blog_states, last), 0, hidden),
         ad.vslice(ad.embedding_lookup(blog_states, first), hidden, 2 * hidden),
     ])
-    layers = []
-    for init in params.state_init:
-        h0 = ad.tanh(ad.add(ad.matvec(init.h.w, summary), init.h.b))
-        c0 = ad.tanh(ad.add(ad.matvec(init.c.w, summary), init.c.b))
-        layers.append((h0, c0))
+    layers = tuple((ad.tanh_affine(*h, summary), ad.tanh_affine(*c, summary)) for h, c in params.state_init)
     memory = v_u if cfg.variant.use_gated_memory else None
-    return DecoderState(layers=tuple(layers), memory=memory, step=0)
+    return DecoderState(layers=layers, memory=memory, step=0)
 
 
 def decoder_advance(
@@ -627,15 +609,11 @@ def decoder_step(
     blog_states: Tensor,
     desc_states: Tensor | None,
     v_u: Tensor | None,
-    blog_mask: np.ndarray | None = None,
-    desc_mask: np.ndarray | None = None,
 ) -> StepResult:
     """One decoding step: :func:`decoder_advance`, then the new top state
     through :func:`output_layer` with row-exact products, so every row's
     logits are bit-identical to stepping that row alone."""
-    new_state, blog_attn, desc_attn = decoder_advance(
-        params, state, y_prev, blog_states, desc_states, v_u, blog_mask, desc_mask
-    )
+    new_state, blog_attn, desc_attn = decoder_advance(params, state, y_prev, blog_states, desc_states, v_u)
     desc_context = None if desc_attn is None else desc_attn.context
     return StepResult(
         logits=output_layer(params, new_state.top_h, v_u, desc_context),

@@ -78,7 +78,16 @@ class TestForwardValues:
         assert out[0] == 0.0 and out[1] == 1.0
 
     def test_tanh_at_zero(self):
-        assert ad.tanh(ad.tensor([0.0])).array[0] == 0.0
+        assert ad.tanh_affine(ad.tensor([[1.0]]), ad.tensor([0.0]), ad.tensor([0.0])).array[0] == 0.0
+
+    def test_tanh_affine_has_the_bits_of_its_parts(self):
+        # tanh(W x + b) with W x row-exact for a block, as the separate
+        # product, bias sum and tanh made it.
+        rng = np.random.default_rng(75)
+        w, b = rng.normal(size=(6, 5)), rng.normal(size=6)
+        for x in (rng.normal(size=5), rng.normal(size=(4, 5))):
+            out = ad.tanh_affine(ad.tensor(w), ad.tensor(b), ad.tensor(x)).array
+            assert out.tobytes() == np.tanh(ad._mv(w, x) + b).tobytes()
 
     def test_softmax_uniform(self):
         assert np.allclose(attention_weights(np.zeros(4)), 0.25, atol=1e-15)
@@ -121,7 +130,6 @@ class TestForwardValues:
         a, b = ad.tensor([2.0, 3.0]), ad.tensor([5.0, -1.0])
         assert np.array_equal(ad.hadamard(a, b).array, [10.0, -3.0])
         assert np.array_equal(ad.add(a, b).array, [7.0, 2.0])
-        assert np.array_equal(ad.add(ad.tensor([[1.0, 1.0], [2.0, 2.0]]), b).array, [[6.0, 0.0], [7.0, 1.0]])
         assert np.array_equal(ad.scale(a, -2.0).array, [-4.0, -6.0])
 
     def test_zeros_helper(self):
@@ -363,8 +371,8 @@ def _fd_cases(name, rng):
         mix = ad.tensor(rng.normal(size=(rows, n)))
         return [
             (lambda t: ad.sum_all(ad.hadamard(ad.add(t, other), weights)), rng.normal(size=n)),
-            (lambda t: ad.sum_all(ad.hadamard(ad.add(block, t), mix)), rng.normal(size=n)),
-            (lambda t: ad.sum_all(ad.hadamard(ad.add(t, other), mix)), rng.normal(size=(rows, n))),
+            (lambda t: ad.sum_all(ad.hadamard(ad.add(block, t), mix)), rng.normal(size=(rows, n))),
+            (lambda t: ad.sum_all(ad.hadamard(ad.add(t, block), mix)), rng.normal(size=(rows, n))),
         ]
     if name == "scale":
         (n,) = dims()
@@ -378,10 +386,20 @@ def _fd_cases(name, rng):
             (lambda t: ad.sum_all(ad.hadamard(t, other)), rng.normal(size=n)),
             (lambda t: ad.sum_all(ad.hadamard(other, t)), rng.normal(size=n)),
         ]
+    if name == "tanh_affine":
+        k, n, rows = dims(3)
+        w, b = rng.normal(size=(k, n)), rng.normal(size=k)
+        cases = []
+        for lead in ((), (rows,)):
+            mix = ad.tensor(rng.normal(size=lead + (k,)))
+            cases += _every_operand(ad.tanh_affine, [w, b, rng.normal(size=lead + (n,))], mix)
+        return cases
     if name == "tanh":
+        # tanh_affine's tanh alone: W = I and b = 0 make it tanh(x).
         (n,) = dims()
+        eye, zero = ad.tensor(np.eye(n)), ad.tensor(np.zeros(n))
         weights = ad.tensor(rng.normal(size=n))
-        return [(lambda t: ad.sum_all(ad.hadamard(ad.tanh(t), weights)), rng.normal(size=n))]
+        return [(lambda t: ad.sum_all(ad.hadamard(ad.tanh_affine(eye, zero, t), weights)), rng.normal(size=n))]
     if name == "gate":
         k, n, rows = dims(3)
         w = rng.normal(size=(k, n))
@@ -535,7 +553,7 @@ def _fd_cases(name, rng):
 
 
 PRIMITIVES = [
-    "matvec", "add", "scale", "hadamard", "tanh", "attention",
+    "matvec", "add", "scale", "hadamard", "tanh_affine", "attention",
     "gate", "log_softmax", "concat", "stack_rows", "vslice",
     "embedding_lookup", "pick", "sum_all", "bilstm_layer",
 ]
@@ -544,7 +562,7 @@ PRIMITIVES = [
 CHECKED_ELSEWHERE = {"lstm_cell": "tests/test_model.py::TestFusedLSTMCell"}
 
 # Products folded into a primitive, each with cases that isolate it there.
-FUSED = {"softmax": "attention", "vecmat": "attention", "linear": "matvec"}
+FUSED = {"softmax": "attention", "vecmat": "attention", "linear": "matvec", "tanh": "tanh_affine"}
 
 
 @pytest.mark.parametrize("name", PRIMITIVES + list(FUSED))
@@ -580,7 +598,7 @@ class TestTape:
     def test_entries_are_topologically_ordered(self):
         tape = ad.Tape()
         x = watched(tape, [1.0, 2.0])
-        y = ad.tanh(x)
+        y = ad.scale(x, 2.0)
         z = ad.add(y, y)
         ad.sum_all(z)
         for _name, in_nodes, out_node in tape.entries:
@@ -607,7 +625,7 @@ class TestTape:
         def run():
             tape = ad.Tape()
             x = watched(tape, [0.5, -0.5])
-            out = ad.sum_all(ad.tanh(ad.scale(x, 3.0)))
+            out = ad.sum_all(ad.tanh_affine(ad.tensor([[1.0, 2.0]]), ad.tensor([0.5]), ad.scale(x, 3.0)))
             return tape.entries, out.array.copy()
 
         entries_a, out_a = run()
@@ -656,7 +674,7 @@ class TestTape:
         x = watched(tape, np.linspace(-1.0, 1.0, 10_000))
         y = x
         for _ in range(100):
-            y = ad.tanh(y)
+            y = ad.scale(y, 0.5)
         out = ad.sum_all(y)
         tracemalloc.start()
         try:
@@ -702,6 +720,13 @@ class TestErrors:
         with pytest.raises(ValueError, match="empty"):
             ad.bilstm_layer(good, good, ad.zeros((2, 3)), [2, 0])
 
+    def test_tanh_affine_shape_mismatch(self):
+        w, b = ad.zeros((4, 3)), ad.zeros(4)
+        for bad in ((w, b, ad.zeros(4)), (w, ad.zeros(3), ad.zeros(3)), (ad.zeros(3), ad.zeros(3), ad.zeros(3)),
+                    (w, b, ad.zeros((2, 2, 3))), (w, ad.zeros((1, 4)), ad.zeros(3))):
+            with pytest.raises(ad.ShapeError, match="tanh_affine"):
+                ad.tanh_affine(*bad)
+
     def test_linear_shape_mismatch(self):
         w = ad.zeros((4, 3))
         with pytest.raises(ad.ShapeError):
@@ -712,6 +737,8 @@ class TestErrors:
     def test_add_shape_mismatch(self):
         with pytest.raises(ad.ShapeError):
             ad.add(ad.tensor([1.0]), ad.tensor([1.0, 2.0]))
+        with pytest.raises(ad.ShapeError, match="equal shapes"):  # no row broadcast
+            ad.add(ad.tensor(np.zeros((2, 3))), ad.tensor(np.zeros(3)))
         with pytest.raises(ad.ShapeError):
             ad.add(ad.tensor(np.zeros((2, 3))), ad.tensor(np.zeros(2)))
         with pytest.raises(ad.ShapeError):

@@ -216,6 +216,125 @@ class TestConfigFileMutations:
         assert "config" in err.splitlines()[0]  # the message points at the file
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("where", ["config", "flag", "line", "key"])
+    def test_long_value_is_echoed_cut(self, where, base, capsys):
+        # Only the first 40 characters of the value's repr and its length are echoed.
+        path, text = base
+        digits = "9" * 5000
+        cut = f"{repr(digits)[:40]}... (5002 characters)"
+        args = ["train", "--config", str(path)]
+        if where == "flag":
+            args += ["--epochs", digits]
+        else:
+            path.write_bytes(text + {"config": f"epochs = {digits}", "line": digits, "key": f"{digits} = 1"}[where].encode())
+        assert cli.main(args) == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line == {
+            "config": f"usage error: config key 'epochs': cannot parse {cut} as int",
+            "flag": f"usage error: config key 'epochs': cannot parse {cut} as int",
+            "line": f"usage error: config line 10: expected 'key = value', got {cut}",
+            "key": f"usage error: config line 10: unknown key {cut}",
+        }[where]
+
+
+DEEP_JSON = "[" * 100_000 + "]" * 100_000  # json raises RecursionError, not a ValueError
+# A value of each JSON type, for swapping a field's type.
+JSON_KINDS = {"string": "text", "number": 7, "boolean": True, "array": ["a"], "object": {"a": 1}}
+
+
+def _json_kind(value) -> str:
+    return next(kind for kind, t in (("boolean", bool), ("number", (int, float)), ("string", str),
+                                     ("array", list), ("object", dict)) if isinstance(value, t))
+
+
+def _record_mutations(base: dict, required: tuple[str, ...]):
+    """(id, mutate) pairs; mutate(doc, entry) turns a file ``doc`` holding
+    ``base`` as the JSON text ``entry`` into a malformed one.  ``required``
+    names the keys that may not be dropped."""
+    def entry_as(obj_or_text):
+        new = obj_or_text if isinstance(obj_or_text, str) else json.dumps(obj_or_text)
+        return lambda doc, entry: doc.replace(entry, new.encode(), 1)
+
+    def with_age(literal):
+        return entry_as(json.dumps({**base, "age": None}).replace('"age": null', f'"age": {literal}'))
+
+    text = json.dumps(base)
+    cases = [(f"drop {key}", entry_as({k: v for k, v in base.items() if k != key})) for key in required]
+    for key, val in base.items():
+        for kind, other in JSON_KINDS.items():
+            if kind != _json_kind(val):
+                cases.append((f"{key} as {kind}", entry_as({**base, key: other})))
+            elif kind == "array":
+                cases.append((f"{key} as array of numbers", entry_as({**base, key: [7]})))
+    cases += [
+        ("truncated", entry_as(text[: len(text) // 2])),
+        ("non-UTF-8 bytes", lambda doc, entry: doc.replace(entry, entry.replace(b': "', b': "\xff\xfe', 1), 1)),
+        ("BOM", lambda doc, entry: b"\xef\xbb\xbf" + doc),
+        ("age NaN", with_age("NaN")),
+        ("age 1e309", with_age("1e309")),
+        ("age of 5000 digits", with_age("9" * 5000)),
+        ("age as a 5000-character string", entry_as({**base, "age": "9" * 5000})),
+        ("nested past the recursion limit", entry_as(DEEP_JSON)),
+    ]
+    return cases
+
+
+SAMPLE_FIRST = json.loads(SAMPLE_DATA.read_text(encoding="utf-8").splitlines()[0])
+PROFILE_KEYS = ("user_id", "province", "city", "gender", "age", "marital_status", "description", "common_words")
+
+
+class TestInputMutations:
+    """``pcgn prepare --input`` on the sample corpus with its first record
+    mutated one way at a time: each mutation exits 2 with one data error
+    line, never a traceback or exit 3."""
+
+    def run(self, tmp_path, mutate):
+        doc = SAMPLE_DATA.read_bytes()
+        entry = doc.splitlines()[0]
+        assert json.loads(entry) == SAMPLE_FIRST
+        path = tmp_path / "in.jsonl"
+        path.write_bytes(mutate(doc, entry))
+        return cli.main(["prepare", "--input", str(path), "--out-dir", str(tmp_path / "out")])
+
+    @pytest.mark.parametrize("mutate", [pytest.param(m, id=i) for i, m in
+                                        _record_mutations(SAMPLE_FIRST, ("blog", "comment", "user_id"))])
+    def test_mutation_exits_2(self, mutate, tmp_path, capsys):
+        assert self.run(tmp_path, mutate) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("data error: ") and len(line) < 400
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("key", [k for k in PROFILE_KEYS if k != "user_id"])
+    def test_optional_key_may_be_absent(self, key, tmp_path):
+        line = json.dumps({k: v for k, v in SAMPLE_FIRST.items() if k != key})
+        assert self.run(tmp_path, lambda doc, entry: doc.replace(entry, line.encode(), 1)) == 0
+
+
+class TestUsersFileMutations:
+    """``pcgn generate --user`` with its ``users.json`` entry mutated one way
+    at a time: each mutation exits 2 with one data error line, never a
+    traceback or exit 3."""
+
+    BASE = {"user_id": "u00", "province": "north", "city": "city0", "gender": "F", "age": 20,
+            "marital_status": "single", "description": "loves sunny", "common_words": ["sunny", "really"]}
+
+    def run(self, pcgn_dir, tmp_path, mutate=lambda doc, entry: doc):
+        entry = json.dumps(self.BASE).encode()
+        (tmp_path / "users.json").write_bytes(mutate(b'{"u00": ' + entry + b"}", entry))
+        return cli.main(["generate", "--checkpoint", str(pcgn_dir / "checkpoint_final.json"),
+                         "--data-dir", str(tmp_path), "--blog", "new post", "--user", "u00"])
+
+    def test_base_entry_is_valid(self, pcgn_dir, tmp_path, capsys):
+        assert self.run(pcgn_dir, tmp_path) == 0
+        assert "u00" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("mutate", [pytest.param(m, id=i) for i, m in
+                                        _record_mutations(BASE, ("user_id",))])
+    def test_mutation_exits_2(self, mutate, pcgn_dir, tmp_path, capsys):
+        assert self.run(pcgn_dir, tmp_path, mutate) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("data error: ") and len(line) < 400
+
 
 class TestPrepare:
     def test_artifacts_and_checksums(self, prep_dir):
@@ -476,6 +595,24 @@ class TestGenerate:
         ])
         assert rc == 1
         assert "not valid JSON" in capsys.readouterr().err
+
+    def test_unknown_user_is_echoed_cut(self, pcgn_dir, prep_dir, capsys):
+        uid = "x" * 5000
+        rc = cli.main([
+            "generate", "--checkpoint", str(pcgn_dir / "checkpoint_final.json"),
+            "--data-dir", str(prep_dir), "--blog", "new post", "--user", uid,
+        ])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"data error: unknown user {repr(uid)[:40]}... (5002 characters); known users: ['u00', 'u01', 'u02']\n")
+
+    def test_deeply_nested_user_json_exits_1(self, pcgn_dir, capsys):
+        rc = cli.main([
+            "generate", "--checkpoint", str(pcgn_dir / "checkpoint_final.json"),
+            "--blog", "new post", "--user-json", DEEP_JSON,
+        ])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("usage error: --user-json is not valid JSON: maximum recursion depth")
 
     @pytest.mark.parametrize("value", ["5", "[1]"])
     def test_non_object_user_json_exits_1(self, value, pcgn_dir, capsys):
@@ -776,6 +913,8 @@ MALFORMED_FILES = {
         "users.json is not a readable JSON document"),
     "checkpoint with an integer past the digit limit": (lambda prep, run, tmp: _generate_with(
         _file(tmp, "ckpt.json", b'{"format": ' + LONG_INT + b"}"), prep), "not a JSON document"),
+    "checkpoint nested past the recursion limit": (lambda prep, run, tmp: _generate_with(
+        _file(tmp, "ckpt.json", DEEP_JSON.encode()), prep), "not a JSON document"),
     "checkpoint parameter with negative dimensions": (lambda prep, run, tmp: _generate_with(
         _checkpoint_copy(run, tmp, lambda doc: _reshape_first_param(doc, lambda n: [-1, -n])), prep),
         "negative dimension"),
@@ -837,6 +976,64 @@ class TestMalformedFiles:
         ])
         assert rc == 1
         assert capsys.readouterr().err == "usage error: --user-json: age is too large for a float\n"
+
+
+LONG = "x" * 5000
+
+
+def _users_file(tmp_path, doc):
+    (tmp_path / "users.json").write_text(json.dumps(doc))
+    return tmp_path
+
+
+def _rename_first_param(doc, name, **fields):
+    first = min(doc["params"])
+    doc["params"][name] = dict(doc["params"].pop(first), **fields)
+
+
+# case -> (argv built from (prep_dir, pcgn_dir, tmp_path), exit code)
+LONG_VALUES = {
+    "variant flag": (lambda prep, run, tmp: train_args(prep, tmp / "out", variant=LONG), 1),
+    "preset flag": (lambda prep, run, tmp: train_args(prep, tmp / "out") + ["--preset", LONG], 1),
+    "eval split flag": (lambda prep, run, tmp: [
+        "eval", "--checkpoint", str(run / "checkpoint_final.json"), "--data-dir", str(prep), "--split", LONG], 1),
+    "ablate eval split flag": (lambda prep, run, tmp: [
+        "ablate", "--data-dir", str(prep), "--out-dir", str(tmp / "abl"), "--eval-split", LONG], 1),
+    "checkpoint format": (lambda prep, run, tmp: _generate_with(
+        _checkpoint_copy(run, tmp, lambda doc: doc.update(format=LONG)), prep), 2),
+    "checkpoint version": (lambda prep, run, tmp: _generate_with(
+        _checkpoint_copy(run, tmp, lambda doc: doc.update(version=[1] * 5000)), prep), 2),
+    "checkpoint step": (lambda prep, run, tmp: _generate_with(
+        _checkpoint_copy(run, tmp, lambda doc: doc.update(step=LONG)), prep), 2),
+    "checkpoint layer count": (lambda prep, run, tmp: _generate_with(
+        _checkpoint_copy(run, tmp, lambda doc: doc["model"].update(blog_layers=[1] * 5000)), prep), 2),
+    "checkpoint variant flag": (lambda prep, run, tmp: _generate_with(
+        _checkpoint_copy(run, tmp, lambda doc: doc["model"]["variant"].update(use_coattention=LONG)), prep), 2),
+    "checkpoint parameter name": (lambda prep, run, tmp: _generate_with(
+        _checkpoint_copy(run, tmp, lambda doc: _rename_first_param(doc, LONG, dtype="float16")), prep), 2),
+    "checkpoint parameter dtype": (lambda prep, run, tmp: _generate_with(
+        _checkpoint_copy(run, tmp, lambda doc: doc["params"][min(doc["params"])].update(dtype=LONG)), prep), 2),
+    "schema age divisor": (lambda prep, run, tmp: _train_on(prep, tmp, "schema.json", _edited_json(
+        prep / "schema.json", lambda doc: doc.update(age_divisor=LONG))), 2),
+    "users.json id": (lambda prep, run, tmp: [
+        "generate", "--checkpoint", str(run / "checkpoint_final.json"), "--blog", "new post", "--user", LONG,
+        "--data-dir", str(_users_file(tmp, {LONG: {"user_id": "u", "age": "old"}}))], 2),
+}
+
+
+class TestLongValues:
+    """A long user value is echoed as its repr's first 40 characters and
+    the repr's length, wherever an error line names it."""
+
+    @pytest.mark.parametrize("case", list(LONG_VALUES))
+    def test_error_line_stays_short(self, case, prep_dir, pcgn_dir, tmp_path, capsys):
+        build_argv, code = LONG_VALUES[case]
+        argv = build_argv(prep_dir, pcgn_dir, tmp_path)
+        capsys.readouterr()
+        assert cli.main(argv) == code
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith(("usage error: ", "data error: ")[code - 1])
+        assert len(line) < 200 and "characters)" in line
 
 
 class TestArtifactWrites:

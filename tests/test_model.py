@@ -532,7 +532,7 @@ class TestUserVector:
     def test_zero_features_give_tanh_bias(self):
         params = random_params(tiny_config("Seq2Seq+Emb"), 10)
         v = M.user_vector(params, np.zeros(params.config.feature_dim))
-        assert np.allclose(v.array, np.tanh(params.user_proj.b.array), atol=1e-14)
+        assert np.allclose(v.array, np.tanh(params.tensor("user_proj.b").array), atol=1e-14)
 
     def test_bounded(self):
         params = random_params(tiny_config("PCGN"), 11)

@@ -197,7 +197,7 @@ class TestProductPaths:
         T.gold_log_probs(random_params(cfg, 64), ragged_examples(cfg, 3))
         # Only the initial state (an h and a c per decoder layer) and the
         # user vector, made once per walk, keep row-exact products.
-        assert callers == ["matvec"] * (2 * cfg.decoder_layers + 1)
+        assert callers == ["tanh_affine"] * (2 * cfg.decoder_layers + 1)
 
     def test_decode_step_keeps_stacked_products(self, monkeypatch):
         cfg = tiny_config("PCGN", blog_layers=2)
