@@ -1,0 +1,75 @@
+#!/usr/bin/env python3
+"""SHA-256 digests of the bits that training, scoring and decoding produce.
+
+Two checkouts that print the same overall digest compute the same bits
+on this corpus, so a rewrite meant to keep every bit is checked by running
+this script before and after it.  For each variant of the ablation ladder,
+at one and two layers, the digest covers:
+
+- the gold log-probabilities and every parameter gradient of one
+  teacher-forced walk over blocks of 1, 3 and 7 examples;
+- the mean loss and every parameter after each of two training epochs;
+- the dev perplexity of the trained model;
+- each beam hypothesis's tokens, log-probability (as hex) and finish flag.
+
+It prints one digest per (variant, layers) pair, then the overall one.
+Bits hold per BLAS thread count (see README), so pin it when comparing:
+
+    OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python3 scripts/bit_digest.py
+"""
+
+from __future__ import annotations
+
+import hashlib
+
+from pcgn import autodiff as ad
+from pcgn import decoding, training
+from pcgn import model as M
+from pcgn.data import build_vocab, encode_records, fit_schema
+from pcgn.synthetic import synthetic_records
+
+VARIANTS = ("Seq2Seq", "Seq2Seq+Emb", "+Mem", "+CoAtt", "PCGN")
+BLOCKS = (1, 3, 7)
+
+
+def pair_digest(params: M.ModelParams, train, dev) -> str:
+    h = hashlib.sha256()
+    for n in BLOCKS:
+        tape = ad.Tape()
+        watched = {name: tape.watch(t) for name, t in params.named_parameters()}
+        terms, owner = training.gold_log_probs(params.with_tensors(watched), train[:n])
+        grads = ad.backprop(tape, ad.sum_all(terms))
+        h.update(terms.array.tobytes())
+        h.update(owner.tobytes())
+        for leaf in watched.values():
+            h.update(grads[leaf].array.tobytes())
+    opt = training.OptimizerConfig(lr=0.5, batch_size=4, seed=0)
+    for epoch in range(2):
+        params, stats = training.train_epoch(params, train, opt, epoch)
+        h.update(stats.mean_loss.hex().encode())
+        for _name, t in params.named_parameters():
+            h.update(t.array.tobytes())
+    h.update(training.dataset_perplexity(params, dev).hex().encode())
+    for ex in dev[:2]:
+        for hyp in decoding.beam_search(params, ex, decoding.DecodeConfig(beam_size=3, max_len=6)):
+            h.update(f"{hyp.tokens} {hyp.log_prob.hex()} {hyp.finished}".encode())
+    return h.hexdigest()
+
+
+def main() -> None:
+    records = synthetic_records(30, users=4, seed=1)
+    vocab, schema = build_vocab(records, max_size=1000), fit_schema(records)
+    encoded = encode_records(records, vocab, schema)
+    train, dev = encoded[:10], encoded[10:]
+    overall = hashlib.sha256()
+    for name in VARIANTS:
+        for layers in (1, 2):
+            cfg = M.ModelConfig.desk(len(vocab), schema.width, variant=M.PRESETS[name], blog_layers=layers)
+            digest = pair_digest(M.build_model(cfg, 0), train, dev)
+            overall.update(digest.encode())
+            print(f"{name:<12} layers={layers} {digest}")
+    print(f"overall {overall.hexdigest()}")
+
+
+if __name__ == "__main__":
+    main()

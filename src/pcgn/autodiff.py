@@ -3,25 +3,25 @@
 Every model computation in this package is assembled from the primitives in
 this module.  A :class:`Tensor` wraps a contiguous row-major numpy array.
 When an operand is attached to a :class:`Tape`, the primitive records the
-application (op name, input node ids, output node id, and a backward closure
-over the cached forward values) so :func:`backprop` can replay the tape in
-reverse.  Tensors without a tape attachment are plain values; the same
-primitives then run without recording, which keeps decoding and evaluation
-allocation-light.
+application (op name, input node ids, output node ids, and a backward
+closure over the cached forward values) so :func:`backprop` can replay the
+tape in reverse.  Tensors without a tape attachment are plain values; the
+same primitives then run without recording, which keeps decoding and
+evaluation allocation-light.
 
 Every value is float64; there is no precision or checking switch.
 
 The primitives the model uses take an optional leading row axis: a 1-D
 operand is a single row, and a 2-D operand is a block of independent rows
 that share the weights (``matvec``, ``tanh_affine``, ``attention``,
-``gate``, ``lstm_cell``, ``log_softmax``, ``concat``, ``vslice``,
+``gated_memory``, ``lstm_cell``, ``log_softmax``, ``concat``, ``vslice``,
 ``pick``).  ``embedding_lookup`` of an id vector returns one row per id,
 and ``stack_rows`` stacks row blocks as well as vectors; ``add`` takes
 equal shapes only.  Beam search steps every live hypothesis as one such
 block, so each layer is one numpy call per step.
 
-The four product primitives, ``matvec``, ``attention``, ``gate`` and
-``lstm_cell``, take an ``exact`` flag, and only the kernels ``_mv`` and
+The four product primitives, ``matvec``, ``attention``, ``gated_memory``
+and ``lstm_cell``, take an ``exact`` flag, and only the kernels ``_mv`` and
 ``_vm`` act on it; ``tanh_affine``, which makes the user vector and the
 decoder's initial state once per walk, always takes ``_mv``'s default.
 A vector operand is ``w @ x`` either way.  A row block is row-exact by
@@ -46,10 +46,11 @@ read, ``embedding_lookup``, hands the sweep only its rows' gradient, so
 a token lookup allocates no table-sized array, and reading a block's rows
 one step at a time costs time linear in its length.
 
-A decoder step's attention is one ``attention`` entry and each memory
-gate one ``gate`` entry.  Their backwards run the chain rule through
-their parts in reverse and hand each operand its gradients in that order
-(``attention`` lists ``states`` twice: for the context, then the scores).
+A decoder step is one ``attention`` entry per attention, one two-output
+``gated_memory`` entry and one two-output ``lstm_cell`` entry per layer.
+Their backwards run the chain rule through their parts in reverse and
+hand each operand its gradients in that order (``attention`` lists
+``states`` twice: for the context, then the scores).
 
 One finite-check rule: values are checked for NaN and infinity where they
 enter the engine and where they leave it, not inside.  They enter through
@@ -87,7 +88,7 @@ __all__ = [
     "lstm_cell",
     "bilstm_layer",
     "attention",
-    "gate",
+    "gated_memory",
     "log_softmax",
     "concat",
     "stack_rows",
@@ -169,15 +170,15 @@ def zeros(shape) -> Tensor:
 class Tape:
     """Append-only record of primitive applications.
 
-    Entries are (op name, input node ids, output node id, backward closure)
-    and are topologically ordered by construction: an entry's inputs always
-    have smaller ids than its output.
+    Entries are (op name, input node ids, output node ids, backward): the
+    backward takes one gradient per output, None for one nothing read.
+    By construction, inputs have smaller ids than outputs.
     """
 
     __slots__ = ("_entries", "_count", "_leaf_shapes")
 
     def __init__(self):
-        self._entries: list[tuple[str, tuple[int | None, ...], int, Callable]] = []
+        self._entries: list[tuple[str, tuple[int | None, ...], range, Callable]] = []
         self._count = 0
         self._leaf_shapes: dict[int, tuple[int, ...]] = {}
 
@@ -190,15 +191,17 @@ class Tape:
         self._leaf_shapes[nid] = value.array.shape
         return _wrap(value.array, self, nid)
 
-    def _record(self, name: str, in_nodes: tuple, out: np.ndarray, backward: Callable) -> Tensor:
-        nid = self._count
-        self._count += 1
-        self._entries.append((name, in_nodes, nid, backward))
-        return _wrap(out, self, nid)
+    def _record(self, name: str, in_nodes: tuple, outs: tuple, backward: Callable) -> list[Tensor]:
+        first, wrapped = self._count, []
+        for out in outs:  # a plain loop: every recorded op pays for this
+            wrapped.append(_wrap(out, self, self._count))
+            self._count += 1
+        self._entries.append((name, in_nodes, range(first, self._count), backward))
+        return wrapped
 
     @property
-    def entries(self) -> list[tuple[str, tuple[int | None, ...], int]]:
-        """(op, input ids, output id) triples, in application order."""
+    def entries(self) -> list[tuple[str, tuple[int | None, ...], range]]:
+        """(op, input ids, output ids) triples, in application order."""
         return [(name, ins, out) for name, ins, out, _ in self._entries]
 
     def __len__(self) -> int:
@@ -287,7 +290,7 @@ def matvec(w: Tensor, x: Tensor, exact: bool = True) -> Tensor:
             g @ wv if nx is not None else None,
         )
 
-    return tape._record("matvec", (nw, nx), out, backward)
+    return tape._record("matvec", (nw, nx), (out,), backward)[0]
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -304,7 +307,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     def backward(g):
         return (g if na is not None else None, g if nb is not None else None)
 
-    return tape._record("add", (na, nb), out, backward)
+    return tape._record("add", (na, nb), (out,), backward)[0]
 
 
 def scale(a: Tensor, c: float) -> Tensor:
@@ -317,7 +320,7 @@ def scale(a: Tensor, c: float) -> Tensor:
     def backward(g):
         return (g * c,)
 
-    return tape._record("scale", (a.node,), out, backward)
+    return tape._record("scale", (a.node,), (out,), backward)[0]
 
 
 def hadamard(a: Tensor, b: Tensor) -> Tensor:
@@ -333,7 +336,7 @@ def hadamard(a: Tensor, b: Tensor) -> Tensor:
     def backward(g):
         return (g * bv if na is not None else None, g * av if nb is not None else None)
 
-    return tape._record("hadamard", (na, nb), out, backward)
+    return tape._record("hadamard", (na, nb), (out,), backward)[0]
 
 
 def _sigmoid(v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -368,7 +371,7 @@ def tanh_affine(w: Tensor, b: Tensor, x: Tensor) -> Tensor:
             d @ wv if n_x is not None else None,
         )
 
-    return tape._record("tanh_affine", (n_w, n_b, n_x), out, backward)
+    return tape._record("tanh_affine", (n_w, n_b, n_x), (out,), backward)[0]
 
 
 def _lstm_hidden(name: str, w_x: np.ndarray, w_h: np.ndarray, b: np.ndarray, x: np.ndarray, x_ranks: tuple) -> int:
@@ -413,8 +416,8 @@ def _lstm_factors(act: np.ndarray, c_prev: np.ndarray, c: np.ndarray) -> tuple[n
     return factor, gate_o * (1.0 - tanh_c * tanh_c)
 
 
-def lstm_cell(w_x: Tensor, w_h: Tensor, b: Tensor, x: Tensor, h_prev: Tensor, c_prev: Tensor, exact: bool = True) -> Tensor:
-    """One fused LSTM cell application; returns the packed [h; c].
+def lstm_cell(w_x: Tensor, w_h: Tensor, b: Tensor, x: Tensor, h_prev: Tensor, c_prev: Tensor, exact: bool = True) -> tuple[Tensor, Tensor]:
+    """One fused LSTM cell application; returns the new states (h, c).
 
     Weight rows are four hidden-size slabs: input, forget, candidate and
     output gates.  With pre = W_x x + W_h h_prev + b,
@@ -423,8 +426,8 @@ def lstm_cell(w_x: Tensor, w_h: Tensor, b: Tensor, x: Tensor, h_prev: Tensor, c_
         h = sigmoid(pre_o) * tanh(c)
 
     x, h_prev and c_prev are vectors, or row blocks with one row per
-    independent cell state; the packed output has the same rows.  The whole
-    cell is one tape entry whose backward is closed-form for all six inputs.
+    independent cell state; h and c have the same rows.  The whole cell is
+    one tape entry whose backward is closed-form for all six inputs.
     ``exact`` picks the product form of a row block (see :func:`_mv`).
     """
     wxv, whv, bv = w_x.array, w_h.array, b.array
@@ -436,15 +439,16 @@ def lstm_cell(w_x: Tensor, w_h: Tensor, b: Tensor, x: Tensor, h_prev: Tensor, c_
     tape = _tape_of(w_x, w_h, b, x, h_prev, c_prev)
     pre = _mv(wxv, xv, exact) + _mv(whv, hv, exact) + bv
     act = np.empty_like(pre)
-    out = np.empty(state_shape[:-1] + (2 * hidden,))
-    _lstm_gates(pre, cv, act, out[..., :hidden], out[..., hidden:])
+    out = np.empty(state_shape[:-1] + (2 * hidden,))  # h and c are its halves
+    h, c = out[..., :hidden], out[..., hidden:]
+    _lstm_gates(pre, cv, act, h, c)
     if tape is None:
-        return _wrap(out)
+        return _wrap(h), _wrap(c)
     nodes = (w_x.node, w_h.node, b.node, x.node, h_prev.node, c_prev.node)
 
-    def backward(g):
-        g_h, g_c = g[..., :hidden], g[..., hidden:]
-        d_pre, dc_dh = _lstm_factors(act, cv, out[..., hidden:])
+    def backward(g_h, g_c):
+        g_h, g_c = (np.zeros(state_shape) if g is None else g for g in (g_h, g_c))  # unread: zero
+        d_pre, dc_dh = _lstm_factors(act, cv, c)
         d_c = g_c + g_h * dc_dh
         d_pre *= np.concatenate((d_c, d_c, d_c, g_h), axis=-1)
         n_wx, n_wh, n_b, n_x, n_h, n_c = nodes
@@ -457,7 +461,7 @@ def lstm_cell(w_x: Tensor, w_h: Tensor, b: Tensor, x: Tensor, h_prev: Tensor, c_
             d_c * act[..., hidden : 2 * hidden] if n_c is not None else None,
         )
 
-    return tape._record("lstm_cell", nodes, out, backward)
+    return tape._record("lstm_cell", nodes, (h, c), backward)
 
 
 def _layer_plan(rows: int, lengths: Sequence[int] | None) -> tuple:
@@ -589,7 +593,7 @@ def bilstm_layer(fwd: Sequence[Tensor], bwd: Sequence[Tensor], x: Tensor,
             g_x = (d_pre[1] @ weights[1][0])[unorders[1]] + (d_pre[0] @ weights[0][0])[unorders[0]]
         return (*grads, g_x)
 
-    return tape._record("bilstm_layer", nodes, out, backward)
+    return tape._record("bilstm_layer", nodes, (out,), backward)[0]
 
 
 def attention(s: Tensor, states: Tensor, w_a: Tensor, mask: np.ndarray | None = None,
@@ -638,33 +642,60 @@ def attention(s: Tensor, states: Tensor, w_a: Tensor, mask: np.ndarray | None = 
             _weight_grad(sv, g_q) if n_w is not None else None,
         )
 
-    return tape._record("attention", (n_st, n_st, n_s, n_w), context, backward), _wrap(weights)
+    return tape._record("attention", (n_st, n_st, n_s, n_w), (context,), backward)[0], _wrap(weights)
 
 
-def gate(w: Tensor, x: Tensor, m: Tensor, exact: bool = True) -> Tensor:
-    """sigmoid(W x) * m for a vector x, or for each row of a block, as one
-    tape entry.  It lists m before w and x: the order of the chain rule.
-    ``exact`` picks the form of W x (see :func:`_mv`)."""
-    wv, xv, mv = w.array, x.array, m.array
-    if xv.ndim not in (1, 2) or wv.ndim != 2 or wv.shape[1] != xv.shape[-1] or mv.shape != xv.shape[:-1] + wv.shape[:1]:
-        raise ShapeError(f"gate expects w, x and m of shapes (K, N), (..., N) and (..., K), got {wv.shape}, {xv.shape} and {mv.shape}")
-    tape = _tape_of(w, x, m)
-    act = _mv(wv, xv, exact)
-    _sigmoid(act, out=act)
-    out = act * mv
+def gated_memory(w_u: Tensor, w_o: Tensor, s_t: Tensor, s_prev: Tensor, e_prev: Tensor, c_blog: Tensor,
+                 m_prev: Tensor, exact: bool = True) -> tuple[Tensor, Tensor]:
+    """The user memory's decay and gated read, for vectors or each row of a
+    block, as one tape entry with the two outputs (M_t, M_t^o):
+
+        M_t   = sigmoid(W_u s_t) * M_{t-1}
+        M_t^o = sigmoid(W_o [s_prev; e_prev; c_blog]) * M_t
+
+    The gates lie in [0, 1], so no coordinate of |M_t| grows.  The backward
+    runs the read gate, the join, then the update gate, so the operands are
+    listed as (w_o, s_prev, e_prev, c_blog, m_prev, w_u, s_t).  ``exact``
+    picks the form of both products (see :func:`_mv`)."""
+    wuv, wov, sv, mv = w_u.array, w_o.array, s_t.array, m_prev.array
+    try:
+        z = np.concatenate([s_prev.array, e_prev.array, c_blog.array], axis=-1)
+    except ValueError:  # the parts' ranks or row counts differ
+        z = None
+    if (z is None or sv.ndim not in (1, 2) or wuv.ndim != 2 or wov.ndim != 2 or wuv.shape != (wov.shape[0], sv.shape[-1])
+            or mv.shape != sv.shape[:-1] + wuv.shape[:1] or z.shape != sv.shape[:-1] + wov.shape[1:]):
+        raise ShapeError(f"gated_memory operand shapes do not fit, in order: {[t.shape for t in (w_u, w_o, s_t, s_prev, e_prev, c_blog, m_prev)]}")
+    tape = _tape_of(w_u, w_o, s_t, s_prev, e_prev, c_blog, m_prev)
+    act_u = _mv(wuv, sv, exact)
+    _sigmoid(act_u, out=act_u)
+    m_t = act_u * mv
+    act_o = _mv(wov, z, exact)
+    _sigmoid(act_o, out=act_o)
+    m_out = act_o * m_t
     if tape is None:
-        return _wrap(out)
-    n_m, n_w, n_x = m.node, w.node, x.node
+        return _wrap(m_t), _wrap(m_out)
+    n_wo, n_m, n_wu, n_s = w_o.node, m_prev.node, w_u.node, s_t.node
+    e_at, c_at = s_prev.shape[-1], s_prev.shape[-1] + e_prev.shape[-1]
 
-    def backward(g):
-        d_pre = g * mv * act * (1.0 - act) if n_w is not None or n_x is not None else None
+    def backward(g_t, g_out):
+        read = [None] * 4  # w_o, s_prev, e_prev, c_blog
+        if g_out is not None:
+            # M_t's gradient: its other readers' sum, then the read's term.
+            g_read = g_out * act_o
+            g_t = g_read if g_t is None else g_t + g_read
+            d_o = g_out * m_t * act_o * (1.0 - act_o)
+            g_z = d_o @ wov
+            read = [_weight_grad(d_o, z) if n_wo is not None else None, g_z[..., :e_at], g_z[..., e_at:c_at], g_z[..., c_at:]]
+        d_u = g_t * mv * act_u * (1.0 - act_u) if n_wu is not None or n_s is not None else None
         return (
-            g * act if n_m is not None else None,
-            _weight_grad(d_pre, xv) if n_w is not None else None,
-            d_pre @ wv if n_x is not None else None,
+            *read,
+            g_t * act_u if n_m is not None else None,
+            _weight_grad(d_u, sv) if n_wu is not None else None,
+            d_u @ wuv if n_s is not None else None,
         )
 
-    return tape._record("gate", (n_m, n_w, n_x), out, backward)
+    nodes = (n_wo, s_prev.node, e_prev.node, c_blog.node, n_m, n_wu, n_s)  # the order of the chain rule
+    return tape._record("gated_memory", nodes, (m_t, m_out), backward)
 
 
 def _log_softmax(v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -689,7 +720,7 @@ def log_softmax(x: Tensor) -> Tensor:
     def backward(g):
         return (g - np.exp(out) * g.sum(axis=-1, keepdims=True),)
 
-    return tape._record("log_softmax", (x.node,), out, backward)
+    return tape._record("log_softmax", (x.node,), (out,), backward)[0]
 
 
 def concat(parts: Sequence[Tensor]) -> Tensor:
@@ -717,7 +748,7 @@ def concat(parts: Sequence[Tensor]) -> Tensor:
             off += size
         return tuple(grads)
 
-    return tape._record("concat", nodes, out, backward)
+    return tape._record("concat", nodes, (out,), backward)[0]
 
 
 def stack_rows(parts: Sequence[Tensor]) -> Tensor:
@@ -743,7 +774,7 @@ def stack_rows(parts: Sequence[Tensor]) -> Tensor:
             for n, a, s in zip(nodes, arrays, starts)
         )
 
-    return tape._record("stack_rows", nodes, out, backward)
+    return tape._record("stack_rows", nodes, (out,), backward)[0]
 
 
 def vslice(x: Tensor, start: int, stop: int) -> Tensor:
@@ -763,7 +794,7 @@ def vslice(x: Tensor, start: int, stop: int) -> Tensor:
         full[..., start:stop] = g
         return (full,)
 
-    return tape._record("vslice", (x.node,), out, backward)
+    return tape._record("vslice", (x.node,), (out,), backward)[0]
 
 
 def _indices(index, extent: int, what: str):
@@ -797,7 +828,7 @@ def embedding_lookup(table: Tensor, index) -> Tensor:
     def backward(g):
         return (_RowGrad(idx, g, tv.shape),)
 
-    return tape._record("embedding_lookup", (table.node,), out, backward)
+    return tape._record("embedding_lookup", (table.node,), (out,), backward)[0]
 
 
 def pick(x: Tensor, index) -> Tensor:
@@ -823,7 +854,7 @@ def pick(x: Tensor, index) -> Tensor:
         full[at] = g
         return (full,)
 
-    return tape._record("pick", (x.node,), out, backward)
+    return tape._record("pick", (x.node,), (out,), backward)[0]
 
 
 def sum_all(x: Tensor) -> Tensor:
@@ -836,7 +867,7 @@ def sum_all(x: Tensor) -> Tensor:
     def backward(g):
         return (g * np.ones_like(v),)
 
-    return tape._record("sum_all", (x.node,), out, backward)
+    return tape._record("sum_all", (x.node,), (out,), backward)[0]
 
 
 class _RowGrad:
@@ -881,14 +912,14 @@ def backprop(tape: Tape, output: Tensor) -> GradientSet:
     # received (add hands its g to both inputs), so any other array can
     # be shared.
     owned: set[int] = set()
-    for _name, in_nodes, out_node, backward in reversed(tape._entries):
-        # Every consumer of out_node ran earlier in the sweep, so its
-        # gradient is complete: take it out, and drop it once used.
-        g = acc.pop(out_node, None)
-        if g is None:
+    for _name, in_nodes, out_nodes, backward in reversed(tape._entries):
+        # Every consumer of the entry's outputs ran earlier in the sweep, so
+        # their gradients are complete: take them out, and drop them once used.
+        if acc.keys().isdisjoint(out_nodes):  # nothing read any output
             continue
-        owned.discard(out_node)
-        for nid, ig in zip(in_nodes, backward(g)):
+        grads = [acc.pop(nid, None) for nid in out_nodes]
+        owned.difference_update(out_nodes)
+        for nid, ig in zip(in_nodes, backward(*grads)):
             if nid is None or ig is None:
                 continue
             prev = acc.get(nid)

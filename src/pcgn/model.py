@@ -178,9 +178,12 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "ModelConfig":
-        obj = dict(obj)
-        obj["variant"] = Variant(**obj["variant"])
-        return cls(**obj)
+        obj, variant = dict(obj), dict(obj["variant"])
+        for kind, given, where in ((cls, obj, "model"), (Variant, variant, "model.variant")):
+            unknown = [key for key in given if key not in kind.__dataclass_fields__]
+            if unknown:  # named cut: Python's own message would hold the whole key
+                raise ValueError(f"{where} has an unknown key {excerpt(unknown[0])}")
+        return cls(**dict(obj, variant=Variant(**variant)))
 
 
 @dataclass
@@ -365,11 +368,9 @@ def build_model(config: ModelConfig, seed: int) -> ModelParams:
 
 
 def lstm_step(cell: LSTMCell, x: Tensor, h_prev: Tensor, c_prev: Tensor, exact: bool = True) -> tuple[Tensor, Tensor]:
-    """One LSTM cell application -> (h, c), via the fused ``ad.lstm_cell``;
+    """One LSTM cell application -> (h, c), one ``ad.lstm_cell`` entry;
     ``exact`` as there."""
-    hidden = cell.hidden
-    packed = ad.lstm_cell(cell.w_x, cell.w_h, cell.b, x, h_prev, c_prev, exact=exact)
-    return ad.vslice(packed, 0, hidden), ad.vslice(packed, hidden, 2 * hidden)
+    return ad.lstm_cell(cell.w_x, cell.w_h, cell.b, x, h_prev, c_prev, exact=exact)
 
 
 def bilstm_encode(
@@ -429,16 +430,14 @@ def gated_memory_step(
     update gate  g_u = sigmoid(W_u s_t)        -> M_t   = g_u * M_{t-1}
     output gate  g_o = sigmoid(W_o [s_prev; e_prev; c_blog]) -> M_t^o = g_o * M_t
 
-    Each gate and its product is one ``ad.gate`` entry (``exact`` as
-    there).  Both gates are strictly inside (0, 1), so |M_t| decays
-    monotonically coordinate-wise.
+    Both gates and their products are one ``ad.gated_memory`` entry (``exact``
+    as there).  The gates lie in [0, 1], exactly 0 or 1 once the argument
+    reaches 38 in size, so no coordinate of |M_t| grows; one may stay or hit 0.
     The caller decides which state to pass as ``s_t``; the decoder passes
     the previous step's state in both slots because the new state does not
     exist until after the memory read feeds the LSTM.
     """
-    m_t = ad.gate(w_update, s_t, m_prev, exact=exact)
-    m_out = ad.gate(w_output, ad.concat([s_prev, e_prev, c_blog]), m_t, exact=exact)
-    return m_t, m_out
+    return ad.gated_memory(w_update, w_output, s_t, s_prev, e_prev, c_blog, m_prev, exact=exact)
 
 
 # ---------------------------------------------------------------------------

@@ -195,11 +195,11 @@ def reference_backprop(tape, output):
     # take row gradients in place: a backward may hand on the very array
     # it received, so any other array can be shared.
     owned = set()
-    for _name, in_nodes, out_node, backward in reversed(tape._entries):
-        g = acc.get(out_node)
-        if g is None:
+    for _name, in_nodes, out_nodes, backward in reversed(tape._entries):
+        grads = [acc.get(nid) for nid in out_nodes]
+        if all(g is None for g in grads):
             continue
-        for nid, ig in zip(in_nodes, backward(g)):
+        for nid, ig in zip(in_nodes, backward(*grads)):
             if nid is None or ig is None:
                 continue
             prev = acc.get(nid)

@@ -13,8 +13,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pcgn import autodiff as ad
+from pcgn import model as M
 from pcgn import training
+from pcgn.data import build_vocab, encode_records, fit_schema
+from pcgn.synthetic import synthetic_records
 
+import oracle
 from conftest import assert_caught_at_boundaries, overflowing_attention_params, random_params, tiny_config, tiny_example
 
 
@@ -31,9 +35,8 @@ def grad_of(f, theta_values):
 
 
 def sigmoid(x):
-    """sigmoid(x) through ``gate``: an identity weight and a memory of ones."""
-    x = np.asarray(x, dtype=np.float64)
-    return ad.gate(ad.tensor(np.eye(x.size)), ad.tensor(x), ad.tensor(np.ones(x.size))).array
+    """The engine's one sigmoid kernel, which every gate runs."""
+    return ad._sigmoid(np.asarray(x, dtype=np.float64))
 
 
 def attention_weights(scores, mask=None):
@@ -138,19 +141,21 @@ class TestForwardValues:
 
 def product_forms(rng, lead, hidden=6, in_dim=5, steps=7):
     """(name, call) for each primitive with an ``exact`` flag; ``call(exact)``
-    applies it to fixed random operands with ``lead`` rows."""
+    applies it to fixed random operands with ``lead`` rows and returns its
+    outputs as a tuple."""
     t = lambda *shape: ad.tensor(rng.normal(size=shape))
-    x, h, c, m = t(*lead, in_dim), t(*lead, hidden), t(*lead, hidden), t(*lead, 4 * hidden)
+    x, h, c, m = t(*lead, in_dim), t(*lead, hidden), t(*lead, hidden), t(*lead, hidden)
     w_x, w_h, b = t(4 * hidden, in_dim), t(4 * hidden, hidden), t(4 * hidden)
+    w_u, w_o = t(hidden, hidden), t(hidden, hidden + 2 * in_dim)
     states, w_a = t(steps, in_dim), ad.tensor(rng.normal(size=(hidden, in_dim)) / hidden)
     mask = rng.random(lead + (steps,)) < 0.5
     mask[..., 0] = True
     return [
-        ("matvec", lambda exact: ad.matvec(w_x, x, exact=exact)),
+        ("matvec", lambda exact: (ad.matvec(w_x, x, exact=exact),)),
         ("lstm_cell", lambda exact: ad.lstm_cell(w_x, w_h, b, x, h, c, exact=exact)),
-        ("gate", lambda exact: ad.gate(w_x, x, m, exact=exact)),
-        ("attention", lambda exact: ad.attention(h, states, w_a, exact=exact)[0]),
-        ("masked attention", lambda exact: ad.attention(h, states, w_a, mask, exact=exact)[0]),
+        ("gated_memory", lambda exact: ad.gated_memory(w_u, w_o, h, c, x, x, m, exact=exact)),
+        ("attention", lambda exact: ad.attention(h, states, w_a, exact=exact)),
+        ("masked attention", lambda exact: ad.attention(h, states, w_a, mask, exact=exact)),
     ]
 
 
@@ -171,13 +176,15 @@ class TestProductForms:
 
     def test_gemm_flag_leaves_vectors_alone(self):
         for name, call in product_forms(np.random.default_rng(70), ()):
-            assert call(False).array.tobytes() == call(True).array.tobytes(), name
+            for gemm, exact in zip(call(False), call(True)):
+                assert gemm.array.tobytes() == exact.array.tobytes(), name
 
     def test_gemm_rows_match_row_exact_rows(self):
         for name, call in product_forms(np.random.default_rng(71), (9,)):
-            exact, gemm = call(True).array, call(False).array
-            assert gemm.shape == exact.shape
-            assert np.abs(gemm - exact).max() <= 1e-13 * max(1.0, np.abs(exact).max()), name
+            for exact, gemm in zip(call(True), call(False)):
+                exact, gemm = exact.array, gemm.array
+                assert gemm.shape == exact.shape
+                assert np.abs(gemm - exact).max() <= 1e-13 * max(1.0, np.abs(exact).max()), name
 
     @pytest.mark.parametrize("reverse", [False, True])
     def test_lstm_layer_block_rows_match_each_sequence_alone(self, reverse):
@@ -201,7 +208,10 @@ class TestProductForms:
 
 class TestGradientHandValues:
     def test_sigmoid_derivative_at_zero_is_quarter(self):
-        g = grad_of(lambda t: ad.sum_all(ad.gate(ad.tensor([[1.0]]), t, ad.tensor([1.0]))), [0.0])
+        # M_t = sigmoid(W_u s_t) * M_{t-1} with W_u = 1 and M_{t-1} = 1.
+        one, zero = ad.tensor([[1.0]]), ad.zeros(1)
+        g = grad_of(lambda t: ad.sum_all(ad.gated_memory(one, ad.zeros((1, 3)), t, zero, zero, zero, ad.tensor([1.0]))[0]),
+                    [0.0])
         assert g[0] == 0.25
 
     def test_linear_map_weight_gradient_broadcasts_input(self):
@@ -400,15 +410,25 @@ def _fd_cases(name, rng):
         eye, zero = ad.tensor(np.eye(n)), ad.tensor(np.zeros(n))
         weights = ad.tensor(rng.normal(size=n))
         return [(lambda t: ad.sum_all(ad.hadamard(ad.tanh_affine(eye, zero, t), weights)), rng.normal(size=n))]
-    if name == "gate":
-        k, n, rows = dims(3)
-        w = rng.normal(size=(k, n))
+    if name in ("gated_memory", "gate"):
+        # s_t and s_prev are separate operands, each with its own width.
+        k, h, h_prev, e, c, rows = dims(6)
+        # The weights' scale keeps the gates' arguments near unit size, so
+        # no gate saturates and central differences stay accurate.
+        w_u, w_o = rng.normal(size=(k, h)) / np.sqrt(h), rng.normal(size=(k, h_prev + e + c)) / np.sqrt(h_prev + e + c)
         cases = []
         # A vector, a row block, and a row block as one GEMM.
         for lead, exact in (((), True), ((rows,), True), ((rows,), False)):
-            mix = ad.tensor(rng.normal(size=lead + (k,)))
-            op = lambda w, x, m, exact=exact: ad.gate(w, x, m, exact=exact)
-            cases += _every_operand(op, [w, rng.normal(size=lead + (n,)), rng.normal(size=lead + (k,))], mix)
+            operands = [w_u, w_o] + [rng.normal(size=lead + (n,)) for n in (h, h_prev, e, c, k)]
+            if name == "gated_memory":
+                op = lambda *args, exact=exact: ad.concat(ad.gated_memory(*args, exact=exact))
+                cases += _every_operand(op, operands, ad.tensor(rng.normal(size=lead + (2 * k,))))
+            else:
+                # The update gate alone: M_t, with M_t^o unread, as a
+                # function of W_u, s_t and M_{t-1}.
+                op = lambda *args, exact=exact: ad.gated_memory(*args, exact=exact)[0]
+                probes = _every_operand(op, operands, ad.tensor(rng.normal(size=lead + (k,))))
+                cases += [probes[i] for i in (0, 2, 6)]
         return cases
     if name == "attention":
         h, d, steps, rows = dims(4)
@@ -554,7 +574,7 @@ def _fd_cases(name, rng):
 
 PRIMITIVES = [
     "matvec", "add", "scale", "hadamard", "tanh_affine", "attention",
-    "gate", "log_softmax", "concat", "stack_rows", "vslice",
+    "gated_memory", "log_softmax", "concat", "stack_rows", "vslice",
     "embedding_lookup", "pick", "sum_all", "bilstm_layer",
 ]
 
@@ -562,7 +582,8 @@ PRIMITIVES = [
 CHECKED_ELSEWHERE = {"lstm_cell": "tests/test_model.py::TestFusedLSTMCell"}
 
 # Products folded into a primitive, each with cases that isolate it there.
-FUSED = {"softmax": "attention", "vecmat": "attention", "linear": "matvec", "tanh": "tanh_affine"}
+FUSED = {"softmax": "attention", "vecmat": "attention", "linear": "matvec", "tanh": "tanh_affine",
+         "gate": "gated_memory"}
 
 
 @pytest.mark.parametrize("name", PRIMITIVES + list(FUSED))
@@ -601,12 +622,12 @@ class TestTape:
         y = ad.scale(x, 2.0)
         z = ad.add(y, y)
         ad.sum_all(z)
-        for _name, in_nodes, out_node in tape.entries:
+        for _name, in_nodes, out_nodes in tape.entries:
             for nid in in_nodes:
-                assert nid is not None and nid < out_node
+                assert nid is not None and nid < min(out_nodes)
         assert len(tape) == 3
 
-    @pytest.mark.parametrize("variant, per_step", [("PCGN", 10), ("Seq2Seq", 6)])
+    @pytest.mark.parametrize("variant, per_step", [("PCGN", 6), ("Seq2Seq", 4)])
     def test_entries_per_decoder_step(self, variant, per_step):
         # One more target token adds one decoder step and nothing else: the
         # output layer and the loss run once over every step.
@@ -620,6 +641,45 @@ class TestTape:
             return len(tape.entries)
 
         assert entries(4) - entries(3) == per_step
+
+    @pytest.mark.parametrize("variant, layers, count", [
+        ("PCGN", 1, 54), ("PCGN", 2, 62), ("+Mem", 1, 41), ("Seq2Seq", 1, 35), ("Seq2Seq", 2, 43),
+    ])
+    def test_entries_per_walk(self, variant, layers, count):
+        # One sequence_loss of a 5-target example at desk dimensions.
+        records = synthetic_records(200, users=4, seed=1)
+        vocab, schema = build_vocab(records, max_size=1_000_000), fit_schema(records)
+        example = encode_records(records[:1], vocab, schema)[0]
+        cfg = M.ModelConfig.desk(len(vocab), schema.width, variant=M.PRESETS[variant], blog_layers=layers)
+        params = M.build_model(cfg, 0)
+        tape = ad.Tape()
+        watched = {name: tape.watch(t) for name, t in params.named_parameters()}
+        training.sequence_loss(params.with_tensors(watched), example)
+        assert example.target_len == 5
+        assert len(tape) == count
+
+    @pytest.mark.parametrize("name", ["lstm_cell", "gated_memory"])
+    def test_two_output_entry_with_its_second_output_unread(self, name):
+        # Only the first output reaches the loss, as the last decoder
+        # step's c does: the sweep hands the backward None for the second.
+        rng = np.random.default_rng(zlib.crc32(name.encode()))
+        shapes = {
+            "lstm_cell": [(16, 3), (16, 4), (16,), (2, 3), (2, 4), (2, 4)],
+            "gated_memory": [(4, 3), (4, 5), (2, 3), (2, 2), (2, 1), (2, 2), (2, 4)],
+        }[name]
+        op = getattr(ad, name)
+        operands = [rng.normal(size=shape) for shape in shapes]
+        mix = ad.tensor(rng.normal(size=(2, 4)))  # both ops' first output is (2, 4)
+        tape = ad.Tape()
+        leaves = [watched(tape, a) for a in operands]
+        first, _unread = op(*leaves)
+        out = ad.sum_all(ad.hadamard(first, mix))
+        grads, want = ad.backprop(tape, out), oracle.reference_backprop(tape, out)
+        for leaf in leaves:
+            assert grads[leaf].array.tobytes() == want[leaf].array.tobytes()
+        for probed, (f, theta) in enumerate(_every_operand(lambda *args: op(*args)[0], operands, mix)):
+            assert ad.finite_difference_check(f, ad.tensor(theta)) < 1e-6, probed
+            assert np.array_equal(grad_of(f, theta), grads[leaves[probed]].array)
 
     def test_identical_programs_record_identically(self):
         def run():
@@ -670,19 +730,30 @@ class TestTape:
     def test_backprop_frees_each_gradient_once_consumed(self):
         # Along a chain, each node's gradient is dead once its producer ran;
         # a sweep that kept them all would hold ~100 vectors at its peak.
+        # The second chain steps a two-output entry whose outputs are both
+        # read, the memory M_t by the next step and M_t^o by the loss, so
+        # it checks that both outputs' gradients are freed.
+        n = 10_000
         tape = ad.Tape()
-        x = watched(tape, np.linspace(-1.0, 1.0, 10_000))
+        x = watched(tape, np.linspace(-1.0, 1.0, n))
         y = x
         for _ in range(100):
             y = ad.scale(y, 0.5)
-        out = ad.sum_all(y)
-        tracemalloc.start()
-        try:
-            ad.backprop(tape, out)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 10 * x.array.nbytes
+        chain_out = ad.sum_all(y)
+        w_u, w_o, one = ad.tensor(np.ones((n, 1))), ad.tensor(np.ones((n, 3))), ad.tensor([0.1])
+        m = watched(tape, np.linspace(-1.0, 1.0, n))
+        memory_out = ad.sum_all(m)
+        for _ in range(100):
+            m, read = ad.gated_memory(w_u, w_o, one, one, one, one, m)
+            memory_out = ad.add(memory_out, ad.sum_all(read))
+        for out in (chain_out, memory_out):
+            tracemalloc.start()
+            try:
+                ad.backprop(tape, out)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 10 * x.array.nbytes
 
     def test_backprop_rejects_foreign_output(self):
         tape = ad.Tape()
@@ -771,13 +842,16 @@ class TestErrors:
             ad.attention(ad.zeros(3), ad.zeros((4, 3)), ad.zeros((2, 3)))
         with pytest.raises(ad.ShapeError):
             ad.attention(ad.zeros(2), ad.zeros((4, 5)), ad.zeros((2, 3)))
-        w = ad.zeros((2, 3))
-        with pytest.raises(ad.ShapeError):
-            ad.gate(w, ad.zeros(2), ad.zeros(2))
-        with pytest.raises(ad.ShapeError):
-            ad.gate(w, ad.zeros(3), ad.zeros(3))
-        with pytest.raises(ad.ShapeError):
-            ad.gate(w, ad.zeros((4, 3)), ad.zeros(2))
+        # gated_memory(w_u, w_o, s_t, s_prev, e_prev, c_blog, m_prev).
+        w_u, w_o, s, m = ad.zeros((2, 3)), ad.zeros((2, 4)), ad.zeros(3), ad.zeros(2)
+        parts = (ad.zeros(2), ad.zeros(1), ad.zeros(1))
+        ad.gated_memory(w_u, w_o, s, *parts, m)
+        for bad in ((w_u, w_o, ad.zeros(2), *parts, m), (w_u, w_o, s, *parts, ad.zeros(3)),
+                    (w_u, ad.zeros((3, 4)), s, *parts, m), (w_u, w_o, s, ad.zeros(3), *parts[1:], m),
+                    (w_u, w_o, ad.zeros((4, 3)), *parts, ad.zeros((4, 2))),
+                    (ad.zeros(3), w_o, s, *parts, m), (w_u, w_o, ad.zeros((1, 1, 3)), *parts, m)):
+            with pytest.raises(ad.ShapeError, match="gated_memory"):
+                ad.gated_memory(*bad)
 
     def test_concat_rejects_empty_list_and_mismatched_rows(self):
         with pytest.raises(ValueError):

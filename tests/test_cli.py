@@ -1009,6 +1009,10 @@ LONG_VALUES = {
         _checkpoint_copy(run, tmp, lambda doc: doc["model"].update(blog_layers=[1] * 5000)), prep), 2),
     "checkpoint variant flag": (lambda prep, run, tmp: _generate_with(
         _checkpoint_copy(run, tmp, lambda doc: doc["model"]["variant"].update(use_coattention=LONG)), prep), 2),
+    "checkpoint model key": (lambda prep, run, tmp: _generate_with(
+        _checkpoint_copy(run, tmp, lambda doc: doc["model"].update({LONG: 1})), prep), 2),
+    "checkpoint variant key": (lambda prep, run, tmp: _generate_with(
+        _checkpoint_copy(run, tmp, lambda doc: doc["model"]["variant"].update({LONG: True})), prep), 2),
     "checkpoint parameter name": (lambda prep, run, tmp: _generate_with(
         _checkpoint_copy(run, tmp, lambda doc: _rename_first_param(doc, LONG, dtype="float16")), prep), 2),
     "checkpoint parameter dtype": (lambda prep, run, tmp: _generate_with(

@@ -257,16 +257,17 @@ class TestLSTM:
 
 
 class TestFusedLSTMCell:
-    def test_packed_output_matches_reference_gates(self):
+    def test_outputs_match_reference_gates(self):
         rng = np.random.default_rng(3)
         cell = random_cell(rng, 3, 4)
         x, h_prev, c_prev = rng.normal(size=3), rng.normal(size=4), rng.normal(size=4)
-        packed = ad.lstm_cell(cell.w_x, cell.w_h, cell.b, ad.tensor(x), ad.tensor(h_prev), ad.tensor(c_prev))
+        h, c = ad.lstm_cell(cell.w_x, cell.w_h, cell.b, ad.tensor(x), ad.tensor(h_prev), ad.tensor(c_prev))
         pre = cell.w_x.array @ x + cell.w_h.array @ h_prev + cell.b.array
         c_ref = oracle.sig(pre[4:8]) * c_prev + oracle.sig(pre[:4]) * np.tanh(pre[8:12])
         h_ref = oracle.sig(pre[12:]) * np.tanh(c_ref)
-        assert packed.shape == (8,)
-        assert np.allclose(packed.array, np.concatenate([h_ref, c_ref]), atol=1e-14)
+        assert h.shape == c.shape == (4,)
+        assert np.allclose(h.array, h_ref, atol=1e-14)
+        assert np.allclose(c.array, c_ref, atol=1e-14)
 
     @pytest.mark.parametrize("which", ["x", "h_prev", "c_prev"])
     def test_input_gradients_match_finite_differences(self, which):
@@ -281,8 +282,8 @@ class TestFusedLSTMCell:
 
         def f(theta):
             args = dict(inputs, **{which: theta})
-            packed = ad.lstm_cell(cell.w_x, cell.w_h, cell.b, args["x"], args["h_prev"], args["c_prev"])
-            return ad.sum_all(ad.hadamard(packed, weights))
+            h, c = ad.lstm_cell(cell.w_x, cell.w_h, cell.b, args["x"], args["h_prev"], args["c_prev"])
+            return ad.sum_all(ad.hadamard(ad.concat([h, c]), weights))
 
         assert ad.finite_difference_check(f, inputs[which]) < 1e-6
 
@@ -306,9 +307,9 @@ class TestFusedLSTMCell:
         for which in inputs:
             def f(theta):
                 args = dict(inputs, **{which: theta})
-                packed = ad.lstm_cell(args["w_x"], args["w_h"], args["b"], args["x"], args["h_prev"], args["c_prev"],
-                                      exact=exact)
-                return ad.sum_all(ad.hadamard(packed, mix))
+                h, c = ad.lstm_cell(args["w_x"], args["w_h"], args["b"], args["x"], args["h_prev"], args["c_prev"],
+                                    exact=exact)
+                return ad.sum_all(ad.hadamard(ad.concat([h, c]), mix))
 
             assert ad.finite_difference_check(f, inputs[which]) < 1e-6, which
 
@@ -318,8 +319,8 @@ class TestFusedLSTMCell:
         w_x = ad.tensor(np.full((8, 1), 1e308))
         w_h = ad.tensor(np.full((8, 2), -1e308))
         with np.errstate(over="ignore", invalid="ignore"):
-            packed = ad.lstm_cell(w_x, w_h, ad.zeros(8), ad.tensor([10.0]), ad.tensor([10.0, 10.0]), ad.zeros(2))
-        assert np.isnan(packed.array).all()
+            h, c = ad.lstm_cell(w_x, w_h, ad.zeros(8), ad.tensor([10.0]), ad.tensor([10.0, 10.0]), ad.zeros(2))
+        assert np.isnan(h.array).all() and np.isnan(c.array).all()
         cfg = tiny_config("PCGN")
         params = nan_cell_params(random_params(cfg, 44))
         assert_caught_at_boundaries(params, [tiny_example(cfg, seed=i) for i in range(2)])

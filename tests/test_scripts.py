@@ -1,8 +1,10 @@
-"""Tiny smoke runs of the example scripts in scripts/, which drive the CLI's
-prepare, train, generate and ablate commands end to end."""
+"""Tiny smoke runs of the scripts in scripts/: the examples, which drive the
+CLI's prepare, train, generate and ablate commands end to end, and the bit
+digest."""
 
 from __future__ import annotations
 
+import re
 import runpy
 import sys
 from pathlib import Path
@@ -21,3 +23,16 @@ def test_script_runs_and_writes_its_report(tmp_path, monkeypatch, script, args, 
     monkeypatch.setattr(sys, "argv", [script, "--out", str(tmp_path), *args])
     runpy.run_path(str(SCRIPTS / script), run_name="__main__")
     assert (tmp_path / artifact).exists()
+
+
+def test_bit_digest_prints_one_digest_per_pair_and_overall(capsys):
+    outputs = []
+    for _ in range(2):
+        runpy.run_path(str(SCRIPTS / "bit_digest.py"), run_name="__main__")
+        outputs.append(capsys.readouterr().out)
+    lines = outputs[0].splitlines()
+    # Five variants at one and two layers, then the overall digest.
+    assert len(lines) == 11 and lines[-1].startswith("overall ")
+    assert all(re.fullmatch(r"[0-9a-f]{64}", line.split()[-1]) for line in lines)
+    assert len({line.split()[-1] for line in lines}) == 11
+    assert outputs[1] == outputs[0]

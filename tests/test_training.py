@@ -204,7 +204,7 @@ class TestProductPaths:
         session = Dec.DecodeSession(random_params(cfg, 65), tiny_example(cfg, 66))
         callers = stacked_product_callers(monkeypatch)
         session.step(session.initial_state(), [0, 0, 0, 0], [cfg.bos_id, 4, 5, 6])
-        assert set(callers) == {"attention", "gate", "lstm_cell", "matvec"}
+        assert set(callers) == {"attention", "gated_memory", "lstm_cell", "matvec"}
 
 
 class TestBlockedPerplexity:
