@@ -6,13 +6,18 @@ on this corpus, so a rewrite meant to keep every bit is checked by running
 this script before and after it.  For each variant of the ablation ladder,
 at one and two layers, the digest covers:
 
-- the gold log-probabilities and every parameter gradient of one
+- walk: the gold log-probabilities and every parameter gradient of one
   teacher-forced walk over blocks of 1, 3 and 7 examples;
-- the mean loss and every parameter after each of two training epochs;
-- the dev perplexity of the trained model;
-- each beam hypothesis's tokens, log-probability (as hex) and finish flag.
+- training: the mean loss and every parameter after each of two training
+  epochs (the training examples repeat blogs and authors);
+- perplexity: the dev perplexity of the trained model;
+- beam: each beam hypothesis's tokens, log-probability (as hex) and
+  finish flag, from the trained model.
 
-It prints one digest per (variant, layers) pair, then the overall one.
+It prints one digest per section for each (variant, layers) pair, then
+the overall one, over every section digest.  A rewrite that moves only
+training bits shows the same walk lines and moves the others, since
+perplexity and beam read the trained model.
 Bits hold per BLAS thread count (see README), so pin it when comparing:
 
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python3 scripts/bit_digest.py
@@ -30,30 +35,32 @@ from pcgn.synthetic import synthetic_records
 
 VARIANTS = ("Seq2Seq", "Seq2Seq+Emb", "+Mem", "+CoAtt", "PCGN")
 BLOCKS = (1, 3, 7)
+SECTIONS = ("walk", "training", "perplexity", "beam")
 
 
-def pair_digest(params: M.ModelParams, train, dev) -> str:
-    h = hashlib.sha256()
+def pair_digests(params: M.ModelParams, train, dev) -> dict[str, str]:
+    """One digest per section, in the order the sections run."""
+    h = {name: hashlib.sha256() for name in SECTIONS}
     for n in BLOCKS:
         tape = ad.Tape()
         watched = {name: tape.watch(t) for name, t in params.named_parameters()}
         terms, owner = training.gold_log_probs(params.with_tensors(watched), train[:n])
         grads = ad.backprop(tape, ad.sum_all(terms))
-        h.update(terms.array.tobytes())
-        h.update(owner.tobytes())
+        h["walk"].update(terms.array.tobytes())
+        h["walk"].update(owner.tobytes())
         for leaf in watched.values():
-            h.update(grads[leaf].array.tobytes())
+            h["walk"].update(grads[leaf].array.tobytes())
     opt = training.OptimizerConfig(lr=0.5, batch_size=4, seed=0)
     for epoch in range(2):
         params, stats = training.train_epoch(params, train, opt, epoch)
-        h.update(stats.mean_loss.hex().encode())
+        h["training"].update(stats.mean_loss.hex().encode())
         for _name, t in params.named_parameters():
-            h.update(t.array.tobytes())
-    h.update(training.dataset_perplexity(params, dev).hex().encode())
+            h["training"].update(t.array.tobytes())
+    h["perplexity"].update(training.dataset_perplexity(params, dev).hex().encode())
     for ex in dev[:2]:
         for hyp in decoding.beam_search(params, ex, decoding.DecodeConfig(beam_size=3, max_len=6)):
-            h.update(f"{hyp.tokens} {hyp.log_prob.hex()} {hyp.finished}".encode())
-    return h.hexdigest()
+            h["beam"].update(f"{hyp.tokens} {hyp.log_prob.hex()} {hyp.finished}".encode())
+    return {name: section.hexdigest() for name, section in h.items()}
 
 
 def main() -> None:
@@ -65,9 +72,9 @@ def main() -> None:
     for name in VARIANTS:
         for layers in (1, 2):
             cfg = M.ModelConfig.desk(len(vocab), schema.width, variant=M.PRESETS[name], blog_layers=layers)
-            digest = pair_digest(M.build_model(cfg, 0), train, dev)
-            overall.update(digest.encode())
-            print(f"{name:<12} layers={layers} {digest}")
+            for section, digest in pair_digests(M.build_model(cfg, 0), train, dev).items():
+                overall.update(digest.encode())
+                print(f"{name:<12} layers={layers} {section:<10} {digest}")
     print(f"overall {overall.hexdigest()}")
 
 

@@ -18,9 +18,16 @@ feeds no later step, so the walk applies it once, after the last step, to
 every scored row together (``ad.matvec``, ``exact=False``).  Decoding keeps
 ``model.decoder_step``, whose row-exact products make each beam row's
 logits independent of the rows beside it.  ``sequence_loss`` and
-``token_log_probs`` walk one example, and ``train_epoch`` sums one
-``sequence_loss`` per example.  ``dataset_perplexity`` walks
+``token_log_probs`` walk one example.  ``dataset_perplexity`` walks
 :data:`SCORE_BLOCK` consecutive examples at a time (see there).
+
+Training does not yet use the block walk: ``train_epoch`` sums one
+``sequence_loss`` per example.  Those walks share one
+:func:`example_forward` cache per batch, which lives as long as the
+batch's tape: each distinct blog's encoder states and initial decoder
+layers, and each distinct author's description states and user vector,
+are computed once per batch and read by every example that has them.
+Every other caller passes no cache and computes everything afresh.
 """
 
 from __future__ import annotations
@@ -91,7 +98,7 @@ def _block_lengths(examples: Sequence[EncodedExample]) -> tuple[list[int] | None
     return [len(ex.x) for ex in examples], [len(ex.d) for ex in examples]
 
 
-def example_forward(params: M.ModelParams, examples: Sequence[EncodedExample]):
+def example_forward(params: M.ModelParams, examples: Sequence[EncodedExample], cache: dict | None = None):
     """Shared encode/init work for a block of examples.
 
     Returns (blog_states, desc_states, v_u, initial decoder state).  Each
@@ -99,17 +106,40 @@ def example_forward(params: M.ModelParams, examples: Sequence[EncodedExample]):
     after another, which every decoder step attends over; v_u and the
     state have one row per example (vectors for a single example, see
     :func:`_block_lengths`).
+
+    The work is looked up in ``cache`` (a fresh dict when None): the blogs
+    by their token ids, the authors by their description ids and feature
+    bytes, never by ``user_id``.  Only what is missing is computed, in
+    this order: blog encoder, description encoder, user vector, initial
+    (h, c) layers.  Blogs seen before reuse their states and initial
+    layers, authors their description states and v_u; M_0 is always the
+    example's own v_u.  A block is looked up as a whole, so a block of two
+    or more examples encodes each of its rows, repeated or not.  Cached
+    tensors stay on the tape that made them, so a cache must live no
+    longer than one tape and one parameter set (``_batch_gradients``).
     """
     v = params.config.variant
     x_lens, d_lens = _block_lengths(examples)
-    blog_states = M.encode_blog(params, [i for ex in examples for i in ex.x], x_lens)
-    desc_states = None
-    if v.use_coattention:
-        desc_states = M.encode_description(params, [i for ex in examples for i in ex.d], d_lens)
-    v_u = None
-    if v.needs_user_vector:
-        v_u = M.user_vector(params, examples[0].f if x_lens is None else np.stack([ex.f for ex in examples]))
-    state = M.init_decoder_state(params, blog_states, v_u, x_lens)
+    cache = {} if cache is None else cache
+    # The keys hold every example's ids, so they fix the lengths too.
+    blog_key = ("blog", tuple(tuple(ex.x) for ex in examples))
+    author_key = ("author", tuple((tuple(ex.d), np.asarray(ex.f).tobytes()) for ex in examples))
+    blog = cache.get(blog_key)
+    if blog is None:
+        blog_states = M.encode_blog(params, [i for ex in examples for i in ex.x], x_lens)
+    if author_key not in cache:
+        desc_states = None
+        if v.use_coattention:
+            desc_states = M.encode_description(params, [i for ex in examples for i in ex.d], d_lens)
+        v_u = None
+        if v.needs_user_vector:
+            v_u = M.user_vector(params, examples[0].f if x_lens is None else np.stack([ex.f for ex in examples]))
+        cache[author_key] = desc_states, v_u
+    desc_states, v_u = cache[author_key]
+    if blog is None:
+        blog = cache[blog_key] = blog_states, M.init_decoder_state(params, blog_states, v_u, x_lens).layers
+    blog_states, layers = blog
+    state = M.DecoderState(layers=layers, memory=v_u if v.use_gated_memory else None)
     return blog_states, desc_states, v_u, state
 
 
@@ -124,7 +154,9 @@ def _own_rows(lengths: list[int] | None) -> np.ndarray | None:
     return owner[None, :] == np.arange(len(lengths))[:, None]
 
 
-def gold_log_probs(params: M.ModelParams, examples: Sequence[EncodedExample]) -> tuple[Tensor, np.ndarray]:
+def gold_log_probs(
+    params: M.ModelParams, examples: Sequence[EncodedExample], cache: dict | None = None
+) -> tuple[Tensor, np.ndarray]:
     """One teacher-forced walk over a block: every gold target's log-probability.
 
     Step t feeds each example its gold token y_{t-1} and scores y_t; the
@@ -133,9 +165,10 @@ def gold_log_probs(params: M.ModelParams, examples: Sequence[EncodedExample]) ->
     scored.  Returns (terms, owner): ``terms`` holds every example's
     target_len log-probabilities, step after step and, within a step, in
     example order; ``owner[j]`` is the example index of ``terms[j]``.  For
-    one example, terms are its positions in order.
+    one example, terms are its positions in order.  ``cache`` as for
+    :func:`example_forward`.
     """
-    blog_states, desc_states, v_u, state = example_forward(params, examples)
+    blog_states, desc_states, v_u, state = example_forward(params, examples, cache)
     x_lens, d_lens = _block_lengths(examples)
     blog_mask = _own_rows(x_lens)
     desc_mask = None if desc_states is None else _own_rows(d_lens)
@@ -176,10 +209,10 @@ def gold_log_probs(params: M.ModelParams, examples: Sequence[EncodedExample]) ->
     return ad.pick(ad.log_softmax(logits), gold[:, 1:].T[scored]), owner
 
 
-def sequence_loss(params: M.ModelParams, example: EncodedExample) -> Tensor:
+def sequence_loss(params: M.ModelParams, example: EncodedExample, cache: dict | None = None) -> Tensor:
     """Negative log-likelihood of the gold comment, summed over positions
-    (natural log)."""
-    terms, _ = gold_log_probs(params, [example])
+    (natural log).  ``cache`` as for :func:`example_forward`."""
+    terms, _ = gold_log_probs(params, [example], cache)
     return ad.scale(ad.sum_all(terms), -1.0)
 
 
@@ -249,13 +282,18 @@ def _batch_gradients(
 ) -> tuple[dict[str, Tensor], list[float]]:
     """Gradients of a batch's mean example loss, and each example's loss.
 
-    The batch's tape dies on return, so the forward values it holds are
-    freed before the caller's update allocates the new parameters.
+    Each example is its own one-example walk, and the walks share one
+    :func:`example_forward` cache for this batch's tape: a blog or author
+    that recurs in the batch is encoded once, and backprop sums the
+    gradients its readers send back.  The batch's tape and cache die on
+    return, so the forward values they hold are freed before the caller's
+    update allocates the new parameters.
     """
     tape = ad.Tape()
     watched = {name: tape.watch(t) for name, t in params.named_parameters()}
     working = params.with_tensors(watched)
-    example_losses = [sequence_loss(working, ex) for ex in examples]
+    cache: dict = {}
+    example_losses = [sequence_loss(working, ex, cache) for ex in examples]
     batch_loss = ad.scale(reduce(ad.add, example_losses), 1.0 / len(example_losses))
     if not math.isfinite(batch_loss.item()):
         raise NonFiniteError(f"non-finite loss in {where}")
@@ -270,7 +308,11 @@ def train_epoch(
     epoch: int = 0,
 ) -> tuple[M.ModelParams, EpochStats]:
     """One pass: seeded shuffle, fixed-size batches (last one short),
-    mean-of-example-sums loss per batch, one SGD step per batch."""
+    mean-of-example-sums loss per batch, one SGD step per batch.
+
+    Within a batch, each distinct blog and each distinct author is encoded
+    once (see :func:`_batch_gradients`); nothing is shared across batches,
+    whose parameters differ."""
     if len(dataset) == 0:
         raise ValueError("cannot train on an empty dataset")
     start_time = time.perf_counter()

@@ -20,6 +20,7 @@ from pcgn import data as D
 from pcgn import decoding as Dec
 from pcgn import model as M
 from pcgn import training as T
+from pcgn.synthetic import synthetic_records
 
 from conftest import ToyExample, overflowing_attention_params, random_params, tiny_config, tiny_example
 import oracle
@@ -411,7 +412,8 @@ class TestBackpropMatchesReference:
     def test_batch_loss_gradients_are_bitwise_equal(self, variant):
         cfg = tiny_config(variant, blog_layers=2)
         params = random_params(cfg, seed=zlib.crc32(variant.encode()))
-        # The batch loss as train_epoch builds it.
+        # The mean of independent one-example walks, each encoding its own
+        # blog and author; train_epoch's shared encodes are checked below.
         tape = ad.Tape()
         watched = {name: tape.watch(t) for name, t in params.named_parameters()}
         working = params.with_tensors(watched)
@@ -422,18 +424,121 @@ class TestBackpropMatchesReference:
         for name, leaf in watched.items():
             assert_bitwise_equal(got[leaf].array, want[leaf].array, name)
 
+    @pytest.mark.parametrize("repeats", [False, True], ids=["distinct", "repeating"])
     @pytest.mark.parametrize("variant", sorted(M.PRESETS))
-    def test_one_epoch_gives_bitwise_equal_parameters(self, variant, monkeypatch):
-        cfg = tiny_config(variant)
+    def test_one_epoch_gives_bitwise_equal_parameters(self, variant, repeats, monkeypatch):
+        # With repeats, a batch's walks share blog and author encodes, so
+        # their nodes have several readers.
+        if repeats:
+            cfg, data = repeating_dataset(variant)
+        else:
+            cfg = tiny_config(variant)
+            data = ragged_examples(cfg, 7, seed=70)
         params = random_params(cfg, seed=zlib.crc32(f"epoch/{variant}".encode()))
-        data = ragged_examples(cfg, 7, seed=70)
-        opt = T.OptimizerConfig(lr=0.1, batch_size=3, seed=6)
+        opt = T.OptimizerConfig(lr=0.1, batch_size=4 if repeats else 3, seed=6)
         got, got_stats = T.train_epoch(params, data, opt, 0)
         monkeypatch.setattr(ad, "backprop", oracle.reference_backprop)
         want, want_stats = T.train_epoch(params, data, opt, 0)
         for (name, a), (_, b) in zip(got.named_parameters(), want.named_parameters()):
             assert_bitwise_equal(a.array, b.array, name)
         assert got_stats.mean_loss == want_stats.mean_loss
+
+
+def repeating_dataset(variant, layers=1):
+    """Synthetic examples where blogs and authors recur: six blogs, each
+    commented on by the same two authors."""
+    records = synthetic_records(12, users=2, seed=3)
+    vocab, schema = D.build_vocab(records, max_size=100), D.fit_schema(records)
+    cfg = tiny_config(variant, vocab_size=len(vocab), feature_dim=schema.width, blog_layers=layers)
+    return cfg, D.encode_records(records, vocab, schema)
+
+
+def uncached_batch_gradients(params, examples):
+    """The batch loss, each example's loss and the gradients, with every
+    example walking alone: no blog or author shared."""
+    tape = ad.Tape()
+    watched = {name: tape.watch(t) for name, t in params.named_parameters()}
+    losses = [T.sequence_loss(params.with_tensors(watched), ex) for ex in examples]
+    batch_loss = ad.scale(reduce(ad.add, losses), 1.0 / len(losses))
+    grads = ad.backprop(tape, batch_loss)
+    return batch_loss.item(), [l.item() for l in losses], {name: grads[w].array for name, w in watched.items()}
+
+
+def cached_batch_gradients(params, examples, monkeypatch):
+    """``_batch_gradients``' batch loss (read where it reaches backprop),
+    example losses and gradients."""
+    seen = []
+
+    def spy(tape, output, backprop=ad.backprop):
+        seen.append(output.item())
+        return backprop(tape, output)
+
+    monkeypatch.setattr(ad, "backprop", spy)
+    grads, losses = T._batch_gradients(params, examples, "test")
+    return seen[0], losses, {name: g.array for name, g in grads.items()}
+
+
+class TestBatchSharesEncodes:
+    """A batch encodes each distinct blog and author once."""
+
+    @pytest.mark.parametrize("layers", [1, 2])
+    @pytest.mark.parametrize("variant", sorted(M.PRESETS))
+    def test_repeats_keep_losses_and_gradients(self, variant, layers, monkeypatch):
+        cfg, data = repeating_dataset(variant, layers)
+        params = random_params(cfg, seed=zlib.crc32(f"shared/{variant}/{layers}".encode()))
+        batch = [data[int(i)] for i in np.random.default_rng(5).permutation(len(data))]
+        want_loss, want_losses, want_grads = uncached_batch_gradients(params, batch)
+        got_loss, got_losses, got_grads = cached_batch_gradients(params, batch, monkeypatch)
+        assert got_loss == want_loss and got_losses == want_losses
+        for name, want in want_grads.items():
+            gap = np.abs(got_grads[name] - want).max()
+            assert gap <= 1e-12 * max(1.0, np.abs(want).max()), f"{name}: gap {gap:.3e}"
+
+    @pytest.mark.parametrize("variant", sorted(M.PRESETS))
+    def test_distinct_inputs_keep_every_bit(self, variant, monkeypatch):
+        cfg = tiny_config(variant, blog_layers=2)
+        params = random_params(cfg, seed=zlib.crc32(f"distinct/{variant}".encode()))
+        batch = ragged_examples(cfg, 7, seed=80)
+        want_loss, want_losses, want_grads = uncached_batch_gradients(params, batch)
+        got_loss, got_losses, got_grads = cached_batch_gradients(params, batch, monkeypatch)
+        assert got_loss == want_loss and got_losses == want_losses
+        for name, want in want_grads.items():
+            assert_bitwise_equal(got_grads[name], want, name)
+
+    @pytest.mark.parametrize("layers", [1, 2])
+    @pytest.mark.parametrize("variant", sorted(M.PRESETS))
+    def test_tape_encodes_each_blog_and_author_once(self, variant, layers, monkeypatch):
+        cfg, data = repeating_dataset(variant, layers)
+        params = random_params(cfg, seed=7)
+        batch = data[::2] + data[1::2]
+        tapes = []
+
+        class RecordingTape(ad.Tape):
+            def __init__(self):
+                super().__init__()
+                tapes.append(self)
+
+        monkeypatch.setattr(ad, "Tape", RecordingTape)
+        T._batch_gradients(params, batch, "test")
+        # _batch_gradients watches the parameters first, in order.
+        leaf_names = [name for name, _ in params.named_parameters()]
+        readers = [
+            (op, {leaf_names[n] for n in ins if n is not None and n < len(leaf_names)})
+            for op, ins, _ in tapes[0].entries
+        ]
+
+        def count(op, weight):
+            return sum(1 for name, reads in readers if name == op and weight in reads)
+
+        blogs = len({ex.x for ex in batch})
+        authors = len({(ex.d, ex.f.tobytes()) for ex in batch})
+        assert (blogs, authors) == (6, 2)
+        assert count("bilstm_layer", "blog_enc.l0.fwd.w_x") == blogs
+        v = cfg.variant
+        assert count("bilstm_layer", "desc_enc.l0.fwd.w_x") == (authors if v.use_coattention else 0)
+        assert count("tanh_affine", "user_proj.w") == (authors if v.needs_user_vector else 0)
+        init = sum(count("tanh_affine", f"init.l{i}.{hc}.w") for i in range(cfg.decoder_layers) for hc in "hc")
+        assert init == 2 * cfg.decoder_layers * blogs
 
 
 class TestFit:
