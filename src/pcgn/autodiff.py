@@ -67,6 +67,7 @@ computation travels to the nearest exit and is reported there.
 from __future__ import annotations
 
 import math
+from itertools import accumulate
 from typing import Callable, Sequence
 
 import numpy as np
@@ -191,13 +192,17 @@ class Tape:
         self._leaf_shapes[nid] = value.array.shape
         return _wrap(value.array, self, nid)
 
-    def _record(self, name: str, in_nodes: tuple, outs: tuple, backward: Callable) -> list[Tensor]:
-        first, wrapped = self._count, []
-        for out in outs:  # a plain loop: every recorded op pays for this
-            wrapped.append(_wrap(out, self, self._count))
-            self._count += 1
+    def _record(self, name: str, in_nodes: tuple, outs, backward: Callable) -> "Tensor | list[Tensor]":
+        """Appends an entry.  ``outs`` is the output array, which returns its
+        tensor, or a tuple of several, which returns a list of tensors."""
+        first = self._count
+        if type(outs) is not tuple:  # one output: every op but two, so no loop
+            self._count = first + 1
+            self._entries.append((name, in_nodes, range(first, first + 1), backward))
+            return _wrap(outs, self, first)
+        self._count = first + len(outs)
         self._entries.append((name, in_nodes, range(first, self._count), backward))
-        return wrapped
+        return [_wrap(out, self, nid) for nid, out in enumerate(outs, first)]
 
     @property
     def entries(self) -> list[tuple[str, tuple[int | None, ...], range]]:
@@ -267,7 +272,8 @@ def _vm(x: np.ndarray, w: np.ndarray, exact: bool = True) -> np.ndarray:
 
 def _weight_grad(g: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Gradient of W in ``x @ W.T`` with output gradient g, summed over rows."""
-    return np.outer(g, x) if g.ndim == 1 else g.T @ x
+    # multiply.outer: np.outer's products without its Python wrapper.
+    return np.multiply.outer(g, x) if g.ndim == 1 else g.T @ x
 
 
 def matvec(w: Tensor, x: Tensor, exact: bool = True) -> Tensor:
@@ -290,7 +296,7 @@ def matvec(w: Tensor, x: Tensor, exact: bool = True) -> Tensor:
             g @ wv if nx is not None else None,
         )
 
-    return tape._record("matvec", (nw, nx), (out,), backward)[0]
+    return tape._record("matvec", (nw, nx), out, backward)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -307,7 +313,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     def backward(g):
         return (g if na is not None else None, g if nb is not None else None)
 
-    return tape._record("add", (na, nb), (out,), backward)[0]
+    return tape._record("add", (na, nb), out, backward)
 
 
 def scale(a: Tensor, c: float) -> Tensor:
@@ -320,7 +326,7 @@ def scale(a: Tensor, c: float) -> Tensor:
     def backward(g):
         return (g * c,)
 
-    return tape._record("scale", (a.node,), (out,), backward)[0]
+    return tape._record("scale", (a.node,), out, backward)
 
 
 def hadamard(a: Tensor, b: Tensor) -> Tensor:
@@ -336,17 +342,24 @@ def hadamard(a: Tensor, b: Tensor) -> Tensor:
     def backward(g):
         return (g * bv if na is not None else None, g * av if nb is not None else None)
 
-    return tape._record("hadamard", (na, nb), (out,), backward)[0]
+    return tape._record("hadamard", (na, nb), out, backward)
+
+
+# Constant operands as 0-d arrays: a ufunc takes them with less overhead
+# than Python floats, and the bits are the same.  For the same reason the
+# hot reductions call np.add.reduce and np.maximum.reduce, which
+# ndarray.sum and ndarray.max wrap in Python.
+_ONE, _HALF = np.array(1.0), np.array(0.5)
 
 
 def _sigmoid(v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """sigmoid(v), written into ``out`` when one is given."""
     # (1 + tanh(v / 2)) / 2 saturates to exactly 0 or 1 and, unlike
     # 1 / (1 + exp(-v)), never overflows.
-    out = np.multiply(v, 0.5, out=np.empty(v.shape) if out is None else out)
+    out = np.multiply(v, _HALF, out=np.empty(v.shape) if out is None else out)
     np.tanh(out, out=out)
-    out *= 0.5
-    out += 0.5
+    out *= _HALF
+    out += _HALF
     return out
 
 
@@ -364,14 +377,14 @@ def tanh_affine(w: Tensor, b: Tensor, x: Tensor) -> Tensor:
     n_w, n_b, n_x = w.node, b.node, x.node
 
     def backward(g):
-        d = g * (1.0 - out * out)
+        d = g * (_ONE - out * out)
         return (
             _weight_grad(d, xv) if n_w is not None else None,
-            (d if d.ndim == 1 else d.sum(axis=0)) if n_b is not None else None,
+            (d if d.ndim == 1 else np.add.reduce(d, axis=0)) if n_b is not None else None,
             d @ wv if n_x is not None else None,
         )
 
-    return tape._record("tanh_affine", (n_w, n_b, n_x), (out,), backward)[0]
+    return tape._record("tanh_affine", (n_w, n_b, n_x), out, backward)
 
 
 def _lstm_hidden(name: str, w_x: np.ndarray, w_h: np.ndarray, b: np.ndarray, x: np.ndarray, x_ranks: tuple) -> int:
@@ -401,19 +414,25 @@ def _lstm_gates(pre: np.ndarray, c_prev: np.ndarray, act: np.ndarray, h: np.ndar
 
 def _lstm_factors(act: np.ndarray, c_prev: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(factor, dc_dh) of an LSTM cell: d pre = factor * [d c, d c, d c, d h],
-    slab by slab, with d c = d h * dc_dh + c's own gradient.  ``factor`` is
-    a new array of act's shape, so a backward may build d pre in it."""
+    slab by slab, with d c = d h * dc_dh + c's own gradient.
+
+    Slab by slab, factor is (left * gate) * (1 - right), with left =
+    [cand, c_prev, gate_i, tanh c], gate = [gate_i, gate_f, 1, gate_o] and
+    right = [gate_i, gate_f, cand^2, gate_o]: each slab's own formula with
+    its products in the same order (gate_i * 1 is exact), in a few
+    whole-array calls instead of three per slab.  ``factor`` is a new
+    array of act's shape, and a backward scales it in place into d pre."""
     hidden = c.shape[-1]
-    gate_i, gate_f = act[..., :hidden], act[..., hidden : 2 * hidden]
-    cand, gate_o = act[..., 2 * hidden : 3 * hidden], act[..., 3 * hidden :]
+    cand = act[..., 2 * hidden : 3 * hidden]
     tanh_c = np.tanh(c)
-    factor = np.concatenate((
-        cand * gate_i * (1.0 - gate_i),
-        c_prev * gate_f * (1.0 - gate_f),
-        gate_i * (1.0 - cand * cand),
-        tanh_c * gate_o * (1.0 - gate_o),
-    ), axis=-1)
-    return factor, gate_o * (1.0 - tanh_c * tanh_c)
+    factor = np.concatenate((cand, c_prev, act[..., :hidden], tanh_c), axis=-1)  # left
+    gate = act.copy()
+    gate[..., 2 * hidden : 3 * hidden] = _ONE
+    factor *= gate
+    right = act.copy()
+    right[..., 2 * hidden : 3 * hidden] *= cand
+    factor *= np.subtract(_ONE, right, out=right)
+    return factor, act[..., 3 * hidden :] * (_ONE - tanh_c * tanh_c)
 
 
 def lstm_cell(w_x: Tensor, w_h: Tensor, b: Tensor, x: Tensor, h_prev: Tensor, c_prev: Tensor, exact: bool = True) -> tuple[Tensor, Tensor]:
@@ -447,7 +466,10 @@ def lstm_cell(w_x: Tensor, w_h: Tensor, b: Tensor, x: Tensor, h_prev: Tensor, c_
     nodes = (w_x.node, w_h.node, b.node, x.node, h_prev.node, c_prev.node)
 
     def backward(g_h, g_c):
-        g_h, g_c = (np.zeros(state_shape) if g is None else g for g in (g_h, g_c))  # unread: zero
+        if g_h is None:  # an unread output's gradient is zero
+            g_h = np.zeros(state_shape)
+        if g_c is None:
+            g_c = np.zeros(state_shape)
         d_pre, dc_dh = _lstm_factors(act, cv, c)
         d_c = g_c + g_h * dc_dh
         d_pre *= np.concatenate((d_c, d_c, d_c, g_h), axis=-1)
@@ -455,7 +477,7 @@ def lstm_cell(w_x: Tensor, w_h: Tensor, b: Tensor, x: Tensor, h_prev: Tensor, c_
         return (
             _weight_grad(d_pre, xv) if n_wx is not None else None,
             _weight_grad(d_pre, hv) if n_wh is not None else None,
-            (d_pre if d_pre.ndim == 1 else d_pre.sum(axis=0)) if n_b is not None else None,
+            (d_pre if d_pre.ndim == 1 else np.add.reduce(d_pre, axis=0)) if n_b is not None else None,
             d_pre @ wxv if n_x is not None else None,
             d_pre @ whv if n_h is not None else None,
             d_c * act[..., hidden : 2 * hidden] if n_c is not None else None,
@@ -521,7 +543,9 @@ def bilstm_layer(fwd: Sequence[Tensor], bwd: Sequence[Tensor], x: Tensor,
 
     Each direction's W_x x + b is one matrix product over all its rows;
     only W_h h steps through time, and each step runs both directions'
-    cells as one (2, rows, 4H) block.  One sequence steps W_h h row-exact,
+    cells as one block.  The buffers are step-major, (rows, 2, 4H) and the
+    like, so a step's rows of both directions are one contiguous block.
+    One sequence steps W_h h row-exact,
     so its recurrence does not depend on the rows beside it.  A block of
     two or more steps it as one GEMM over the sequences still running, so
     its rows match each sequence run alone only to rounding.  The whole
@@ -542,19 +566,29 @@ def bilstm_layer(fwd: Sequence[Tensor], bwd: Sequence[Tensor], x: Tensor,
     exact = n_seq == 1
     xs = [np.ascontiguousarray(xv[order]) for order in orders]
     unorders = [o if isinstance(o, slice) else np.argsort(o) for o in orders]  # a reversal undoes itself
-    # Direction-major, step-major buffers: act holds the gate activations;
-    # hs and cs the zero start states, then each step-major row's h and c.
-    pre = np.stack([xd @ w_x.T + b for xd, (w_x, _, b) in zip(xs, weights)])
+    # Step-major buffers whose second axis is the direction: act holds the
+    # gate activations; hs and cs the zero start states, then each
+    # step-major row's h and c.
+    pre = np.empty((rows, 2, 4 * hidden))
+    for d, (w_x, _, b) in enumerate(weights):
+        pre[:, d] = xs[d] @ w_x.T
+        pre[:, d] += b
     act = np.empty_like(pre)
-    hs = np.zeros((2, n_seq + rows, hidden))
-    cs = np.zeros((2, n_seq + rows, hidden))
+    hs = np.zeros((n_seq + rows, 2, hidden))
+    cs = np.zeros((n_seq + rows, 2, hidden))
+
+    def span(start: int, count: int):
+        # One sequence steps one row at a time: an int index, so that each
+        # step works on one vector per direction.
+        return start if exact else slice(start, start + count)
+
     for first, count, p in steps:
-        z = pre[:, first : first + count]
+        z = pre[span(first, count)]
         for d, (_, w_h, _) in enumerate(weights):
-            z[d] += _mv(w_h, hs[d, p : p + count], exact)
-        at = slice(n_seq + first, n_seq + first + count)
-        _lstm_gates(z, cs[:, p : p + count], act[:, first : first + count], hs[:, at], cs[:, at])
-    out = np.concatenate([hs[d, n_seq:][unorder] for d, unorder in enumerate(unorders)], axis=1)
+            z[..., d, :] += _mv(w_h, hs[span(p, count)][..., d, :], exact)
+        at = span(n_seq + first, count)
+        _lstm_gates(z, cs[span(p, count)], act[span(first, count)], hs[at], cs[at])
+    out = np.concatenate([hs[n_seq:, d][unorder] for d, unorder in enumerate(unorders)], axis=1)
     if tape is None:
         return _wrap(out)
     nodes = tuple(t.node for t in (*fwd, *bwd, x))
@@ -562,38 +596,40 @@ def bilstm_layer(fwd: Sequence[Tensor], bwd: Sequence[Tensor], x: Tensor,
     def backward(g):
         # g_h gains each later step's recurrent gradient in place, so it
         # must be a copy: g may be shared.
-        g_h = np.stack([g[order, d * hidden : (d + 1) * hidden] for d, order in enumerate(orders)])
-        h_prev, c_prev = (hs[:, :rows], cs[:, :rows]) if prev is None else (hs[:, prev], cs[:, prev])
-        d_pre, dc_dh = _lstm_factors(act, c_prev, cs[:, n_seq:])
-        slabs = d_pre.reshape(2, rows, 4, hidden)  # a view: d_pre is built step by step
-        g_c = np.zeros((2, rows, hidden))
+        g_h = np.stack([g[order, d * hidden : (d + 1) * hidden] for d, order in enumerate(orders)], axis=1)
+        h_prev, c_prev = (hs[:rows], cs[:rows]) if prev is None else (hs[prev], cs[prev])
+        d_pre, dc_dh = _lstm_factors(act, c_prev, cs[n_seq:])
+        slabs = d_pre.reshape(rows, 2, 4, hidden)  # a view: d_pre is built step by step
+        g_c = np.zeros((rows, 2, hidden))
         for first, count, p in reversed(steps):
-            at = slice(first, first + count)
-            d_h, d_c = g_h[:, at], g_c[:, at]
-            d_c += d_h * dc_dh[:, at]
-            slabs[:, at, :3] *= d_c[:, :, None, :]
-            slabs[:, at, 3] *= d_h
+            at = span(first, count)
+            d_h, d_c = g_h[at], g_c[at]
+            d_c += d_h * dc_dh[at]
+            slab = slabs[at]
+            slab[..., :3, :] *= d_c[..., None, :]
+            slab[..., 3, :] *= d_h
             if p >= n_seq:  # the previous state is a step's, not the zero start
-                back = slice(p - n_seq, p - n_seq + count)
+                back = span(p - n_seq, count)
+                g_back, d_at = g_h[back], d_pre[at]
                 for d, (_, w_h, _) in enumerate(weights):
-                    g_h[d, back] += d_pre[d, at] @ w_h
-                np.multiply(d_c, act[:, at, hidden : 2 * hidden], out=g_c[:, back])
+                    g_back[..., d, :] += d_at[..., d, :] @ w_h
+                np.multiply(d_c, act[at][..., hidden : 2 * hidden], out=g_c[back])
         grads = []
         for d in (0, 1):
             n_wx, n_wh, n_b = nodes[3 * d : 3 * d + 3]
             grads += [
-                _weight_grad(d_pre[d], xs[d]) if n_wx is not None else None,
-                _weight_grad(d_pre[d], h_prev[d]) if n_wh is not None else None,
-                d_pre[d].sum(axis=0) if n_b is not None else None,
+                _weight_grad(d_pre[:, d], xs[d]) if n_wx is not None else None,
+                _weight_grad(d_pre[:, d], h_prev[:, d]) if n_wh is not None else None,
+                np.add.reduce(d_pre[:, d], axis=0) if n_b is not None else None,
             ]
         # Backward direction's term plus forward's: the sum backprop formed
         # when each direction was its own tape entry.
         g_x = None
         if nodes[6] is not None:
-            g_x = (d_pre[1] @ weights[1][0])[unorders[1]] + (d_pre[0] @ weights[0][0])[unorders[0]]
+            g_x = (d_pre[:, 1] @ weights[1][0])[unorders[1]] + (d_pre[:, 0] @ weights[0][0])[unorders[0]]
         return (*grads, g_x)
 
-    return tape._record("bilstm_layer", nodes, (out,), backward)[0]
+    return tape._record("bilstm_layer", nodes, out, backward)
 
 
 def attention(s: Tensor, states: Tensor, w_a: Tensor, mask: np.ndarray | None = None,
@@ -623,8 +659,8 @@ def attention(s: Tensor, states: Tensor, w_a: Tensor, mask: np.ndarray | None = 
         if not mask.any(axis=-1).all():
             raise ValueError("attention mask leaves a row with no states")
         scores = np.where(mask, scores, -np.inf)
-    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
-    weights = e / e.sum(axis=-1, keepdims=True)
+    e = np.exp(scores - np.maximum.reduce(scores, axis=-1, keepdims=True))
+    weights = e / np.add.reduce(e, axis=-1, keepdims=True)
     context = _vm(weights, stv, exact)
     tape = _tape_of(s, states, w_a)
     if tape is None:
@@ -633,7 +669,7 @@ def attention(s: Tensor, states: Tensor, w_a: Tensor, mask: np.ndarray | None = 
 
     def backward(g):
         g_weights = g @ stv.T
-        g_scores = weights * (g_weights - np.sum(g_weights * weights, axis=-1, keepdims=True))
+        g_scores = weights * (g_weights - np.add.reduce(g_weights * weights, axis=-1, keepdims=True))
         g_q = g_scores @ stv if n_s is not None or n_w is not None else None
         return (
             _weight_grad(weights, g) if n_st is not None else None,
@@ -642,7 +678,7 @@ def attention(s: Tensor, states: Tensor, w_a: Tensor, mask: np.ndarray | None = 
             _weight_grad(sv, g_q) if n_w is not None else None,
         )
 
-    return tape._record("attention", (n_st, n_st, n_s, n_w), (context,), backward)[0], _wrap(weights)
+    return tape._record("attention", (n_st, n_st, n_s, n_w), context, backward), _wrap(weights)
 
 
 def gated_memory(w_u: Tensor, w_o: Tensor, s_t: Tensor, s_prev: Tensor, e_prev: Tensor, c_blog: Tensor,
@@ -666,11 +702,11 @@ def gated_memory(w_u: Tensor, w_o: Tensor, s_t: Tensor, s_prev: Tensor, e_prev: 
             or mv.shape != sv.shape[:-1] + wuv.shape[:1] or z.shape != sv.shape[:-1] + wov.shape[1:]):
         raise ShapeError(f"gated_memory operand shapes do not fit, in order: {[t.shape for t in (w_u, w_o, s_t, s_prev, e_prev, c_blog, m_prev)]}")
     tape = _tape_of(w_u, w_o, s_t, s_prev, e_prev, c_blog, m_prev)
-    act_u = _mv(wuv, sv, exact)
-    _sigmoid(act_u, out=act_u)
+    # Both gates' pre-activations side by side, so one sigmoid runs them.
+    gates = np.concatenate((_mv(wuv, sv, exact), _mv(wov, z, exact)), axis=-1)
+    _sigmoid(gates, out=gates)
+    act_u, act_o = gates[..., : wuv.shape[0]], gates[..., wuv.shape[0] :]
     m_t = act_u * mv
-    act_o = _mv(wov, z, exact)
-    _sigmoid(act_o, out=act_o)
     m_out = act_o * m_t
     if tape is None:
         return _wrap(m_t), _wrap(m_out)
@@ -683,10 +719,10 @@ def gated_memory(w_u: Tensor, w_o: Tensor, s_t: Tensor, s_prev: Tensor, e_prev: 
             # M_t's gradient: its other readers' sum, then the read's term.
             g_read = g_out * act_o
             g_t = g_read if g_t is None else g_t + g_read
-            d_o = g_out * m_t * act_o * (1.0 - act_o)
+            d_o = g_out * m_t * act_o * (_ONE - act_o)
             g_z = d_o @ wov
             read = [_weight_grad(d_o, z) if n_wo is not None else None, g_z[..., :e_at], g_z[..., e_at:c_at], g_z[..., c_at:]]
-        d_u = g_t * mv * act_u * (1.0 - act_u) if n_wu is not None or n_s is not None else None
+        d_u = g_t * mv * act_u * (_ONE - act_u) if n_wu is not None or n_s is not None else None
         return (
             *read,
             g_t * act_u if n_m is not None else None,
@@ -700,8 +736,8 @@ def gated_memory(w_u: Tensor, w_o: Tensor, s_t: Tensor, s_prev: Tensor, e_prev: 
 
 def _log_softmax(v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Log-softmax of each row of v, written into ``out`` (which may be v) if given."""
-    out = np.subtract(v, v.max(axis=-1, keepdims=True), out=out)
-    out -= np.log(np.sum(np.exp(out), axis=-1, keepdims=True))
+    out = np.subtract(v, np.maximum.reduce(v, axis=-1, keepdims=True), out=out)
+    out -= np.log(np.add.reduce(np.exp(out), axis=-1, keepdims=True))
     return out
 
 
@@ -718,9 +754,9 @@ def log_softmax(x: Tensor) -> Tensor:
         return _wrap(out)
 
     def backward(g):
-        return (g - np.exp(out) * g.sum(axis=-1, keepdims=True),)
+        return (g - np.exp(out) * np.add.reduce(g, axis=-1, keepdims=True),)
 
-    return tape._record("log_softmax", (x.node,), (out,), backward)[0]
+    return tape._record("log_softmax", (x.node,), out, backward)
 
 
 def concat(parts: Sequence[Tensor]) -> Tensor:
@@ -748,33 +784,34 @@ def concat(parts: Sequence[Tensor]) -> Tensor:
             off += size
         return tuple(grads)
 
-    return tape._record("concat", nodes, (out,), backward)[0]
+    return tape._record("concat", nodes, out, backward)
 
 
 def stack_rows(parts: Sequence[Tensor]) -> Tensor:
     """Vectors as the rows of a matrix, or row blocks one under another."""
     if len(parts) == 0:
         raise ValueError("stack_rows needs at least one row")
-    first = parts[0].array
-    for p in parts:
-        if p.array.ndim not in (1, 2) or p.array.ndim != first.ndim or p.array.shape[-1] != first.shape[-1]:
+    arrays = [p.array for p in parts]
+    first = arrays[0]
+    for a in arrays:
+        if a.ndim not in (1, 2) or a.ndim != first.ndim or a.shape[-1] != first.shape[-1]:
             raise ShapeError("stack_rows expects equal-length vectors or row blocks of equal width")
     tape = _tape_of(*parts)
-    arrays = [p.array for p in parts]
-    out = np.array(arrays) if first.ndim == 1 else np.concatenate(arrays)
+    vectors = first.ndim == 1
+    out = np.array(arrays) if vectors else np.concatenate(arrays)
     if tape is None:
         return _wrap(out)
     nodes = tuple(p.node for p in parts)
-    # Each part's first row in the output; a vector part is one row.
-    starts = np.cumsum([0] + [len(a) if a.ndim == 2 else 1 for a in arrays[:-1]]).tolist()
+    # Each part's rows in the output: a vector part is one row.
+    if vectors:
+        rows = range(len(arrays))
+    else:
+        rows = [slice(s - len(a), s) for a, s in zip(arrays, accumulate(len(a) for a in arrays))]
 
     def backward(g):
-        return tuple(
-            None if n is None else g[s] if a.ndim == 1 else g[s : s + len(a)]
-            for n, a, s in zip(nodes, arrays, starts)
-        )
+        return [None if n is None else g[at] for n, at in zip(nodes, rows)]
 
-    return tape._record("stack_rows", nodes, (out,), backward)[0]
+    return tape._record("stack_rows", nodes, out, backward)
 
 
 def vslice(x: Tensor, start: int, stop: int) -> Tensor:
@@ -794,7 +831,7 @@ def vslice(x: Tensor, start: int, stop: int) -> Tensor:
         full[..., start:stop] = g
         return (full,)
 
-    return tape._record("vslice", (x.node,), (out,), backward)[0]
+    return tape._record("vslice", (x.node,), out, backward)
 
 
 def _indices(index, extent: int, what: str):
@@ -828,7 +865,7 @@ def embedding_lookup(table: Tensor, index) -> Tensor:
     def backward(g):
         return (_RowGrad(idx, g, tv.shape),)
 
-    return tape._record("embedding_lookup", (table.node,), (out,), backward)[0]
+    return tape._record("embedding_lookup", (table.node,), out, backward)
 
 
 def pick(x: Tensor, index) -> Tensor:
@@ -854,7 +891,7 @@ def pick(x: Tensor, index) -> Tensor:
         full[at] = g
         return (full,)
 
-    return tape._record("pick", (x.node,), (out,), backward)[0]
+    return tape._record("pick", (x.node,), out, backward)
 
 
 def sum_all(x: Tensor) -> Tensor:
@@ -867,7 +904,7 @@ def sum_all(x: Tensor) -> Tensor:
     def backward(g):
         return (g * np.ones_like(v),)
 
-    return tape._record("sum_all", (x.node,), (out,), backward)[0]
+    return tape._record("sum_all", (x.node,), out, backward)
 
 
 class _RowGrad:
@@ -889,7 +926,8 @@ class _RowGrad:
         if isinstance(self.index, np.ndarray):
             np.add.at(acc, self.index, self.rows)  # repeated ids accumulate
         else:
-            acc[self.index] += self.rows
+            row = acc[self.index]  # a view: the sum lands in acc
+            row += self.rows
 
 
 def backprop(tape: Tape, output: Tensor) -> GradientSet:
@@ -900,29 +938,38 @@ def backprop(tape: Tape, output: Tensor) -> GradientSet:
     gradient once its producer has run, so only the leaves' gradients
     outlive the sweep.  Each gradient sees the same additions in the same
     order as if every sum allocated a new array, so the result is the
-    same to the bit.
+    same to the bit.  An entry none of whose outputs was read is skipped:
+    its backward never runs.  A one-output entry, all but the two
+    two-output ops, takes its one gradient with a single dict pop.
     """
     if output.tape is not tape or output.node is None:
         raise ValueError("output is not a node of this tape")
     if output.array.size != 1:
         raise ValueError(f"backprop requires a scalar output, got shape {output.shape}")
     acc: dict[int, np.ndarray] = {output.node: np.ones_like(output.array)}
+    pop, get = acc.pop, acc.get
     # Nodes whose gradient array the sweep allocated itself.  Only those
     # take gradients in place: a backward may hand on the very array it
     # received (add hands its g to both inputs), so any other array can
-    # be shared.
+    # be shared.  An entry's outputs are read by no entry the sweep has
+    # still to run, so their ids may stay in the set.
     owned: set[int] = set()
     for _name, in_nodes, out_nodes, backward in reversed(tape._entries):
         # Every consumer of the entry's outputs ran earlier in the sweep, so
         # their gradients are complete: take them out, and drop them once used.
-        if acc.keys().isdisjoint(out_nodes):  # nothing read any output
+        if len(out_nodes) == 1:
+            g = pop(out_nodes[0], None)
+            if g is None:  # nothing read the output
+                continue
+            in_grads = backward(g)
+        elif acc.keys().isdisjoint(out_nodes):  # nothing read any output
             continue
-        grads = [acc.pop(nid, None) for nid in out_nodes]
-        owned.difference_update(out_nodes)
-        for nid, ig in zip(in_nodes, backward(*grads)):
+        else:
+            in_grads = backward(*[pop(nid, None) for nid in out_nodes])
+        for nid, ig in zip(in_nodes, in_grads):
             if nid is None or ig is None:
                 continue
-            prev = acc.get(nid)
+            prev = get(nid)
             if type(ig) is _RowGrad:
                 if nid not in owned:
                     prev = acc[nid] = np.zeros(ig.shape) if prev is None else prev.copy()

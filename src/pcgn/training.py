@@ -172,16 +172,24 @@ def gold_log_probs(
     x_lens, d_lens = _block_lengths(examples)
     blog_mask = _own_rows(x_lens)
     desc_mask = None if desc_states is None else _own_rows(d_lens)
-    gold = np.zeros((len(examples), max(len(ex.y) for ex in examples)), dtype=np.intp)
-    for row, ex in zip(gold, examples):
-        row[: len(ex.y)] = ex.y
-    target_lens = np.array([len(ex.y) - 1 for ex in examples])
-    # scored[t - 1, b]: step t scores example b.
-    scored = (np.arange(1, gold.shape[1]) <= target_lens[:, None]).T
-    owner = np.nonzero(scored)[1]
+    if x_lens is None:
+        # A single example steps on vectors, so its inputs are ints, and
+        # every step scores it.
+        gold = np.asarray(examples[0].y, dtype=np.intp)
+        inputs, targets = gold[:-1].tolist(), gold[1:]
+        owner, keep = np.zeros(len(targets), dtype=np.intp), None
+    else:
+        gold = np.zeros((len(examples), max(len(ex.y) for ex in examples)), dtype=np.intp)
+        for row, ex in zip(gold, examples):
+            row[: len(ex.y)] = ex.y
+        target_lens = np.array([len(ex.y) - 1 for ex in examples])
+        # scored[t - 1, b]: step t scores example b.
+        scored = (np.arange(1, gold.shape[1]) <= target_lens[:, None]).T
+        owner = np.nonzero(scored)[1]
+        inputs, targets = gold[:, :-1].T, gold[:, 1:].T[scored]
+        # Rows step-major, as ``scored`` flattens; keep only the scored ones.
+        keep = None if scored.all() else np.flatnonzero(scored)
     external = params.config.variant.use_external
-    # A single example steps on vectors, so its inputs are ints.
-    inputs = gold[0, :-1] if x_lens is None else gold[:, :-1].T
     tops, contexts = [], []
     for prev in inputs:
         state, _, desc_attn = M.decoder_advance(
@@ -190,9 +198,6 @@ def gold_log_probs(
         tops.append(state.top_h)
         if external:
             contexts.append(desc_attn.context)
-
-    # Rows step-major, as ``scored`` flattens; keep only the scored ones.
-    keep = None if scored.all() else np.flatnonzero(scored)
 
     def scored_rows(steps: list[Tensor]) -> Tensor:
         stacked = ad.stack_rows(steps)
@@ -206,7 +211,7 @@ def gold_log_probs(
         users = ad.embedding_lookup(ad.stack_rows([v_u]), owner)
         desc_context = scored_rows(contexts)
     logits = M.output_layer(params, scored_rows(tops), users, desc_context, exact=False)
-    return ad.pick(ad.log_softmax(logits), gold[:, 1:].T[scored]), owner
+    return ad.pick(ad.log_softmax(logits), targets), owner
 
 
 def sequence_loss(params: M.ModelParams, example: EncodedExample, cache: dict | None = None) -> Tensor:
@@ -238,7 +243,7 @@ def sgd_update(
     with np.errstate(over="ignore"):
         for name in names:
             g = grads[name].array
-            total = float(np.sum(g * g))
+            total = float(np.add.reduce(g * g, axis=None))  # np.sum without its Python wrapper
             if not math.isfinite(total) and not ad.all_finite(g):
                 raise NonFiniteError(f"non-finite gradient for parameter {name!r}")
             sq_sum += total

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import collections
 import inspect
 import re
 import tracemalloc
@@ -662,24 +663,60 @@ class TestTape:
     def test_two_output_entry_with_its_second_output_unread(self, name):
         # Only the first output reaches the loss, as the last decoder
         # step's c does: the sweep hands the backward None for the second.
-        rng = np.random.default_rng(zlib.crc32(name.encode()))
+        self._check_one_output_read(name, read=0)
+
+    @pytest.mark.parametrize("name", ["lstm_cell", "gated_memory"])
+    def test_two_output_entry_with_its_first_output_unread(self, name):
+        # Only the second output reaches the loss, c or M_t^o: the sweep
+        # hands the backward None for h or M_t, whose gradient is then zero.
+        self._check_one_output_read(name, read=1)
+
+    @staticmethod
+    def _check_one_output_read(name, read):
+        rng = np.random.default_rng(zlib.crc32(name.encode()) + read)
         shapes = {
             "lstm_cell": [(16, 3), (16, 4), (16,), (2, 3), (2, 4), (2, 4)],
             "gated_memory": [(4, 3), (4, 5), (2, 3), (2, 2), (2, 1), (2, 2), (2, 4)],
         }[name]
         op = getattr(ad, name)
         operands = [rng.normal(size=shape) for shape in shapes]
-        mix = ad.tensor(rng.normal(size=(2, 4)))  # both ops' first output is (2, 4)
+        mix = ad.tensor(rng.normal(size=(2, 4)))  # both ops' outputs are (2, 4)
         tape = ad.Tape()
         leaves = [watched(tape, a) for a in operands]
-        first, _unread = op(*leaves)
-        out = ad.sum_all(ad.hadamard(first, mix))
+        out = ad.sum_all(ad.hadamard(op(*leaves)[read], mix))
         grads, want = ad.backprop(tape, out), oracle.reference_backprop(tape, out)
         for leaf in leaves:
             assert grads[leaf].array.tobytes() == want[leaf].array.tobytes()
-        for probed, (f, theta) in enumerate(_every_operand(lambda *args: op(*args)[0], operands, mix)):
+        for probed, (f, theta) in enumerate(_every_operand(lambda *args: op(*args)[read], operands, mix)):
             assert ad.finite_difference_check(f, ad.tensor(theta)) < 1e-6, probed
             assert np.array_equal(grad_of(f, theta), grads[leaves[probed]].array)
+
+    def test_backprop_skips_entries_with_no_output_read(self):
+        # A side matvec and an LSTM cell whose outputs no loss reads: the
+        # sweep must not run their backwards, and the gradients stay the
+        # reference sweep's to the bit.
+        rng = np.random.default_rng(26)
+        tape = ad.Tape()
+        w, x = watched(tape, rng.normal(size=(3, 4))), watched(tape, rng.normal(size=4))
+        cell = [watched(tape, rng.normal(size=shape)) for shape in [(8, 3), (8, 2), (8,), (2,), (2,)]]
+        y = ad.matvec(w, x)
+        ad.matvec(w, x)
+        ad.lstm_cell(cell[0], cell[1], cell[2], y, cell[3], cell[4])
+        out = ad.sum_all(ad.hadamard(y, y))
+        calls = collections.Counter()
+
+        def counted(name, backward):
+            def run(*grads):
+                calls[name] += 1
+                return backward(*grads)
+            return run
+
+        tape._entries[:] = [(name, ins, outs, counted(name, bw)) for name, ins, outs, bw in tape._entries]
+        grads = ad.backprop(tape, out)
+        assert calls == {"matvec": 1, "hadamard": 1, "sum_all": 1}
+        want = oracle.reference_backprop(tape, out)
+        for leaf in [w, x, *cell]:
+            assert grads[leaf].array.tobytes() == want[leaf].array.tobytes()
 
     def test_identical_programs_record_identically(self):
         def run():
