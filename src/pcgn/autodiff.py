@@ -14,11 +14,11 @@ Every value is float64; there is no precision or checking switch.
 The primitives the model uses take an optional leading row axis: a 1-D
 operand is a single row, and a 2-D operand is a block of independent rows
 that share the weights (``matvec``, ``tanh_affine``, ``attention``,
-``gated_memory``, ``lstm_cell``, ``log_softmax``, ``concat``, ``vslice``,
-``pick``).  ``embedding_lookup`` of an id vector returns one row per id,
-and ``stack_rows`` stacks row blocks as well as vectors; ``add`` takes
-equal shapes only.  Beam search steps every live hypothesis as one such
-block, so each layer is one numpy call per step.
+``gated_memory``, ``lstm_cell``, ``concat``, ``vslice``,
+``log_softmax_at``).  ``embedding_lookup`` of an id vector returns one
+row per id, and ``stack_rows`` stacks row blocks as well as vectors;
+``add`` takes equal shapes only.  Beam search steps every live
+hypothesis as one such block, so each layer is one numpy call per step.
 
 The four product primitives, ``matvec``, ``attention``, ``gated_memory``
 and ``lstm_cell``, take an ``exact`` flag, and only the kernels ``_mv`` and
@@ -90,12 +90,11 @@ __all__ = [
     "bilstm_layer",
     "attention",
     "gated_memory",
-    "log_softmax",
     "concat",
     "stack_rows",
     "vslice",
     "embedding_lookup",
-    "pick",
+    "log_softmax_at",
     "sum_all",
     "backprop",
     "finite_difference_check",
@@ -741,24 +740,6 @@ def _log_softmax(v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return out
 
 
-def log_softmax(x: Tensor) -> Tensor:
-    """Log-softmax of a vector, or of each row of a matrix."""
-    v = x.array
-    if v.ndim not in (1, 2):
-        raise ShapeError(f"log_softmax expects a vector or row block, got shape {v.shape}")
-    if v.shape[-1] == 0:
-        raise ValueError("log_softmax of an empty vector is undefined")
-    out = _log_softmax(v)
-    tape = _tape_of(x)
-    if tape is None:
-        return _wrap(out)
-
-    def backward(g):
-        return (g - np.exp(out) * np.add.reduce(g, axis=-1, keepdims=True),)
-
-    return tape._record("log_softmax", (x.node,), out, backward)
-
-
 def concat(parts: Sequence[Tensor]) -> Tensor:
     """Join vectors, or row blocks with equal rows, along the last axis."""
     if len(parts) == 0:
@@ -868,30 +849,46 @@ def embedding_lookup(table: Tensor, index) -> Tensor:
     return tape._record("embedding_lookup", (table.node,), out, backward)
 
 
-def pick(x: Tensor, index) -> Tensor:
-    """Element ``index`` of a vector, or element ``index[r]`` of each row r
-    of a matrix."""
+def log_softmax_at(x: Tensor, index) -> Tensor:
+    """Log-softmax of a vector read at the int ``index``, or of each row r
+    of a matrix read at ``index[r]``: a gold token's log-probability.
+
+    One tape entry, which keeps the log-softmax.  Its backward writes
+    g * (one-hot - softmax) into one array, with the bits of the
+    one-hot's gradient run back through a separate log-softmax:
+    full - exp(lsm) * sum(full) for the one-hot ``full``."""
     v = x.array
     if v.ndim not in (1, 2):
-        raise ShapeError(f"pick expects a vector or row block, got shape {v.shape}")
+        raise ShapeError(f"log_softmax_at expects a vector or row block, got shape {v.shape}")
+    if v.shape[-1] == 0:
+        raise ValueError("log_softmax of an empty vector is undefined")
     idx = _indices(index, v.shape[-1], "element")
     if v.ndim == 1 and not isinstance(idx, np.ndarray):
         at = idx
     elif v.ndim == 2 and isinstance(idx, np.ndarray) and idx.shape[0] == v.shape[0]:
         at = (np.arange(v.shape[0]), idx)
     else:
-        raise ShapeError(f"pick needs an int for a vector or one index per row for a matrix, got shape {v.shape}")
+        raise ShapeError(f"log_softmax_at needs an int for a vector or one index per row for a matrix, got shape {v.shape}")
     tape = _tape_of(x)
-    out = np.asarray(v[at])
+    lsm = _log_softmax(v)
+    out = np.asarray(lsm[at])
     if tape is None:
         return _wrap(out)
+    extent = v.shape[-1]  # the backward keeps lsm, not the logits
 
     def backward(g):
-        full = np.zeros(v.shape, dtype=v.dtype)
-        full[at] = g
-        return (full,)
+        # The one-hot's row sum as a reduce over it makes it: g, except
+        # that -0.0 plus the other entries' +0.0 is +0.0.  A one-entry
+        # row goes through the reduce, whose sign rule numpy sets.
+        total = g + 0.0 if extent > 1 else np.add.reduce(g[..., None], axis=-1)
+        d = np.exp(lsm)
+        d *= total[..., None]
+        d_at = d[at]  # a copy
+        np.subtract(0.0, d, out=d)
+        d[at] = g - d_at
+        return (d,)
 
-    return tape._record("pick", (x.node,), out, backward)
+    return tape._record("log_softmax_at", (x.node,), out, backward)
 
 
 def sum_all(x: Tensor) -> Tensor:

@@ -21,10 +21,11 @@ sorting every candidate.
 
 A step passes over that (live x V) block about ten times and allocates
 four arrays of its size.  The session checks the logits, masks unk and
-runs ``ad.log_softmax``'s kernel in place on them.  The search adds the
-parents' log-probs into a new totals array, divides it by the length
-term only when length_norm is not 0, and picks survivors with one
-``np.partition`` (a copy) and one ``np.flatnonzero`` of a comparison.
+runs the engine's log-softmax kernel, ``ad._log_softmax``, in place on
+them.  The search adds the parents' log-probs into a new totals array,
+divides it by the length term only when length_norm is not 0, and picks
+survivors with one ``np.partition`` (a copy) and one ``np.flatnonzero``
+of a comparison.
 It never writes into the array the step function returned.
 """
 

@@ -211,7 +211,7 @@ def gold_log_probs(
         users = ad.embedding_lookup(ad.stack_rows([v_u]), owner)
         desc_context = scored_rows(contexts)
     logits = M.output_layer(params, scored_rows(tops), users, desc_context, exact=False)
-    return ad.pick(ad.log_softmax(logits), targets), owner
+    return ad.log_softmax_at(logits, targets), owner
 
 
 def sequence_loss(params: M.ModelParams, example: EncodedExample, cache: dict | None = None) -> Tensor:

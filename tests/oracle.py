@@ -175,7 +175,7 @@ def per_example_walk(params, example):
     for t in range(1, len(example.y)):
         result = M.decoder_step(params, state, example.y[t - 1], blog, desc, v_u)
         state = result.state
-        terms.append(ad.pick(ad.log_softmax(result.logits), example.y[t]))
+        terms.append(ad.log_softmax_at(result.logits, example.y[t]))
     return terms
 
 

@@ -3,8 +3,6 @@
 from __future__ import annotations
 
 import collections
-import inspect
-import re
 import tracemalloc
 import zlib
 
@@ -101,7 +99,7 @@ class TestForwardValues:
 
     def test_log_softmax_matches_log_of_softmax(self):
         x = np.array([0.3, -1.2, 2.0])
-        direct = ad.log_softmax(ad.tensor(x)).array
+        direct = [ad.log_softmax_at(ad.tensor(x), i).item() for i in range(3)]
         assert np.allclose(direct, np.log(attention_weights(x)), atol=1e-12)
 
     def test_concat_and_vslice_roundtrip(self):
@@ -127,7 +125,7 @@ class TestForwardValues:
 
     def test_pick_and_sum_all(self):
         v = ad.tensor([1.0, 4.0, 9.0])
-        assert ad.pick(v, 1).item() == 4.0
+        assert ad.log_softmax_at(v, 1).item() == ad._log_softmax(v.array)[1]
         assert ad.sum_all(v).item() == 14.0
 
     def test_hadamard_add_scale(self):
@@ -205,6 +203,48 @@ class TestProductForms:
             alone = ad.bilstm_layer(fwd, bwd, ad.tensor(x[start : start + n])).array
             assert np.abs(block[start : start + n, half] - alone[:, half]).max() <= 1e-12
             start += n
+
+
+class TestLogSoftmaxAt:
+    """The gold log-probability keeps the bits of the two ops it fused: a
+    log-softmax, then a read of one element per row."""
+
+    @staticmethod
+    def composite_backward(lsm, at, g):
+        # The read's gradient, a one-hot, run back through the log-softmax.
+        full = np.zeros(lsm.shape)
+        full[at] = g
+        return full - np.exp(lsm) * np.add.reduce(full, axis=-1, keepdims=True)
+
+    def test_forward_and_backward_bits(self):
+        rng = np.random.default_rng(27)
+        logits = [
+            rng.normal(size=7),
+            rng.normal(size=(5, 7)),
+            np.array([0.0, -800.0, 3.0, -760.0]),  # exp(lsm) underflows to 0
+            np.array([[0.0, -800.0, 2.0], [-750.0, 1.0, -900.0], [-1e3, 0.0, 0.5]]),
+            np.array([1.5]),  # one column: the log-softmax is 0
+            np.array([[0.5], [-2.0]]),
+        ]
+        for v in logits:
+            n, rows = v.shape[-1], np.atleast_2d(v).shape[0]
+            lsm = ad._log_softmax(v)
+            for i in range(n):
+                index = i if v.ndim == 1 else (i + np.arange(rows)) % n
+                at = index if v.ndim == 1 else (np.arange(rows), index)
+                tape = ad.Tape()
+                out = ad.log_softmax_at(tape.watch(ad.tensor(v)), index)
+                want = [oracle.log_softmax(row)[j] for row, j in zip(np.atleast_2d(v), np.atleast_1d(index))]
+                assert out.array.tobytes() == np.array(want).reshape(out.shape).tobytes()
+                backward = tape._entries[-1][3]
+                grads = [rng.normal(size=out.shape), np.full(out.shape, 0.0), np.full(out.shape, -0.0)]
+                if v.ndim == 2:  # rows of both signed zeros and nonzeros
+                    mixed = rng.normal(size=rows)
+                    mixed[::3], mixed[1::3] = -0.0, 0.0
+                    grads.append(mixed)
+                for g in grads:
+                    (got,) = backward(g)
+                    assert got.tobytes() == self.composite_backward(lsm, at, g).tobytes(), (v, i, g)
 
 
 class TestGradientHandValues:
@@ -298,7 +338,7 @@ class TestGradientHandValues:
         assert np.array_equal(grads[used].array, [1.0, 1.0])
 
     def test_pick_scatter_gradient(self):
-        g = grad_of(lambda x: ad.scale(ad.pick(x, 1), 3.0), [5.0, 6.0, 7.0])
+        g = grad_of(lambda x: ad.scale(ad.sum_all(ad.vslice(x, 1, 2)), 3.0), [5.0, 6.0, 7.0])
         assert np.array_equal(g, [0.0, 3.0, 0.0])
 
     def test_vslice_scatter_gradient(self):
@@ -327,7 +367,7 @@ class TestGradientHandValues:
         # Column 0 of the states gives the scores (q = [1, 0]), column 1
         # the values r, so the context's entry 1 is sum(softmax(x) * r).
         x, r = [0.1, 0.2, 0.3], [0.4, -1.0, 2.0]
-        g = grad_of(lambda t: ad.pick(ad.attention(ad.tensor([1.0]), t, ad.tensor([[1.0, 0.0]]))[0], 1),
+        g = grad_of(lambda t: ad.sum_all(ad.vslice(ad.attention(ad.tensor([1.0]), t, ad.tensor([[1.0, 0.0]]))[0], 1, 2)),
                     np.column_stack([x, r]))
         assert abs(g[:, 0].sum()) < 1e-14
 
@@ -485,14 +525,6 @@ def _fd_cases(name, rng):
                 query = _every_operand(op, [rng.normal(size=lead + (h,)), states, w_a], mix)
                 cases += [zero_query[1], query[0], query[2]]
         return cases
-    if name == "log_softmax":
-        n, rows = dims(2)
-        weights = ad.tensor(rng.normal(size=n))
-        mix = ad.tensor(rng.normal(size=(rows, n)))
-        return [
-            (lambda t: ad.sum_all(ad.hadamard(ad.log_softmax(t), weights)), rng.normal(size=n)),
-            (lambda t: ad.sum_all(ad.hadamard(ad.log_softmax(t), mix)), rng.normal(size=(rows, n))),
-        ]
     if name == "concat":
         a, b, rows = dims(3)
         left = ad.tensor(rng.normal(size=a))
@@ -534,15 +566,49 @@ def _fd_cases(name, rng):
             (lambda t: ad.sum_all(ad.hadamard(ad.embedding_lookup(t, idx), weights)), rng.normal(size=(rows, cols))),
             (lambda t: ad.sum_all(ad.hadamard(ad.embedding_lookup(t, ids), mix)), rng.normal(size=(rows, cols))),
         ]
-    if name == "pick":
+    if name == "log_softmax_at":
         n, rows = dims(2)
         idx = int(rng.integers(0, n))
         per_row = rng.integers(0, n, rows)
         weights = ad.tensor(rng.normal(size=rows))
         return [
-            (lambda t: ad.scale(ad.pick(t, idx), 2.5), rng.normal(size=n)),
-            (lambda t: ad.sum_all(ad.hadamard(ad.pick(t, per_row), weights)), rng.normal(size=(rows, n))),
+            (lambda t: ad.scale(ad.log_softmax_at(t, idx), 2.5), rng.normal(size=n)),
+            (lambda t: ad.sum_all(ad.hadamard(ad.log_softmax_at(t, per_row), weights)), rng.normal(size=(rows, n))),
         ]
+    if name == "pick":
+        # The read alone: one case per index, for a vector and for a block
+        # whose rows read different indices.
+        n, rows = dims(2)
+        weights = ad.tensor(rng.normal(size=rows))
+        cases = []
+        for i in range(n):
+            per_row = (i + np.arange(rows)) % n
+            cases += [
+                (lambda t, i=i: ad.scale(ad.log_softmax_at(t, i), 2.5), rng.normal(size=n)),
+                (lambda t, at=per_row: ad.sum_all(ad.hadamard(ad.log_softmax_at(t, at), weights)),
+                 rng.normal(size=(rows, n))),
+            ]
+        return cases
+    if name == "log_softmax":
+        # The whole log-softmax: its reads at every index, weighted and
+        # summed, for a vector and for a block.
+        n, rows = dims(2)
+        weights = rng.normal(size=n)
+        mix = rng.normal(size=(rows, n))
+
+        def vector(t):
+            total = ad.scale(ad.log_softmax_at(t, 0), weights[0])
+            for i in range(1, n):
+                total = ad.add(total, ad.scale(ad.log_softmax_at(t, i), weights[i]))
+            return total
+
+        def block(t):
+            at = [(i + np.arange(rows)) % n for i in range(n)]
+            reads = [ad.log_softmax_at(t, a) for a in at]
+            mixes = ad.tensor(np.stack([mix[np.arange(rows), a] for a in at]))
+            return ad.sum_all(ad.hadamard(ad.stack_rows(reads), mixes))
+
+        return [(vector, rng.normal(size=n)), (block, rng.normal(size=(rows, n)))]
     if name == "sum_all":
         m, n = dims(2)
         return [(lambda t: ad.sum_all(t), rng.normal(size=(m, n)))]
@@ -575,8 +641,8 @@ def _fd_cases(name, rng):
 
 PRIMITIVES = [
     "matvec", "add", "scale", "hadamard", "tanh_affine", "attention",
-    "gated_memory", "log_softmax", "concat", "stack_rows", "vslice",
-    "embedding_lookup", "pick", "sum_all", "bilstm_layer",
+    "gated_memory", "concat", "stack_rows", "vslice", "embedding_lookup",
+    "log_softmax_at", "sum_all", "bilstm_layer",
 ]
 
 # Primitives whose finite-difference check lives in another module.
@@ -584,7 +650,7 @@ CHECKED_ELSEWHERE = {"lstm_cell": "tests/test_model.py::TestFusedLSTMCell"}
 
 # Products folded into a primitive, each with cases that isolate it there.
 FUSED = {"softmax": "attention", "vecmat": "attention", "linear": "matvec", "tanh": "tanh_affine",
-         "gate": "gated_memory"}
+         "gate": "gated_memory", "log_softmax": "log_softmax_at", "pick": "log_softmax_at"}
 
 
 @pytest.mark.parametrize("name", PRIMITIVES + list(FUSED))
@@ -598,12 +664,43 @@ def test_primitive_matches_finite_differences(name):
     assert worst < 1e-4, f"{name}: worst relative error {worst:.3e}"
 
 
+def desk_walk_tape(variant, layers):
+    """The tape of one sequence_loss at desk dimensions, and its example:
+    the first of a small synthetic corpus."""
+    records = synthetic_records(200, users=4, seed=1)
+    vocab, schema = build_vocab(records, max_size=1_000_000), fit_schema(records)
+    example = encode_records(records[:1], vocab, schema)[0]
+    cfg = M.ModelConfig.desk(len(vocab), schema.width, variant=M.PRESETS[variant], blog_layers=layers)
+    params = M.build_model(cfg, 0)
+    tape = ad.Tape()
+    watched = {name: tape.watch(t) for name, t in params.named_parameters()}
+    training.sequence_loss(params.with_tensors(watched), example)
+    return tape, example
+
+
+def _recorded_ops(f, theta):
+    """The op names one run of f on theta records."""
+    tape = ad.Tape()
+    f(tape.watch(ad.tensor(theta)))
+    return {name for name, _, _ in tape.entries}
+
+
 def test_every_primitive_has_a_finite_difference_case():
-    # A primitive is an exported function that records a tape entry.
-    recorded = set(re.findall(r'_record\("(\w+)"', inspect.getsource(ad)))
+    # A primitive is an exported function that records a tape entry.  Each
+    # primitive's own cases record it, and each fused product's cases
+    # record the primitive it is folded into.
+    rng = np.random.default_rng(0)
+    recorded = set()
+    for name in PRIMITIVES + list(FUSED):
+        by_cases = set().union(*(_recorded_ops(f, theta) for f, theta in _fd_cases(name, rng)))
+        assert FUSED.get(name, name) in by_cases, name
+        recorded |= by_cases
+    # Every op the model's loss records has its cases here or elsewhere.
+    for layers in (1, 2):
+        recorded |= {name for name, _, _ in desk_walk_tape("PCGN", layers)[0].entries}
     assert recorded <= set(ad.__all__)
     assert recorded == set(PRIMITIVES) | set(CHECKED_ELSEWHERE)
-    assert set(FUSED.values()) <= recorded and not set(FUSED) & recorded
+    assert not set(FUSED) & recorded
 
 
 def test_finite_difference_check_exact_on_quadratic():
@@ -644,18 +741,11 @@ class TestTape:
         assert entries(4) - entries(3) == per_step
 
     @pytest.mark.parametrize("variant, layers, count", [
-        ("PCGN", 1, 54), ("PCGN", 2, 62), ("+Mem", 1, 41), ("Seq2Seq", 1, 35), ("Seq2Seq", 2, 43),
+        ("PCGN", 1, 53), ("PCGN", 2, 61), ("+Mem", 1, 40), ("Seq2Seq", 1, 34), ("Seq2Seq", 2, 42),
     ])
     def test_entries_per_walk(self, variant, layers, count):
         # One sequence_loss of a 5-target example at desk dimensions.
-        records = synthetic_records(200, users=4, seed=1)
-        vocab, schema = build_vocab(records, max_size=1_000_000), fit_schema(records)
-        example = encode_records(records[:1], vocab, schema)[0]
-        cfg = M.ModelConfig.desk(len(vocab), schema.width, variant=M.PRESETS[variant], blog_layers=layers)
-        params = M.build_model(cfg, 0)
-        tape = ad.Tape()
-        watched = {name: tape.watch(t) for name, t in params.named_parameters()}
-        training.sequence_loss(params.with_tensors(watched), example)
+        tape, example = desk_walk_tape(variant, layers)
         assert example.target_len == 5
         assert len(tape) == count
 
@@ -854,11 +944,11 @@ class TestErrors:
 
     def test_softmax_rejects_empty_rows_and_3d(self):
         with pytest.raises(ValueError):
-            ad.log_softmax(ad.tensor(np.zeros(0)))
+            ad.log_softmax_at(ad.tensor(np.zeros(0)), 0)
         with pytest.raises(ValueError):
-            ad.log_softmax(ad.tensor(np.zeros((2, 0))))
+            ad.log_softmax_at(ad.tensor(np.zeros((2, 0))), [0, 0])
         with pytest.raises(ad.ShapeError):
-            ad.log_softmax(ad.tensor(np.zeros((2, 2, 2))))
+            ad.log_softmax_at(ad.tensor(np.zeros((2, 2, 2))), [0, 0])
         w_a = ad.zeros((2, 3))
         with pytest.raises(ValueError, match="at least one"):
             ad.attention(ad.zeros(2), ad.zeros((0, 3)), w_a)
@@ -906,15 +996,15 @@ class TestErrors:
         with pytest.raises(IndexError):
             ad.vslice(v, 0, 3)
         with pytest.raises(IndexError):
-            ad.pick(v, 2)
+            ad.log_softmax_at(v, 2)
         with pytest.raises(IndexError):
             ad.embedding_lookup(table, 2)
         with pytest.raises(IndexError):
             ad.embedding_lookup(table, [0, 2])
         with pytest.raises(IndexError):
-            ad.pick(ad.tensor(np.zeros((2, 2))), [0, -1])
+            ad.log_softmax_at(ad.tensor(np.zeros((2, 2))), [0, -1])
         with pytest.raises(ad.ShapeError):
-            ad.pick(ad.tensor(np.zeros((2, 2))), [0])
+            ad.log_softmax_at(ad.tensor(np.zeros((2, 2))), [0])
         with pytest.raises(ad.ShapeError):
             ad.embedding_lookup(table, [0.0])
 
