@@ -84,7 +84,6 @@ __all__ = [
     "matvec",
     "add",
     "scale",
-    "hadamard",
     "tanh_affine",
     "lstm_cell",
     "bilstm_layer",
@@ -326,22 +325,6 @@ def scale(a: Tensor, c: float) -> Tensor:
         return (g * c,)
 
     return tape._record("scale", (a.node,), out, backward)
-
-
-def hadamard(a: Tensor, b: Tensor) -> Tensor:
-    av, bv = a.array, b.array
-    if av.shape != bv.shape:
-        raise ShapeError(f"hadamard expects equal shapes, got {av.shape} and {bv.shape}")
-    tape = _tape_of(a, b)
-    out = av * bv
-    if tape is None:
-        return _wrap(out)
-    na, nb = a.node, b.node
-
-    def backward(g):
-        return (g * bv if na is not None else None, g * av if nb is not None else None)
-
-    return tape._record("hadamard", (na, nb), out, backward)
 
 
 # Constant operands as 0-d arrays: a ufunc takes them with less overhead

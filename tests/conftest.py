@@ -14,6 +14,17 @@ from pcgn import model as M
 from pcgn import training as T
 
 
+def weighted_sum(out, mix):
+    """sum(out * mix) for a constant ``mix`` of out's shape, built from ops
+    the program records: out's rows read with ``embedding_lookup`` and
+    joined with ``concat`` (a vector is used as it is), then one one-row
+    ``matvec`` against the flattened mix, then ``sum_all``."""
+    flat = out
+    if out.array.ndim == 2:
+        flat = ad.concat([ad.embedding_lookup(out, r) for r in range(out.shape[0])])
+    return ad.sum_all(ad.matvec(ad.tensor(mix.array.reshape(1, -1)), flat))
+
+
 def random_params(config, seed, scale=0.7):
     """Parameters drawn at a scale where gradients are not vanishingly small.
 

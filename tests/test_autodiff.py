@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import collections
+import inspect
 import tracemalloc
 import zlib
 
@@ -18,7 +19,9 @@ from pcgn.data import build_vocab, encode_records, fit_schema
 from pcgn.synthetic import synthetic_records
 
 import oracle
-from conftest import assert_caught_at_boundaries, overflowing_attention_params, random_params, tiny_config, tiny_example
+from conftest import (
+    assert_caught_at_boundaries, overflowing_attention_params, random_params, tiny_config, tiny_example, weighted_sum,
+)
 
 
 def watched(tape, values):
@@ -130,7 +133,6 @@ class TestForwardValues:
 
     def test_hadamard_add_scale(self):
         a, b = ad.tensor([2.0, 3.0]), ad.tensor([5.0, -1.0])
-        assert np.array_equal(ad.hadamard(a, b).array, [10.0, -3.0])
         assert np.array_equal(ad.add(a, b).array, [7.0, 2.0])
         assert np.array_equal(ad.scale(a, -2.0).array, [-4.0, -6.0])
 
@@ -273,16 +275,18 @@ class TestGradientHandValues:
         assert np.array_equal(g, expected)
 
     def test_row_reads_accumulate_with_dense_gradients(self):
-        table = np.arange(15.0).reshape(5, 3)
+        # The matvec reads the whole table, so its gradient is dense: x in
+        # every row.
+        x = np.array([0.5, -1.0, 2.0])
         g = grad_of(
             lambda t: ad.add(
                 ad.add(ad.sum_all(ad.embedding_lookup(t, [1, 1, 3])), ad.sum_all(ad.embedding_lookup(t, 1))),
-                ad.sum_all(ad.hadamard(t, t)),
+                ad.sum_all(ad.matvec(t, ad.tensor(x))),
             ),
-            table,
+            np.arange(15.0).reshape(5, 3),
         )
         counts = np.array([0.0, 3.0, 0.0, 1.0, 0.0])[:, None]
-        assert np.array_equal(g, counts + 2.0 * table)
+        assert np.array_equal(g, counts + x)
 
     def test_row_read_leaves_a_shared_gradient_array_alone(self):
         # add hands the same gradient array to both inputs; the row read of
@@ -298,15 +302,16 @@ class TestGradientHandValues:
     def test_dense_sums_leave_a_shared_gradient_array_alone(self):
         # add hands the same gradient array to p and q, and that array is
         # p's first gradient; p's next two must not be added into it, or
-        # q's gradient changes too.
-        w, c1, c2 = (ad.tensor(v) for v in ([1.0, 2.0], [10.0, 20.0], [100.0, 200.0]))
+        # q's gradient changes too.  Each reader is a one-row matvec, which
+        # hands its operand a dense gradient: its row.
+        w, c1, c2 = (ad.tensor([v]) for v in ([1.0, 2.0], [10.0, 20.0], [100.0, 200.0]))
         tape = ad.Tape()
         a, b = watched(tape, [0.5, -1.0]), watched(tape, [3.0, 4.0])
         p, q = ad.scale(a, 1.0), ad.scale(b, 1.0)
-        t1, t2 = ad.hadamard(p, c1), ad.hadamard(p, c2)
+        t1, t2 = ad.matvec(c1, p), ad.matvec(c2, p)
         # Recorded after t1 and t2, so the sweep reaches it first.
         s = ad.add(p, q)
-        out = ad.add(ad.add(ad.sum_all(ad.hadamard(s, w)), ad.sum_all(t1)), ad.sum_all(t2))
+        out = ad.add(ad.add(ad.sum_all(ad.matvec(w, s)), ad.sum_all(t1)), ad.sum_all(t2))
         grads = ad.backprop(tape, out)
         assert np.array_equal(grads[b].array, [1.0, 2.0])
         assert np.array_equal(grads[a].array, [111.0, 222.0])
@@ -359,7 +364,7 @@ class TestGradientHandValues:
         w_a, states = ad.tensor(rng.normal(size=(3, 5))), rng.normal(size=(4, 5))
         for s, keep in ((rng.normal(size=(2, 3)), mask), (rng.normal(size=3), mask[0])):
             mix = ad.tensor(rng.normal(size=s.shape[:-1] + (5,)))
-            g = grad_of(lambda t: ad.sum_all(ad.hadamard(ad.attention(ad.tensor(s), t, w_a, keep)[0], mix)), states)
+            g = grad_of(lambda t: weighted_sum(ad.attention(ad.tensor(s), t, w_a, keep)[0], mix), states)
             kept = np.atleast_2d(keep).any(axis=0)
             assert (g[~kept] == 0.0).all() and (g[kept] != 0.0).all()
 
@@ -372,7 +377,8 @@ class TestGradientHandValues:
         assert abs(g[:, 0].sum()) < 1e-14
 
     def test_quadratic_via_hadamard(self):
-        g = grad_of(lambda x: ad.sum_all(ad.hadamard(x, x)), [3.0, -2.0])
+        # sum(x * x): x read as the one-row weight and as the operand.
+        g = grad_of(lambda x: ad.sum_all(ad.matvec(ad.stack_rows([x]), x)), [3.0, -2.0])
         assert np.array_equal(g, [6.0, -4.0])
 
 
@@ -382,7 +388,7 @@ def _every_operand(op, operands, mix):
         def f(t):
             args = [ad.tensor(a) for a in operands]
             args[probed] = t
-            return ad.sum_all(ad.hadamard(op(*args), mix))
+            return weighted_sum(op(*args), mix)
         return f, operands[probed]
     return [case(probed) for probed in range(len(operands))]
 
@@ -400,8 +406,8 @@ def _fd_cases(name, rng):
         return [
             (lambda t: ad.sum_all(ad.matvec(t, ad.tensor(x))), w),
             (lambda t: ad.sum_all(ad.matvec(ad.tensor(w), t)), x),
-            (lambda t: ad.sum_all(ad.hadamard(ad.matvec(t, ad.tensor(xs)), mix)), w),
-            (lambda t: ad.sum_all(ad.hadamard(ad.matvec(ad.tensor(w), t), mix)), xs),
+            (lambda t: weighted_sum(ad.matvec(t, ad.tensor(xs)), mix), w),
+            (lambda t: weighted_sum(ad.matvec(ad.tensor(w), t), mix), xs),
         ]
     if name == "linear":  # matvec's GEMM form
         m, k, rows = dims(3)
@@ -410,8 +416,8 @@ def _fd_cases(name, rng):
         for n in (1, rows):
             x, mix = rng.normal(size=(n, k)), ad.tensor(rng.normal(size=(n, m)))
             cases += [
-                (lambda t, x=x, mix=mix: ad.sum_all(ad.hadamard(ad.matvec(t, ad.tensor(x), exact=False), mix)), w),
-                (lambda t, mix=mix: ad.sum_all(ad.hadamard(ad.matvec(ad.tensor(w), t, exact=False), mix)), x),
+                (lambda t, x=x, mix=mix: weighted_sum(ad.matvec(t, ad.tensor(x), exact=False), mix), w),
+                (lambda t, mix=mix: weighted_sum(ad.matvec(ad.tensor(w), t, exact=False), mix), x),
             ]
         return cases
     if name == "add":
@@ -421,22 +427,15 @@ def _fd_cases(name, rng):
         block = ad.tensor(rng.normal(size=(rows, n)))
         mix = ad.tensor(rng.normal(size=(rows, n)))
         return [
-            (lambda t: ad.sum_all(ad.hadamard(ad.add(t, other), weights)), rng.normal(size=n)),
-            (lambda t: ad.sum_all(ad.hadamard(ad.add(block, t), mix)), rng.normal(size=(rows, n))),
-            (lambda t: ad.sum_all(ad.hadamard(ad.add(t, block), mix)), rng.normal(size=(rows, n))),
+            (lambda t: weighted_sum(ad.add(t, other), weights), rng.normal(size=n)),
+            (lambda t: weighted_sum(ad.add(block, t), mix), rng.normal(size=(rows, n))),
+            (lambda t: weighted_sum(ad.add(t, block), mix), rng.normal(size=(rows, n))),
         ]
     if name == "scale":
         (n,) = dims()
         c = float(rng.normal())
         weights = ad.tensor(rng.normal(size=n))
-        return [(lambda t: ad.sum_all(ad.hadamard(ad.scale(t, c), weights)), rng.normal(size=n))]
-    if name == "hadamard":
-        (n,) = dims()
-        other = ad.tensor(rng.normal(size=n))
-        return [
-            (lambda t: ad.sum_all(ad.hadamard(t, other)), rng.normal(size=n)),
-            (lambda t: ad.sum_all(ad.hadamard(other, t)), rng.normal(size=n)),
-        ]
+        return [(lambda t: weighted_sum(ad.scale(t, c), weights), rng.normal(size=n))]
     if name == "tanh_affine":
         k, n, rows = dims(3)
         w, b = rng.normal(size=(k, n)), rng.normal(size=k)
@@ -450,7 +449,7 @@ def _fd_cases(name, rng):
         (n,) = dims()
         eye, zero = ad.tensor(np.eye(n)), ad.tensor(np.zeros(n))
         weights = ad.tensor(rng.normal(size=n))
-        return [(lambda t: ad.sum_all(ad.hadamard(ad.tanh_affine(eye, zero, t), weights)), rng.normal(size=n))]
+        return [(lambda t: weighted_sum(ad.tanh_affine(eye, zero, t), weights), rng.normal(size=n))]
     if name in ("gated_memory", "gate"):
         # s_t and s_prev are separate operands, each with its own width.
         k, h, h_prev, e, c, rows = dims(6)
@@ -504,7 +503,7 @@ def _fd_cases(name, rng):
             for keep in (None, mask):
                 def f(t, s=s, mix=ad.tensor(mix), keep=keep):
                     context = ad.attention(s, ad.concat([t, values]), w_a, keep)[0]
-                    return ad.sum_all(ad.hadamard(context, mix))
+                    return weighted_sum(context, mix)
                 cases.append((f, rng.normal(size=(steps, 1))))
         return cases
     if name == "vecmat":
@@ -533,8 +532,8 @@ def _fd_cases(name, rng):
         left_rows = ad.tensor(rng.normal(size=(rows, a)))
         mix = ad.tensor(rng.normal(size=(rows, a + b + a)))
         return [
-            (lambda t: ad.sum_all(ad.hadamard(ad.concat([left, t, left]), weights)), mid),
-            (lambda t: ad.sum_all(ad.hadamard(ad.concat([left_rows, t, left_rows]), mix)), rng.normal(size=(rows, b))),
+            (lambda t: weighted_sum(ad.concat([left, t, left]), weights), mid),
+            (lambda t: weighted_sum(ad.concat([left_rows, t, left_rows]), mix), rng.normal(size=(rows, b))),
         ]
     if name == "stack_rows":
         n, rows = dims(2)
@@ -553,8 +552,8 @@ def _fd_cases(name, rng):
         (rows,) = dims()
         mix = ad.tensor(rng.normal(size=(rows, stop - start)))
         return [
-            (lambda t: ad.sum_all(ad.hadamard(ad.vslice(t, start, stop), weights)), rng.normal(size=n)),
-            (lambda t: ad.sum_all(ad.hadamard(ad.vslice(t, start, stop), mix)), rng.normal(size=(rows, n))),
+            (lambda t: weighted_sum(ad.vslice(t, start, stop), weights), rng.normal(size=n)),
+            (lambda t: weighted_sum(ad.vslice(t, start, stop), mix), rng.normal(size=(rows, n))),
         ]
     if name == "embedding_lookup":
         rows, cols = dims(2)
@@ -563,8 +562,8 @@ def _fd_cases(name, rng):
         weights = ad.tensor(rng.normal(size=cols))
         mix = ad.tensor(rng.normal(size=(5, cols)))
         return [
-            (lambda t: ad.sum_all(ad.hadamard(ad.embedding_lookup(t, idx), weights)), rng.normal(size=(rows, cols))),
-            (lambda t: ad.sum_all(ad.hadamard(ad.embedding_lookup(t, ids), mix)), rng.normal(size=(rows, cols))),
+            (lambda t: weighted_sum(ad.embedding_lookup(t, idx), weights), rng.normal(size=(rows, cols))),
+            (lambda t: weighted_sum(ad.embedding_lookup(t, ids), mix), rng.normal(size=(rows, cols))),
         ]
     if name == "log_softmax_at":
         n, rows = dims(2)
@@ -573,7 +572,7 @@ def _fd_cases(name, rng):
         weights = ad.tensor(rng.normal(size=rows))
         return [
             (lambda t: ad.scale(ad.log_softmax_at(t, idx), 2.5), rng.normal(size=n)),
-            (lambda t: ad.sum_all(ad.hadamard(ad.log_softmax_at(t, per_row), weights)), rng.normal(size=(rows, n))),
+            (lambda t: weighted_sum(ad.log_softmax_at(t, per_row), weights), rng.normal(size=(rows, n))),
         ]
     if name == "pick":
         # The read alone: one case per index, for a vector and for a block
@@ -585,7 +584,7 @@ def _fd_cases(name, rng):
             per_row = (i + np.arange(rows)) % n
             cases += [
                 (lambda t, i=i: ad.scale(ad.log_softmax_at(t, i), 2.5), rng.normal(size=n)),
-                (lambda t, at=per_row: ad.sum_all(ad.hadamard(ad.log_softmax_at(t, at), weights)),
+                (lambda t, at=per_row: weighted_sum(ad.log_softmax_at(t, at), weights),
                  rng.normal(size=(rows, n))),
             ]
         return cases
@@ -606,7 +605,7 @@ def _fd_cases(name, rng):
             at = [(i + np.arange(rows)) % n for i in range(n)]
             reads = [ad.log_softmax_at(t, a) for a in at]
             mixes = ad.tensor(np.stack([mix[np.arange(rows), a] for a in at]))
-            return ad.sum_all(ad.hadamard(ad.stack_rows(reads), mixes))
+            return weighted_sum(ad.stack_rows(reads), mixes)
 
         return [(vector, rng.normal(size=n)), (block, rng.normal(size=(rows, n)))]
     if name == "sum_all":
@@ -626,7 +625,7 @@ def _fd_cases(name, rng):
             def f(t):
                 args = list(operands)
                 args[probed] = t
-                return ad.sum_all(ad.hadamard(ad.bilstm_layer(args[:3], args[3:6], args[6], lengths), mix))
+                return weighted_sum(ad.bilstm_layer(args[:3], args[3:6], args[6], lengths), mix)
             return f, operands[probed].array
 
         cases = []
@@ -639,14 +638,17 @@ def _fd_cases(name, rng):
     raise AssertionError(name)
 
 
-PRIMITIVES = [
-    "matvec", "add", "scale", "hadamard", "tanh_affine", "attention",
-    "gated_memory", "concat", "stack_rows", "vslice", "embedding_lookup",
-    "log_softmax_at", "sum_all", "bilstm_layer",
-]
+# The engine's public functions that record no tape entry; every other one
+# is a primitive.
+NOT_PRIMITIVES = {"all_finite", "tensor", "zeros", "backprop", "finite_difference_check"}
+ENGINE_PRIMITIVES = {
+    name for name, f in vars(ad).items()
+    if inspect.isfunction(f) and f.__module__ == ad.__name__ and not name.startswith("_")
+} - NOT_PRIMITIVES
 
 # Primitives whose finite-difference check lives in another module.
 CHECKED_ELSEWHERE = {"lstm_cell": "tests/test_model.py::TestFusedLSTMCell"}
+PRIMITIVES = sorted(ENGINE_PRIMITIVES - set(CHECKED_ELSEWHERE))
 
 # Products folded into a primitive, each with cases that isolate it there.
 FUSED = {"softmax": "attention", "vecmat": "attention", "linear": "matvec", "tanh": "tanh_affine",
@@ -686,8 +688,7 @@ def _recorded_ops(f, theta):
 
 
 def test_every_primitive_has_a_finite_difference_case():
-    # A primitive is an exported function that records a tape entry.  Each
-    # primitive's own cases record it, and each fused product's cases
+    # Each primitive's own cases record it, and each fused product's cases
     # record the primitive it is folded into.
     rng = np.random.default_rng(0)
     recorded = set()
@@ -695,16 +696,36 @@ def test_every_primitive_has_a_finite_difference_case():
         by_cases = set().union(*(_recorded_ops(f, theta) for f, theta in _fd_cases(name, rng)))
         assert FUSED.get(name, name) in by_cases, name
         recorded |= by_cases
-    # Every op the model's loss records has its cases here or elsewhere.
-    for layers in (1, 2):
-        recorded |= {name for name, _, _ in desk_walk_tape("PCGN", layers)[0].entries}
-    assert recorded <= set(ad.__all__)
-    assert recorded == set(PRIMITIVES) | set(CHECKED_ELSEWHERE)
+    assert recorded <= ENGINE_PRIMITIVES
     assert not set(FUSED) & recorded
 
 
+def test_every_primitive_is_recorded_by_the_program(monkeypatch):
+    # Every primitive is exported and on a tape that training builds: a
+    # batch's gradients at one and two layers, or a block walk.  So no
+    # primitive serves only tests.
+    tapes = []
+
+    class RecordingTape(ad.Tape):
+        def __init__(self):
+            super().__init__()
+            tapes.append(self)
+
+    monkeypatch.setattr(ad, "Tape", RecordingTape)
+    for layers in (1, 2):
+        cfg = tiny_config("PCGN", blog_layers=layers)
+        params = random_params(cfg, layers)
+        examples = [tiny_example(cfg, seed) for seed in range(3)]
+        training._batch_gradients(params, examples, "test")
+        tape = ad.Tape()
+        watched = {name: tape.watch(t) for name, t in params.named_parameters()}
+        training.gold_log_probs(params.with_tensors(watched), examples)
+    assert {name for tape in tapes for name, _, _ in tape.entries} == ENGINE_PRIMITIVES
+    assert ENGINE_PRIMITIVES <= set(ad.__all__)
+
+
 def test_finite_difference_check_exact_on_quadratic():
-    err = ad.finite_difference_check(lambda t: ad.sum_all(ad.hadamard(t, t)), ad.tensor([3.0, -1.0]))
+    err = ad.finite_difference_check(lambda t: ad.sum_all(ad.matvec(ad.stack_rows([t]), t)), ad.tensor([3.0, -1.0]))
     assert err < 1e-9
 
 
@@ -740,14 +761,14 @@ class TestTape:
 
         assert entries(4) - entries(3) == per_step
 
-    @pytest.mark.parametrize("variant, layers, count", [
-        ("PCGN", 1, 53), ("PCGN", 2, 61), ("+Mem", 1, 40), ("Seq2Seq", 1, 34), ("Seq2Seq", 2, 42),
-    ])
-    def test_entries_per_walk(self, variant, layers, count):
-        # One sequence_loss of a 5-target example at desk dimensions.
+    # Entries of one sequence_loss of a 5-target example at desk dimensions.
+    WALK_ENTRIES = {("PCGN", 1): 53, ("PCGN", 2): 61, ("+Mem", 1): 40, ("Seq2Seq", 1): 34, ("Seq2Seq", 2): 42}
+
+    @pytest.mark.parametrize("variant, layers", list(WALK_ENTRIES))
+    def test_entries_per_walk(self, variant, layers):
         tape, example = desk_walk_tape(variant, layers)
         assert example.target_len == 5
-        assert len(tape) == count
+        assert len(tape) == self.WALK_ENTRIES[variant, layers]
 
     @pytest.mark.parametrize("name", ["lstm_cell", "gated_memory"])
     def test_two_output_entry_with_its_second_output_unread(self, name):
@@ -773,7 +794,7 @@ class TestTape:
         mix = ad.tensor(rng.normal(size=(2, 4)))  # both ops' outputs are (2, 4)
         tape = ad.Tape()
         leaves = [watched(tape, a) for a in operands]
-        out = ad.sum_all(ad.hadamard(op(*leaves)[read], mix))
+        out = weighted_sum(op(*leaves)[read], mix)
         grads, want = ad.backprop(tape, out), oracle.reference_backprop(tape, out)
         for leaf in leaves:
             assert grads[leaf].array.tobytes() == want[leaf].array.tobytes()
@@ -792,7 +813,7 @@ class TestTape:
         y = ad.matvec(w, x)
         ad.matvec(w, x)
         ad.lstm_cell(cell[0], cell[1], cell[2], y, cell[3], cell[4])
-        out = ad.sum_all(ad.hadamard(y, y))
+        out = ad.sum_all(ad.matvec(ad.tensor(rng.normal(size=(1, 3))), y))
         calls = collections.Counter()
 
         def counted(name, backward):
@@ -803,7 +824,7 @@ class TestTape:
 
         tape._entries[:] = [(name, ins, outs, counted(name, bw)) for name, ins, outs, bw in tape._entries]
         grads = ad.backprop(tape, out)
-        assert calls == {"matvec": 1, "hadamard": 1, "sum_all": 1}
+        assert calls == {"matvec": 2, "sum_all": 1}
         want = oracle.reference_backprop(tape, out)
         for leaf in [w, x, *cell]:
             assert grads[leaf].array.tobytes() == want[leaf].array.tobytes()
@@ -830,7 +851,7 @@ class TestTape:
     def test_constant_inputs_marked_none_in_entries(self):
         tape = ad.Tape()
         x = watched(tape, [1.0, 2.0])
-        ad.hadamard(x, ad.tensor([3.0, 4.0]))
+        ad.add(x, ad.tensor([3.0, 4.0]))
         (entry,) = tape.entries
         assert entry[1][0] == x.node and entry[1][1] is None
 
@@ -1064,13 +1085,3 @@ def test_concat_preserves_content(parts):
     for p in parts:
         assert np.array_equal(joined[offset : offset + len(p)], np.asarray(p, dtype=np.float64))
         offset += len(p)
-
-
-@given(finite_vectors)
-@settings(max_examples=40, deadline=None)
-def test_hadamard_commutes(values):
-    rng = np.random.default_rng(len(values))
-    other = rng.normal(size=len(values))
-    ab = ad.hadamard(ad.tensor(values), ad.tensor(other)).array
-    ba = ad.hadamard(ad.tensor(other), ad.tensor(values)).array
-    assert np.array_equal(ab, ba)

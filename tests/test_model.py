@@ -11,7 +11,9 @@ from pcgn import autodiff as ad
 from pcgn import model as M
 from pcgn import training as T
 
-from conftest import assert_caught_at_boundaries, nan_cell_params, random_params, tiny_config, tiny_example
+from conftest import (
+    assert_caught_at_boundaries, nan_cell_params, random_params, tiny_config, tiny_example, weighted_sum,
+)
 import oracle
 
 
@@ -250,7 +252,7 @@ class TestLSTM:
                 b=theta if which == "b" else base.b,
             )
             h, c = M.lstm_step(cell, x, h_prev, c_prev)
-            return ad.add(ad.sum_all(ad.hadamard(h, weights)), ad.sum_all(ad.hadamard(c, weights)))
+            return ad.add(weighted_sum(h, weights), weighted_sum(c, weights))
 
         err = ad.finite_difference_check(f, getattr(base, which))
         assert err < 1e-6
@@ -283,7 +285,7 @@ class TestFusedLSTMCell:
         def f(theta):
             args = dict(inputs, **{which: theta})
             h, c = ad.lstm_cell(cell.w_x, cell.w_h, cell.b, args["x"], args["h_prev"], args["c_prev"])
-            return ad.sum_all(ad.hadamard(ad.concat([h, c]), weights))
+            return weighted_sum(ad.concat([h, c]), weights)
 
         assert ad.finite_difference_check(f, inputs[which]) < 1e-6
 
@@ -309,7 +311,7 @@ class TestFusedLSTMCell:
                 args = dict(inputs, **{which: theta})
                 h, c = ad.lstm_cell(args["w_x"], args["w_h"], args["b"], args["x"], args["h_prev"], args["c_prev"],
                                     exact=exact)
-                return ad.sum_all(ad.hadamard(ad.concat([h, c]), mix))
+                return weighted_sum(ad.concat([h, c]), mix)
 
             assert ad.finite_difference_check(f, inputs[which]) < 1e-6, which
 
@@ -444,7 +446,7 @@ class TestAttention:
         weights = ad.tensor(rng.normal(size=4))
 
         def f(w_a):
-            return ad.sum_all(ad.hadamard(M.attention_context(s_prev, states, w_a).context, weights))
+            return weighted_sum(M.attention_context(s_prev, states, w_a).context, weights)
 
         assert ad.finite_difference_check(f, ad.tensor(rng.normal(size=(2, 4)))) < 1e-6
 
@@ -524,7 +526,7 @@ class TestGatedMemory:
 
         def f(w_u):
             _, m_read = M.gated_memory_step(w_u, w_o, s, s, e, cb, m_prev)
-            return ad.sum_all(ad.hadamard(m_read, mix))
+            return weighted_sum(m_read, mix)
 
         assert ad.finite_difference_check(f, ad.tensor(rng.normal(size=(3, 4)))) < 1e-6
 

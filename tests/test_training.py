@@ -22,7 +22,7 @@ from pcgn import model as M
 from pcgn import training as T
 from pcgn.synthetic import synthetic_records
 
-from conftest import ToyExample, overflowing_attention_params, random_params, tiny_config, tiny_example
+from conftest import ToyExample, overflowing_attention_params, random_params, tiny_config, tiny_example, weighted_sum
 import oracle
 
 ALL_VARIANTS = ("Seq2Seq", "Seq2Seq+Emb", "+Mem", "+CoAtt", "PCGN")
@@ -131,7 +131,7 @@ class TestBlockWalk:
         tape = ad.Tape()
         watched = {name: tape.watch(t) for name, t in params.named_parameters()}
         terms, owner = T.gold_log_probs(params.with_tensors(watched), examples)
-        objective = ad.sum_all(ad.hadamard(terms, ad.tensor(-weights[owner])))
+        objective = weighted_sum(terms, ad.tensor(-weights[owner]))
         grads = ad.backprop(tape, objective)
 
         want_losses = []
@@ -152,6 +152,42 @@ class TestBlockWalk:
             want = want_grads[name]
             gap = np.abs(grads[leaf].array - want).max()
             assert gap <= 1e-10 * max(1.0, np.abs(want).max()), f"{name}: gap {gap:.3e}"
+
+    @pytest.mark.parametrize("layers", [1, 2])
+    @pytest.mark.parametrize("variant", sorted(M.PRESETS))
+    def test_repeating_batch_matches_batch_gradients(self, variant, layers, monkeypatch):
+        # A training batch whose blogs and authors recur, as one block walk
+        # with the training loss -sum(terms) / B, against _batch_gradients
+        # (per-example walks that share encodes) and the reference walk.
+        cfg, batch = repeating_dataset(variant, layers)
+        params = random_params(cfg, seed=zlib.crc32(f"repeating/{variant}/{layers}".encode()))
+        tape = ad.Tape()
+        watched = {name: tape.watch(t) for name, t in params.named_parameters()}
+        terms, owner = T.gold_log_probs(params.with_tensors(watched), batch)
+        loss = ad.scale(ad.sum_all(terms), -1.0 / len(batch))
+        grad_set = ad.backprop(tape, loss)
+        grads = {name: grad_set[leaf].array for name, leaf in watched.items()}
+        losses = -np.bincount(owner, weights=terms.array, minlength=len(batch))
+
+        ref_grads = {name: np.zeros(t.shape) for name, t in params.named_parameters()}
+        ref_losses = []
+        for ex in batch:
+            tape = ad.Tape()
+            ref_watched = {name: tape.watch(t) for name, t in params.named_parameters()}
+            ex_loss = ad.scale(reduce(ad.add, oracle.per_example_walk(params.with_tensors(ref_watched), ex)), -1.0)
+            ref_losses.append(ex_loss.item())
+            ex_grads = ad.backprop(tape, ex_loss)
+            for name, leaf in ref_watched.items():
+                ref_grads[name] += ex_grads[leaf].array / len(batch)
+
+        want_loss, want_losses, want_grads = cached_batch_gradients(params, batch, monkeypatch)
+        assert abs(loss.item() - want_loss) <= 1e-10
+        for want in (want_losses, ref_losses):
+            assert np.abs(losses - want).max() <= 1e-10
+        for want in (want_grads, ref_grads):
+            for name, got in grads.items():
+                gap = np.abs(got - want[name]).max()
+                assert gap <= 1e-10 * max(1.0, np.abs(want[name]).max()), f"{name}: gap {gap:.3e}"
 
     @pytest.mark.parametrize("variant", ["Seq2Seq", "PCGN"])
     def test_row_loss_ignores_block_neighbours(self, variant):
