@@ -8,6 +8,9 @@ at one and two layers, the digest covers:
 
 - walk: the gold log-probabilities and every parameter gradient of one
   teacher-forced walk over blocks of 1, 3 and 7 examples;
+- batch: a training batch's loss, its example losses and every parameter
+  gradient, from the first 8 training examples (two blogs, each commented
+  on by the same four authors);
 - training: the mean loss and every parameter after each of two training
   epochs (the training examples repeat blogs and authors);
 - perplexity: the dev perplexity of the trained model;
@@ -17,7 +20,8 @@ at one and two layers, the digest covers:
 It prints one digest per section for each (variant, layers) pair, then
 the overall one, over every section digest.  A rewrite that moves only
 training bits shows the same walk lines and moves the others, since
-perplexity and beam read the trained model.
+perplexity and beam read the trained model.  One that changes only how a
+batch assembles its loss moves the batch line first.
 Bits hold per BLAS thread count (see README), so pin it when comparing:
 
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python3 scripts/bit_digest.py
@@ -35,7 +39,8 @@ from pcgn.synthetic import synthetic_records
 
 VARIANTS = ("Seq2Seq", "Seq2Seq+Emb", "+Mem", "+CoAtt", "PCGN")
 BLOCKS = (1, 3, 7)
-SECTIONS = ("walk", "training", "perplexity", "beam")
+BATCH = 8
+SECTIONS = ("walk", "batch", "training", "perplexity", "beam")
 
 
 def pair_digests(params: M.ModelParams, train, dev) -> dict[str, str]:
@@ -50,6 +55,11 @@ def pair_digests(params: M.ModelParams, train, dev) -> dict[str, str]:
         h["walk"].update(owner.tobytes())
         for leaf in watched.values():
             h["walk"].update(grads[leaf].array.tobytes())
+    loss, grads, losses = training._batch_gradients(params, train[:BATCH], "digest batch")
+    h["batch"].update(loss.hex().encode())
+    h["batch"].update(" ".join(l.hex() for l in losses).encode())
+    for g in grads.values():
+        h["batch"].update(g.array.tobytes())
     opt = training.OptimizerConfig(lr=0.5, batch_size=4, seed=0)
     for epoch in range(2):
         params, stats = training.train_epoch(params, train, opt, epoch)

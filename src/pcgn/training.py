@@ -12,7 +12,7 @@ block of two or more examples, the encoders' recurrence and every decoder
 step apply each weight as one matrix product (``exact=False``).  Only the
 initial state and the user vector, made once per walk, keep row-exact
 products.  A one-example walk's vector products are ``w @ x`` either way,
-so training's values do not depend on the flag.  The steps run only the
+so its steps' values do not depend on the flag.  The steps run only the
 decoder's recurrent part (``model.decoder_advance``): the output layer
 feeds no later step, so the walk applies it once, after the last step, to
 every scored row together (``ad.matvec``, ``exact=False``).  Decoding keeps
@@ -21,13 +21,18 @@ logits independent of the rows beside it.  ``sequence_loss`` and
 ``token_log_probs`` walk one example.  ``dataset_perplexity`` walks
 :data:`SCORE_BLOCK` consecutive examples at a time (see there).
 
-Training does not yet use the block walk: ``train_epoch`` sums one
-``sequence_loss`` per example.  Those walks share one
-:func:`example_forward` cache per batch, which lives as long as the
-batch's tape: each distinct blog's encoder states and initial decoder
-layers, and each distinct author's description states and user vector,
-are computed once per batch and read by every example that has them.
-Every other caller passes no cache and computes everything afresh.
+The walk is two pieces: :func:`_decoder_walk` steps the decoder, and
+:func:`_gold_head` runs the output layer and the gold log-softmax.
+Training splits them.  ``train_epoch`` runs one one-example decoder
+walk per example of a batch, then one head over every scored row of
+the batch: one output-layer product per weight, one ``log_softmax_at``
+and one sum, whatever the batch size.  The decoder walks do not yet run
+as one block.  They share one :func:`example_forward` cache per batch,
+which lives as long as the batch's tape: each distinct blog's encoder
+states and initial decoder layers, and each distinct author's
+description states and user vector, are computed once per batch and
+read by every example that has them.  Every other caller computes
+everything afresh.
 """
 
 from __future__ import annotations
@@ -35,8 +40,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from functools import reduce
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -154,20 +158,29 @@ def _own_rows(lengths: list[int] | None) -> np.ndarray | None:
     return owner[None, :] == np.arange(len(lengths))[:, None]
 
 
-def gold_log_probs(
-    params: M.ModelParams, examples: Sequence[EncodedExample], cache: dict | None = None
-) -> tuple[Tensor, np.ndarray]:
-    """One teacher-forced walk over a block: every gold target's log-probability.
+class _Walk(NamedTuple):
+    """A teacher-forced decoder walk's scored rows, before the output head.
 
-    Step t feeds each example its gold token y_{t-1} and scores y_t; the
-    bos anchor is input-only, the eos terminator a scored target.  An
-    example whose comment has ended keeps stepping on token 0 and is not
-    scored.  Returns (terms, owner): ``terms`` holds every example's
-    target_len log-probabilities, step after step and, within a step, in
-    example order; ``owner[j]`` is the example index of ``terms[j]``.  For
-    one example, terms are its positions in order.  ``cache`` as for
-    :func:`example_forward`.
+    ``tops`` and ``contexts`` hold each step's top decoder state and, for
+    the external variants, description context: vectors for one example,
+    row blocks for a block.  ``keep`` picks the scored rows of their
+    stack (None: every row).  ``users`` are user vectors whose rows,
+    stacked, give one row per example.  ``targets`` and ``owner`` give
+    each scored row's gold token and example index.
     """
+
+    tops: list[Tensor]
+    contexts: list[Tensor]
+    users: list[Tensor | None]
+    keep: np.ndarray | None
+    targets: np.ndarray
+    owner: np.ndarray
+
+
+def _decoder_walk(params: M.ModelParams, examples: Sequence[EncodedExample], cache: dict | None = None) -> _Walk:
+    """The decoder half of :func:`gold_log_probs`: every step of a block's
+    teacher-forced walk, up to the output head.  ``cache`` as for
+    :func:`example_forward`."""
     blog_states, desc_states, v_u, state = example_forward(params, examples, cache)
     x_lens, d_lens = _block_lengths(examples)
     blog_mask = _own_rows(x_lens)
@@ -198,26 +211,48 @@ def gold_log_probs(
         tops.append(state.top_h)
         if external:
             contexts.append(desc_attn.context)
+    return _Walk(tops, contexts, [v_u], keep, targets, owner)
+
+
+def _gold_head(params: M.ModelParams, walk: _Walk) -> Tensor:
+    """The output head of :func:`gold_log_probs`: every scored row's gold
+    log-probability, each op one tape entry whatever the rows.  No later
+    step reads the output layer, so it runs once over every scored row:
+    one matrix product per weight."""
 
     def scored_rows(steps: list[Tensor]) -> Tensor:
         stacked = ad.stack_rows(steps)
-        return stacked if keep is None else ad.embedding_lookup(stacked, keep)
+        return stacked if walk.keep is None else ad.embedding_lookup(stacked, walk.keep)
 
-    # No later step reads the output layer, so it runs once over every
-    # scored row: one matrix product per weight.
-    users = desc_context = None
-    if external:
+    user_rows = desc_context = None
+    if params.config.variant.use_external:
         # stack_rows makes one example's v_u vector a one-row block.
-        users = ad.embedding_lookup(ad.stack_rows([v_u]), owner)
-        desc_context = scored_rows(contexts)
-    logits = M.output_layer(params, scored_rows(tops), users, desc_context, exact=False)
-    return ad.log_softmax_at(logits, targets), owner
+        user_rows = ad.embedding_lookup(ad.stack_rows(walk.users), walk.owner)
+        desc_context = scored_rows(walk.contexts)
+    logits = M.output_layer(params, scored_rows(walk.tops), user_rows, desc_context, exact=False)
+    return ad.log_softmax_at(logits, walk.targets)
 
 
-def sequence_loss(params: M.ModelParams, example: EncodedExample, cache: dict | None = None) -> Tensor:
+def gold_log_probs(params: M.ModelParams, examples: Sequence[EncodedExample]) -> tuple[Tensor, np.ndarray]:
+    """One teacher-forced walk over a block: every gold target's log-probability.
+
+    Step t feeds each example its gold token y_{t-1} and scores y_t; the
+    bos anchor is input-only, the eos terminator a scored target.  An
+    example whose comment has ended keeps stepping on token 0 and is not
+    scored.  Returns (terms, owner): ``terms`` holds every example's
+    target_len log-probabilities, step after step and, within a step, in
+    example order; ``owner[j]`` is the example index of ``terms[j]``.  For
+    one example, terms are its positions in order.  The walk is
+    :func:`_decoder_walk` then :func:`_gold_head`.
+    """
+    walk = _decoder_walk(params, examples)
+    return _gold_head(params, walk), walk.owner
+
+
+def sequence_loss(params: M.ModelParams, example: EncodedExample) -> Tensor:
     """Negative log-likelihood of the gold comment, summed over positions
-    (natural log).  ``cache`` as for :func:`example_forward`."""
-    terms, _ = gold_log_probs(params, [example], cache)
+    (natural log)."""
+    terms, _ = gold_log_probs(params, [example])
     return ad.scale(ad.sum_all(terms), -1.0)
 
 
@@ -274,7 +309,16 @@ class EpochStats:
 
     @property
     def ppl(self) -> float:
-        return math.exp(self.mean_loss)
+        return _perplexity(self.mean_loss)
+
+
+def _perplexity(mean_nll: float) -> float:
+    """exp(mean NLL per token).  Raises NonFiniteError naming the mean
+    when that overflows a float (above about 709.78 nats per token)."""
+    try:
+        return math.exp(mean_nll)
+    except OverflowError:
+        raise NonFiniteError(f"perplexity overflows: mean NLL is {mean_nll!r} nats per token") from None
 
 
 def _batches(n: int, batch_size: int, order: np.ndarray):
@@ -284,26 +328,40 @@ def _batches(n: int, batch_size: int, order: np.ndarray):
 
 def _batch_gradients(
     params: M.ModelParams, examples: Sequence[EncodedExample], where: str
-) -> tuple[dict[str, Tensor], list[float]]:
-    """Gradients of a batch's mean example loss, and each example's loss.
+) -> tuple[float, dict[str, Tensor], list[float]]:
+    """A batch's mean example loss, its gradients, and each example's loss.
 
-    Each example is its own one-example walk, and the walks share one
-    :func:`example_forward` cache for this batch's tape: a blog or author
-    that recurs in the batch is encoded once, and backprop sums the
-    gradients its readers send back.  The batch's tape and cache die on
-    return, so the forward values they hold are freed before the caller's
-    update allocates the new parameters.
+    Each example runs its own one-example :func:`_decoder_walk`, and the
+    walks share one :func:`example_forward` cache for this batch's tape: a
+    blog or author that recurs in the batch is encoded once, and backprop
+    sums the gradients its readers send back.  Then one
+    :func:`_gold_head` scores every row of the batch, the examples' rows
+    one after another.  The loss is the mean of the example sums,
+    ``-sum(terms) / B``, and each example's loss sums its own terms.  The
+    batch's tape and cache die on return, so the forward values they hold
+    are freed before the caller's update allocates the new parameters.
     """
     tape = ad.Tape()
     watched = {name: tape.watch(t) for name, t in params.named_parameters()}
     working = params.with_tensors(watched)
     cache: dict = {}
-    example_losses = [sequence_loss(working, ex, cache) for ex in examples]
-    batch_loss = ad.scale(reduce(ad.add, example_losses), 1.0 / len(example_losses))
+    walks = [_decoder_walk(working, [ex], cache) for ex in examples]
+    # The walks laid end to end: every row of a one-example walk is scored.
+    batch = _Walk(
+        tops=[t for w in walks for t in w.tops],
+        contexts=[c for w in walks for c in w.contexts],
+        users=[u for w in walks for u in w.users],
+        keep=None,
+        targets=np.concatenate([w.targets for w in walks]),
+        owner=np.repeat(np.arange(len(walks)), [len(w.targets) for w in walks]),
+    )
+    terms = _gold_head(working, batch)
+    batch_loss = ad.scale(ad.sum_all(terms), -1.0 / len(examples))
     if not math.isfinite(batch_loss.item()):
         raise NonFiniteError(f"non-finite loss in {where}")
     grad_set = ad.backprop(tape, batch_loss)
-    return {name: grad_set[w] for name, w in watched.items()}, [l.item() for l in example_losses]
+    example_losses = -np.bincount(batch.owner, weights=terms.array, minlength=len(examples))
+    return batch_loss.item(), {name: grad_set[w] for name, w in watched.items()}, example_losses.tolist()
 
 
 def train_epoch(
@@ -327,7 +385,7 @@ def train_epoch(
     total_tokens = 0
     for batch_idx, batch in enumerate(_batches(len(dataset), opt.batch_size, order)):
         examples = [dataset[int(i)] for i in batch]
-        grads, example_losses = _batch_gradients(params, examples, f"batch {batch_idx} of epoch {epoch}")
+        _, grads, example_losses = _batch_gradients(params, examples, f"batch {batch_idx} of epoch {epoch}")
         total_tokens += sum(ex.target_len for ex in examples)
         total_loss += sum(example_losses)
         params = sgd_update(params, grads, opt.lr, opt.clip_norm)
@@ -340,7 +398,8 @@ def train_epoch(
 
 
 def dataset_perplexity(params: M.ModelParams, dataset: Sequence[EncodedExample]) -> float:
-    """exp(total NLL / total target tokens) over a dataset (tape-free).
+    """exp(total NLL / total target tokens) over a dataset (tape-free),
+    or NonFiniteError when that overflows (see :func:`_perplexity`).
 
     Walks :data:`SCORE_BLOCK` consecutive examples at a time through
     :func:`gold_log_probs`.  Each example's loss sums its own terms in
@@ -365,7 +424,7 @@ def dataset_perplexity(params: M.ModelParams, dataset: Sequence[EncodedExample])
                 raise NonFiniteError(f"non-finite loss for example {start + bad}")
             total += loss
             tokens += ex.target_len
-    return math.exp(total / tokens)
+    return _perplexity(total / tokens)
 
 
 def fit(

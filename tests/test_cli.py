@@ -24,7 +24,7 @@ import numpy as np
 import pytest
 
 from pcgn import cli
-from pcgn.autodiff import NonFiniteError
+from pcgn.autodiff import NonFiniteError, Tensor
 from pcgn.checkpoint import load_checkpoint, save_checkpoint
 from pcgn.data import encode_record, encode_records, parse_dataset, parse_profile
 from pcgn.decoding import DecodeConfig, beam_search
@@ -710,6 +710,15 @@ class TestEval:
             rc = cli.main(["eval", "--checkpoint", str(path), "--data-dir", str(prep_dir)])
         assert rc == 3
         assert "non-finite logits at decode step 0" in capsys.readouterr().err
+
+    def test_overflowing_perplexity_exits_3_naming_the_mean(self, pcgn_dir, prep_dir, tmp_path, capsys):
+        ckpt = load_checkpoint(pcgn_dir / "checkpoint_final.json")
+        ckpt.params = ckpt.params.with_tensors({"out_mix": Tensor(ckpt.params.out_mix.array * 3e5)})
+        path = tmp_path / "loud_model.json"
+        save_checkpoint(path, ckpt)
+        rc = cli.main(["eval", "--checkpoint", str(path), "--data-dir", str(prep_dir)])
+        assert rc == 3
+        assert "numeric error: perplexity overflows: mean NLL is" in capsys.readouterr().err
 
     def test_unknown_split_exits_1(self, pcgn_dir, prep_dir, capsys):
         rc = cli.main([

@@ -31,16 +31,16 @@ def test_bit_digest_prints_one_digest_per_section_and_overall(capsys):
         runpy.run_path(str(SCRIPTS / "bit_digest.py"), run_name="__main__")
         outputs.append(capsys.readouterr().out)
     lines = outputs[0].splitlines()
-    # Five variants at one and two layers, four sections each, then the
+    # Five variants at one and two layers, five sections each, then the
     # overall digest.
-    assert len(lines) == 41 and lines[-1].startswith("overall ")
-    sections = ("walk", "training", "perplexity", "beam")
+    assert len(lines) == 51 and lines[-1].startswith("overall ")
+    sections = ("walk", "batch", "training", "perplexity", "beam")
     assert [line.split()[2] for line in lines[:-1]] == list(sections) * 10
-    assert [line.split()[:2] for line in lines[:-1:4]] == [
+    assert [line.split()[:2] for line in lines[:-1:5]] == [
         [variant, f"layers={layers}"]
         for variant in ("Seq2Seq", "Seq2Seq+Emb", "+Mem", "+CoAtt", "PCGN")
         for layers in (1, 2)
     ]
     assert all(re.fullmatch(r"[0-9a-f]{64}", line.split()[-1]) for line in lines)
-    assert len({line.split()[-1] for line in lines}) == 41
+    assert len({line.split()[-1] for line in lines}) == 51
     assert outputs[1] == outputs[0]

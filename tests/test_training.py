@@ -283,6 +283,18 @@ class TestBlockedPerplexity:
             with pytest.raises(ad.NonFiniteError, match=f"non-finite loss for example {bad}$"):
                 T.dataset_perplexity(broken, dataset)
 
+    def test_overflowing_perplexity_names_the_mean_nll(self):
+        # A finite mean NLL above log(max float), about 709.78 nats per
+        # token, has no float perplexity.
+        cfg = tiny_config("PCGN")
+        params = random_params(cfg, 66)
+        loud = params.with_tensors({"out_mix": ad.tensor(params.out_mix.array * 1e4)})
+        dataset = ragged_examples(cfg, 4)
+        mean = sum(T.sequence_loss(loud, ex).item() for ex in dataset) / sum(ex.target_len for ex in dataset)
+        assert 710 < mean < math.inf
+        with pytest.raises(ad.NonFiniteError, match="^perplexity overflows: mean NLL is [0-9.]+ nats per token$"):
+            T.dataset_perplexity(loud, dataset)
+
 
 class TestSGD:
     def setup_params(self):
@@ -424,6 +436,11 @@ class TestTrainEpoch:
             params, _ = T.train_epoch(params, data, opt, epoch)
         assert T.dataset_perplexity(params, data) < before
 
+    def test_overflowing_perplexity_names_the_mean_nll(self):
+        assert T.EpochStats(mean_loss=709.0, tokens=4, seconds=0.0).ppl == math.exp(709.0)
+        with pytest.raises(ad.NonFiniteError, match="^perplexity overflows: mean NLL is 800.0 nats per token$"):
+            T.EpochStats(mean_loss=800.0, tokens=4, seconds=0.0).ppl
+
     def test_empty_dataset_rejected(self):
         params = random_params(tiny_config("Seq2Seq"), 34)
         with pytest.raises(ValueError, match="empty"):
@@ -489,29 +506,42 @@ def repeating_dataset(variant, layers=1):
     return cfg, D.encode_records(records, vocab, schema)
 
 
-def uncached_batch_gradients(params, examples):
-    """The batch loss, each example's loss and the gradients, with every
-    example walking alone: no blog or author shared."""
-    tape = ad.Tape()
-    watched = {name: tape.watch(t) for name, t in params.named_parameters()}
-    losses = [T.sequence_loss(params.with_tensors(watched), ex) for ex in examples]
-    batch_loss = ad.scale(reduce(ad.add, losses), 1.0 / len(losses))
-    grads = ad.backprop(tape, batch_loss)
-    return batch_loss.item(), [l.item() for l in losses], {name: grads[w].array for name, w in watched.items()}
-
-
 def cached_batch_gradients(params, examples, monkeypatch):
-    """``_batch_gradients``' batch loss (read where it reaches backprop),
-    example losses and gradients."""
-    seen = []
+    """``_batch_gradients``' batch loss, example losses and gradients.
+    ``monkeypatch`` is unused: it gives the helper
+    ``uncached_batch_gradients``' signature."""
+    loss, grads, losses = T._batch_gradients(params, examples, "test")
+    return loss, losses, {name: g.array for name, g in grads.items()}
 
-    def spy(tape, output, backprop=ad.backprop):
-        seen.append(output.item())
-        return backprop(tape, output)
 
-    monkeypatch.setattr(ad, "backprop", spy)
-    grads, losses = T._batch_gradients(params, examples, "test")
-    return seen[0], losses, {name: g.array for name, g in grads.items()}
+def uncached_batch_gradients(params, examples, monkeypatch):
+    """``cached_batch_gradients`` with sharing off: each example's walk
+    gets a fresh ``example_forward`` cache, so no blog or author is shared."""
+    forward = T.example_forward
+    with monkeypatch.context() as m:
+        m.setattr(T, "example_forward", lambda params, examples, cache=None: forward(params, examples))
+        return cached_batch_gradients(params, examples, m)
+
+
+def batch_readers(params, batch, monkeypatch):
+    """``_batch_gradients``' tape as (op, names of the parameters it reads)
+    per entry, and its example losses."""
+    tapes = []
+
+    class RecordingTape(ad.Tape):
+        def __init__(self):
+            super().__init__()
+            tapes.append(self)
+
+    monkeypatch.setattr(ad, "Tape", RecordingTape)
+    _, _, losses = T._batch_gradients(params, batch, "test")
+    # _batch_gradients watches the parameters first, in order.
+    leaf_names = [name for name, _ in params.named_parameters()]
+    readers = [
+        (op, {leaf_names[n] for n in ins if n is not None and n < len(leaf_names)})
+        for op, ins, _ in tapes[0].entries
+    ]
+    return readers, losses
 
 
 class TestBatchSharesEncodes:
@@ -523,7 +553,7 @@ class TestBatchSharesEncodes:
         cfg, data = repeating_dataset(variant, layers)
         params = random_params(cfg, seed=zlib.crc32(f"shared/{variant}/{layers}".encode()))
         batch = [data[int(i)] for i in np.random.default_rng(5).permutation(len(data))]
-        want_loss, want_losses, want_grads = uncached_batch_gradients(params, batch)
+        want_loss, want_losses, want_grads = uncached_batch_gradients(params, batch, monkeypatch)
         got_loss, got_losses, got_grads = cached_batch_gradients(params, batch, monkeypatch)
         assert got_loss == want_loss and got_losses == want_losses
         for name, want in want_grads.items():
@@ -535,7 +565,7 @@ class TestBatchSharesEncodes:
         cfg = tiny_config(variant, blog_layers=2)
         params = random_params(cfg, seed=zlib.crc32(f"distinct/{variant}".encode()))
         batch = ragged_examples(cfg, 7, seed=80)
-        want_loss, want_losses, want_grads = uncached_batch_gradients(params, batch)
+        want_loss, want_losses, want_grads = uncached_batch_gradients(params, batch, monkeypatch)
         got_loss, got_losses, got_grads = cached_batch_gradients(params, batch, monkeypatch)
         assert got_loss == want_loss and got_losses == want_losses
         for name, want in want_grads.items():
@@ -547,21 +577,7 @@ class TestBatchSharesEncodes:
         cfg, data = repeating_dataset(variant, layers)
         params = random_params(cfg, seed=7)
         batch = data[::2] + data[1::2]
-        tapes = []
-
-        class RecordingTape(ad.Tape):
-            def __init__(self):
-                super().__init__()
-                tapes.append(self)
-
-        monkeypatch.setattr(ad, "Tape", RecordingTape)
-        T._batch_gradients(params, batch, "test")
-        # _batch_gradients watches the parameters first, in order.
-        leaf_names = [name for name, _ in params.named_parameters()]
-        readers = [
-            (op, {leaf_names[n] for n in ins if n is not None and n < len(leaf_names)})
-            for op, ins, _ in tapes[0].entries
-        ]
+        readers, _ = batch_readers(params, batch, monkeypatch)
 
         def count(op, weight):
             return sum(1 for name, reads in readers if name == op and weight in reads)
@@ -575,6 +591,25 @@ class TestBatchSharesEncodes:
         assert count("tanh_affine", "user_proj.w") == (authors if v.needs_user_vector else 0)
         init = sum(count("tanh_affine", f"init.l{i}.{hc}.w") for i in range(cfg.decoder_layers) for hc in "hc")
         assert init == 2 * cfg.decoder_layers * blogs
+
+
+class TestOneHeadPerBatch:
+    """A batch scores all its rows with one output head and one gold
+    log-softmax, after its examples' decoder walks."""
+
+    @pytest.mark.parametrize("size", [1, 3, 8])
+    @pytest.mark.parametrize("variant, weights", [("PCGN", ("user_mix", "out_mix")), ("Seq2Seq", ("out_proj",))])
+    def test_one_head_keeps_example_losses(self, variant, weights, size, monkeypatch):
+        cfg, data = repeating_dataset(variant)
+        params = random_params(cfg, seed=zlib.crc32(f"head/{variant}/{size}".encode()))
+        batch = data[:size]
+        readers, losses = batch_readers(params, batch, monkeypatch)
+        assert [op for op, _ in readers].count("log_softmax_at") == 1
+        assert [reads for op, reads in readers if op == "matvec"] == [{name} for name in weights]
+        assert len(losses) == size
+        for ex, loss in zip(batch, losses):
+            want = T.sequence_loss(params, ex).item()
+            assert abs(loss - want) <= 1e-12 * abs(want)
 
 
 class TestFit:
