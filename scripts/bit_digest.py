@@ -9,8 +9,10 @@ at one and two layers, the digest covers:
 - walk: the gold log-probabilities and every parameter gradient of one
   teacher-forced walk over blocks of 1, 3 and 7 examples;
 - batch: a training batch's loss, its example losses and every parameter
-  gradient, from the first 8 training examples (two blogs, each commented
-  on by the same four authors);
+  gradient, for two batches: the first 8 training examples (two blogs,
+  each commented on by the same four authors), and the corpus's examples
+  whose blog and author no earlier pick has (four examples, every blog
+  and author distinct, as on ``train_wide``);
 - training: the mean loss and every parameter after each of two training
   epochs (the training examples repeat blogs and authors);
 - perplexity: the dev perplexity of the trained model;
@@ -43,7 +45,19 @@ BATCH = 8
 SECTIONS = ("walk", "batch", "training", "perplexity", "beam")
 
 
-def pair_digests(params: M.ModelParams, train, dev) -> dict[str, str]:
+def distinct_batch(examples):
+    """The examples, in order, whose blog and author no earlier pick has."""
+    blogs, authors, picked = set(), set(), []
+    for ex in examples:
+        author = (ex.d, ex.f.tobytes())
+        if ex.x not in blogs and author not in authors:
+            blogs.add(ex.x)
+            authors.add(author)
+            picked.append(ex)
+    return picked
+
+
+def pair_digests(params: M.ModelParams, train, dev, distinct) -> dict[str, str]:
     """One digest per section, in the order the sections run."""
     h = {name: hashlib.sha256() for name in SECTIONS}
     for n in BLOCKS:
@@ -55,11 +69,12 @@ def pair_digests(params: M.ModelParams, train, dev) -> dict[str, str]:
         h["walk"].update(owner.tobytes())
         for leaf in watched.values():
             h["walk"].update(grads[leaf].array.tobytes())
-    loss, grads, losses = training._batch_gradients(params, train[:BATCH], "digest batch")
-    h["batch"].update(loss.hex().encode())
-    h["batch"].update(" ".join(l.hex() for l in losses).encode())
-    for g in grads.values():
-        h["batch"].update(g.array.tobytes())
+    for batch in (train[:BATCH], distinct):
+        loss, grads, losses = training._batch_gradients(params, batch, "digest batch")
+        h["batch"].update(loss.hex().encode())
+        h["batch"].update(" ".join(l.hex() for l in losses).encode())
+        for g in grads.values():
+            h["batch"].update(g.array.tobytes())
     opt = training.OptimizerConfig(lr=0.5, batch_size=4, seed=0)
     for epoch in range(2):
         params, stats = training.train_epoch(params, train, opt, epoch)
@@ -78,11 +93,12 @@ def main() -> None:
     vocab, schema = build_vocab(records, max_size=1000), fit_schema(records)
     encoded = encode_records(records, vocab, schema)
     train, dev = encoded[:10], encoded[10:]
+    distinct = distinct_batch(encoded)
     overall = hashlib.sha256()
     for name in VARIANTS:
         for layers in (1, 2):
             cfg = M.ModelConfig.desk(len(vocab), schema.width, variant=M.PRESETS[name], blog_layers=layers)
-            for section, digest in pair_digests(M.build_model(cfg, 0), train, dev).items():
+            for section, digest in pair_digests(M.build_model(cfg, 0), train, dev, distinct).items():
                 overall.update(digest.encode())
                 print(f"{name:<12} layers={layers} {section:<10} {digest}")
     print(f"overall {overall.hexdigest()}")

@@ -49,6 +49,7 @@ __all__ = [
     "encode_description",
     "user_vector",
     "init_decoder_state",
+    "initial_layers",
     "decoder_advance",
     "output_layer",
     "decoder_step",
@@ -494,7 +495,16 @@ def init_decoder_state(
     cfg = params.config
     if cfg.variant.use_gated_memory and v_u is None:
         raise ValueError("gated memory needs a user vector for M_0")
-    hidden = cfg.blog_hidden
+    memory = v_u if cfg.variant.use_gated_memory else None
+    return DecoderState(layers=initial_layers(params, blog_states, lengths), memory=memory, step=0)
+
+
+def initial_layers(
+    params: ModelParams, blog_states: Tensor, lengths: Sequence[int] | None = None
+) -> tuple[tuple[Tensor, Tensor], ...]:
+    """The (h, c) layers of :func:`init_decoder_state`, which need no v_u:
+    vectors for one blog, or with ``lengths`` one row per blog."""
+    hidden = params.config.blog_hidden
     if lengths is None:
         first, last = 0, blog_states.shape[0] - 1
     else:
@@ -506,9 +516,7 @@ def init_decoder_state(
         ad.vslice(ad.embedding_lookup(blog_states, last), 0, hidden),
         ad.vslice(ad.embedding_lookup(blog_states, first), hidden, 2 * hidden),
     ])
-    layers = tuple((ad.tanh_affine(*h, summary), ad.tanh_affine(*c, summary)) for h, c in params.state_init)
-    memory = v_u if cfg.variant.use_gated_memory else None
-    return DecoderState(layers=layers, memory=memory, step=0)
+    return tuple((ad.tanh_affine(*h, summary), ad.tanh_affine(*c, summary)) for h, c in params.state_init)
 
 
 def decoder_advance(

@@ -23,16 +23,15 @@ logits independent of the rows beside it.  ``sequence_loss`` and
 
 The walk is two pieces: :func:`_decoder_walk` steps the decoder, and
 :func:`_gold_head` runs the output layer and the gold log-softmax.
-Training splits them.  ``train_epoch`` runs one one-example decoder
-walk per example of a batch, then one head over every scored row of
-the batch: one output-layer product per weight, one ``log_softmax_at``
-and one sum, whatever the batch size.  The decoder walks do not yet run
-as one block.  They share one :func:`example_forward` cache per batch,
-which lives as long as the batch's tape: each distinct blog's encoder
-states and initial decoder layers, and each distinct author's
-description states and user vector, are computed once per batch and
-read by every example that has them.  Every other caller computes
-everything afresh.
+Training splits them.  ``train_epoch`` encodes a batch's distinct blogs
+as one encoder block, with one set of initial-layer products, and its
+distinct authors as one description-encoder block and one user-vector
+block (see :func:`_batch_forward`).  Each example then runs its own
+one-example decoder walk over its rows of those blocks, and one head
+scores every row of the batch: one output-layer product per weight, one
+``log_softmax_at`` and one sum, whatever the batch size.  The decoder
+walks do not yet run as one block.  Every other caller encodes each
+example it walks (:func:`example_forward`).
 """
 
 from __future__ import annotations
@@ -102,49 +101,98 @@ def _block_lengths(examples: Sequence[EncodedExample]) -> tuple[list[int] | None
     return [len(ex.x) for ex in examples], [len(ex.d) for ex in examples]
 
 
-def example_forward(params: M.ModelParams, examples: Sequence[EncodedExample], cache: dict | None = None):
+def _encode(params: M.ModelParams, blogs: Sequence[EncodedExample], authors: Sequence[EncodedExample]):
+    """(blog_states, desc_states, v_u): the blog encoder over ``blogs``' blogs,
+    and the description encoder and user vector over ``authors``' authors,
+    each list as one block (on vectors for a list of one, see
+    :func:`_block_lengths`).  None for what the variant lacks."""
+    v = params.config.variant
+    x_lens, d_lens = _block_lengths(blogs)[0], _block_lengths(authors)[1]
+    blog_states = M.encode_blog(params, [i for ex in blogs for i in ex.x], x_lens)
+    desc_states = None
+    if v.use_coattention:
+        desc_states = M.encode_description(params, [i for ex in authors for i in ex.d], d_lens)
+    v_u = None
+    if v.needs_user_vector:
+        v_u = M.user_vector(params, authors[0].f if d_lens is None else np.stack([ex.f for ex in authors]))
+    return blog_states, desc_states, v_u
+
+
+def example_forward(params: M.ModelParams, examples: Sequence[EncodedExample]):
     """Shared encode/init work for a block of examples.
 
     Returns (blog_states, desc_states, v_u, initial decoder state).  Each
     encoder's states are one (T, 2H) matrix holding the examples' rows one
     after another, which every decoder step attends over; v_u and the
     state have one row per example (vectors for a single example, see
-    :func:`_block_lengths`).
+    :func:`_block_lengths`).  The work runs in this order: blog encoder,
+    description encoder, user vector, initial (h, c) layers.
+    """
+    blog_states, desc_states, v_u = _encode(params, examples, examples)
+    state = M.init_decoder_state(params, blog_states, v_u, _block_lengths(examples)[0])
+    return blog_states, desc_states, v_u, state
 
-    The work is looked up in ``cache`` (a fresh dict when None): the blogs
-    by their token ids, the authors by their description ids and feature
-    bytes, never by ``user_id``.  Only what is missing is computed, in
-    this order: blog encoder, description encoder, user vector, initial
-    (h, c) layers.  Blogs seen before reuse their states and initial
-    layers, authors their description states and v_u; M_0 is always the
-    example's own v_u.  A block is looked up as a whole, so a block of two
-    or more examples encodes each of its rows, repeated or not.  Cached
-    tensors stay on the tape that made them, so a cache must live no
-    longer than one tape and one parameter set (``_batch_gradients``).
+
+def _distinct(examples: Sequence[EncodedExample], key: Callable) -> tuple[list[EncodedExample], list[int]]:
+    """The first example of each distinct ``key``, in order, and each
+    example's index among them."""
+    index: dict = {}
+    firsts, which = [], []
+    for ex in examples:
+        k = key(ex)
+        if k not in index:
+            index[k] = len(firsts)
+            firsts.append(ex)
+        which.append(index[k])
+    return firsts, which
+
+
+def _sequences(block: Tensor, lengths: list[int] | None) -> list[Tensor]:
+    """Each sequence's rows of an encoder block: the block itself when it
+    holds one sequence (``lengths`` None)."""
+    if lengths is None:
+        return [block]
+    ends = np.cumsum(lengths).tolist()
+    return [ad.embedding_lookup(block, np.arange(end - n, end)) for end, n in zip(ends, lengths)]
+
+
+def _row(block: Tensor | None, k: int, lengths: list[int] | None) -> Tensor | None:
+    """Row k of a (B, .) block as a vector: the block itself when it is
+    one row's vector (``lengths`` None), None for no block."""
+    return block if lengths is None or block is None else ad.embedding_lookup(block, k)
+
+
+def _batch_forward(params: M.ModelParams, examples: Sequence[EncodedExample]) -> list[tuple]:
+    """:func:`example_forward`'s result for each example of a batch, each
+    for a one-example walk.
+
+    The batch's distinct blogs (by token ids) run as one blog-encoder
+    block and one set of initial-layer products over it; its distinct
+    authors (by description ids and feature bytes, never ``user_id``) as
+    one description-encoder block and one user-vector block.  Each
+    distinct blog and author reads its rows of those blocks once, and
+    every example that has it shares them.  M_0 is the example's own v_u.
+    A batch with one distinct blog (or author) encodes it on its own, as
+    :func:`example_forward` does.
     """
     v = params.config.variant
-    x_lens, d_lens = _block_lengths(examples)
-    cache = {} if cache is None else cache
-    # The keys hold every example's ids, so they fix the lengths too.
-    blog_key = ("blog", tuple(tuple(ex.x) for ex in examples))
-    author_key = ("author", tuple((tuple(ex.d), np.asarray(ex.f).tobytes()) for ex in examples))
-    blog = cache.get(blog_key)
-    if blog is None:
-        blog_states = M.encode_blog(params, [i for ex in examples for i in ex.x], x_lens)
-    if author_key not in cache:
-        desc_states = None
-        if v.use_coattention:
-            desc_states = M.encode_description(params, [i for ex in examples for i in ex.d], d_lens)
-        v_u = None
-        if v.needs_user_vector:
-            v_u = M.user_vector(params, examples[0].f if x_lens is None else np.stack([ex.f for ex in examples]))
-        cache[author_key] = desc_states, v_u
-    desc_states, v_u = cache[author_key]
-    if blog is None:
-        blog = cache[blog_key] = blog_states, M.init_decoder_state(params, blog_states, v_u, x_lens).layers
-    blog_states, layers = blog
-    state = M.DecoderState(layers=layers, memory=v_u if v.use_gated_memory else None)
-    return blog_states, desc_states, v_u, state
+    blogs, blog_of = _distinct(examples, lambda ex: tuple(ex.x))
+    authors, author_of = _distinct(examples, lambda ex: (tuple(ex.d), np.asarray(ex.f).tobytes()))
+    x_lens, d_lens = _block_lengths(blogs)[0], _block_lengths(authors)[1]
+    blog_block, desc_block, users = _encode(params, blogs, authors)
+    layer_block = M.initial_layers(params, blog_block, x_lens)
+    blog_rows = [
+        (states, tuple((_row(h, k, x_lens), _row(c, k, x_lens)) for h, c in layer_block))
+        for k, states in enumerate(_sequences(blog_block, x_lens))
+    ]
+    desc_rows = [None] * len(authors) if desc_block is None else _sequences(desc_block, d_lens)
+    author_rows = [(desc, _row(users, k, d_lens)) for k, desc in enumerate(desc_rows)]
+    forwards = []
+    for b, a in zip(blog_of, author_of):
+        (blog_states, layers), (desc_states, v_u) = blog_rows[b], author_rows[a]
+        state = M.DecoderState(layers=layers, memory=v_u if v.use_gated_memory else None)
+        forwards.append((blog_states, desc_states, v_u, state))
+    return forwards
 
 
 def _own_rows(lengths: list[int] | None) -> np.ndarray | None:
@@ -177,11 +225,11 @@ class _Walk(NamedTuple):
     owner: np.ndarray
 
 
-def _decoder_walk(params: M.ModelParams, examples: Sequence[EncodedExample], cache: dict | None = None) -> _Walk:
+def _decoder_walk(params: M.ModelParams, examples: Sequence[EncodedExample], forward: tuple) -> _Walk:
     """The decoder half of :func:`gold_log_probs`: every step of a block's
-    teacher-forced walk, up to the output head.  ``cache`` as for
-    :func:`example_forward`."""
-    blog_states, desc_states, v_u, state = example_forward(params, examples, cache)
+    teacher-forced walk, up to the output head, from the block's
+    :func:`example_forward` result ``forward``."""
+    blog_states, desc_states, v_u, state = forward
     x_lens, d_lens = _block_lengths(examples)
     blog_mask = _own_rows(x_lens)
     desc_mask = None if desc_states is None else _own_rows(d_lens)
@@ -245,7 +293,7 @@ def gold_log_probs(params: M.ModelParams, examples: Sequence[EncodedExample]) ->
     one example, terms are its positions in order.  The walk is
     :func:`_decoder_walk` then :func:`_gold_head`.
     """
-    walk = _decoder_walk(params, examples)
+    walk = _decoder_walk(params, examples, example_forward(params, examples))
     return _gold_head(params, walk), walk.owner
 
 
@@ -331,21 +379,22 @@ def _batch_gradients(
 ) -> tuple[float, dict[str, Tensor], list[float]]:
     """A batch's mean example loss, its gradients, and each example's loss.
 
-    Each example runs its own one-example :func:`_decoder_walk`, and the
-    walks share one :func:`example_forward` cache for this batch's tape: a
-    blog or author that recurs in the batch is encoded once, and backprop
-    sums the gradients its readers send back.  Then one
-    :func:`_gold_head` scores every row of the batch, the examples' rows
-    one after another.  The loss is the mean of the example sums,
-    ``-sum(terms) / B``, and each example's loss sums its own terms.  The
-    batch's tape and cache die on return, so the forward values they hold
-    are freed before the caller's update allocates the new parameters.
+    The batch's distinct blogs and authors are encoded once, each set as
+    one block (:func:`_batch_forward`); backprop sums the gradients that
+    a shared blog's or author's readers send back.  Each example runs its
+    own one-example :func:`_decoder_walk` over its rows of those blocks.
+    Then one :func:`_gold_head` scores every row of the batch, the
+    examples' rows one after another.  The loss is the mean of the
+    example sums, ``-sum(terms) / B``, and each example's loss sums its
+    own terms.  The batch's tape dies on return, so the forward values it
+    holds are freed before the caller's update allocates the new
+    parameters.
     """
     tape = ad.Tape()
     watched = {name: tape.watch(t) for name, t in params.named_parameters()}
     working = params.with_tensors(watched)
-    cache: dict = {}
-    walks = [_decoder_walk(working, [ex], cache) for ex in examples]
+    forwards = _batch_forward(working, examples)
+    walks = [_decoder_walk(working, [ex], forward) for ex, forward in zip(examples, forwards)]
     # The walks laid end to end: every row of a one-example walk is scored.
     batch = _Walk(
         tops=[t for w in walks for t in w.tops],

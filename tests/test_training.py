@@ -507,20 +507,50 @@ def repeating_dataset(variant, layers=1):
 
 
 def cached_batch_gradients(params, examples, monkeypatch):
-    """``_batch_gradients``' batch loss, example losses and gradients.
-    ``monkeypatch`` is unused: it gives the helper
-    ``uncached_batch_gradients``' signature."""
+    """``_batch_gradients``' batch loss, example losses and gradients (as
+    arrays).  ``monkeypatch`` is unused."""
     loss, grads, losses = T._batch_gradients(params, examples, "test")
     return loss, losses, {name: g.array for name, g in grads.items()}
 
 
-def uncached_batch_gradients(params, examples, monkeypatch):
-    """``cached_batch_gradients`` with sharing off: each example's walk
-    gets a fresh ``example_forward`` cache, so no blog or author is shared."""
-    forward = T.example_forward
-    with monkeypatch.context() as m:
-        m.setattr(T, "example_forward", lambda params, examples, cache=None: forward(params, examples))
-        return cached_batch_gradients(params, examples, m)
+def alone_batch_gradients(params, examples):
+    """``cached_batch_gradients`` with each example walked alone: the mean
+    of independent ``sequence_loss`` walks, each encoding its own blog and
+    author."""
+    tape = ad.Tape()
+    watched = {name: tape.watch(t) for name, t in params.named_parameters()}
+    losses = [T.sequence_loss(params.with_tensors(watched), ex) for ex in examples]
+    loss = ad.scale(reduce(ad.add, losses), 1.0 / len(losses))
+    grads = ad.backprop(tape, loss)
+    return loss.item(), [l.item() for l in losses], {name: grads[leaf].array for name, leaf in watched.items()}
+
+
+def reference_batch_gradients(params, examples):
+    """The batch loss, example losses and gradients from
+    ``oracle.per_example_walk``, one walk per example."""
+    grads = {name: np.zeros(t.shape) for name, t in params.named_parameters()}
+    losses = []
+    for ex in examples:
+        tape = ad.Tape()
+        watched = {name: tape.watch(t) for name, t in params.named_parameters()}
+        loss = ad.scale(reduce(ad.add, oracle.per_example_walk(params.with_tensors(watched), ex)), -1.0)
+        losses.append(loss.item())
+        ex_grads = ad.backprop(tape, loss)
+        for name, leaf in watched.items():
+            grads[name] += ex_grads[leaf].array / len(examples)
+    return sum(losses) / len(examples), losses, grads
+
+
+def assert_batch_close(got, want, tol):
+    """(loss, example losses, gradients) triples agree to ``tol``, relative
+    to max(1, |want|)."""
+    (got_loss, got_losses, got_grads), (want_loss, want_losses, want_grads) = got, want
+    assert abs(got_loss - want_loss) <= tol * max(1.0, abs(want_loss))
+    for g, w in zip(got_losses, want_losses, strict=True):
+        assert abs(g - w) <= tol * max(1.0, abs(w))
+    for name, want in want_grads.items():
+        gap = np.abs(got_grads[name] - want).max()
+        assert gap <= tol * max(1.0, np.abs(want).max()), f"{name}: gap {gap:.3e}"
 
 
 def batch_readers(params, batch, monkeypatch):
@@ -544,8 +574,40 @@ def batch_readers(params, batch, monkeypatch):
     return readers, losses
 
 
+def shared_input(cfg, count, share, seed):
+    """``count`` examples that all have the first one's blog (``share``
+    "blog") or author ("author"), and differ in everything else."""
+    first = tiny_example(cfg, seed, x_len=4, y_len=2, d_len=3)
+    examples = [tiny_example(cfg, seed + i, x_len=2 + i, y_len=i, d_len=1 + i) for i in range(count)]
+    if share == "blog":
+        return [dataclasses.replace(ex, x=first.x) for ex in examples]
+    return [dataclasses.replace(ex, d=first.d, f=first.f) for ex in examples]
+
+
+def ragged_with_repeats(cfg, seed):
+    """Seven ragged examples, then one with the first's one-token blog and
+    the fourth's author, and one with the fourth's description but its
+    own features (another author)."""
+    examples = ragged_examples(cfg, 7, seed=seed)
+    extra = tiny_example(cfg, seed + 7, y_len=2)
+    return examples + [
+        dataclasses.replace(extra, x=examples[0].x, d=examples[3].d, f=examples[3].f),
+        dataclasses.replace(extra, d=examples[3].d),
+    ]
+
+
+BATCH_SHAPES = {
+    "one": lambda cfg: [tiny_example(cfg, 90)],
+    "one_blog": lambda cfg: shared_input(cfg, 4, "blog", seed=91),
+    "one_author": lambda cfg: shared_input(cfg, 4, "author", seed=92),
+    "distinct": lambda cfg: [tiny_example(cfg, 93 + i) for i in range(5)],
+    "ragged": lambda cfg: ragged_with_repeats(cfg, seed=98),
+}
+
+
 class TestBatchSharesEncodes:
-    """A batch encodes each distinct blog and author once."""
+    """A batch encodes its distinct blogs as one encoder block and its
+    distinct authors as another."""
 
     @pytest.mark.parametrize("layers", [1, 2])
     @pytest.mark.parametrize("variant", sorted(M.PRESETS))
@@ -553,23 +615,36 @@ class TestBatchSharesEncodes:
         cfg, data = repeating_dataset(variant, layers)
         params = random_params(cfg, seed=zlib.crc32(f"shared/{variant}/{layers}".encode()))
         batch = [data[int(i)] for i in np.random.default_rng(5).permutation(len(data))]
-        want_loss, want_losses, want_grads = uncached_batch_gradients(params, batch, monkeypatch)
-        got_loss, got_losses, got_grads = cached_batch_gradients(params, batch, monkeypatch)
-        assert got_loss == want_loss and got_losses == want_losses
-        for name, want in want_grads.items():
-            gap = np.abs(got_grads[name] - want).max()
-            assert gap <= 1e-12 * max(1.0, np.abs(want).max()), f"{name}: gap {gap:.3e}"
+        want = alone_batch_gradients(params, batch)
+        assert_batch_close(cached_batch_gradients(params, batch, monkeypatch), want, 1e-12)
 
     @pytest.mark.parametrize("variant", sorted(M.PRESETS))
     def test_distinct_inputs_keep_every_bit(self, variant, monkeypatch):
+        # Distinct blogs share the encoder block's GEMMs, so the walks are
+        # not bitwise equal to walks alone.  They are bitwise equal to the
+        # rows of one block walk's encoders over the whole batch.
         cfg = tiny_config(variant, blog_layers=2)
         params = random_params(cfg, seed=zlib.crc32(f"distinct/{variant}".encode()))
         batch = ragged_examples(cfg, 7, seed=80)
-        want_loss, want_losses, want_grads = uncached_batch_gradients(params, batch, monkeypatch)
-        got_loss, got_losses, got_grads = cached_batch_gradients(params, batch, monkeypatch)
-        assert got_loss == want_loss and got_losses == want_losses
-        for name, want in want_grads.items():
-            assert_bitwise_equal(got_grads[name], want, name)
+        want = alone_batch_gradients(params, batch)
+        assert_batch_close(cached_batch_gradients(params, batch, monkeypatch), want, 1e-12)
+
+        blog, desc, v_u, state = T.example_forward(params, batch)
+        x_ends, d_ends = np.cumsum([len(ex.x) for ex in batch]), np.cumsum([len(ex.d) for ex in batch])
+        for b, (ex, (got_blog, got_desc, got_v_u, got_state)) in enumerate(zip(batch, T._batch_forward(params, batch))):
+            assert_bitwise_equal(got_blog.array, blog.array[x_ends[b] - len(ex.x) : x_ends[b]], "blog states")
+            for (h, c), (got_h, got_c) in zip(state.layers, got_state.layers, strict=True):
+                assert_bitwise_equal(got_h.array, h.array[b], "initial h")
+                assert_bitwise_equal(got_c.array, c.array[b], "initial c")
+            if desc is None:
+                assert got_desc is None
+            else:
+                assert_bitwise_equal(got_desc.array, desc.array[d_ends[b] - len(ex.d) : d_ends[b]], "description states")
+            if v_u is None:
+                assert got_v_u is None and got_state.memory is None
+            else:
+                assert_bitwise_equal(got_v_u.array, v_u.array[b], "user vector")
+                assert (got_state.memory is got_v_u) == cfg.variant.use_gated_memory
 
     @pytest.mark.parametrize("layers", [1, 2])
     @pytest.mark.parametrize("variant", sorted(M.PRESETS))
@@ -577,20 +652,44 @@ class TestBatchSharesEncodes:
         cfg, data = repeating_dataset(variant, layers)
         params = random_params(cfg, seed=7)
         batch = data[::2] + data[1::2]
+        encoded_rows = []
+        layer = ad.bilstm_layer
+
+        def spy(fwd, bwd, x, lengths=None):
+            encoded_rows.append(x.shape[0])
+            return layer(fwd, bwd, x, lengths)
+
+        monkeypatch.setattr(ad, "bilstm_layer", spy)
         readers, _ = batch_readers(params, batch, monkeypatch)
+        encoders = [reads for op, reads in readers if op == "bilstm_layer"]
 
         def count(op, weight):
             return sum(1 for name, reads in readers if name == op and weight in reads)
 
-        blogs = len({ex.x for ex in batch})
-        authors = len({(ex.d, ex.f.tobytes()) for ex in batch})
-        assert (blogs, authors) == (6, 2)
-        assert count("bilstm_layer", "blog_enc.l0.fwd.w_x") == blogs
+        blogs = {ex.x: ex for ex in batch}
+        authors = {(ex.d, ex.f.tobytes()): ex for ex in batch}
+        assert (len(blogs), len(authors)) == (6, 2)
         v = cfg.variant
-        assert count("bilstm_layer", "desc_enc.l0.fwd.w_x") == (authors if v.use_coattention else 0)
-        assert count("tanh_affine", "user_proj.w") == (authors if v.needs_user_vector else 0)
+        # One entry per encoder layer, each over every distinct input once.
+        want = [(f"blog_enc.l{l}.fwd.w_x", sum(len(x) for x in blogs)) for l in range(cfg.blog_layers)]
+        if v.use_coattention:
+            want += [(f"desc_enc.l{l}.fwd.w_x", sum(len(d) for d, _ in authors)) for l in range(cfg.desc_layers)]
+        assert len(encoders) == len(encoded_rows) == len(want)
+        for reads, rows, (weight, total) in zip(encoders, encoded_rows, want):
+            assert weight in reads and rows == total
+        assert count("tanh_affine", "user_proj.w") == (1 if v.needs_user_vector else 0)
         init = sum(count("tanh_affine", f"init.l{i}.{hc}.w") for i in range(cfg.decoder_layers) for hc in "hc")
-        assert init == 2 * cfg.decoder_layers * blogs
+        assert init == 2 * cfg.decoder_layers
+
+    @pytest.mark.parametrize("shape", sorted(BATCH_SHAPES))
+    @pytest.mark.parametrize("layers", [1, 2])
+    @pytest.mark.parametrize("variant", sorted(M.PRESETS))
+    def test_matches_per_example_reference(self, variant, layers, shape, monkeypatch):
+        cfg = tiny_config(variant, blog_layers=layers)
+        params = random_params(cfg, seed=zlib.crc32(f"batch/{variant}/{layers}/{shape}".encode()))
+        batch = BATCH_SHAPES[shape](cfg)
+        want = reference_batch_gradients(params, batch)
+        assert_batch_close(cached_batch_gradients(params, batch, monkeypatch), want, 1e-10)
 
 
 class TestOneHeadPerBatch:
