@@ -20,17 +20,13 @@ row per id, and ``stack_rows`` stacks row blocks as well as vectors;
 ``add`` takes equal shapes only.  Beam search steps every live
 hypothesis as one such block, so each layer is one numpy call per step.
 
-The four product primitives, ``matvec``, ``attention``, ``gated_memory``
-and ``lstm_cell``, take an ``exact`` flag, and only the kernels ``_mv`` and
-``_vm`` act on it; ``tanh_affine``, which makes the user vector and the
-decoder's initial state once per walk, always takes ``_mv``'s default.
-A vector operand is ``w @ x`` either way.  A row block is row-exact by
-default: each row gets the bits of its one-row product, so a beam row's
-values do not depend on the rows beside it.
-With ``exact=False`` a block is one matrix product (a GEMM) per weight,
-whose summation order depends on the block's size.  The teacher-forced
-walk uses that form: it sums its rows into one loss, so no row is ever
-compared with a one-row run.
+Every product of a weight with an operand goes through one of two
+kernels, ``_mv`` and ``_vm``.  A vector operand is ``w @ x``; a row block
+is one matrix product (a GEMM) per weight, whose summation order depends
+on the block's size.  So a block's rows match the same rows run one at a
+time only to rounding, and a beam row's last bits may depend on the rows
+beside it.  For a given block the bits are the same on every run with
+the same BLAS thread count.
 
 The encoders do not step: ``bilstm_layer`` runs both directions of one
 bidirectional LSTM layer over whole sequences as one tape entry and
@@ -247,25 +243,17 @@ def _tape_of(*operands: Tensor) -> "Tape | None":
 # ---------------------------------------------------------------------------
 
 
-# The two product kernels, and the only place the product form is chosen.
-# A row-exact product multiplies a row block as one matrix-vector product
-# per row, in a single numpy call, not as one matrix product.  A BLAS
-# GEMM's summation order depends on the block's size, so a row's result
-# would change with the rows beside it; this way every row gets
-# exactly the bits of the one-row product, whatever the block.  Where no
-# row is compared with a one-row run, ``exact=False`` takes one GEMM.
-def _mv(w: np.ndarray, x: np.ndarray, exact: bool = True) -> np.ndarray:
+# The two product kernels.  A vector is one matrix-vector product; a row
+# block is one GEMM, whose summation order depends on the block's size, so
+# a row's last bits may change with the rows beside it.
+def _mv(w: np.ndarray, x: np.ndarray) -> np.ndarray:
     """W x for a vector x, or W x_r for each row x_r of a block."""
-    if x.ndim == 1:
-        return w @ x
-    return np.matmul(w, x[:, :, None])[:, :, 0] if exact else x @ w.T
+    return w @ x if x.ndim == 1 else x @ w.T
 
 
-def _vm(x: np.ndarray, w: np.ndarray, exact: bool = True) -> np.ndarray:
+def _vm(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     """x W for a vector x, or x_r W for each row x_r of a block."""
-    if x.ndim == 1:
-        return x @ w
-    return np.matmul(x[:, None, :], w)[:, 0, :] if exact else x @ w
+    return x @ w
 
 
 def _weight_grad(g: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -274,16 +262,16 @@ def _weight_grad(g: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.multiply.outer(g, x) if g.ndim == 1 else g.T @ x
 
 
-def matvec(w: Tensor, x: Tensor, exact: bool = True) -> Tensor:
-    """W x for a vector x, or W x_r for each row x_r of a matrix x:
-    row-exact, or with ``exact=False`` one GEMM (see :func:`_mv`)."""
+def matvec(w: Tensor, x: Tensor) -> Tensor:
+    """W x for a vector x, or W x_r for each row x_r of a matrix x as one
+    GEMM (see :func:`_mv`)."""
     wv, xv = w.array, x.array
     if wv.ndim != 2 or xv.ndim not in (1, 2):
         raise ShapeError(f"matvec expects a matrix and a vector or row block, got shapes {wv.shape} and {xv.shape}")
     if wv.shape[1] != xv.shape[-1]:
         raise ShapeError(f"matvec extents differ: {wv.shape} x {xv.shape}")
     tape = _tape_of(w, x)
-    out = _mv(wv, xv, exact)
+    out = _mv(wv, xv)
     if tape is None:
         return _wrap(out)
     nw, nx = w.node, x.node
@@ -347,7 +335,7 @@ def _sigmoid(v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 
 def tanh_affine(w: Tensor, b: Tensor, x: Tensor) -> Tensor:
     """tanh(W x + b) for a vector x, or for each row of a block, as one
-    tape entry; a block's product is row-exact (see :func:`_mv`)."""
+    tape entry; a block's product is one GEMM (see :func:`_mv`)."""
     wv, bv, xv = w.array, b.array, x.array
     if wv.ndim != 2 or bv.shape != wv.shape[:1] or xv.ndim not in (1, 2) or xv.shape[-1] != wv.shape[1]:
         raise ShapeError(f"tanh_affine expects w, b and x of shapes (K, N), (K,) and (..., N), got {wv.shape}, {bv.shape} and {xv.shape}")
@@ -417,7 +405,7 @@ def _lstm_factors(act: np.ndarray, c_prev: np.ndarray, c: np.ndarray) -> tuple[n
     return factor, act[..., 3 * hidden :] * (_ONE - tanh_c * tanh_c)
 
 
-def lstm_cell(w_x: Tensor, w_h: Tensor, b: Tensor, x: Tensor, h_prev: Tensor, c_prev: Tensor, exact: bool = True) -> tuple[Tensor, Tensor]:
+def lstm_cell(w_x: Tensor, w_h: Tensor, b: Tensor, x: Tensor, h_prev: Tensor, c_prev: Tensor) -> tuple[Tensor, Tensor]:
     """One fused LSTM cell application; returns the new states (h, c).
 
     Weight rows are four hidden-size slabs: input, forget, candidate and
@@ -429,7 +417,6 @@ def lstm_cell(w_x: Tensor, w_h: Tensor, b: Tensor, x: Tensor, h_prev: Tensor, c_
     x, h_prev and c_prev are vectors, or row blocks with one row per
     independent cell state; h and c have the same rows.  The whole cell is
     one tape entry whose backward is closed-form for all six inputs.
-    ``exact`` picks the product form of a row block (see :func:`_mv`).
     """
     wxv, whv, bv = w_x.array, w_h.array, b.array
     xv, hv, cv = x.array, h_prev.array, c_prev.array
@@ -438,7 +425,7 @@ def lstm_cell(w_x: Tensor, w_h: Tensor, b: Tensor, x: Tensor, h_prev: Tensor, c_
     if hv.shape != state_shape or cv.shape != state_shape:
         raise ShapeError(f"lstm_cell states must have shape {state_shape}, got {hv.shape} and {cv.shape}")
     tape = _tape_of(w_x, w_h, b, x, h_prev, c_prev)
-    pre = _mv(wxv, xv, exact) + _mv(whv, hv, exact) + bv
+    pre = _mv(wxv, xv) + _mv(whv, hv) + bv
     act = np.empty_like(pre)
     out = np.empty(state_shape[:-1] + (2 * hidden,))  # h and c are its halves
     h, c = out[..., :hidden], out[..., hidden:]
@@ -527,10 +514,10 @@ def bilstm_layer(fwd: Sequence[Tensor], bwd: Sequence[Tensor], x: Tensor,
     only W_h h steps through time, and each step runs both directions'
     cells as one block.  The buffers are step-major, (rows, 2, 4H) and the
     like, so a step's rows of both directions are one contiguous block.
-    One sequence steps W_h h row-exact,
-    so its recurrence does not depend on the rows beside it.  A block of
-    two or more steps it as one GEMM over the sequences still running, so
-    its rows match each sequence run alone only to rounding.  The whole
+    One sequence steps W_h h on vectors, one matrix-vector product per
+    step and direction.  A block of two or more steps it as one GEMM over
+    the sequences still running, so its rows match each sequence run alone
+    only to rounding.  The whole
     layer is one tape entry over its seven operands: its backward runs
     back-propagation through time for both directions in closed form and
     ends with one matrix product per weight gradient.
@@ -545,7 +532,7 @@ def bilstm_layer(fwd: Sequence[Tensor], bwd: Sequence[Tensor], x: Tensor,
     orders, steps, prev = _layer_plan(rows, lengths)
     tape = _tape_of(*fwd, *bwd, x)
     n_seq = steps[0][1]
-    exact = n_seq == 1
+    vector = n_seq == 1
     xs = [np.ascontiguousarray(xv[order]) for order in orders]
     unorders = [o if isinstance(o, slice) else np.argsort(o) for o in orders]  # a reversal undoes itself
     # Step-major buffers whose second axis is the direction: act holds the
@@ -562,12 +549,12 @@ def bilstm_layer(fwd: Sequence[Tensor], bwd: Sequence[Tensor], x: Tensor,
     def span(start: int, count: int):
         # One sequence steps one row at a time: an int index, so that each
         # step works on one vector per direction.
-        return start if exact else slice(start, start + count)
+        return start if vector else slice(start, start + count)
 
     for first, count, p in steps:
         z = pre[span(first, count)]
         for d, (_, w_h, _) in enumerate(weights):
-            z[..., d, :] += _mv(w_h, hs[span(p, count)][..., d, :], exact)
+            z[..., d, :] += _mv(w_h, hs[span(p, count)][..., d, :])
         at = span(n_seq + first, count)
         _lstm_gates(z, cs[span(p, count)], act[span(first, count)], hs[at], cs[at])
     out = np.concatenate([hs[n_seq:, d][unorder] for d, unorder in enumerate(unorders)], axis=1)
@@ -614,8 +601,7 @@ def bilstm_layer(fwd: Sequence[Tensor], bwd: Sequence[Tensor], x: Tensor,
     return tape._record("bilstm_layer", nodes, out, backward)
 
 
-def attention(s: Tensor, states: Tensor, w_a: Tensor, mask: np.ndarray | None = None,
-              exact: bool = True) -> tuple[Tensor, Tensor]:
+def attention(s: Tensor, states: Tensor, w_a: Tensor, mask: np.ndarray | None = None) -> tuple[Tensor, Tensor]:
     """Bilinear attention: q = s W_a, weights = softmax(states q) and the
     context weights · states, for a query vector or each row of a block.
     Returns (context, weights): one tape entry, and a tape-free value.
@@ -625,7 +611,6 @@ def attention(s: Tensor, states: Tensor, w_a: Tensor, mask: np.ndarray | None = 
     gradient, and every row must keep one.  Rows that attend over one
     joined set of encoder states each keep only their own example's that
     way (``training.gold_log_probs``); beam decoding passes no mask.
-    ``exact`` picks the form of the three products (see :func:`_mv`).
     """
     sv, stv, wv = s.array, states.array, w_a.array
     if sv.ndim not in (1, 2) or stv.ndim != 2 or wv.shape != (sv.shape[-1], stv.shape[1]):
@@ -633,8 +618,8 @@ def attention(s: Tensor, states: Tensor, w_a: Tensor, mask: np.ndarray | None = 
                          f"got {sv.shape}, {stv.shape} and {wv.shape}")
     if stv.shape[0] == 0:
         raise ValueError("attention needs at least one encoder state")
-    q = _vm(sv, wv, exact)
-    scores = _mv(stv, q, exact)
+    q = _vm(sv, wv)
+    scores = _mv(stv, q)
     if mask is not None:
         if mask.shape != scores.shape:
             raise ShapeError(f"attention mask has shape {mask.shape}, expected {scores.shape}")
@@ -643,7 +628,7 @@ def attention(s: Tensor, states: Tensor, w_a: Tensor, mask: np.ndarray | None = 
         scores = np.where(mask, scores, -np.inf)
     e = np.exp(scores - np.maximum.reduce(scores, axis=-1, keepdims=True))
     weights = e / np.add.reduce(e, axis=-1, keepdims=True)
-    context = _vm(weights, stv, exact)
+    context = _vm(weights, stv)
     tape = _tape_of(s, states, w_a)
     if tape is None:
         return _wrap(context), _wrap(weights)
@@ -664,7 +649,7 @@ def attention(s: Tensor, states: Tensor, w_a: Tensor, mask: np.ndarray | None = 
 
 
 def gated_memory(w_u: Tensor, w_o: Tensor, s_t: Tensor, s_prev: Tensor, e_prev: Tensor, c_blog: Tensor,
-                 m_prev: Tensor, exact: bool = True) -> tuple[Tensor, Tensor]:
+                 m_prev: Tensor) -> tuple[Tensor, Tensor]:
     """The user memory's decay and gated read, for vectors or each row of a
     block, as one tape entry with the two outputs (M_t, M_t^o):
 
@@ -673,8 +658,7 @@ def gated_memory(w_u: Tensor, w_o: Tensor, s_t: Tensor, s_prev: Tensor, e_prev: 
 
     The gates lie in [0, 1], so no coordinate of |M_t| grows.  The backward
     runs the read gate, the join, then the update gate, so the operands are
-    listed as (w_o, s_prev, e_prev, c_blog, m_prev, w_u, s_t).  ``exact``
-    picks the form of both products (see :func:`_mv`)."""
+    listed as (w_o, s_prev, e_prev, c_blog, m_prev, w_u, s_t)."""
     wuv, wov, sv, mv = w_u.array, w_o.array, s_t.array, m_prev.array
     try:
         z = np.concatenate([s_prev.array, e_prev.array, c_blog.array], axis=-1)
@@ -685,7 +669,7 @@ def gated_memory(w_u: Tensor, w_o: Tensor, s_t: Tensor, s_prev: Tensor, e_prev: 
         raise ShapeError(f"gated_memory operand shapes do not fit, in order: {[t.shape for t in (w_u, w_o, s_t, s_prev, e_prev, c_blog, m_prev)]}")
     tape = _tape_of(w_u, w_o, s_t, s_prev, e_prev, c_blog, m_prev)
     # Both gates' pre-activations side by side, so one sigmoid runs them.
-    gates = np.concatenate((_mv(wuv, sv, exact), _mv(wov, z, exact)), axis=-1)
+    gates = np.concatenate((_mv(wuv, sv), _mv(wov, z)), axis=-1)
     _sigmoid(gates, out=gates)
     act_u, act_o = gates[..., : wuv.shape[0]], gates[..., wuv.shape[0] :]
     m_t = act_u * mv

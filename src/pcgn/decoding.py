@@ -7,11 +7,15 @@ the result extends the hypothesis whose state is row ``parents[r]`` of
 ``states`` with token ``prev_ids[r]``, and the returned states hold one row
 per child, in that order.  :class:`DecodeSession` adapts a model to that
 interface: one batched ``decoder_step`` per beam step, with the unk mask
-applied to the whole block.  Scores are sums of token log-probabilities,
-including the eos step.  Ties are broken toward the lexicographically
-smaller token-id sequence, which makes a width-1 beam exactly greedy
-decoding: at each step it takes the most probable token, the lowest id
-among equals.
+applied to the whole block.  That step applies each weight as one matrix
+product (a GEMM) over the live rows, so a hypothesis's step log-probs
+match stepping its row alone only to rounding: their last bits may depend
+on the rows beside it.  For given parameters, example, config and BLAS
+thread count, a search returns the same hypotheses bit for bit.  Scores
+are sums of token log-probabilities, including the eos step.  Ties are
+broken toward the lexicographically smaller token-id sequence, which makes
+a width-1 beam exactly greedy decoding: at each step it takes the most
+probable token, the lowest id among equals.
 
 Each step picks its candidates with one exact top-k over the (live
 hypotheses x V) score array: everything scoring at least the

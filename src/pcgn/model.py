@@ -368,10 +368,9 @@ def build_model(config: ModelConfig, seed: int) -> ModelParams:
 # ---------------------------------------------------------------------------
 
 
-def lstm_step(cell: LSTMCell, x: Tensor, h_prev: Tensor, c_prev: Tensor, exact: bool = True) -> tuple[Tensor, Tensor]:
-    """One LSTM cell application -> (h, c), one ``ad.lstm_cell`` entry;
-    ``exact`` as there."""
-    return ad.lstm_cell(cell.w_x, cell.w_h, cell.b, x, h_prev, c_prev, exact=exact)
+def lstm_step(cell: LSTMCell, x: Tensor, h_prev: Tensor, c_prev: Tensor) -> tuple[Tensor, Tensor]:
+    """One LSTM cell application -> (h, c), one ``ad.lstm_cell`` entry."""
+    return ad.lstm_cell(cell.w_x, cell.w_h, cell.b, x, h_prev, c_prev)
 
 
 def bilstm_encode(
@@ -404,15 +403,14 @@ def user_embed(w: Tensor, b: Tensor, features: Tensor) -> Tensor:
 
 
 def attention_context(
-    s_prev: Tensor, states: Tensor, w_a: Tensor, mask: np.ndarray | None = None, exact: bool = True
+    s_prev: Tensor, states: Tensor, w_a: Tensor, mask: np.ndarray | None = None
 ) -> AttentionResult:
     """Bilinear attention, one ``ad.attention`` entry: score_j = s' W h_j,
     weights = softmax, context = the weighted sum of the states.  ``states``
     is the encoder's (T, 2H) matrix, ``s_prev`` one decoder state or a
     (B, H) block, and ``mask`` (B, T) keeps each row to the states where it
-    is True.  ``exact`` as for ``ad.attention``.  The weights are
-    tape-free: no loss reads them."""
-    context, weights = ad.attention(s_prev, states, w_a, mask, exact=exact)
+    is True.  The weights are tape-free: no loss reads them."""
+    context, weights = ad.attention(s_prev, states, w_a, mask)
     return AttentionResult(context=context, weights=weights)
 
 
@@ -424,21 +422,20 @@ def gated_memory_step(
     e_prev: Tensor,
     c_blog: Tensor,
     m_prev: Tensor,
-    exact: bool = True,
 ) -> tuple[Tensor, Tensor]:
     """Decay the user memory and gate what the decoder may read.
 
     update gate  g_u = sigmoid(W_u s_t)        -> M_t   = g_u * M_{t-1}
     output gate  g_o = sigmoid(W_o [s_prev; e_prev; c_blog]) -> M_t^o = g_o * M_t
 
-    Both gates and their products are one ``ad.gated_memory`` entry (``exact``
-    as there).  The gates lie in [0, 1], exactly 0 or 1 once the argument
-    reaches 38 in size, so no coordinate of |M_t| grows; one may stay or hit 0.
+    Both gates and their products are one ``ad.gated_memory`` entry.  The
+    gates lie in [0, 1], exactly 0 or 1 once the argument reaches 38 in
+    size, so no coordinate of |M_t| grows; one may stay or hit 0.
     The caller decides which state to pass as ``s_t``; the decoder passes
     the previous step's state in both slots because the new state does not
     exist until after the memory read feeds the LSTM.
     """
-    return ad.gated_memory(w_update, w_output, s_t, s_prev, e_prev, c_blog, m_prev, exact=exact)
+    return ad.gated_memory(w_update, w_output, s_t, s_prev, e_prev, c_blog, m_prev)
 
 
 # ---------------------------------------------------------------------------
@@ -528,7 +525,6 @@ def decoder_advance(
     v_u: Tensor | None,
     blog_mask: np.ndarray | None = None,
     desc_mask: np.ndarray | None = None,
-    exact: bool = True,
 ) -> tuple[DecoderState, AttentionResult, AttentionResult | None]:
     """The recurrent part of a decoder step: previous token ids -> new state.
 
@@ -538,10 +534,8 @@ def decoder_advance(
     states, and each layer is one primitive call for the whole block.
     When the rows come from several examples, the encoder states join
     theirs and the (B, T) masks keep each row to its own example's states
-    (see :func:`attention_context`).  A block's products are row-exact, so
-    each row's values are bit-identical to stepping that row alone; with
-    ``exact=False`` they are one GEMM per weight, for callers that never
-    compare a row with a one-row step.  A vector row is the same either way.
+    (see :func:`attention_context`).  A block applies each weight as one
+    GEMM, so its rows match stepping each row alone only to rounding.
     All step-t gates and attention read the previous top state; the
     memory read M_t^o joins the LSTM input.  Returns the new state and the
     step's blog and description attention (None without co-attention).
@@ -558,8 +552,8 @@ def decoder_advance(
         raise ValueError("user vector does not match the variant")
 
     s_prev = state.top_h
-    blog_attn = attention_context(s_prev, blog_states, params.attn_blog, blog_mask, exact)
-    desc_attn = attention_context(s_prev, desc_states, params.attn_desc, desc_mask, exact) if v.use_coattention else None
+    blog_attn = attention_context(s_prev, blog_states, params.attn_blog, blog_mask)
+    desc_attn = attention_context(s_prev, desc_states, params.attn_desc, desc_mask) if v.use_coattention else None
     e_prev = ad.embedding_lookup(params.embedding, y_prev)
 
     new_memory = None
@@ -567,7 +561,7 @@ def decoder_advance(
     if v.use_gated_memory:
         new_memory, m_read = gated_memory_step(
             params.mem_update, params.mem_output,
-            s_prev, s_prev, e_prev, blog_attn.context, state.memory, exact,
+            s_prev, s_prev, e_prev, blog_attn.context, state.memory,
         )
 
     parts = [blog_attn.context]
@@ -582,7 +576,7 @@ def decoder_advance(
 
     new_layers = []
     for cell, (h_prev, c_prev) in zip(params.decoder, state.layers):
-        h, c = lstm_step(cell, x, h_prev, c_prev, exact)
+        h, c = lstm_step(cell, x, h_prev, c_prev)
         new_layers.append((h, c))
         x = h
     new_state = DecoderState(layers=tuple(new_layers), memory=new_memory, step=state.step + 1)
@@ -594,19 +588,18 @@ def output_layer(
     s_t: Tensor,
     v_u: Tensor | None,
     desc_context: Tensor | None,
-    exact: bool = True,
 ) -> Tensor:
     """Logits from the decoder's new top state: W_out s_t, or for the
     external variants W_out [s_t; W_mix [v_u; c_desc]].
 
     ``v_u`` and ``desc_context`` have s_t's rows and are read only by the
-    external variants.  Each weight is one ``ad.matvec``, with ``exact``
-    as in :func:`decoder_advance`.
+    external variants.  Each weight is one ``ad.matvec``: one GEMM over a
+    block's rows.
     """
     if params.config.variant.use_external:
-        r_u = ad.matvec(params.user_mix, ad.concat([v_u, desc_context]), exact)
-        return ad.matvec(params.out_mix, ad.concat([s_t, r_u]), exact)
-    return ad.matvec(params.out_proj, s_t, exact)
+        r_u = ad.matvec(params.user_mix, ad.concat([v_u, desc_context]))
+        return ad.matvec(params.out_mix, ad.concat([s_t, r_u]))
+    return ad.matvec(params.out_proj, s_t)
 
 
 def decoder_step(
@@ -618,8 +611,8 @@ def decoder_step(
     v_u: Tensor | None,
 ) -> StepResult:
     """One decoding step: :func:`decoder_advance`, then the new top state
-    through :func:`output_layer` with row-exact products, so every row's
-    logits are bit-identical to stepping that row alone."""
+    through :func:`output_layer`.  A block of rows takes one GEMM per
+    weight, so a row's logits match stepping that row alone to rounding."""
     new_state, blog_attn, desc_attn = decoder_advance(params, state, y_prev, blog_states, desc_states, v_u)
     desc_context = None if desc_attn is None else desc_attn.context
     return StepResult(

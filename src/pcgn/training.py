@@ -6,20 +6,17 @@ over a block of examples.  The block steps as one row block: the encoders
 run all its blogs (and descriptions) together, each decoder step runs one
 row per example, and each row's attention keeps only its own example's
 encoder states (an attention mask).  A block of one example runs on vectors,
-the engine's one-row form.  The walk sums its rows into one loss and never
-compares a row with a one-row run, so it needs no row exactness: over a
-block of two or more examples, the encoders' recurrence and every decoder
-step apply each weight as one matrix product (``exact=False``).  Only the
-initial state and the user vector, made once per walk, keep row-exact
-products.  A one-example walk's vector products are ``w @ x`` either way,
-so its steps' values do not depend on the flag.  The steps run only the
-decoder's recurrent part (``model.decoder_advance``): the output layer
-feeds no later step, so the walk applies it once, after the last step, to
-every scored row together (``ad.matvec``, ``exact=False``).  Decoding keeps
-``model.decoder_step``, whose row-exact products make each beam row's
-logits independent of the rows beside it.  ``sequence_loss`` and
-``token_log_probs`` walk one example.  ``dataset_perplexity`` walks
-:data:`SCORE_BLOCK` consecutive examples at a time (see there).
+the engine's one-row form.  Over a block of two or more examples, the
+encoders' recurrence, the initial state, the user vector and every decoder
+step apply each weight as one matrix product (a GEMM), as decoding does,
+so a row matches its example walked alone only to rounding.  The steps
+run only the decoder's recurrent part (``model.decoder_advance``): the
+output layer feeds no later step, so the walk applies it once, after the
+last step, to every scored row together (``model.output_layer``).
+Decoding runs both parts each step (``model.decoder_step``).
+``sequence_loss`` and ``token_log_probs`` walk one example.
+``dataset_perplexity`` walks :data:`SCORE_BLOCK` consecutive examples at
+a time (see there).
 
 The walk is two pieces: :func:`_decoder_walk` steps the decoder, and
 :func:`_gold_head` runs the output layer and the gold log-softmax.
@@ -253,9 +250,7 @@ def _decoder_walk(params: M.ModelParams, examples: Sequence[EncodedExample], for
     external = params.config.variant.use_external
     tops, contexts = [], []
     for prev in inputs:
-        state, _, desc_attn = M.decoder_advance(
-            params, state, prev, blog_states, desc_states, v_u, blog_mask, desc_mask, exact=False
-        )
+        state, _, desc_attn = M.decoder_advance(params, state, prev, blog_states, desc_states, v_u, blog_mask, desc_mask)
         tops.append(state.top_h)
         if external:
             contexts.append(desc_attn.context)
@@ -277,7 +272,7 @@ def _gold_head(params: M.ModelParams, walk: _Walk) -> Tensor:
         # stack_rows makes one example's v_u vector a one-row block.
         user_rows = ad.embedding_lookup(ad.stack_rows(walk.users), walk.owner)
         desc_context = scored_rows(walk.contexts)
-    logits = M.output_layer(params, scored_rows(walk.tops), user_rows, desc_context, exact=False)
+    logits = M.output_layer(params, scored_rows(walk.tops), user_rows, desc_context)
     return ad.log_softmax_at(logits, walk.targets)
 
 

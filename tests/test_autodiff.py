@@ -66,7 +66,7 @@ class TestForwardValues:
     def test_linear_is_one_matrix_product(self):
         rng = np.random.default_rng(7)
         w, x = rng.normal(size=(5, 3)), rng.normal(size=(4, 3))
-        out = ad.matvec(ad.tensor(w), ad.tensor(x), exact=False).array
+        out = ad.matvec(ad.tensor(w), ad.tensor(x)).array
         assert np.array_equal(out, x @ w.T)
         assert np.allclose(out, [w @ row for row in x], rtol=0, atol=1e-14)
 
@@ -86,7 +86,7 @@ class TestForwardValues:
         assert ad.tanh_affine(ad.tensor([[1.0]]), ad.tensor([0.0]), ad.tensor([0.0])).array[0] == 0.0
 
     def test_tanh_affine_has_the_bits_of_its_parts(self):
-        # tanh(W x + b) with W x row-exact for a block, as the separate
+        # tanh(W x + b) with W x one GEMM for a block, as the separate
         # product, bias sum and tanh made it.
         rng = np.random.default_rng(75)
         w, b = rng.normal(size=(6, 5)), rng.normal(size=6)
@@ -140,52 +140,53 @@ class TestForwardValues:
         assert np.array_equal(ad.zeros((2, 2)).array, np.zeros((2, 2)))
 
 
-def product_forms(rng, lead, hidden=6, in_dim=5, steps=7):
-    """(name, call) for each primitive with an ``exact`` flag; ``call(exact)``
-    applies it to fixed random operands with ``lead`` rows and returns its
-    outputs as a tuple."""
+def product_forms(rng, rows, hidden=6, in_dim=5, steps=7):
+    """(name, call) for each primitive that multiplies a weight by operand
+    rows.  ``call()`` applies it to fixed random operands with ``rows``
+    rows, and ``call(r)`` to their row r alone, as vectors; each returns
+    the primitive's outputs as a tuple."""
     t = lambda *shape: ad.tensor(rng.normal(size=shape))
-    x, h, c, m = t(*lead, in_dim), t(*lead, hidden), t(*lead, hidden), t(*lead, hidden)
+    x, h, c, m = t(rows, in_dim), t(rows, hidden), t(rows, hidden), t(rows, hidden)
     w_x, w_h, b = t(4 * hidden, in_dim), t(4 * hidden, hidden), t(4 * hidden)
     w_u, w_o = t(hidden, hidden), t(hidden, hidden + 2 * in_dim)
     states, w_a = t(steps, in_dim), ad.tensor(rng.normal(size=(hidden, in_dim)) / hidden)
-    mask = rng.random(lead + (steps,)) < 0.5
-    mask[..., 0] = True
+    mask = rng.random((rows, steps)) < 0.5
+    mask[:, 0] = True
+
+    def pick(v, r):
+        return v if r is None else ad.tensor(v.array[r])
+
     return [
-        ("matvec", lambda exact: (ad.matvec(w_x, x, exact=exact),)),
-        ("lstm_cell", lambda exact: ad.lstm_cell(w_x, w_h, b, x, h, c, exact=exact)),
-        ("gated_memory", lambda exact: ad.gated_memory(w_u, w_o, h, c, x, x, m, exact=exact)),
-        ("attention", lambda exact: ad.attention(h, states, w_a, exact=exact)),
-        ("masked attention", lambda exact: ad.attention(h, states, w_a, mask, exact=exact)),
+        ("matvec", lambda r=None: (ad.matvec(w_x, pick(x, r)),)),
+        ("lstm_cell", lambda r=None: ad.lstm_cell(w_x, w_h, b, pick(x, r), pick(h, r), pick(c, r))),
+        ("gated_memory", lambda r=None: ad.gated_memory(w_u, w_o, *(pick(v, r) for v in (h, c, x, x, m)))),
+        ("attention", lambda r=None: ad.attention(pick(h, r), states, w_a)),
+        ("masked attention", lambda r=None: ad.attention(pick(h, r), states, w_a, mask if r is None else mask[r])),
     ]
 
 
 class TestProductForms:
-    """``exact=False`` makes a row block's products one GEMM each; a vector
-    keeps ``w @ x``, and an LSTM layer over several sequences steps as one
-    GEMM."""
+    """A row block's products are one GEMM each and a vector's are
+    ``w @ x``; an LSTM layer over several sequences steps as one GEMM."""
 
-    def test_kernels_make_the_form_the_flag_names(self):
-        # At these sizes a GEMM's bits differ from per-row products, so
-        # a kernel that ignored the flag would fail here.
+    def test_kernels_are_one_gemm_for_a_block_and_w_x_for_a_vector(self):
+        # At these sizes a GEMM's bits differ from per-row products, so a
+        # kernel that multiplied a block row by row would fail here.
         rng = np.random.default_rng(74)
         w, x = rng.normal(size=(40, 64)), rng.normal(size=(9, 64))
-        assert ad._mv(w, x, exact=False).tobytes() == (x @ w.T).tobytes()
-        assert ad._mv(w, x).tobytes() == np.array([w @ r for r in x]).tobytes()
-        assert ad._vm(x, w.T, exact=False).tobytes() == (x @ w.T).tobytes()
-        assert ad._vm(x, w.T).tobytes() == np.array([r @ w.T for r in x]).tobytes()
+        assert ad._mv(w, x).tobytes() == (x @ w.T).tobytes()
+        assert ad._vm(x, w.T).tobytes() == (x @ w.T).tobytes()
+        assert ad._mv(w, x[0]).tobytes() == (w @ x[0]).tobytes()
+        assert ad._vm(x[0], w.T).tobytes() == (x[0] @ w.T).tobytes()
 
-    def test_gemm_flag_leaves_vectors_alone(self):
-        for name, call in product_forms(np.random.default_rng(70), ()):
-            for gemm, exact in zip(call(False), call(True)):
-                assert gemm.array.tobytes() == exact.array.tobytes(), name
-
-    def test_gemm_rows_match_row_exact_rows(self):
-        for name, call in product_forms(np.random.default_rng(71), (9,)):
-            for exact, gemm in zip(call(True), call(False)):
-                exact, gemm = exact.array, gemm.array
-                assert gemm.shape == exact.shape
-                assert np.abs(gemm - exact).max() <= 1e-13 * max(1.0, np.abs(exact).max()), name
+    def test_block_rows_match_one_row_runs(self):
+        for name, call in product_forms(np.random.default_rng(71), 9):
+            block = [t.array for t in call()]
+            for r in range(9):
+                for rows, alone in zip(block, call(r)):
+                    alone = alone.array
+                    assert rows[r].shape == alone.shape
+                    assert np.abs(rows[r] - alone).max() <= 1e-13 * max(1.0, np.abs(alone).max()), name
 
     @pytest.mark.parametrize("reverse", [False, True])
     def test_lstm_layer_block_rows_match_each_sequence_alone(self, reverse):
@@ -409,15 +410,15 @@ def _fd_cases(name, rng):
             (lambda t: weighted_sum(ad.matvec(t, ad.tensor(xs)), mix), w),
             (lambda t: weighted_sum(ad.matvec(ad.tensor(w), t), mix), xs),
         ]
-    if name == "linear":  # matvec's GEMM form
+    if name == "linear":  # matvec on a one-row block and a wider one
         m, k, rows = dims(3)
         w = rng.normal(size=(m, k))
         cases = []
         for n in (1, rows):
             x, mix = rng.normal(size=(n, k)), ad.tensor(rng.normal(size=(n, m)))
             cases += [
-                (lambda t, x=x, mix=mix: weighted_sum(ad.matvec(t, ad.tensor(x), exact=False), mix), w),
-                (lambda t, mix=mix: weighted_sum(ad.matvec(ad.tensor(w), t, exact=False), mix), x),
+                (lambda t, x=x, mix=mix: weighted_sum(ad.matvec(t, ad.tensor(x)), mix), w),
+                (lambda t, mix=mix: weighted_sum(ad.matvec(ad.tensor(w), t), mix), x),
             ]
         return cases
     if name == "add":
@@ -457,16 +458,16 @@ def _fd_cases(name, rng):
         # no gate saturates and central differences stay accurate.
         w_u, w_o = rng.normal(size=(k, h)) / np.sqrt(h), rng.normal(size=(k, h_prev + e + c)) / np.sqrt(h_prev + e + c)
         cases = []
-        # A vector, a row block, and a row block as one GEMM.
-        for lead, exact in (((), True), ((rows,), True), ((rows,), False)):
+        # A vector and a row block.
+        for lead in ((), (rows,)):
             operands = [w_u, w_o] + [rng.normal(size=lead + (n,)) for n in (h, h_prev, e, c, k)]
             if name == "gated_memory":
-                op = lambda *args, exact=exact: ad.concat(ad.gated_memory(*args, exact=exact))
+                op = lambda *args: ad.concat(ad.gated_memory(*args))
                 cases += _every_operand(op, operands, ad.tensor(rng.normal(size=lead + (2 * k,))))
             else:
                 # The update gate alone: M_t, with M_t^o unread, as a
                 # function of W_u, s_t and M_{t-1}.
-                op = lambda *args, exact=exact: ad.gated_memory(*args, exact=exact)[0]
+                op = lambda *args: ad.gated_memory(*args)[0]
                 probes = _every_operand(op, operands, ad.tensor(rng.normal(size=lead + (k,))))
                 cases += [probes[i] for i in (0, 2, 6)]
         return cases
@@ -476,14 +477,14 @@ def _fd_cases(name, rng):
         # saturates and central differences stay accurate.
         states, w_a = rng.normal(size=(steps, d)), rng.normal(size=(h, d)) / np.sqrt(h * d)
         cases = []
-        # A vector, a row block, and a row block as one GEMM per product.
-        for lead, exact in (((), True), ((rows,), True), ((rows,), False)):
+        # A vector and a row block.
+        for lead in ((), (rows,)):
             # A random mask that keeps at least one state per row.
             mask = rng.random(lead + (steps,)) < 0.5
             mask[..., rng.integers(0, steps)] = True
             mix = ad.tensor(rng.normal(size=lead + (d,)))
             for keep in (None, mask):
-                op = lambda s, st, w, keep=keep, exact=exact: ad.attention(s, st, w, keep, exact=exact)[0]
+                op = lambda s, st, w, keep=keep: ad.attention(s, st, w, keep)[0]
                 cases += _every_operand(op, [rng.normal(size=lead + (h,)), states, w_a], mix)
         return cases
     if name == "softmax":
@@ -956,9 +957,9 @@ class TestErrors:
     def test_linear_shape_mismatch(self):
         w = ad.zeros((4, 3))
         with pytest.raises(ad.ShapeError):
-            ad.matvec(w, ad.zeros((2, 4)), exact=False)
+            ad.matvec(w, ad.zeros((2, 4)))
         with pytest.raises(ad.ShapeError):
-            ad.matvec(ad.zeros(3), ad.zeros((2, 3)), exact=False)
+            ad.matvec(ad.zeros(3), ad.zeros((2, 3)))
 
     def test_add_shape_mismatch(self):
         with pytest.raises(ad.ShapeError):

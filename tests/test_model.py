@@ -290,14 +290,7 @@ class TestFusedLSTMCell:
         assert ad.finite_difference_check(f, inputs[which]) < 1e-6
 
     def test_row_block_gradients_match_finite_differences(self):
-        self.check_row_block_gradients(44, exact=True)
-
-    def test_gemm_row_block_gradients_match_finite_differences(self):
-        self.check_row_block_gradients(45, exact=False)
-
-    @staticmethod
-    def check_row_block_gradients(seed, exact):
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(44)
         cell = random_cell(rng, 3, 4)
         inputs = {
             "w_x": cell.w_x, "w_h": cell.w_h, "b": cell.b,
@@ -309,8 +302,7 @@ class TestFusedLSTMCell:
         for which in inputs:
             def f(theta):
                 args = dict(inputs, **{which: theta})
-                h, c = ad.lstm_cell(args["w_x"], args["w_h"], args["b"], args["x"], args["h_prev"], args["c_prev"],
-                                    exact=exact)
+                h, c = ad.lstm_cell(args["w_x"], args["w_h"], args["b"], args["x"], args["h_prev"], args["c_prev"])
                 return weighted_sum(ad.concat([h, c]), mix)
 
             assert ad.finite_difference_check(f, inputs[which]) < 1e-6, which
@@ -669,8 +661,9 @@ class TestVectorWalk:
 
 
 class TestBatchedDecoderStep:
-    """A (B, .) block of decoder rows steps like B one-row steps, bit for
-    bit: decoding's output layer keeps row-exact products."""
+    """A (B, .) block of decoder rows steps like B one-row steps, to 1e-12:
+    a block takes one GEMM per weight, so a row's last bits may depend on
+    the rows beside it."""
 
     @pytest.mark.parametrize("blog_layers", [1, 2])
     @pytest.mark.parametrize("variant", sorted(M.PRESETS))
@@ -709,7 +702,7 @@ class TestBatchedDecoderStep:
             if cfg.variant.use_gated_memory:
                 pairs.append((batched.state.memory, alone.state.memory))
             for b, a in pairs:
-                assert same_bits(b.array[r], a.array)
+                np.testing.assert_allclose(b.array[r], a.array, rtol=0, atol=1e-12)
 
 
 def copy_tensor(t):

@@ -7,7 +7,6 @@ import copy
 import dataclasses
 import json
 import math
-import sys
 import zlib
 from functools import reduce
 
@@ -17,7 +16,6 @@ import pytest
 from pcgn import autodiff as ad
 from pcgn import checkpoint as C
 from pcgn import data as D
-from pcgn import decoding as Dec
 from pcgn import model as M
 from pcgn import training as T
 from pcgn.synthetic import synthetic_records
@@ -208,40 +206,6 @@ class TestBlockWalk:
         terms, owner = T.gold_log_probs(params, [ex])
         assert np.array_equal(owner, np.zeros(ex.target_len))
         assert np.allclose(terms.array, oracle.reference_step_scores(params, ex), atol=1e-10)
-
-
-def stacked_product_callers(monkeypatch) -> list[str]:
-    """Spies on the product kernels ``ad._mv`` and ``ad._vm``: the list
-    returned collects the calling function's name for each row-exact call,
-    one on a row block with ``exact`` true."""
-    callers = []
-    for name, operand in (("_mv", 1), ("_vm", 0)):
-        def spy(*args, original=getattr(ad, name), operand=operand):
-            if args[operand].ndim == 2 and (len(args) < 3 or args[2]):
-                callers.append(sys._getframe(1).f_code.co_name)
-            return original(*args)
-        monkeypatch.setattr(ad, name, spy)
-    return callers
-
-
-class TestProductPaths:
-    """Which products each path makes: the walk's blocks take GEMMs,
-    decoding keeps the row-exact stacked products."""
-
-    def test_walk_makes_no_stacked_product_per_step(self, monkeypatch):
-        cfg = tiny_config("PCGN", blog_layers=2)
-        callers = stacked_product_callers(monkeypatch)
-        T.gold_log_probs(random_params(cfg, 64), ragged_examples(cfg, 3))
-        # Only the initial state (an h and a c per decoder layer) and the
-        # user vector, made once per walk, keep row-exact products.
-        assert callers == ["tanh_affine"] * (2 * cfg.decoder_layers + 1)
-
-    def test_decode_step_keeps_stacked_products(self, monkeypatch):
-        cfg = tiny_config("PCGN", blog_layers=2)
-        session = Dec.DecodeSession(random_params(cfg, 65), tiny_example(cfg, 66))
-        callers = stacked_product_callers(monkeypatch)
-        session.step(session.initial_state(), [0, 0, 0, 0], [cfg.bos_id, 4, 5, 6])
-        assert set(callers) == {"attention", "gated_memory", "lstm_cell", "matvec"}
 
 
 class TestBlockedPerplexity:
