@@ -7,7 +7,9 @@ this script before and after it.  For each variant of the ablation ladder,
 at one and two layers, the digest covers:
 
 - walk: the gold log-probabilities and every parameter gradient of one
-  teacher-forced walk over blocks of 1, 3 and 7 examples;
+  teacher-forced walk over blocks of 1, 3 and 7 examples; the block of
+  3 shares one blog and the block of 7 repeats two blogs and four
+  authors, so this section covers the block walk's deduplicated encode;
 - batch: a training batch's loss, its example losses and every parameter
   gradient, for two batches: the first 8 training examples (two blogs,
   each commented on by the same four authors), and the corpus's examples

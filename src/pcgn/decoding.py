@@ -132,7 +132,8 @@ def _map_state(state: M.DecoderState, fn) -> M.DecoderState:
 
 
 class DecodeSession:
-    """Precomputed encoder/user work for decoding one (blog, user) pair.
+    """Precomputed encoder/user work for decoding one (blog, user) pair:
+    the walks' one encode (``training.example_forward``), on vectors.
 
     States are row blocks, one row per hypothesis; the initial state is a
     single row.  Step log-probabilities are plain (rows, V) numpy arrays
@@ -144,7 +145,7 @@ class DecodeSession:
     def __init__(self, params: M.ModelParams, example):
         self.params = params
         self.config = params.config
-        blog_states, desc_states, v_u, initial = example_forward(params, [example])
+        blog_states, desc_states, v_u, initial, _, _ = example_forward(params, [example])
         self._blog_states, self._desc_states = blog_states, desc_states
 
         def one_row(t):

@@ -1,34 +1,28 @@
 """Teacher-forced training: loss assembly, SGD with gradient clipping,
 seeded epoch loops.
 
-Every loss comes from one teacher-forced walk, :func:`gold_log_probs`,
-over a block of examples.  The block steps as one row block: the encoders
-run all its blogs (and descriptions) together, each decoder step runs one
-row per example, and each row's attention keeps only its own example's
-encoder states (an attention mask).  A block of one example runs on vectors,
-the engine's one-row form.  Over a block of two or more examples, the
-encoders' recurrence, the initial state, the user vector and every decoder
-step apply each weight as one matrix product (a GEMM), as decoding does,
-so a row matches its example walked alone only to rounding.  The steps
-run only the decoder's recurrent part (``model.decoder_advance``): the
-output layer feeds no later step, so the walk applies it once, after the
-last step, to every scored row together (``model.output_layer``).
-Decoding runs both parts each step (``model.decoder_step``).
-``sequence_loss`` and ``token_log_probs`` walk one example.
-``dataset_perplexity`` walks :data:`SCORE_BLOCK` consecutive examples at
-a time (see there).
+Every walk, whether it scores, trains or decodes, starts from one encode
+(:func:`_encode`): a block's distinct blogs run as one blog-encoder block
+with one set of initial-layer products over it, and its distinct authors
+as one description-encoder block and one user-vector block.  One example
+runs on vectors, the engine's one-row form.  Over two or more, every
+product applies each weight as one matrix product (a GEMM), as decoding
+does, so a row matches its example walked alone only to rounding.
 
-The walk is two pieces: :func:`_decoder_walk` steps the decoder, and
-:func:`_gold_head` runs the output layer and the gold log-softmax.
-Training splits them.  ``train_epoch`` encodes a batch's distinct blogs
-as one encoder block, with one set of initial-layer products, and its
-distinct authors as one description-encoder block and one user-vector
-block (see :func:`_batch_forward`).  Each example then runs its own
-one-example decoder walk over its rows of those blocks, and one head
-scores every row of the batch: one output-layer product per weight, one
-``log_softmax_at`` and one sum, whatever the batch size.  The decoder
-walks do not yet run as one block.  Every other caller encodes each
-example it walks (:func:`example_forward`).
+:func:`gold_log_probs` walks a block as one row block: each decoder step
+runs one row per example, and each row's attention keeps only its own
+blog's and author's encoder states (an attention mask).  The steps run
+only the decoder's recurrent part (``model.decoder_advance``,
+:func:`_decoder_walk`): the output layer feeds no later step, so one head
+scores every row after the last step (``model.output_layer``,
+:func:`_gold_head`).  Decoding runs both parts each step
+(``model.decoder_step``).  ``sequence_loss`` and ``token_log_probs`` walk
+one example, ``dataset_perplexity`` :data:`SCORE_BLOCK` at a time.
+
+A training batch splits the walk (:func:`_batch_gradients`): each example
+runs its own one-example decoder walk over its rows of the batch's encode
+(:func:`_batch_forward`), then one head scores every row of the batch.
+The decoder walks do not yet run as one block.
 """
 
 from __future__ import annotations
@@ -86,50 +80,6 @@ class OptimizerConfig:
             raise ValueError(f"clip_norm must be finite and positive, got {self.clip_norm}")
 
 
-def _block_lengths(examples: Sequence[EncodedExample]) -> tuple[list[int] | None, list[int] | None]:
-    """Each example's blog and description lengths, for the model functions.
-
-    (None, None) for a single example: the model then runs it on vectors,
-    the engine's one-row form, which costs less per op than a one-row
-    block.  Everything downstream keys on that None.
-    """
-    if len(examples) == 1:
-        return None, None
-    return [len(ex.x) for ex in examples], [len(ex.d) for ex in examples]
-
-
-def _encode(params: M.ModelParams, blogs: Sequence[EncodedExample], authors: Sequence[EncodedExample]):
-    """(blog_states, desc_states, v_u): the blog encoder over ``blogs``' blogs,
-    and the description encoder and user vector over ``authors``' authors,
-    each list as one block (on vectors for a list of one, see
-    :func:`_block_lengths`).  None for what the variant lacks."""
-    v = params.config.variant
-    x_lens, d_lens = _block_lengths(blogs)[0], _block_lengths(authors)[1]
-    blog_states = M.encode_blog(params, [i for ex in blogs for i in ex.x], x_lens)
-    desc_states = None
-    if v.use_coattention:
-        desc_states = M.encode_description(params, [i for ex in authors for i in ex.d], d_lens)
-    v_u = None
-    if v.needs_user_vector:
-        v_u = M.user_vector(params, authors[0].f if d_lens is None else np.stack([ex.f for ex in authors]))
-    return blog_states, desc_states, v_u
-
-
-def example_forward(params: M.ModelParams, examples: Sequence[EncodedExample]):
-    """Shared encode/init work for a block of examples.
-
-    Returns (blog_states, desc_states, v_u, initial decoder state).  Each
-    encoder's states are one (T, 2H) matrix holding the examples' rows one
-    after another, which every decoder step attends over; v_u and the
-    state have one row per example (vectors for a single example, see
-    :func:`_block_lengths`).  The work runs in this order: blog encoder,
-    description encoder, user vector, initial (h, c) layers.
-    """
-    blog_states, desc_states, v_u = _encode(params, examples, examples)
-    state = M.init_decoder_state(params, blog_states, v_u, _block_lengths(examples)[0])
-    return blog_states, desc_states, v_u, state
-
-
 def _distinct(examples: Sequence[EncodedExample], key: Callable) -> tuple[list[EncodedExample], list[int]]:
     """The first example of each distinct ``key``, in order, and each
     example's index among them."""
@@ -144,9 +94,80 @@ def _distinct(examples: Sequence[EncodedExample], key: Callable) -> tuple[list[E
     return firsts, which
 
 
+class _Encoded(NamedTuple):
+    """A block's encodes: the distinct blogs' and descriptions' states end
+    to end, one v_u row per distinct author and one initial (h, c) row per
+    distinct blog.  Example b has blog ``blog_of[b]`` and author
+    ``author_of[b]``.  The lengths are None for one example, whose encodes
+    are vectors."""
+
+    blogs: Tensor
+    descs: Tensor | None
+    users: Tensor | None
+    layers: tuple[tuple[Tensor, Tensor], ...]
+    x_lens: list[int] | None
+    d_lens: list[int] | None
+    blog_of: list[int]
+    author_of: list[int]
+
+
+def _encode(params: M.ModelParams, examples: Sequence[EncodedExample]) -> _Encoded:
+    """Every encode of a block, each distinct blog (keyed by token ids) and
+    author (by description ids and feature bytes, never ``user_id``) once.
+    The example count picks the form: one example runs on vectors, which
+    cost less per op than a one-row block, and two or more run blocks,
+    even over one distinct blog.  None for what the variant lacks."""
+    v = params.config.variant
+    if len(examples) == 1:  # no keys to build
+        blogs, blog_of, authors, author_of, x_lens, d_lens = examples, [0], examples, [0], None, None
+    else:
+        blogs, blog_of = _distinct(examples, lambda ex: tuple(ex.x))
+        authors, author_of = _distinct(examples, lambda ex: (tuple(ex.d), np.asarray(ex.f).tobytes()))
+        x_lens, d_lens = [len(ex.x) for ex in blogs], [len(ex.d) for ex in authors]
+    blog_states = M.encode_blog(params, [i for ex in blogs for i in ex.x], x_lens)
+    desc_states = None
+    if v.use_coattention:
+        desc_states = M.encode_description(params, [i for ex in authors for i in ex.d], d_lens)
+    users = None
+    if v.needs_user_vector:
+        users = M.user_vector(params, authors[0].f if d_lens is None else np.stack([ex.f for ex in authors]))
+    layers = M.initial_layers(params, blog_states, x_lens)
+    return _Encoded(blog_states, desc_states, users, layers, x_lens, d_lens, blog_of, author_of)
+
+
+def _start(params: M.ModelParams, layers: tuple, v_u: Tensor | None) -> M.DecoderState:
+    """The initial decoder state from its (h, c) layers; M_0 = v_u."""
+    return M.DecoderState(layers=layers, memory=v_u if params.config.variant.use_gated_memory else None)
+
+
+def example_forward(params: M.ModelParams, examples: Sequence[EncodedExample]) -> tuple:
+    """A block walk's inputs, over one :func:`_encode` of its examples:
+    (blog_states, desc_states, v_u, initial state, blog_mask, desc_mask).
+
+    Every row attends over the distinct inputs' states, and the (B, T)
+    masks keep row b to its own blog's and author's.  One
+    ``embedding_lookup`` by ``author_of`` or ``blog_of`` reads the v_u rows
+    and each initial h or c.  One example's v_u and state are vectors, and
+    its masks None.
+    """
+    enc = _encode(params, examples)
+    if enc.x_lens is None:
+        return enc.blogs, enc.descs, enc.users, _start(params, enc.layers, enc.users), None, None
+    blog_of, author_of = np.asarray(enc.blog_of), np.asarray(enc.author_of)
+    v_u = None if enc.users is None else ad.embedding_lookup(enc.users, author_of)
+    layers = tuple((ad.embedding_lookup(h, blog_of), ad.embedding_lookup(c, blog_of)) for h, c in enc.layers)
+    desc_mask = None if enc.descs is None else _own_rows(enc.d_lens, author_of)
+    return enc.blogs, enc.descs, v_u, _start(params, layers, v_u), _own_rows(enc.x_lens, blog_of), desc_mask
+
+
+def _own_rows(lengths: list[int], of: np.ndarray) -> np.ndarray:
+    """(B, sum(lengths)) mask: row b keeps the states of sequence ``of[b]``."""
+    return np.repeat(np.arange(len(lengths)), lengths)[None, :] == of[:, None]
+
+
 def _sequences(block: Tensor, lengths: list[int] | None) -> list[Tensor]:
     """Each sequence's rows of an encoder block: the block itself when it
-    holds one sequence (``lengths`` None)."""
+    is one example's (``lengths`` None)."""
     if lengths is None:
         return [block]
     ends = np.cumsum(lengths).tolist()
@@ -155,52 +176,27 @@ def _sequences(block: Tensor, lengths: list[int] | None) -> list[Tensor]:
 
 def _row(block: Tensor | None, k: int, lengths: list[int] | None) -> Tensor | None:
     """Row k of a (B, .) block as a vector: the block itself when it is
-    one row's vector (``lengths`` None), None for no block."""
+    one example's vector (``lengths`` None), None for no block."""
     return block if lengths is None or block is None else ad.embedding_lookup(block, k)
 
 
 def _batch_forward(params: M.ModelParams, examples: Sequence[EncodedExample]) -> list[tuple]:
-    """:func:`example_forward`'s result for each example of a batch, each
-    for a one-example walk.
-
-    The batch's distinct blogs (by token ids) run as one blog-encoder
-    block and one set of initial-layer products over it; its distinct
-    authors (by description ids and feature bytes, never ``user_id``) as
-    one description-encoder block and one user-vector block.  Each
-    distinct blog and author reads its rows of those blocks once, and
-    every example that has it shares them.  M_0 is the example's own v_u.
-    A batch with one distinct blog (or author) encodes it on its own, as
-    :func:`example_forward` does.
-    """
-    v = params.config.variant
-    blogs, blog_of = _distinct(examples, lambda ex: tuple(ex.x))
-    authors, author_of = _distinct(examples, lambda ex: (tuple(ex.d), np.asarray(ex.f).tobytes()))
-    x_lens, d_lens = _block_lengths(blogs)[0], _block_lengths(authors)[1]
-    blog_block, desc_block, users = _encode(params, blogs, authors)
-    layer_block = M.initial_layers(params, blog_block, x_lens)
+    """Each example's :func:`example_forward` result for a one-example
+    decoder walk, over one :func:`_encode` of the batch: each distinct blog
+    and author reads its rows once, as vectors, and every example that has
+    it shares them."""
+    enc = _encode(params, examples)
     blog_rows = [
-        (states, tuple((_row(h, k, x_lens), _row(c, k, x_lens)) for h, c in layer_block))
-        for k, states in enumerate(_sequences(blog_block, x_lens))
+        (states, tuple((_row(h, k, enc.x_lens), _row(c, k, enc.x_lens)) for h, c in enc.layers))
+        for k, states in enumerate(_sequences(enc.blogs, enc.x_lens))
     ]
-    desc_rows = [None] * len(authors) if desc_block is None else _sequences(desc_block, d_lens)
-    author_rows = [(desc, _row(users, k, d_lens)) for k, desc in enumerate(desc_rows)]
+    descs = [None] * (max(enc.author_of) + 1) if enc.descs is None else _sequences(enc.descs, enc.d_lens)
+    author_rows = [(desc, _row(enc.users, k, enc.d_lens)) for k, desc in enumerate(descs)]
     forwards = []
-    for b, a in zip(blog_of, author_of):
+    for b, a in zip(enc.blog_of, enc.author_of):
         (blog_states, layers), (desc_states, v_u) = blog_rows[b], author_rows[a]
-        state = M.DecoderState(layers=layers, memory=v_u if v.use_gated_memory else None)
-        forwards.append((blog_states, desc_states, v_u, state))
+        forwards.append((blog_states, desc_states, v_u, _start(params, layers, v_u), None, None))
     return forwards
-
-
-def _own_rows(lengths: list[int] | None) -> np.ndarray | None:
-    """(B, sum(lengths)) mask: row b keeps example b's encoder states.
-
-    None for a single example (``lengths`` None), whose row keeps them all.
-    """
-    if lengths is None:
-        return None
-    owner = np.repeat(np.arange(len(lengths)), lengths)
-    return owner[None, :] == np.arange(len(lengths))[:, None]
 
 
 class _Walk(NamedTuple):
@@ -224,13 +220,11 @@ class _Walk(NamedTuple):
 
 def _decoder_walk(params: M.ModelParams, examples: Sequence[EncodedExample], forward: tuple) -> _Walk:
     """The decoder half of :func:`gold_log_probs`: every step of a block's
-    teacher-forced walk, up to the output head, from the block's
-    :func:`example_forward` result ``forward``."""
-    blog_states, desc_states, v_u, state = forward
-    x_lens, d_lens = _block_lengths(examples)
-    blog_mask = _own_rows(x_lens)
-    desc_mask = None if desc_states is None else _own_rows(d_lens)
-    if x_lens is None:
+    teacher-forced walk, up to the output head, from ``forward``, the
+    block's :func:`example_forward` result (or, in a training batch, one
+    example's :func:`_batch_forward` result)."""
+    blog_states, desc_states, v_u, state, blog_mask, desc_mask = forward
+    if len(examples) == 1:
         # A single example steps on vectors, so its inputs are ints, and
         # every step scores it.
         gold = np.asarray(examples[0].y, dtype=np.intp)
@@ -374,16 +368,14 @@ def _batch_gradients(
 ) -> tuple[float, dict[str, Tensor], list[float]]:
     """A batch's mean example loss, its gradients, and each example's loss.
 
-    The batch's distinct blogs and authors are encoded once, each set as
-    one block (:func:`_batch_forward`); backprop sums the gradients that
-    a shared blog's or author's readers send back.  Each example runs its
-    own one-example :func:`_decoder_walk` over its rows of those blocks.
-    Then one :func:`_gold_head` scores every row of the batch, the
-    examples' rows one after another.  The loss is the mean of the
-    example sums, ``-sum(terms) / B``, and each example's loss sums its
-    own terms.  The batch's tape dies on return, so the forward values it
-    holds are freed before the caller's update allocates the new
-    parameters.
+    Each example runs its own one-example :func:`_decoder_walk` over its
+    rows of one encode of the batch (:func:`_batch_forward`); backprop sums
+    the gradients that a shared blog's or author's readers send back.  Then
+    one :func:`_gold_head` scores every row of the batch, the examples'
+    rows one after another.  The loss is the mean of the example sums,
+    ``-sum(terms) / B``, and each example's loss sums its own terms.  The
+    batch's tape dies on return, so the forward values it holds are freed
+    before the caller's update allocates the new parameters.
     """
     tape = ad.Tape()
     watched = {name: tape.watch(t) for name, t in params.named_parameters()}

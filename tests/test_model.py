@@ -670,7 +670,7 @@ class TestBatchedDecoderStep:
     def test_rows_match_separate_one_row_steps(self, variant, blog_layers):
         cfg = tiny_config(variant, blog_layers=blog_layers)
         params = random_params(cfg, 50)
-        blog, desc, v_u, state = T.example_forward(params, [tiny_example(cfg, 51)])
+        blog, desc, v_u, state, *_ = T.example_forward(params, [tiny_example(cfg, 51)])
         rng = np.random.default_rng(52)
         rows = 4
 

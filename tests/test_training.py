@@ -115,16 +115,18 @@ def block_losses(params, examples):
 class TestBlockWalk:
     """The block walk against the per-example walk it replaced."""
 
-    @pytest.mark.parametrize("block", [1, 3, 7])
+    # Ragged blocks of 1, 3 and 7 examples, and blocks of BATCH_SHAPES:
+    # several rows that share one blog or one author, and repeats.
+    @pytest.mark.parametrize("block", [1, 3, 7, "one_blog", "one_author", "distinct", "ragged"])
     @pytest.mark.parametrize("layers", [1, 2])
     @pytest.mark.parametrize("variant", sorted(M.PRESETS))
     def test_matches_per_example_reference(self, variant, layers, block):
         cfg = tiny_config(variant, blog_layers=layers)
         params = random_params(cfg, seed=zlib.crc32(f"{variant}/{layers}/{block}".encode()))
-        examples = ragged_examples(cfg, block)
+        examples = ragged_examples(cfg, block) if isinstance(block, int) else BATCH_SHAPES[block](cfg)
         # Distinct weights per example, so a gradient credited to the wrong
         # example shows.
-        weights = 1.0 + 0.5 * np.arange(block)
+        weights = 1.0 + 0.5 * np.arange(len(examples))
 
         tape = ad.Tape()
         watched = {name: tape.watch(t) for name, t in params.named_parameters()}
@@ -144,7 +146,7 @@ class TestBlockWalk:
             for name, leaf in ref_watched.items():
                 want_grads[name] += w * ref_grads[leaf].array
 
-        got_losses = -np.bincount(owner, weights=terms.array, minlength=block)
+        got_losses = -np.bincount(owner, weights=terms.array, minlength=len(examples))
         assert np.abs(got_losses - want_losses).max() <= 1e-10
         for name, leaf in watched.items():
             want = want_grads[name]
@@ -153,7 +155,7 @@ class TestBlockWalk:
 
     @pytest.mark.parametrize("layers", [1, 2])
     @pytest.mark.parametrize("variant", sorted(M.PRESETS))
-    def test_repeating_batch_matches_batch_gradients(self, variant, layers, monkeypatch):
+    def test_repeating_batch_matches_batch_gradients(self, variant, layers):
         # A training batch whose blogs and authors recur, as one block walk
         # with the training loss -sum(terms) / B, against _batch_gradients
         # (per-example walks that share encodes) and the reference walk.
@@ -178,7 +180,7 @@ class TestBlockWalk:
             for name, leaf in ref_watched.items():
                 ref_grads[name] += ex_grads[leaf].array / len(batch)
 
-        want_loss, want_losses, want_grads = cached_batch_gradients(params, batch, monkeypatch)
+        want_loss, want_losses, want_grads = batch_gradients(params, batch)
         assert abs(loss.item() - want_loss) <= 1e-10
         for want in (want_losses, ref_losses):
             assert np.abs(losses - want).max() <= 1e-10
@@ -470,15 +472,15 @@ def repeating_dataset(variant, layers=1):
     return cfg, D.encode_records(records, vocab, schema)
 
 
-def cached_batch_gradients(params, examples, monkeypatch):
+def batch_gradients(params, examples):
     """``_batch_gradients``' batch loss, example losses and gradients (as
-    arrays).  ``monkeypatch`` is unused."""
+    arrays)."""
     loss, grads, losses = T._batch_gradients(params, examples, "test")
     return loss, losses, {name: g.array for name, g in grads.items()}
 
 
 def alone_batch_gradients(params, examples):
-    """``cached_batch_gradients`` with each example walked alone: the mean
+    """``batch_gradients`` with each example walked alone: the mean
     of independent ``sequence_loss`` walks, each encoding its own blog and
     author."""
     tape = ad.Tape()
@@ -529,13 +531,25 @@ def batch_readers(params, batch, monkeypatch):
 
     monkeypatch.setattr(ad, "Tape", RecordingTape)
     _, _, losses = T._batch_gradients(params, batch, "test")
-    # _batch_gradients watches the parameters first, in order.
+    return tape_readers(tapes[0], params), losses
+
+
+def walk_readers(params, block):
+    """One ``gold_log_probs`` block walk's tape as (op, names of the
+    parameters it reads) per entry."""
+    tape = ad.Tape()
+    T.gold_log_probs(params.with_tensors({name: tape.watch(t) for name, t in params.named_parameters()}), block)
+    return tape_readers(tape, params)
+
+
+def tape_readers(tape, params):
+    """(op, names of the parameters it reads) per entry of a tape that
+    watched ``params`` first, in order."""
     leaf_names = [name for name, _ in params.named_parameters()]
-    readers = [
+    return [
         (op, {leaf_names[n] for n in ins if n is not None and n < len(leaf_names)})
-        for op, ins, _ in tapes[0].entries
+        for op, ins, _ in tape.entries
     ]
-    return readers, losses
 
 
 def shared_input(cfg, count, share, seed):
@@ -575,27 +589,28 @@ class TestBatchSharesEncodes:
 
     @pytest.mark.parametrize("layers", [1, 2])
     @pytest.mark.parametrize("variant", sorted(M.PRESETS))
-    def test_repeats_keep_losses_and_gradients(self, variant, layers, monkeypatch):
+    def test_repeats_keep_losses_and_gradients(self, variant, layers):
         cfg, data = repeating_dataset(variant, layers)
         params = random_params(cfg, seed=zlib.crc32(f"shared/{variant}/{layers}".encode()))
         batch = [data[int(i)] for i in np.random.default_rng(5).permutation(len(data))]
         want = alone_batch_gradients(params, batch)
-        assert_batch_close(cached_batch_gradients(params, batch, monkeypatch), want, 1e-12)
+        assert_batch_close(batch_gradients(params, batch), want, 1e-12)
 
     @pytest.mark.parametrize("variant", sorted(M.PRESETS))
-    def test_distinct_inputs_keep_every_bit(self, variant, monkeypatch):
+    def test_distinct_inputs_keep_every_bit(self, variant):
         # Distinct blogs share the encoder block's GEMMs, so the walks are
         # not bitwise equal to walks alone.  They are bitwise equal to the
-        # rows of one block walk's encoders over the whole batch.
+        # rows of one block walk's inputs over the whole batch, which has
+        # nothing to deduplicate.
         cfg = tiny_config(variant, blog_layers=2)
         params = random_params(cfg, seed=zlib.crc32(f"distinct/{variant}".encode()))
         batch = ragged_examples(cfg, 7, seed=80)
         want = alone_batch_gradients(params, batch)
-        assert_batch_close(cached_batch_gradients(params, batch, monkeypatch), want, 1e-12)
+        assert_batch_close(batch_gradients(params, batch), want, 1e-12)
 
-        blog, desc, v_u, state = T.example_forward(params, batch)
+        blog, desc, v_u, state, *_ = T.example_forward(params, batch)
         x_ends, d_ends = np.cumsum([len(ex.x) for ex in batch]), np.cumsum([len(ex.d) for ex in batch])
-        for b, (ex, (got_blog, got_desc, got_v_u, got_state)) in enumerate(zip(batch, T._batch_forward(params, batch))):
+        for b, (ex, (got_blog, got_desc, got_v_u, got_state, *_)) in enumerate(zip(batch, T._batch_forward(params, batch))):
             assert_bitwise_equal(got_blog.array, blog.array[x_ends[b] - len(ex.x) : x_ends[b]], "blog states")
             for (h, c), (got_h, got_c) in zip(state.layers, got_state.layers, strict=True):
                 assert_bitwise_equal(got_h.array, h.array[b], "initial h")
@@ -613,6 +628,7 @@ class TestBatchSharesEncodes:
     @pytest.mark.parametrize("layers", [1, 2])
     @pytest.mark.parametrize("variant", sorted(M.PRESETS))
     def test_tape_encodes_each_blog_and_author_once(self, variant, layers, monkeypatch):
+        # Both a training batch and a block walk over the same batch.
         cfg, data = repeating_dataset(variant, layers)
         params = random_params(cfg, seed=7)
         batch = data[::2] + data[1::2]
@@ -624,12 +640,6 @@ class TestBatchSharesEncodes:
             return layer(fwd, bwd, x, lengths)
 
         monkeypatch.setattr(ad, "bilstm_layer", spy)
-        readers, _ = batch_readers(params, batch, monkeypatch)
-        encoders = [reads for op, reads in readers if op == "bilstm_layer"]
-
-        def count(op, weight):
-            return sum(1 for name, reads in readers if name == op and weight in reads)
-
         blogs = {ex.x: ex for ex in batch}
         authors = {(ex.d, ex.f.tobytes()): ex for ex in batch}
         assert (len(blogs), len(authors)) == (6, 2)
@@ -638,22 +648,34 @@ class TestBatchSharesEncodes:
         want = [(f"blog_enc.l{l}.fwd.w_x", sum(len(x) for x in blogs)) for l in range(cfg.blog_layers)]
         if v.use_coattention:
             want += [(f"desc_enc.l{l}.fwd.w_x", sum(len(d) for d, _ in authors)) for l in range(cfg.desc_layers)]
-        assert len(encoders) == len(encoded_rows) == len(want)
-        for reads, rows, (weight, total) in zip(encoders, encoded_rows, want):
-            assert weight in reads and rows == total
-        assert count("tanh_affine", "user_proj.w") == (1 if v.needs_user_vector else 0)
-        init = sum(count("tanh_affine", f"init.l{i}.{hc}.w") for i in range(cfg.decoder_layers) for hc in "hc")
-        assert init == 2 * cfg.decoder_layers
+        walks = {
+            "batch": lambda: batch_readers(params, batch, monkeypatch)[0],
+            "block walk": lambda: walk_readers(params, batch),
+        }
+        for walk, run in walks.items():
+            encoded_rows.clear()
+            readers = run()
+            encoders = [reads for op, reads in readers if op == "bilstm_layer"]
+
+            def count(op, weight):
+                return sum(1 for name, reads in readers if name == op and weight in reads)
+
+            assert len(encoders) == len(encoded_rows) == len(want), walk
+            for reads, rows, (weight, total) in zip(encoders, encoded_rows, want):
+                assert weight in reads and rows == total, walk
+            assert count("tanh_affine", "user_proj.w") == (1 if v.needs_user_vector else 0), walk
+            init = sum(count("tanh_affine", f"init.l{i}.{hc}.w") for i in range(cfg.decoder_layers) for hc in "hc")
+            assert init == 2 * cfg.decoder_layers, walk
 
     @pytest.mark.parametrize("shape", sorted(BATCH_SHAPES))
     @pytest.mark.parametrize("layers", [1, 2])
     @pytest.mark.parametrize("variant", sorted(M.PRESETS))
-    def test_matches_per_example_reference(self, variant, layers, shape, monkeypatch):
+    def test_matches_per_example_reference(self, variant, layers, shape):
         cfg = tiny_config(variant, blog_layers=layers)
         params = random_params(cfg, seed=zlib.crc32(f"batch/{variant}/{layers}/{shape}".encode()))
         batch = BATCH_SHAPES[shape](cfg)
         want = reference_batch_gradients(params, batch)
-        assert_batch_close(cached_batch_gradients(params, batch, monkeypatch), want, 1e-10)
+        assert_batch_close(batch_gradients(params, batch), want, 1e-10)
 
 
 class TestOneHeadPerBatch:
