@@ -44,9 +44,8 @@ one step at a time costs time linear in its length.
 
 A decoder step is one ``attention`` entry per attention, one two-output
 ``gated_memory`` entry and one two-output ``lstm_cell`` entry per layer.
-Their backwards run the chain rule through their parts in reverse and
-hand each operand its gradients in that order (``attention`` lists
-``states`` twice: for the context, then the scores).
+Each fused op's backward is its own closed form, and an entry lists each
+operand once.
 
 One finite-check rule: values are checked for NaN and infinity where they
 enter the engine and where they leave it, not inside.  They enter through
@@ -386,22 +385,18 @@ def _lstm_factors(act: np.ndarray, c_prev: np.ndarray, c: np.ndarray) -> tuple[n
     """(factor, dc_dh) of an LSTM cell: d pre = factor * [d c, d c, d c, d h],
     slab by slab, with d c = d h * dc_dh + c's own gradient.
 
-    Slab by slab, factor is (left * gate) * (1 - right), with left =
-    [cand, c_prev, gate_i, tanh c], gate = [gate_i, gate_f, 1, gate_o] and
-    right = [gate_i, gate_f, cand^2, gate_o]: each slab's own formula with
-    its products in the same order (gate_i * 1 is exact), in a few
-    whole-array calls instead of three per slab.  ``factor`` is a new
-    array of act's shape, and a backward scales it in place into d pre."""
+    Each gate's output is a product, and factor is the product's other
+    operand, [cand, c_prev, gate_i, tanh c], times the gate's activation
+    derivative, [gate_i (1 - gate_i), gate_f (1 - gate_f), 1 - cand^2,
+    gate_o (1 - gate_o)].  ``factor`` is a new array of act's shape, and a
+    backward scales it in place into d pre."""
     hidden = c.shape[-1]
     cand = act[..., 2 * hidden : 3 * hidden]
     tanh_c = np.tanh(c)
-    factor = np.concatenate((cand, c_prev, act[..., :hidden], tanh_c), axis=-1)  # left
-    gate = act.copy()
-    gate[..., 2 * hidden : 3 * hidden] = _ONE
-    factor *= gate
-    right = act.copy()
-    right[..., 2 * hidden : 3 * hidden] *= cand
-    factor *= np.subtract(_ONE, right, out=right)
+    factor = np.concatenate((cand, c_prev, act[..., :hidden], tanh_c), axis=-1)
+    slope = act * (_ONE - act)
+    np.subtract(_ONE, cand * cand, out=slope[..., 2 * hidden : 3 * hidden])
+    factor *= slope
     return factor, act[..., 3 * hidden :] * (_ONE - tanh_c * tanh_c)
 
 
@@ -591,11 +586,9 @@ def bilstm_layer(fwd: Sequence[Tensor], bwd: Sequence[Tensor], x: Tensor,
                 _weight_grad(d_pre[:, d], h_prev[:, d]) if n_wh is not None else None,
                 np.add.reduce(d_pre[:, d], axis=0) if n_b is not None else None,
             ]
-        # Backward direction's term plus forward's: the sum backprop formed
-        # when each direction was its own tape entry.
         g_x = None
         if nodes[6] is not None:
-            g_x = (d_pre[:, 1] @ weights[1][0])[unorders[1]] + (d_pre[:, 0] @ weights[0][0])[unorders[0]]
+            g_x = (d_pre[:, 0] @ weights[0][0])[unorders[0]] + (d_pre[:, 1] @ weights[1][0])[unorders[1]]
         return (*grads, g_x)
 
     return tape._record("bilstm_layer", nodes, out, backward)
@@ -637,15 +630,18 @@ def attention(s: Tensor, states: Tensor, w_a: Tensor, mask: np.ndarray | None = 
     def backward(g):
         g_weights = g @ stv.T
         g_scores = weights * (g_weights - np.add.reduce(g_weights * weights, axis=-1, keepdims=True))
+        g_states = None
+        if n_st is not None:  # the states' context term plus their score term
+            g_states = _weight_grad(weights, g)
+            g_states += _weight_grad(g_scores, q)
         g_q = g_scores @ stv if n_s is not None or n_w is not None else None
         return (
-            _weight_grad(weights, g) if n_st is not None else None,
-            _weight_grad(g_scores, q) if n_st is not None else None,
+            g_states,
             g_q @ wv.T if n_s is not None else None,
             _weight_grad(sv, g_q) if n_w is not None else None,
         )
 
-    return tape._record("attention", (n_st, n_st, n_s, n_w), context, backward), _wrap(weights)
+    return tape._record("attention", (n_st, n_s, n_w), context, backward), _wrap(weights)
 
 
 def gated_memory(w_u: Tensor, w_o: Tensor, s_t: Tensor, s_prev: Tensor, e_prev: Tensor, c_blog: Tensor,
@@ -820,10 +816,9 @@ def log_softmax_at(x: Tensor, index) -> Tensor:
     """Log-softmax of a vector read at the int ``index``, or of each row r
     of a matrix read at ``index[r]``: a gold token's log-probability.
 
-    One tape entry, which keeps the log-softmax.  Its backward writes
-    g * (one-hot - softmax) into one array, with the bits of the
-    one-hot's gradient run back through a separate log-softmax:
-    full - exp(lsm) * sum(full) for the one-hot ``full``."""
+    One tape entry, which keeps the log-softmax.  Its backward is
+    g * (one-hot - softmax) in one array: -exp(lsm) * g, then g added at
+    the read entry."""
     v = x.array
     if v.ndim not in (1, 2):
         raise ShapeError(f"log_softmax_at expects a vector or row block, got shape {v.shape}")
@@ -841,18 +836,11 @@ def log_softmax_at(x: Tensor, index) -> Tensor:
     out = np.asarray(lsm[at])
     if tape is None:
         return _wrap(out)
-    extent = v.shape[-1]  # the backward keeps lsm, not the logits
 
-    def backward(g):
-        # The one-hot's row sum as a reduce over it makes it: g, except
-        # that -0.0 plus the other entries' +0.0 is +0.0.  A one-entry
-        # row goes through the reduce, whose sign rule numpy sets.
-        total = g + 0.0 if extent > 1 else np.add.reduce(g[..., None], axis=-1)
+    def backward(g):  # the closure keeps lsm, not the logits
         d = np.exp(lsm)
-        d *= total[..., None]
-        d_at = d[at]  # a copy
-        np.subtract(0.0, d, out=d)
-        d[at] = g - d_at
+        d *= np.negative(g)[..., None]
+        d[at] += g
         return (d,)
 
     return tape._record("log_softmax_at", (x.node,), out, backward)

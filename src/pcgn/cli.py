@@ -706,9 +706,7 @@ def main(argv=None) -> int:
             return cmd_generate(cfg, args)
         if args.command == "eval":
             return cmd_eval(cfg, args)
-        if args.command == "ablate":
-            return cmd_ablate(cfg)
-        raise UsageError(f"unknown command {args.command!r}")
+        return cmd_ablate(cfg)  # argparse has rejected any other command
     except UsageError as err:
         print(f"usage error: {err}", file=sys.stderr)
         return 1

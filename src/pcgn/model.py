@@ -20,13 +20,13 @@ flag subset of the full model (see :data:`PRESETS`).
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field, fields
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .data import excerpt
+from .data import BOS_ID, EOS_ID, PAD_ID, UNK_ID, excerpt
 
 __all__ = [
     "Variant",
@@ -118,10 +118,10 @@ class ModelConfig:
     desc_hidden: int = 200
     desc_layers: int = 1
     user_dim: int = 100
-    pad_id: int | None = 0
-    unk_id: int | None = 1
-    bos_id: int = 2
-    eos_id: int = 3
+    pad_id: int | None = PAD_ID
+    unk_id: int | None = UNK_ID
+    bos_id: int = BOS_ID
+    eos_id: int = EOS_ID
 
     def __post_init__(self):
         for f in fields(self):
@@ -225,111 +225,101 @@ class StepResult(NamedTuple):
     desc_attention: Tensor | None
 
 
-def param_spec(config: ModelConfig) -> list[tuple[str, tuple[int, ...]]]:
-    """Canonical (name, shape) list; also the allocation/serialization order."""
-    v = config.variant
-    spec: list[tuple[str, tuple[int, ...]]] = []
-    spec.append(("embedding", (config.vocab_size, config.embed_dim)))
+def _layout(config: ModelConfig, param: Callable[[str, tuple[int, ...]], Tensor | None]) -> dict:
+    """The network's one parameter layout.
 
-    def cell(prefix: str, in_dim: int, hidden: int):
-        spec.append((f"{prefix}.w_x", (4 * hidden, in_dim)))
-        spec.append((f"{prefix}.w_h", (4 * hidden, hidden)))
-        spec.append((f"{prefix}.b", (4 * hidden,)))
+    Calls ``param(name, shape)`` for every parameter of the configured
+    variant, in canonical order (the allocation and checkpoint order), and
+    returns the structured views over what those calls return: ``blog_fwd``
+    and the other encoder stacks as lists of :class:`LSTMCell`,
+    ``user_proj`` and each ``state_init`` half as (w, b) pairs, the rest
+    as single tensors, and None for each piece the variant lacks.
+    """
+    v, hidden, summary = config.variant, config.decoder_hidden, 2 * config.blog_hidden
 
-    in_dim = config.embed_dim
-    for layer in range(config.blog_layers):
-        cell(f"blog_enc.l{layer}.fwd", in_dim, config.blog_hidden)
-        cell(f"blog_enc.l{layer}.bwd", in_dim, config.blog_hidden)
-        in_dim = 2 * config.blog_hidden
+    def cell(prefix: str, in_dim: int, width: int) -> LSTMCell:
+        rows = 4 * width
+        return LSTMCell(param(f"{prefix}.w_x", (rows, in_dim)), param(f"{prefix}.w_h", (rows, width)),
+                        param(f"{prefix}.b", (rows,)))
 
-    if v.use_coattention:
-        in_dim = config.embed_dim
-        for layer in range(config.desc_layers):
-            cell(f"desc_enc.l{layer}.fwd", in_dim, config.desc_hidden)
-            cell(f"desc_enc.l{layer}.bwd", in_dim, config.desc_hidden)
-            in_dim = 2 * config.desc_hidden
+    def encoder(prefix: str, width: int, layers: int) -> tuple[list[LSTMCell], list[LSTMCell]]:
+        fwd, bwd, in_dim = [], [], config.embed_dim
+        for layer in range(layers):
+            fwd.append(cell(f"{prefix}.l{layer}.fwd", in_dim, width))
+            bwd.append(cell(f"{prefix}.l{layer}.bwd", in_dim, width))
+            in_dim = 2 * width
+        return fwd, bwd
 
-    if v.needs_user_vector:
-        spec.append(("user_proj.w", (config.user_dim, config.feature_dim)))
-        spec.append(("user_proj.b", (config.user_dim,)))
+    def affine(prefix: str, out_dim: int, in_dim: int) -> tuple[Tensor, Tensor]:
+        return param(f"{prefix}.w", (out_dim, in_dim)), param(f"{prefix}.b", (out_dim,))
 
-    spec.append(("attn_blog", (config.decoder_hidden, 2 * config.blog_hidden)))
-    if v.use_coattention:
-        spec.append(("attn_desc", (config.decoder_hidden, 2 * config.desc_hidden)))
-
-    if v.use_gated_memory:
-        spec.append(("mem_update", (config.user_dim, config.decoder_hidden)))
-        gate_in = config.decoder_hidden + config.embed_dim + 2 * config.blog_hidden
-        spec.append(("mem_output", (config.user_dim, gate_in)))
-
-    in_dim = config.decoder_input_dim
-    for layer in range(config.decoder_layers):
-        cell(f"dec.l{layer}", in_dim, config.decoder_hidden)
-        in_dim = config.decoder_hidden
-
-    summary = 2 * config.blog_hidden
-    for layer in range(config.decoder_layers):
-        spec.append((f"init.l{layer}.h.w", (config.decoder_hidden, summary)))
-        spec.append((f"init.l{layer}.h.b", (config.decoder_hidden,)))
-        spec.append((f"init.l{layer}.c.w", (config.decoder_hidden, summary)))
-        spec.append((f"init.l{layer}.c.b", (config.decoder_hidden,)))
-
+    views = {"embedding": param("embedding", (config.vocab_size, config.embed_dim))}
+    views["blog_fwd"], views["blog_bwd"] = encoder("blog_enc", config.blog_hidden, config.blog_layers)
+    views["desc_fwd"], views["desc_bwd"] = (
+        encoder("desc_enc", config.desc_hidden, config.desc_layers) if v.use_coattention else (None, None))
+    views["user_proj"] = affine("user_proj", config.user_dim, config.feature_dim) if v.needs_user_vector else None
+    views["attn_blog"] = param("attn_blog", (hidden, summary))
+    views["attn_desc"] = param("attn_desc", (hidden, 2 * config.desc_hidden)) if v.use_coattention else None
+    views["mem_update"], views["mem_output"] = (
+        (param("mem_update", (config.user_dim, hidden)),
+         param("mem_output", (config.user_dim, hidden + config.embed_dim + summary)))
+        if v.use_gated_memory else (None, None))
+    in_dims = [config.decoder_input_dim] + [hidden] * (config.decoder_layers - 1)
+    views["decoder"] = [cell(f"dec.l{layer}", in_dim, hidden) for layer, in_dim in enumerate(in_dims)]
+    views["state_init"] = [
+        (affine(f"init.l{layer}.h", hidden, summary), affine(f"init.l{layer}.c", hidden, summary))
+        for layer in range(config.decoder_layers)
+    ]
     if v.use_external:
-        spec.append(("user_mix", (config.user_dim, config.user_dim + 2 * config.desc_hidden)))
-        spec.append(("out_mix", (config.vocab_size, config.decoder_hidden + config.user_dim)))
+        views["user_mix"] = param("user_mix", (config.user_dim, config.user_dim + 2 * config.desc_hidden))
+        views["out_mix"] = param("out_mix", (config.vocab_size, hidden + config.user_dim))
+        views["out_proj"] = None
     else:
-        spec.append(("out_proj", (config.vocab_size, config.decoder_hidden)))
+        views["user_mix"] = views["out_mix"] = None
+        views["out_proj"] = param("out_proj", (config.vocab_size, hidden))
+    return views
+
+
+def param_spec(config: ModelConfig) -> list[tuple[str, tuple[int, ...]]]:
+    """Canonical (name, shape) list, in :func:`_layout`'s order: also the
+    allocation and serialization order."""
+    spec: list[tuple[str, tuple[int, ...]]] = []
+    _layout(config, lambda name, shape: spec.append((name, shape)))
     return spec
 
 
 class ModelParams:
-    """Structured view over a flat name -> Tensor mapping.
+    """Structured views over a flat name -> Tensor mapping.
 
-    The mapping is the single source of truth (serialization order =
-    :func:`param_spec` order); the structured attributes alias the same
-    tensors for forward-pass convenience.
+    The mapping is the single source of truth, in :func:`param_spec` order
+    (the serialization order).  One pass of :func:`_layout` checks each
+    tensor's name and shape and builds the views (``blog_fwd``,
+    ``decoder``, ``state_init``, ...) as attributes that alias the same
+    tensors for the forward pass.
     """
 
     def __init__(self, config: ModelConfig, tensors: dict[str, Tensor]):
-        expected = param_spec(config)
-        names = {n for n, _ in expected}
-        missing = [n for n, _ in expected if n not in tensors]
-        extra = [n for n in tensors if n not in names]
+        self.config = config
+        self._tensors: dict[str, Tensor] = {}
+        missing: list[str] = []
+        wrong: list[str] = []
+
+        def param(name: str, shape: tuple[int, ...]) -> Tensor | None:
+            t = tensors.get(name)
+            if t is None:
+                missing.append(name)
+            elif t.shape != shape:
+                wrong.append(f"parameter {name} has shape {t.shape}, expected {shape}")
+            self._tensors[name] = t
+            return t
+
+        views = _layout(config, param)
+        extra = [n for n in tensors if n not in self._tensors]
         if missing or extra:
             raise ValueError(f"parameter names mismatch: missing={missing} extra={extra}")
-        for name, shape in expected:
-            got = tensors[name].shape
-            if got != shape:
-                raise ValueError(f"parameter {name} has shape {got}, expected {shape}")
-        self.config = config
-        self._tensors = {name: tensors[name] for name, _ in expected}
-        self._build_views()
-
-    def _cell(self, prefix: str) -> LSTMCell:
-        t = self._tensors
-        return LSTMCell(w_x=t[f"{prefix}.w_x"], w_h=t[f"{prefix}.w_h"], b=t[f"{prefix}.b"])
-
-    def _build_views(self):
-        cfg, t = self.config, self._tensors
-        v = cfg.variant
-        self.embedding = t["embedding"]
-        self.blog_fwd = [self._cell(f"blog_enc.l{i}.fwd") for i in range(cfg.blog_layers)]
-        self.blog_bwd = [self._cell(f"blog_enc.l{i}.bwd") for i in range(cfg.blog_layers)]
-        self.desc_fwd = [self._cell(f"desc_enc.l{i}.fwd") for i in range(cfg.desc_layers)] if v.use_coattention else None
-        self.desc_bwd = [self._cell(f"desc_enc.l{i}.bwd") for i in range(cfg.desc_layers)] if v.use_coattention else None
-        self.user_proj = (t["user_proj.w"], t["user_proj.b"]) if v.needs_user_vector else None
-        self.attn_blog = t["attn_blog"]
-        self.attn_desc = t["attn_desc"] if v.use_coattention else None
-        self.mem_update = t["mem_update"] if v.use_gated_memory else None
-        self.mem_output = t["mem_output"] if v.use_gated_memory else None
-        self.decoder = [self._cell(f"dec.l{i}") for i in range(cfg.decoder_layers)]
-        self.state_init = [
-            ((t[f"init.l{i}.h.w"], t[f"init.l{i}.h.b"]), (t[f"init.l{i}.c.w"], t[f"init.l{i}.c.b"]))
-            for i in range(cfg.decoder_layers)
-        ]
-        self.user_mix = t["user_mix"] if v.use_external else None
-        self.out_mix = t["out_mix"] if v.use_external else None
-        self.out_proj = t["out_proj"] if not v.use_external else None
+        if wrong:
+            raise ValueError(wrong[0])
+        vars(self).update(views)
 
     def named_parameters(self) -> list[tuple[str, Tensor]]:
         return list(self._tensors.items())
@@ -474,26 +464,20 @@ def user_vector(params: ModelParams, features: Tensor | np.ndarray) -> Tensor:
     return user_embed(*params.user_proj, features)
 
 
-def init_decoder_state(
-    params: ModelParams,
-    blog_states: Tensor,
-    v_u: Tensor | None,
-    lengths: Sequence[int] | None = None,
-) -> DecoderState:
-    """Initial per-layer (h, c) from the encoder's final states; M_0 = v_u.
+def init_decoder_state(params: ModelParams, blog_states: Tensor, v_u: Tensor | None) -> DecoderState:
+    """One example's initial decoder state: per-layer (h, c) vectors from
+    its blog encoder's (T, 2H) states, and M_0 = v_u.
 
     With s the blog summary [h_fwd at the last position; h_bwd at the
     first], each layer's h = tanh(W_h s + b_h) and c = tanh(W_c s + b_c),
-    one ``ad.tanh_affine`` entry each.  Without ``lengths``, ``blog_states`` is one example's and the state is
-    one row of vectors.  With ``lengths`` (each example's rows of
-    ``blog_states``, as for :func:`encode_blog`) the state is a block with
-    one row per example, and so is ``v_u``.
+    one ``ad.tanh_affine`` entry each (see :func:`initial_layers`, which
+    also builds a block's rows).
     """
     cfg = params.config
     if cfg.variant.use_gated_memory and v_u is None:
         raise ValueError("gated memory needs a user vector for M_0")
     memory = v_u if cfg.variant.use_gated_memory else None
-    return DecoderState(layers=initial_layers(params, blog_states, lengths), memory=memory, step=0)
+    return DecoderState(layers=initial_layers(params, blog_states), memory=memory, step=0)
 
 
 def initial_layers(

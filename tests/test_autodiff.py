@@ -209,8 +209,9 @@ class TestProductForms:
 
 
 class TestLogSoftmaxAt:
-    """The gold log-probability keeps the bits of the two ops it fused: a
-    log-softmax, then a read of one element per row."""
+    """The gold log-probability keeps the forward bits of the two ops it
+    fused, a log-softmax and a read of one element per row, and its
+    backward is their gradient, g * (one-hot - softmax), exactly in value."""
 
     @staticmethod
     def composite_backward(lsm, at, g):
@@ -247,7 +248,7 @@ class TestLogSoftmaxAt:
                     grads.append(mixed)
                 for g in grads:
                     (got,) = backward(g)
-                    assert got.tobytes() == self.composite_backward(lsm, at, g).tobytes(), (v, i, g)
+                    assert np.array_equal(got, self.composite_backward(lsm, at, g)), (v, i, g)
 
 
 class TestGradientHandValues:
@@ -837,6 +838,37 @@ class TestTape:
         for leaf in [w, x, *cell]:
             assert grads[leaf].array.tobytes() == want[leaf].array.tobytes()
 
+    # One call of each primitive: (its operands' shapes, the call).
+    ONE_CALL_EACH = {
+        "matvec": ([(3, 2), (2,)], ad.matvec),
+        "add": ([(2,), (2,)], ad.add),
+        "scale": ([(2,)], lambda a: ad.scale(a, 2.0)),
+        "tanh_affine": ([(3, 2), (3,), (2,)], ad.tanh_affine),
+        "lstm_cell": ([(8, 3), (8, 2), (8,), (3,), (2,), (2,)], ad.lstm_cell),
+        "bilstm_layer": ([(8, 3), (8, 2), (8,)] * 2 + [(4, 3)], lambda *a: ad.bilstm_layer(a[:3], a[3:6], a[6])),
+        "attention": ([(2,), (4, 3), (2, 3)], lambda s, states, w_a: ad.attention(s, states, w_a)[0]),
+        "gated_memory": ([(2, 3), (2, 4), (3,), (2,), (1,), (1,), (2,)], ad.gated_memory),
+        "concat": ([(2,), (3,)], lambda *a: ad.concat(a)),
+        "stack_rows": ([(2,), (2,)], lambda *a: ad.stack_rows(a)),
+        "vslice": ([(4,)], lambda a: ad.vslice(a, 1, 3)),
+        "embedding_lookup": ([(4, 2)], lambda table: ad.embedding_lookup(table, [1, 1])),
+        "log_softmax_at": ([(4,)], lambda a: ad.log_softmax_at(a, 2)),
+        "sum_all": ([(2, 2)], ad.sum_all),
+    }
+
+    def test_an_entry_lists_each_operand_once(self):
+        # A fused op sums an operand's gradient terms in its own backward,
+        # so its entry names each distinct watched operand exactly once.
+        assert set(self.ONE_CALL_EACH) == ENGINE_PRIMITIVES
+        rng = np.random.default_rng(33)
+        for name, (shapes, call) in self.ONE_CALL_EACH.items():
+            tape = ad.Tape()
+            leaves = [watched(tape, rng.normal(size=shape)) for shape in shapes]
+            call(*leaves)
+            ((op, in_nodes, _),) = tape.entries
+            assert op == name
+            assert sorted(in_nodes) == [leaf.node for leaf in leaves], name
+
     def test_identical_programs_record_identically(self):
         def run():
             tape = ad.Tape()
@@ -940,6 +972,8 @@ class TestErrors:
             ad.bilstm_layer(good, good, ad.zeros(3))
         with pytest.raises(ad.ShapeError):
             ad.bilstm_layer(good, good, ad.zeros((3, 3)), [1, 1])
+        with pytest.raises(ad.ShapeError, match="sequence length 2 differs from the 3 input rows"):
+            ad.bilstm_layer(good, good, ad.zeros((3, 3)), [2])
         with pytest.raises(ad.ShapeError, match="hidden sizes differ"):
             ad.bilstm_layer(good, (ad.zeros((8, 3)), ad.zeros((8, 2)), ad.zeros(8)), ad.zeros((2, 3)))
         with pytest.raises(ValueError, match="empty"):
@@ -1005,7 +1039,8 @@ class TestErrors:
         for bad in ((w_u, w_o, ad.zeros(2), *parts, m), (w_u, w_o, s, *parts, ad.zeros(3)),
                     (w_u, ad.zeros((3, 4)), s, *parts, m), (w_u, w_o, s, ad.zeros(3), *parts[1:], m),
                     (w_u, w_o, ad.zeros((4, 3)), *parts, ad.zeros((4, 2))),
-                    (ad.zeros(3), w_o, s, *parts, m), (w_u, w_o, ad.zeros((1, 1, 3)), *parts, m)):
+                    (ad.zeros(3), w_o, s, *parts, m), (w_u, w_o, ad.zeros((1, 1, 3)), *parts, m),
+                    (w_u, w_o, s, ad.zeros((1, 2)), *parts[1:], m)):  # the parts' ranks differ
             with pytest.raises(ad.ShapeError, match="gated_memory"):
                 ad.gated_memory(*bad)
 
@@ -1018,6 +1053,16 @@ class TestErrors:
             ad.concat([ad.tensor(np.zeros((2, 2))), ad.tensor(np.zeros((3, 2)))])
         with pytest.raises(ad.ShapeError):
             ad.concat([ad.tensor(np.zeros((1, 2))), ad.tensor(np.zeros(2))])
+
+    @pytest.mark.parametrize("call, error, fragment", [
+        (lambda: ad.stack_rows([]), ValueError, "at least one row"),
+        (lambda: ad.stack_rows([ad.zeros(2), ad.zeros(3)]), ad.ShapeError, "equal width"),
+        (lambda: ad.vslice(ad.zeros((2, 2, 2)), 0, 1), ad.ShapeError, "vslice expects a vector or row block"),
+        (lambda: ad.embedding_lookup(ad.zeros(3), 0), ad.ShapeError, "expects a matrix table"),
+    ])
+    def test_row_op_shape_errors(self, call, error, fragment):
+        with pytest.raises(error, match=fragment):
+            call()
 
     def test_index_errors(self):
         v = ad.tensor([1.0, 2.0])

@@ -962,6 +962,20 @@ MALFORMED_FILES = {
     "checkpoint parameter with a list dtype": (lambda prep, run, tmp: _generate_with(
         _checkpoint_copy(run, tmp, lambda doc: doc["params"][min(doc["params"])].update(dtype=["float64"])), prep),
         "unsupported dtype ['float64']"),
+    "prepare whose training split comes out empty": (lambda prep, run, tmp: [
+        "prepare", "--synthetic", "24", "--synthetic-users", "3", "--seed", "0", "--train-ratio", "0.01",
+        "--dev-ratio", "0.49", "--test-ratio", "0.5", "--out-dir", str(tmp / "out")], "training split is empty"),
+    "empty train.jsonl": (lambda prep, run, tmp: _train_on(prep, tmp, "train.jsonl", b""),
+        "training split in"),
+    "generate --user without users.json": (lambda prep, run, tmp: _generate_with(
+        run / "checkpoint_final.json", tmp), "users.json not found"),
+    "eval on an empty dev split": (lambda prep, run, tmp: [
+        "eval", "--checkpoint", str(run / "checkpoint_final.json"),
+        "--data-dir", str(_data_copy(prep, tmp, "dev.jsonl", b"")), "--split", "dev"],
+        "split 'dev' in"),
+    "ablate on an empty dev split": (lambda prep, run, tmp: [
+        "ablate", "--data-dir", str(_data_copy(prep, tmp, "dev.jsonl", b"")), "--out-dir", str(tmp / "abl"),
+        "--epochs", "1", "--eval-split", "dev"], "eval split 'dev' in"),
 }
 
 
@@ -1149,6 +1163,10 @@ class TestNonFiniteFlags:
 class TestDispatch:
     def test_no_command_exits_1(self, capsys):
         assert cli.main([]) == 1
+        assert "usage error" in capsys.readouterr().err
+
+    def test_unknown_command_exits_1(self, capsys):
+        assert cli.main(["bogus"]) == 1
         assert "usage error" in capsys.readouterr().err
 
     def test_unknown_flag_exits_1(self, capsys):

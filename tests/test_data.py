@@ -12,6 +12,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from pcgn import data as D
+from pcgn.synthetic import synthetic_records
 
 
 def rec(blog="a nice day", comment="so true", user="u1", description="", **kw):
@@ -443,6 +444,15 @@ class TestSplit:
         for ratios in ((bad, 0.1, 0.1), (0.8, bad, 0.1), (0.8, 0.1, bad)):
             with pytest.raises(ValueError, match="ratios must be three positive numbers"):
                 D.split_by_blog(self.corpus(), ratios=ratios)
+
+    @pytest.mark.parametrize("n, users, fragment", [
+        (0, 4, "n must be >= 1, got 0"),
+        (12, 0, "users must be >= 1, got 0"),
+        (8, 4, "yields 2 blogs; need at least 3"),
+    ])
+    def test_synthetic_corpus_must_be_splittable(self, n, users, fragment):
+        with pytest.raises(ValueError, match=fragment):
+            synthetic_records(n, users=users)
 
 
 class TestEncode:

@@ -374,6 +374,12 @@ class TestBiLSTM:
         with pytest.raises(ValueError, match="empty"):
             M.bilstm_encode(cells, cells, ad.zeros((2, 3)), [2, 0])
 
+    def test_unequal_stacks_rejected(self):
+        rng = np.random.default_rng(3)
+        cells = [random_cell(rng, 3, 4)]
+        with pytest.raises(ValueError, match="matching non-empty forward/backward stacks"):
+            M.bilstm_encode(cells, cells + cells, ad.zeros((2, 3)))
+
     def test_one_tape_entry_per_layer_direction(self):
         cfg = tiny_config("PCGN", blog_layers=2)
         params = random_params(cfg, 6)
@@ -619,6 +625,11 @@ class TestDecoderStep:
             M.decoder_step(plain_params, plain_state, plain_ex.y[0], plain_blog, desc, None)
         with pytest.raises(ValueError, match="user vector"):
             M.decoder_step(params, state, ex.y[0], blog, desc, None)
+        deep = M.DecoderState(layers=state.layers + state.layers, memory=state.memory)
+        with pytest.raises(ValueError, match="configured depth"):
+            M.decoder_advance(params, deep, ex.y[0], blog, desc, v_u)
+        with pytest.raises(ValueError, match="no description encoder"):
+            M.encode_description(plain_params, ex.d)
 
     def test_two_layer_stack(self):
         params, ex, blog, desc, v_u, state = self.full_setup("PCGN", blog_layers=2)
@@ -650,11 +661,11 @@ class TestVectorWalk:
             assert same_bits(encode(params, ids).array, encode(params, ids, lengths=[len(ids)]).array)
 
         blog = M.encode_blog(params, ex.x)
-        vector = M.init_decoder_state(params, blog, M.user_vector(params, ex.f))
-        row = M.init_decoder_state(params, blog, M.user_vector(params, ex.f[None]), lengths=[len(ex.x)])
-        assert len(vector.layers) == len(row.layers) == cfg.decoder_layers
-        pairs = [(vector.memory, row.memory)] + [
-            pair for v, r in zip(vector.layers, row.layers) for pair in zip(v, r)
+        vector = M.initial_layers(params, blog)
+        row = M.initial_layers(params, blog, lengths=[len(ex.x)])
+        assert len(vector) == len(row) == cfg.decoder_layers
+        pairs = [(M.user_vector(params, ex.f), M.user_vector(params, ex.f[None]))] + [
+            pair for v, r in zip(vector, row) for pair in zip(v, r)
         ]
         for v, r in pairs:
             assert same_bits(v.array[None], r.array)
