@@ -4,7 +4,8 @@ Array bytes are little-endian IEEE-754 regardless of host byte order,
 row-major element order.  Files are written as float64 ("<f8"); float32
 ("<f4") blobs from older files still load, widened to float64.  Saving the
 same model twice yields byte-identical files; load(save(p)) reproduces
-every parameter bitwise.
+every parameter bitwise.  A file loads only when its parts agree: the
+parameters with the config, the config with the embedded vocab and schema.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .autodiff import NonFiniteError, Tensor
-from .data import FeatureSchema, Vocab, excerpt
+from .data import SPECIAL_TOKENS, FeatureSchema, Vocab, excerpt
 from .model import ModelConfig, ModelParams
 
 __all__ = [
@@ -39,6 +40,7 @@ FORMAT_NAME = "pcgn.checkpoint"
 FORMAT_VERSION = 1
 
 _DTYPE_CODES = {"float64": "<f8", "float32": "<f4"}
+_RESERVED = ("pad_id", "unk_id", "bos_id", "eos_id")  # the config's ids of data.SPECIAL_TOKENS
 
 
 class CheckpointError(ValueError):
@@ -50,7 +52,7 @@ class CheckpointVersionError(CheckpointError):
 
 
 class CheckpointShapeError(CheckpointError):
-    """Parameter names/shapes disagree with the embedded config."""
+    """Parts disagree: parameter names/shapes with the config, or the config with the vocab or schema."""
 
 
 class CheckpointCorruptError(CheckpointError):
@@ -146,7 +148,7 @@ def load_checkpoint(path) -> Checkpoint:
     Raises CheckpointCorruptError for undecodable files (the embedded
     vocab and schema included), CheckpointVersionError for foreign/newer
     formats, and CheckpointShapeError when parameters disagree with the
-    config.
+    config, then when the config disagrees with the vocab or schema.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -182,4 +184,9 @@ def load_checkpoint(path) -> Checkpoint:
         params = ModelParams(config, tensors)
     except ValueError as err:
         raise CheckpointShapeError(str(err)) from None
+    agree = [("vocab_size", len(vocab), "the vocab's length"), ("feature_dim", schema.width, "the schema's width")]
+    agree += [(name, vocab.index[token], f"the vocab's {token} id") for name, token in zip(_RESERVED, SPECIAL_TOKENS)]
+    for name, want, what in agree:
+        if getattr(config, name) != want:
+            raise CheckpointShapeError(f"model.{name} is {getattr(config, name)}, but {what} is {want}")
     return Checkpoint(params, vocab, schema, step=step, variant_name=variant_name, extra=extra)

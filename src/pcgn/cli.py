@@ -438,6 +438,8 @@ def cmd_generate(cfg: RunConfig, args: argparse.Namespace) -> int:
             if uid not in table:
                 raise DataError(f"unknown user {excerpt(uid)}; known users: {excerpt(sorted(table))}")
             profiles.append(parse_profile(table[uid], f"users.json entry {excerpt(uid)}"))
+            if profiles[-1].user_id != uid:
+                raise DataError(f"users.json entry {excerpt(uid)} has user_id {excerpt(profiles[-1].user_id)}")
     for raw in args.user_json or []:
         try:
             profiles.append(parse_profile(json.loads(raw), "--user-json"))

@@ -227,14 +227,21 @@ def filter_records(records: Sequence[RawRecord], min_tokens: int = 2, min_user_r
 
 @dataclass(frozen=True)
 class Vocab:
-    """Token <-> id table with four reserved ids: 0 pad, 1 unk, 2 bos, 3 eos."""
+    """Token <-> id table of distinct, non-empty tokens, with four reserved
+    ids: 0 pad, 1 unk, 2 bos, 3 eos."""
 
     tokens: tuple[str, ...]
 
     def __post_init__(self):
         if tuple(self.tokens[:4]) != SPECIAL_TOKENS:
             raise DataError(f"vocab must start with {SPECIAL_TOKENS}")
-        object.__setattr__(self, "index", {tok: i for i, tok in enumerate(self.tokens)})
+        if "" in self.tokens:
+            raise DataError(f"vocab token {self.tokens.index('')} is empty")
+        index = {tok: i for i, tok in enumerate(self.tokens)}
+        if len(index) != len(self.tokens):
+            tok = next(t for t, n in Counter(self.tokens).items() if n > 1)
+            raise DataError(f"vocab token {excerpt(tok)} is repeated at ids {self.tokens.index(tok)} and {index[tok]}")
+        object.__setattr__(self, "index", index)
 
     def __len__(self) -> int:
         return len(self.tokens)
@@ -288,8 +295,8 @@ class FeatureSchema:
     """One-hot layout for the categorical profile fields plus scaled age.
 
     Category order within each field is first appearance in the fitting
-    records; every field carries one extra "unseen" bucket.  Missing age
-    maps to 0.
+    records, each category once; every field carries one extra "unseen"
+    bucket.  Missing age maps to 0.
     """
 
     categories: dict[str, tuple[str, ...]]
@@ -316,6 +323,9 @@ class FeatureSchema:
         if not (number and age_divisor > 0):
             raise DataError(f"feature schema: age_divisor must be a finite positive number, got {excerpt(age_divisor)}")
         categories = {f: tuple(_string_list(cats, f"feature schema field {f!r}")) for f, cats in fields.items()}
+        repeats = [(f, c) for f, cats in categories.items() for c, n in Counter(cats).items() if n > 1]
+        if repeats:
+            raise DataError(f"feature schema field {repeats[0][0]!r} repeats the category {excerpt(repeats[0][1])}")
         return cls(categories=categories, age_divisor=float(age_divisor))
 
 

@@ -122,47 +122,36 @@ class Hypothesis:
         return _normalized(self.log_prob, max(len(self.tokens), 1), length_norm)
 
 
-def _map_state(state: M.DecoderState, fn) -> M.DecoderState:
-    """The state with ``fn`` applied to each of its tensors."""
-    return M.DecoderState(
-        layers=tuple((fn(h), fn(c)) for h, c in state.layers),
-        memory=None if state.memory is None else fn(state.memory),
-        step=state.step,
-    )
-
-
 class DecodeSession:
     """Precomputed encoder/user work for decoding one (blog, user) pair:
     the walks' one encode (``training.example_forward``), on vectors.
 
-    States are row blocks, one row per hypothesis; the initial state is a
-    single row.  Step log-probabilities are plain (rows, V) numpy arrays
-    with the unk id (when the config has one) masked to -inf so it can
-    never be emitted.  A NaN/Inf logit raises NonFiniteError naming the
-    decode step (0 for the first).
+    States are row blocks, one row per hypothesis; the initial state is
+    ``model.decoder_start``'s, one row whose memory is the v_u row.  Step
+    log-probabilities are plain (rows, V) numpy arrays with the unk id
+    (when the config has one) masked to -inf so it can never be emitted.
+    A NaN/Inf logit raises NonFiniteError naming the decode step (0 for
+    the first).
     """
 
     def __init__(self, params: M.ModelParams, example):
         self.params = params
-        self.config = params.config
-        blog_states, desc_states, v_u, initial, _, _ = example_forward(params, [example])
-        self._blog_states, self._desc_states = blog_states, desc_states
-
-        def one_row(t):
-            return ad.stack_rows([t])
-
-        # Each step gathers its state rows from these by parent index.
-        self._initial = _map_state(initial, one_row)
+        self._blog_states, self._desc_states, v_u, initial, _, _ = example_forward(params, [example])
         # Every row reads the same v_u: rows for the widest step so far,
-        # which each step slices.
-        self._users = None if v_u is None else one_row(v_u)
+        # which each step slices.  The first of them is M_0.
+        self._users = None if v_u is None else ad.stack_rows([v_u])
+        layers = tuple((ad.stack_rows([h]), ad.stack_rows([c])) for h, c in initial.layers)
+        self._initial = M.decoder_start(params, layers, self._users)
 
     def initial_state(self) -> M.DecoderState:
         return self._initial
 
     def step(self, state: M.DecoderState, parents: Sequence[int], prev_ids: Sequence[int]) -> tuple[np.ndarray, M.DecoderState]:
         parents = np.asarray(parents, dtype=np.intp)
-        rows = _map_state(state, lambda t: ad.embedding_lookup(t, parents))
+        rows = state._replace(
+            layers=tuple((ad.embedding_lookup(h, parents), ad.embedding_lookup(c, parents)) for h, c in state.layers),
+            memory=None if state.memory is None else ad.embedding_lookup(state.memory, parents),
+        )
         v_u = None if self._users is None else self._user_rows(len(parents))
         result = M.decoder_step(
             self.params, rows, np.asarray(prev_ids, dtype=np.intp), self._blog_states, self._desc_states, v_u
@@ -171,7 +160,7 @@ class DecodeSession:
         logits = result.logits.array
         if not all_finite(logits):
             raise NonFiniteError(f"non-finite logits at decode step {state.step}")
-        unk = self.config.unk_id
+        unk = self.params.config.unk_id
         if unk is not None:
             logits[:, unk] = -np.inf
         return ad._log_softmax(logits, out=logits), result.state

@@ -48,6 +48,7 @@ __all__ = [
     "encode_blog",
     "encode_description",
     "user_vector",
+    "decoder_start",
     "init_decoder_state",
     "initial_layers",
     "decoder_advance",
@@ -452,47 +453,47 @@ def encode_description(params: ModelParams, d_ids: Sequence[int], lengths: Seque
     return bilstm_encode(params.desc_fwd, params.desc_bwd, ad.embedding_lookup(params.embedding, ids), lengths)
 
 
-def user_vector(params: ModelParams, features: Tensor | np.ndarray) -> Tensor:
-    """v_u for one user's features, or one row per row of a (B, F) block."""
+def user_vector(params: ModelParams, features: np.ndarray) -> Tensor:
+    """v_u for one user's feature array, or one row per row of a (B, F) block."""
     if params.user_proj is None:
         raise ValueError("this variant has no user projection")
-    if not isinstance(features, Tensor):
-        features = Tensor(features)
+    features = Tensor(features)
     feature_dim = params.config.feature_dim
     if features.array.ndim not in (1, 2) or features.shape[-1] != feature_dim:
         raise ad.ShapeError(f"user features have shape {features.shape}, expected ({feature_dim},) or (B, {feature_dim})")
     return user_embed(*params.user_proj, features)
 
 
-def init_decoder_state(params: ModelParams, blog_states: Tensor, v_u: Tensor | None) -> DecoderState:
-    """One example's initial decoder state: per-layer (h, c) vectors from
-    its blog encoder's (T, 2H) states, and M_0 = v_u.
-
-    With s the blog summary [h_fwd at the last position; h_bwd at the
-    first], each layer's h = tanh(W_h s + b_h) and c = tanh(W_c s + b_c),
-    one ``ad.tanh_affine`` entry each (see :func:`initial_layers`, which
-    also builds a block's rows).
-    """
-    cfg = params.config
-    if cfg.variant.use_gated_memory and v_u is None:
+def decoder_start(params: ModelParams, layers: tuple[tuple[Tensor, Tensor], ...], v_u: Tensor | None) -> DecoderState:
+    """Every walk's first decoder state: its :func:`initial_layers`, vectors
+    or row blocks, and M_0 = v_u in the gated-memory variants, which raise
+    without a v_u."""
+    use_memory = params.config.variant.use_gated_memory
+    if use_memory and v_u is None:
         raise ValueError("gated memory needs a user vector for M_0")
-    memory = v_u if cfg.variant.use_gated_memory else None
-    return DecoderState(layers=initial_layers(params, blog_states), memory=memory, step=0)
+    return DecoderState(layers=layers, memory=v_u if use_memory else None)
+
+
+def init_decoder_state(params: ModelParams, blog_states: Tensor, v_u: Tensor | None) -> DecoderState:
+    """One example's first decoder state from its blog encoder's (T, 2H)
+    states: :func:`decoder_start` over its :func:`initial_layers`."""
+    return decoder_start(params, initial_layers(params, blog_states), v_u)
 
 
 def initial_layers(
     params: ModelParams, blog_states: Tensor, lengths: Sequence[int] | None = None
 ) -> tuple[tuple[Tensor, Tensor], ...]:
-    """The (h, c) layers of :func:`init_decoder_state`, which need no v_u:
-    vectors for one blog, or with ``lengths`` one row per blog."""
+    """The first decoder (h, c) layers, which need no v_u: vectors for one
+    blog, or with ``lengths`` one row per blog.  With s the blog summary
+    [h_fwd at the last position; h_bwd at the first] (a states row is
+    [fwd; bwd]), each layer's h = tanh(W_h s + b_h) and
+    c = tanh(W_c s + b_c), one ``ad.tanh_affine`` entry each."""
     hidden = params.config.blog_hidden
     if lengths is None:
         first, last = 0, blog_states.shape[0] - 1
     else:
         last = np.cumsum(lengths, dtype=np.intp) - 1
         first = last - np.asarray(lengths, dtype=np.intp) + 1
-    # Rows of the (T, 2H) states are [fwd; bwd]: the forward summary sits
-    # at an example's last position, the backward summary at its first.
     summary = ad.concat([
         ad.vslice(ad.embedding_lookup(blog_states, last), 0, hidden),
         ad.vslice(ad.embedding_lookup(blog_states, first), hidden, 2 * hidden),

@@ -7,7 +7,8 @@ with one set of initial-layer products over it, and its distinct authors
 as one description-encoder block and one user-vector block.  One example
 runs on vectors, the engine's one-row form.  Over two or more, every
 product applies each weight as one matrix product (a GEMM), as decoding
-does, so a row matches its example walked alone only to rounding.
+does, so a row matches its example walked alone only to rounding.  Every
+walk's first decoder state is ``model.decoder_start``'s.
 
 :func:`gold_log_probs` walks a block as one row block: each decoder step
 runs one row per example, and each row's attention keeps only its own
@@ -135,11 +136,6 @@ def _encode(params: M.ModelParams, examples: Sequence[EncodedExample]) -> _Encod
     return _Encoded(blog_states, desc_states, users, layers, x_lens, d_lens, blog_of, author_of)
 
 
-def _start(params: M.ModelParams, layers: tuple, v_u: Tensor | None) -> M.DecoderState:
-    """The initial decoder state from its (h, c) layers; M_0 = v_u."""
-    return M.DecoderState(layers=layers, memory=v_u if params.config.variant.use_gated_memory else None)
-
-
 def example_forward(params: M.ModelParams, examples: Sequence[EncodedExample]) -> tuple:
     """A block walk's inputs, over one :func:`_encode` of its examples:
     (blog_states, desc_states, v_u, initial state, blog_mask, desc_mask).
@@ -152,12 +148,12 @@ def example_forward(params: M.ModelParams, examples: Sequence[EncodedExample]) -
     """
     enc = _encode(params, examples)
     if enc.x_lens is None:
-        return enc.blogs, enc.descs, enc.users, _start(params, enc.layers, enc.users), None, None
+        return enc.blogs, enc.descs, enc.users, M.decoder_start(params, enc.layers, enc.users), None, None
     blog_of, author_of = np.asarray(enc.blog_of), np.asarray(enc.author_of)
     v_u = None if enc.users is None else ad.embedding_lookup(enc.users, author_of)
     layers = tuple((ad.embedding_lookup(h, blog_of), ad.embedding_lookup(c, blog_of)) for h, c in enc.layers)
     desc_mask = None if enc.descs is None else _own_rows(enc.d_lens, author_of)
-    return enc.blogs, enc.descs, v_u, _start(params, layers, v_u), _own_rows(enc.x_lens, blog_of), desc_mask
+    return enc.blogs, enc.descs, v_u, M.decoder_start(params, layers, v_u), _own_rows(enc.x_lens, blog_of), desc_mask
 
 
 def _own_rows(lengths: list[int], of: np.ndarray) -> np.ndarray:
@@ -165,37 +161,30 @@ def _own_rows(lengths: list[int], of: np.ndarray) -> np.ndarray:
     return np.repeat(np.arange(len(lengths)), lengths)[None, :] == of[:, None]
 
 
-def _sequences(block: Tensor, lengths: list[int] | None) -> list[Tensor]:
-    """Each sequence's rows of an encoder block: the block itself when it
-    is one example's (``lengths`` None)."""
-    if lengths is None:
-        return [block]
+def _sequences(block: Tensor, lengths: list[int]) -> list[Tensor]:
+    """Each sequence's rows of an encoder block."""
     ends = np.cumsum(lengths).tolist()
     return [ad.embedding_lookup(block, np.arange(end - n, end)) for end, n in zip(ends, lengths)]
 
 
-def _row(block: Tensor | None, k: int, lengths: list[int] | None) -> Tensor | None:
-    """Row k of a (B, .) block as a vector: the block itself when it is
-    one example's vector (``lengths`` None), None for no block."""
-    return block if lengths is None or block is None else ad.embedding_lookup(block, k)
-
-
 def _batch_forward(params: M.ModelParams, examples: Sequence[EncodedExample]) -> list[tuple]:
     """Each example's :func:`example_forward` result for a one-example
-    decoder walk, over one :func:`_encode` of the batch: each distinct blog
-    and author reads its rows once, as vectors, and every example that has
-    it shares them."""
+    decoder walk: for one example, its own.  Over two or more, each
+    distinct blog and author reads its rows of one :func:`_encode` of the
+    batch once, as vectors, and every example that has it shares them."""
+    if len(examples) == 1:
+        return [example_forward(params, examples)]
     enc = _encode(params, examples)
     blog_rows = [
-        (states, tuple((_row(h, k, enc.x_lens), _row(c, k, enc.x_lens)) for h, c in enc.layers))
+        (states, tuple((ad.embedding_lookup(h, k), ad.embedding_lookup(c, k)) for h, c in enc.layers))
         for k, states in enumerate(_sequences(enc.blogs, enc.x_lens))
     ]
-    descs = [None] * (max(enc.author_of) + 1) if enc.descs is None else _sequences(enc.descs, enc.d_lens)
-    author_rows = [(desc, _row(enc.users, k, enc.d_lens)) for k, desc in enumerate(descs)]
+    descs = [None] * len(enc.d_lens) if enc.descs is None else _sequences(enc.descs, enc.d_lens)
+    author_rows = [(desc, None if enc.users is None else ad.embedding_lookup(enc.users, k)) for k, desc in enumerate(descs)]
     forwards = []
     for b, a in zip(enc.blog_of, enc.author_of):
         (blog_states, layers), (desc_states, v_u) = blog_rows[b], author_rows[a]
-        forwards.append((blog_states, desc_states, v_u, _start(params, layers, v_u), None, None))
+        forwards.append((blog_states, desc_states, v_u, M.decoder_start(params, layers, v_u), None, None))
     return forwards
 
 

@@ -852,6 +852,10 @@ def _set_first_value(param, value):
     param["data"] = base64.b64encode(values.tobytes()).decode("ascii")
 
 
+def _eval_on(checkpoint, data_dir):
+    return ["eval", "--checkpoint", str(checkpoint), "--data-dir", str(data_dir)]
+
+
 def _generate_with(checkpoint, data_dir=None):
     argv = ["generate", "--checkpoint", str(checkpoint), "--blog", "new post", "--user", "u00"]
     return argv + (["--data-dir", str(data_dir)] if data_dir else [])
@@ -976,6 +980,37 @@ MALFORMED_FILES = {
     "ablate on an empty dev split": (lambda prep, run, tmp: [
         "ablate", "--data-dir", str(_data_copy(prep, tmp, "dev.jsonl", b"")), "--out-dir", str(tmp / "abl"),
         "--epochs", "1", "--eval-split", "dev"], "eval split 'dev' in"),
+    "checkpoint vocab cut to its first 6 tokens": (lambda prep, run, tmp: _eval_on(
+        _checkpoint_copy(run, tmp, lambda doc: doc["vocab"].update(tokens=doc["vocab"]["tokens"][:6])), prep),
+        "model.vocab_size is 21, but the vocab's length is 6"),
+    "checkpoint vocab with 30 tokens inserted after the specials": (lambda prep, run, tmp: _eval_on(
+        _checkpoint_copy(run, tmp, lambda doc: doc["vocab"]["tokens"].__setitem__(
+            slice(4, 4), [f"extra{i}" for i in range(30)])), prep), "model.vocab_size is 21, but the vocab's length is 51"),
+    "checkpoint schema with one city fewer": (lambda prep, run, tmp: _generate_with(
+        _checkpoint_copy(run, tmp, lambda doc: doc["schema"]["fields"]["city"].pop()), prep),
+        "model.feature_dim is 15, but the schema's width is 14"),
+    "checkpoint with an eos_id that is not the vocab's": (lambda prep, run, tmp: _eval_on(
+        _checkpoint_copy(run, tmp, lambda doc: doc["model"].update(eos_id=7)), prep),
+        "model.eos_id is 7, but the vocab's <eos> id is 3"),
+    "checkpoint with a null unk_id": (lambda prep, run, tmp: _eval_on(
+        _checkpoint_copy(run, tmp, lambda doc: doc["model"].update(unk_id=None)), prep),
+        "model.unk_id is None, but the vocab's <unk> id is 1"),
+    "vocab with a repeated token": (lambda prep, run, tmp: _train_on(
+        prep, tmp, "vocab.json", b'{"tokens": ["<pad>", "<unk>", "<bos>", "<eos>", "a", "a"]}'),
+        "vocab token 'a' is repeated at ids 4 and 5"),
+    "vocab with a second <bos>": (lambda prep, run, tmp: _train_on(
+        prep, tmp, "vocab.json", _edited_json(prep / "vocab.json", lambda doc: doc["tokens"].insert(4, "<bos>"))),
+        "vocab token '<bos>' is repeated at ids 2 and 4"),
+    "vocab with an empty token": (lambda prep, run, tmp: _train_on(
+        prep, tmp, "vocab.json", _edited_json(prep / "vocab.json", lambda doc: doc["tokens"].append(""))),
+        "is empty"),
+    "schema field with a repeated category": (lambda prep, run, tmp: _train_on(
+        prep, tmp, "schema.json", _edited_json(prep / "schema.json", lambda doc: doc["fields"].update(province=["x", "x"]))),
+        "feature schema field 'province' repeats the category 'x'"),
+    "users.json entry under another user's id": (lambda prep, run, tmp: _generate_with(
+        run / "checkpoint_final.json",
+        _data_copy(prep, tmp, "users.json", _edited_json(prep / "users.json", lambda doc: doc["u00"].update(user_id="zzz")))),
+        "users.json entry 'u00' has user_id 'zzz'"),
 }
 
 

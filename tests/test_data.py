@@ -298,6 +298,15 @@ class TestVocab:
         with pytest.raises(ValueError):
             D.Vocab(tokens=("a", "b", "c", "d", "e"))
 
+    def test_tokens_are_distinct_and_non_empty(self):
+        with pytest.raises(D.DataError, match="'a' is repeated at ids 4 and 5"):
+            D.Vocab.from_dict({"tokens": list(D.SPECIAL_TOKENS) + ["a", "a"]})
+        # A second <bos> would take encode(["<bos>"]) to id 4.
+        with pytest.raises(D.DataError, match="'<bos>' is repeated at ids 2 and 4"):
+            D.Vocab(tokens=D.SPECIAL_TOKENS + ("<bos>",))
+        with pytest.raises(D.DataError, match="vocab token 5 is empty"):
+            D.Vocab(tokens=D.SPECIAL_TOKENS + ("a", ""))
+
     def test_max_size_must_exceed_reserved(self):
         with pytest.raises(ValueError):
             D.build_vocab([rec()], max_size=4)
@@ -359,6 +368,12 @@ class TestFeatures:
             with pytest.raises(D.DataError, match="age_divisor must be a finite positive number"):
                 D.FeatureSchema.from_dict({**doc, "age_divisor": bad})
         assert D.FeatureSchema.from_dict({**doc, "age_divisor": 50}).age_divisor == 50.0
+
+    def test_repeated_category_rejected(self):
+        doc = self.make_schema().to_dict()
+        doc["fields"]["province"] = ["x", "x"]
+        with pytest.raises(D.DataError, match="field 'province' repeats the category 'x'"):
+            D.FeatureSchema.from_dict(doc)
 
     def test_schema_roundtrip(self):
         schema = self.make_schema()

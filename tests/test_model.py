@@ -579,6 +579,8 @@ class TestDecoderInit:
         states = M.encode_blog(params, ex.x)
         with pytest.raises(ValueError, match="M_0"):
             M.init_decoder_state(params, states, None)
+        with pytest.raises(ValueError, match="M_0"):
+            M.decoder_start(params, M.initial_layers(params, states), None)
 
 
 class TestDecoderStep:

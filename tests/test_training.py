@@ -625,6 +625,15 @@ class TestBatchSharesEncodes:
                 assert_bitwise_equal(got_v_u.array, v_u.array[b], "user vector")
                 assert (got_state.memory is got_v_u) == cfg.variant.use_gated_memory
 
+        # A one-example batch is example_forward's vector walk, bit for bit.
+        def bits(forward):
+            blog, desc, v_u, state, *masks = forward
+            tensors = [blog, desc, v_u, state.memory] + [t for layer in state.layers for t in layer]
+            return [None if t is None else (t.shape, t.array.tobytes()) for t in tensors] + masks
+
+        (alone,) = T._batch_forward(params, batch[:1])
+        assert bits(alone) == bits(T.example_forward(params, batch[:1]))
+
     @pytest.mark.parametrize("layers", [1, 2])
     @pytest.mark.parametrize("variant", sorted(M.PRESETS))
     def test_tape_encodes_each_blog_and_author_once(self, variant, layers, monkeypatch):
@@ -890,6 +899,21 @@ class TestCheckpoint:
         doc["model"]["blog_hidden"] = doc["model"]["blog_hidden"] + 1
         path.write_text(json.dumps(doc))
         with pytest.raises(C.CheckpointShapeError):
+            C.load_checkpoint(path)
+
+    @pytest.mark.parametrize("edit, named", [
+        (lambda doc: doc["vocab"].update(tokens=doc["vocab"]["tokens"][:6]), "vocab's length is 6"),
+        (lambda doc: doc["schema"]["fields"]["province"].pop(), "schema's width is"),
+        (lambda doc: doc["model"].update(eos_id=5), "model.eos_id is 5, but the vocab's <eos> id is 3"),
+        (lambda doc: doc["model"].update(pad_id=None), "model.pad_id is None, but the vocab's <pad> id is 0"),
+    ], ids=["vocab", "schema", "eos_id", "pad_id"])
+    def test_parts_that_disagree_rejected(self, tmp_path, edit, named):
+        path = tmp_path / "model.json"
+        C.save_checkpoint(path, make_checkpoint())
+        doc = json.loads(path.read_text())
+        edit(doc)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(C.CheckpointShapeError, match=named):
             C.load_checkpoint(path)
 
     def test_missing_parameter_rejected(self, tmp_path):
